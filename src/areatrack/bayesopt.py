@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
-from scipy.stats import norm, qmc
+from scipy.special import ndtr
+from scipy.stats import qmc
 
 from .errors import DegenerateKernel, ObjectiveNonFinite
 
@@ -78,16 +79,11 @@ class GpPosterior:
         dist = np.linalg.norm(Xq[:, None, :] - self.X[None, :, :], axis=2)
         k = self.signal_var * _matern52(dist, self.length_scale)
         mu = k @ self._alpha
-        w = solve_triangular(self._chol, k.T, lower=True)
+        # both operands are finite by construction; the check costs ~8% of the tuner
+        w = solve_triangular(self._chol, k.T, lower=True, check_finite=False)
         var = self.signal_var + _JITTER - np.sum(w * w, axis=0)
         var = np.maximum(var, 1e-12)
         return self._y_mean + self._y_scale * mu, (self._y_scale ** 2) * var
-
-    def mean(self, Xq: np.ndarray) -> np.ndarray:
-        return self.mean_var(Xq)[0]
-
-    def variance(self, Xq: np.ndarray) -> np.ndarray:
-        return self.mean_var(Xq)[1]
 
 
 def gp_fit(points: Sequence[Sequence[float]], values: Sequence[float]) -> GpPosterior:
@@ -140,7 +136,9 @@ def expected_improvement(gp: GpPosterior, incumbent: float, candidate: np.ndarra
     out = np.zeros_like(mu)
     ok = sigma > 1e-12
     z = (incumbent - mu[ok]) / sigma[ok]
-    out[ok] = (incumbent - mu[ok]) * norm.cdf(z) + sigma[ok] * norm.pdf(z)
+    # norm.cdf/norm.pdf's own formulas, without scipy.stats' per-call overhead
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    out[ok] = (incumbent - mu[ok]) * ndtr(z) + sigma[ok] * pdf
     return np.maximum(out, 0.0)
 
 

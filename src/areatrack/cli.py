@@ -6,19 +6,15 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 
 import click
-import numpy as np
 import yaml
 
 from . import formats, synth
 from .bayesopt import SearchSpec, optimize
 from .cdkf import CdkfConfig, NoiseMode
 from .errors import AreatrackError
-from .geometry import BBox, CameraIntrinsics, DepthMap
-from .mbtp import estimate_area
 from .metrics import evaluate_detections_per_frame
 from .pipeline import PipelineConfig, report_from_records, run_pipeline, smooth_records
 
@@ -150,42 +146,6 @@ def synth_cmd(spec_path, out_dir, seed):
     except (AreatrackError, KeyError, TypeError, ValueError, yaml.YAMLError) as e:
         _fail(str(e))
     click.echo(str(manifest_path))
-
-
-@main.command("bench-mbtp")
-@click.option("--width", type=int, default=1920)
-@click.option("--height", type=int, default=1080)
-@click.option("--boxes", type=int, default=5)
-@click.option("--box-size", type=int, default=200)
-@click.option("--iters", type=int, default=100)
-@click.option("--seed", type=int, default=0)
-def bench_mbtp(width, height, boxes, box_size, iters, seed):
-    """Per-frame latency of the area estimator."""
-    rng = np.random.default_rng(seed)
-    intr = CameraIntrinsics(f_u=1000.0, f_v=1000.0, p_u=width / 2, p_v=height / 2,
-                            width=width, height=height)
-    depth = DepthMap(width, height,
-                     5.0 + 0.1 * rng.standard_normal((height, width)).astype(np.float32))
-    bxs = [
-        BBox(
-            float(rng.uniform(0, width - box_size - 1)),
-            float(rng.uniform(0, height - box_size - 1)),
-            float(box_size),
-            float(box_size),
-        )
-        for _ in range(boxes)
-    ]
-    times = []
-    for _ in range(iters):
-        t0 = time.perf_counter()
-        for b in bxs:
-            estimate_area(b, depth, intr, 0.9)
-        times.append((time.perf_counter() - t0) * 1e3)
-    times = np.array(times)
-    click.echo(f"frames={iters} boxes={boxes} box_size={box_size}px "
-               f"image={width}x{height}")
-    click.echo(f"mean_ms={times.mean():.3f} p95_ms={np.percentile(times, 95):.3f} "
-               f"min_ms={times.min():.3f} max_ms={times.max():.3f}")
 
 
 if __name__ == "__main__":

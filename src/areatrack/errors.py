@@ -17,10 +17,6 @@ class EmptyRegion(AreatrackError):
     """A box clipped to the image covers zero pixels."""
 
 
-class NoValidPoints(AreatrackError):
-    """A projected region contains no valid 3D points."""
-
-
 class TooFewCorrespondences(AreatrackError):
     """Motion fitting needs at least 3 point pairs."""
 

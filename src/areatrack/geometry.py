@@ -111,9 +111,6 @@ class DepthMap:
             return None
         return z
 
-    def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.values) & (self.values > 0.0)
-
 
 @dataclass(frozen=True)
 class MotionTransform:
@@ -140,26 +137,18 @@ class MotionTransform:
         m[1, 2] = ty
         return cls(m)
 
-    def inverse(self) -> "MotionTransform":
-        return MotionTransform(np.linalg.inv(self.m))
-
     def apply_point(self, x: float, y: float) -> tuple[float, float]:
         p = self.m @ np.array([x, y, 1.0])
         return float(p[0] / p[2]), float(p[1] / p[2])
-
-    def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        """Transform an (N, 2) array of pixel points."""
-        pts = np.asarray(pts, dtype=np.float64)
-        hom = np.column_stack([pts, np.ones(len(pts))])
-        out = hom @ self.m.T
-        return out[:, :2] / out[:, 2:3]
 
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union; 0 when the union is degenerate."""
     ix = max(0.0, min(a.right, b.right) - max(a.x, b.x))
     iy = max(0.0, min(a.bottom, b.bottom) - max(a.y, b.y))
-    inter = ix * iy
+    # clamped: for tiny boxes, cancellation in min(right) - max(x) can
+    # exceed either box's own extent
+    inter = min(ix * iy, a.area, b.area)
     union = a.area + b.area - inter
     if union <= 0.0:
         return 0.0

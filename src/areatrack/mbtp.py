@@ -1,9 +1,11 @@
 """Depth-based box area estimation.
 
 The estimator back-projects every pixel of a detection box to the camera
-XY plane, bounds the valid points with an axis-aligned rectangle, sums the
-areas of per-2x2-pixel triangle pairs inside that rectangle, and scales
-the total by pi/4 to account for the roughly elliptical shape of potholes.
+XY plane, sums the areas of per-2x2-pixel triangle pairs whose four
+corners are valid, and scales the total by pi/4 to account for the roughly
+elliptical shape of potholes. The paper also keeps only patches inside the
+minimum bounding rectangle of the valid points; every valid point lies in
+that rectangle by construction, so no patch needs checking against it.
 """
 
 from __future__ import annotations
@@ -14,30 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyRegion, NoValidPoints
+from .errors import EmptyRegion
 from .geometry import BBox, CameraIntrinsics, DepthMap, pixel_grid
 from .projection import center_distance
 
 ELLIPSE_FACTOR = math.pi / 4.0
 
 Point2 = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class RectXY:
-    """Axis-aligned bounding rectangle in the camera XY plane, meters."""
-
-    min_x: float
-    max_x: float
-    min_y: float
-    max_y: float
-
-    def __post_init__(self):
-        if self.min_x > self.max_x or self.min_y > self.max_y:
-            raise ValueError("rect bounds out of order")
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
 
 
 @dataclass
@@ -94,15 +79,6 @@ def project_region(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> ProjectedReg
     return ProjectedRegion(u0=u0, v0=v0, X=X, Y=Y, Z=Z, valid=valid, box=b)
 
 
-def bounding_rect(r: ProjectedRegion) -> RectXY:
-    """Min/max over X and Y of all valid projected points."""
-    if not r.valid.any():
-        raise NoValidPoints("region has no valid projected points")
-    xs = r.X[r.valid]
-    ys = r.Y[r.valid]
-    return RectXY(float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max()))
-
-
 def triangle_area(p1: Point2, p2: Point2, p3: Point2) -> float:
     """Half the absolute cross product of two edge vectors."""
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
@@ -152,8 +128,7 @@ def estimate_area(
 ) -> AreaEstimate:
     """Full area estimate for one detection box.
 
-    Sums valid 2x2 patch areas whose four projected corners fall inside
-    the bounding rectangle (inclusive, which holds by construction), then
+    Sums the areas of 2x2 patches whose four corners are valid, then
     applies the pi/4 ellipse factor. Yields area 0 with zero valid patches
     when no complete patch exists.
     """
@@ -161,39 +136,9 @@ def estimate_area(
     dist = center_distance(b, d, intr)
     h, w = region.shape
     total = max(0, (h - 1)) * max(0, (w - 1))
-    if total == 0 or not region.valid.any():
-        return AreaEstimate(0.0, 0, total, dist, conf, frame, track_id)
-    rect = bounding_rect(region)
     areas, ok = _patch_areas(region)
-    if ok.any():
-        # inclusive rect membership for all four corners; a no-op for points
-        # that define the rect, kept as a guard against future padding changes
-        eps = 1e-12
-        inx = (region.X >= rect.min_x - eps) & (region.X <= rect.max_x + eps)
-        iny = (region.Y >= rect.min_y - eps) & (region.Y <= rect.max_y + eps)
-        inrect = inx & iny
-        ok = ok & inrect[:-1, :-1] & inrect[:-1, 1:] & inrect[1:, :-1] & inrect[1:, 1:]
     count = int(ok.sum())
     if count == 0:
         return AreaEstimate(0.0, 0, total, dist, conf, frame, track_id)
     area = float(areas[ok].sum()) * ELLIPSE_FACTOR
     return AreaEstimate(area, count, total, dist, conf, frame, track_id)
-
-
-def cp_baseline_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> float:
-    """Corner-point baseline: flat rectangle spanned by the two diagonal
-    corners of the box, using only their depths. No ellipse factor."""
-    region = project_region(b, d, intr)
-    h, w = region.shape
-    z_tl = region.Z[0, 0] if region.valid[0, 0] else np.nan
-    z_br = region.Z[h - 1, w - 1] if region.valid[h - 1, w - 1] else np.nan
-    if not (np.isfinite(z_tl) and np.isfinite(z_br)):
-        zs = region.Z[region.valid]
-        if zs.size == 0:
-            raise NoValidPoints("no valid depth at box corners or interior")
-        z_tl = z_br = float(np.median(zs))
-    x_tl = (region.u0 - intr.p_u) / intr.f_u * z_tl
-    y_tl = (region.v0 - intr.p_v) / intr.f_v * z_tl
-    x_br = (region.u0 + w - 1 - intr.p_u) / intr.f_u * z_br
-    y_br = (region.v0 + h - 1 - intr.p_v) / intr.f_v * z_br
-    return abs(x_br - x_tl) * abs(y_br - y_tl)

@@ -47,14 +47,14 @@ class FrameProcessingError(AreatrackError):
 def run_pipeline(
     manifest: SequenceManifest, config: PipelineConfig = PipelineConfig()
 ) -> tuple[list[FrameResultRecord], AreaConsistencyReport]:
-    """Process frames in order through tracking, area estimation, and
-    per-track smoothing.
+    """Process frames in order through tracking and area estimation, then
+    smooth each track's raw areas with ``smooth_records``.
 
     Per-frame input errors abort with the frame index; a detection whose
-    box has no valid depth is skipped with a log line.
+    box has no valid depth, or too little coverage, is skipped with a log
+    line and leaves no record, so it never advances its track's filter.
     """
     tracker = Tracker(config.tracker)
-    states: dict[int, CdkfState] = {}
     records: list[FrameResultRecord] = []
 
     for entry in manifest.frames:
@@ -89,20 +89,6 @@ def run_pipeline(
                     entry.frame, track_id, est.valid_patch_fraction,
                 )
                 continue
-            smoothed = est.area_m2
-            nis = 0.0
-            if config.smoothing:
-                state = states.get(track_id)
-                if state is None or not state.initialized:
-                    state = cdkf.update(CdkfState(), est.area_m2, det.confidence,
-                                        est.distance_m, config.cdkf)
-                else:
-                    state = cdkf.predict(state, config.cdkf)
-                    state = cdkf.update(state, est.area_m2, det.confidence,
-                                        est.distance_m, config.cdkf)
-                states[track_id] = state
-                smoothed = state.A
-                nis = state.last_nis
             records.append(
                 FrameResultRecord(
                     frame=entry.frame,
@@ -112,11 +98,13 @@ def run_pipeline(
                     confidence=det.confidence,
                     distance_m=est.distance_m,
                     area_raw_m2=est.area_m2,
-                    area_smoothed_m2=smoothed,
-                    nis=nis,
+                    area_smoothed_m2=est.area_m2,
+                    nis=0.0,
                     valid_patch_fraction=est.valid_patch_fraction,
                 )
             )
+    if config.smoothing:
+        records = smooth_records(records, config.cdkf)
     report = report_from_records(records, min_track_len=config.min_track_len,
                                  smoothed=config.smoothing)
     return records, report
@@ -137,20 +125,17 @@ def _load_motion(path, seed: int, frame: int) -> MotionTransform | None:
 def smooth_records(
     records: list[FrameResultRecord], cfg: CdkfConfig
 ) -> list[FrameResultRecord]:
-    """Re-run per-track smoothing over raw area measurements.
+    """Per-track smoothing over raw area measurements, in frame order.
 
-    Lets the tuner try candidate noise weights without repeating tracking
-    and area estimation.
+    The pipeline's smoothing step; the tuner calls it directly to try
+    candidate noise weights without repeating tracking and area estimation.
     """
     states: dict[int, CdkfState] = {}
     out: list[FrameResultRecord] = []
     for r in sorted(records, key=lambda r: (r.frame, r.track_id)):
         state = states.get(r.track_id)
-        if state is None or not state.initialized:
-            state = cdkf.update(CdkfState(), r.area_raw_m2, r.confidence, r.distance_m, cfg)
-        else:
-            state = cdkf.predict(state, cfg)
-            state = cdkf.update(state, r.area_raw_m2, r.confidence, r.distance_m, cfg)
+        state = CdkfState() if state is None else cdkf.predict(state, cfg)
+        state = cdkf.update(state, r.area_raw_m2, r.confidence, r.distance_m, cfg)
         states[r.track_id] = state
         out.append(
             FrameResultRecord(

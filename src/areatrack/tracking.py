@@ -55,7 +55,6 @@ class Track:
     id: int
     state: TrackState
     class_id: int
-    age: int = 0
     misses: int = 0
     hits: int = 1
     status: TrackStatus = TrackStatus.TENTATIVE
@@ -102,13 +101,6 @@ def kf_update(s: TrackState, z: BBox, cfg: TrackerConfig = TrackerConfig()) -> T
     cov = (np.eye(8) - K @ _H) @ s.covariance
     cov = 0.5 * (cov + cov.T)
     return TrackState(mean, cov)
-
-
-def compensate(b: BBox, t: MotionTransform) -> BBox:
-    """Map the box center through the inverse transform; size unchanged."""
-    inv = t.inverse()
-    cx, cy = inv.apply_point(b.cx, b.cy)
-    return BBox.from_center(cx, cy, b.w, b.h)
 
 
 def _fit_affine(src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
@@ -271,15 +263,13 @@ class Tracker:
         # move tracks into the current frame's pixel coordinates, then predict
         if motion is not None:
             # motion maps previous-frame pixels to current-frame pixels, so
-            # track centers are pushed forward through it (the mirror image
-            # of compensating detections backward through its inverse)
+            # track centers are pushed forward through it
             for t in live:
                 cx, cy = motion.apply_point(float(t.state.mean[0]), float(t.state.mean[1]))
                 t.state.mean[0] = cx
                 t.state.mean[1] = cy
         for t in live:
             t.state = predict(t.state, self.cfg)
-            t.age += 1
 
         boxes = [t.state.box() for t in live]
         result = associate(boxes, frame_dets, self.cfg)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from areatrack.errors import EmptyRegion, NoValidPoints
+from areatrack.errors import EmptyRegion
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
 from areatrack.mbtp import (
     ELLIPSE_FACTOR,
-    bounding_rect,
     estimate_area,
     patch_area,
     project_region,
@@ -50,38 +49,6 @@ class TestProjectRegion:
         r = project_region(BBox(100, 100, 5, 5), d, INTR)
         assert (~r.valid).sum() == 1
         assert not r.valid[1, 2]
-
-
-class TestBoundingRect:
-    def test_single_point_degenerate(self):
-        vals = np.full((1080, 1920), np.nan, np.float32)
-        vals[100, 100] = 4.0
-        d = DepthMap(1920, 1080, vals)
-        r = project_region(BBox(99, 99, 4, 4), d, INTR)
-        rect = bounding_rect(r)
-        assert rect.min_x == rect.max_x
-        assert rect.min_y == rect.max_y
-
-    def test_minmax_by_hand(self):
-        import areatrack.mbtp as m
-
-        r = m.ProjectedRegion(
-            u0=0, v0=0,
-            X=np.array([[0.0, 3.0], [-1.0, 0.0]]),
-            Y=np.array([[0.0, 1.0], [2.0, 0.0]]),
-            Z=np.ones((2, 2)),
-            valid=np.array([[True, True], [True, False]]),
-            box=BBox(0, 0, 2, 2),
-        )
-        rect = bounding_rect(r)
-        assert (rect.min_x, rect.max_x, rect.min_y, rect.max_y) == (-1.0, 3.0, 0.0, 2.0)
-
-    def test_all_invalid(self):
-        vals = np.full((1080, 1920), np.nan, np.float32)
-        d = DepthMap(1920, 1080, vals)
-        r = project_region(BBox(10, 10, 5, 5), d, INTR)
-        with pytest.raises(NoValidPoints):
-            bounding_rect(r)
 
 
 class TestTriangleArea:
@@ -162,9 +129,16 @@ class TestEstimateArea:
         assert a2 == pytest.approx(4.0 * a1, rel=1e-9)
 
     def test_one_pixel_wide_box(self):
-        est = estimate_area(BBox(100, 100, 1, 50), uniform_depth(5.0), INTR, 0.9)
-        assert est.area_m2 == 0.0
-        assert est.valid_patch_count == 0
+        # also a box whose only valid pixel cannot complete a 2x2 patch
+        one_valid = np.full((1080, 1920), np.nan, np.float32)
+        one_valid[100, 100] = 4.0
+        for b, d in [
+            (BBox(100, 100, 1, 50), uniform_depth(5.0)),
+            (BBox(99, 99, 4, 4), DepthMap(1920, 1080, one_valid)),
+        ]:
+            est = estimate_area(b, d, INTR, 0.9)
+            assert est.area_m2 == 0.0
+            assert est.valid_patch_count == 0
 
     def test_scale_law_random_depths(self):
         rng = np.random.default_rng(7)

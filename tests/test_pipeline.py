@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -7,7 +9,7 @@ from click.testing import CliRunner
 from areatrack import formats
 from areatrack.cdkf import CdkfConfig
 from areatrack.cli import main
-from areatrack.geometry import BBox, CameraIntrinsics
+from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
 from areatrack.pipeline import (
     PipelineConfig,
     report_from_records,
@@ -103,6 +105,28 @@ class TestRunPipeline:
             [r.area_smoothed_m2 for r in inline]
         )
         assert [r.nis for r in redone] == pytest.approx([r.nis for r in inline])
+
+    def test_skipped_detections_leave_no_record(self, tmp_path, caplog):
+        manifest_path = write_scene(approach_scene(), tmp_path)
+        manifest = formats.SequenceManifest.load(manifest_path)
+        # frame 3 loses all depth over the pothole box, frame 6 about half
+        for k, part in ((3, 1.0), (6, 0.5)):
+            entry = manifest.frames[k]
+            depth = formats.parse_pfm(entry.depth_path.read_bytes())
+            (det,) = formats.parse_detections(entry.detections_path.read_text())[entry.frame]
+            b = det.bbox
+            z = np.array(depth.values)
+            u0, v0 = int(b.x) - 2, int(b.y) - 2
+            z[v0:int(b.bottom) + 3, u0:u0 + int(part * (b.w + 5))] = np.nan
+            entry.depth_path.write_bytes(
+                formats.write_pfm(DepthMap(depth.width, depth.height, z)))
+        config = PipelineConfig(min_valid_patch_fraction=0.9)
+        records, _ = run_pipeline(manifest, config)
+        assert "frame 3 track 1: no valid depth" in caplog.text
+        assert "frame 6 track 1: coverage" in caplog.text
+        assert [r.frame for r in records] == [0, 1, 2, 4, 5, 7, 8, 9]
+        raw, _ = run_pipeline(manifest, dataclasses.replace(config, smoothing=False))
+        assert records == smooth_records(raw, config.cdkf)
 
     def test_empty_detection_frames_ok(self, tmp_path):
         # a scene where the depression leaves the view partway through still
@@ -225,16 +249,6 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert "lambda=" in res.output and "best_j=" in res.output
         assert res.output.count("eval ") == 5
-
-    def test_bench_smoke(self):
-        runner = CliRunner()
-        res = runner.invoke(
-            main,
-            ["bench-mbtp", "--width", "320", "--height", "240", "--boxes", "2",
-             "--box-size", "40", "--iters", "3"],
-        )
-        assert res.exit_code == 0, res.output
-        assert "mean_ms=" in res.output
 
     def test_missing_manifest_exit_code(self):
         runner = CliRunner()

@@ -10,7 +10,6 @@ from areatrack.tracking import (
     Tracker,
     TrackerConfig,
     associate,
-    compensate,
     fit_motion_ransac,
     hungarian_solve,
     initiate,
@@ -62,26 +61,6 @@ class TestKalman:
             s = kf_update(s, BBox(x, 5, 12, 8), CFG)
             assert np.allclose(s.covariance, s.covariance.T)
             assert np.all(np.linalg.eigvalsh(s.covariance) > -1e-9)
-
-
-class TestCompensate:
-    def test_translation(self):
-        t = MotionTransform.translation(5.0, -2.0)
-        b = compensate(BBox.from_center(100, 100, 20, 20), t)
-        assert (b.cx, b.cy) == pytest.approx((95.0, 102.0))
-        assert (b.w, b.h) == (20, 20)
-
-    def test_scale_about_origin(self):
-        m = np.diag([2.0, 2.0, 1.0])
-        t = MotionTransform(m)
-        b = compensate(BBox.from_center(100, 60, 10, 10), t)
-        assert (b.cx, b.cy) == pytest.approx((50.0, 30.0))
-        assert (b.w, b.h) == (10, 10)
-
-    def test_identity_noop(self):
-        b0 = BBox(3, 4, 5, 6)
-        b = compensate(b0, MotionTransform.identity())
-        assert (b.cx, b.cy, b.w, b.h) == pytest.approx((b0.cx, b0.cy, b0.w, b0.h))
 
 
 class TestRansac:
