@@ -3,7 +3,7 @@ records, and the YAML sequence manifest."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -86,15 +86,11 @@ class Surface:
 
     def height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Surface depth-coordinate z at world (x, y), depressions included."""
-        z = self.base_height(x, y)
+        z = np.array(self.base_height(x, y), dtype=np.float64)
         for p in self.potholes:
-            r2 = ((x - p.center[0]) / p.a) ** 2 + ((y - p.center[1]) / p.b) ** 2
+            r2 = np.asarray(((x - p.center[0]) / p.a) ** 2 + ((y - p.center[1]) / p.b) ** 2)
             inside = r2 < 1.0
-            if np.any(inside):
-                bump = np.zeros_like(z)
-                r = np.sqrt(np.clip(r2, 0.0, 1.0))
-                bump[inside] = np.cos(0.5 * math.pi * r[inside]) ** 2
-                z = z + p.depth * bump
+            z[inside] += p.depth * np.cos(0.5 * math.pi * np.sqrt(r2[inside])) ** 2
         return z
 
     def grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +180,10 @@ def _ray_dirs(R: np.ndarray, xs_hat: np.ndarray, ys_hat: np.ndarray) -> np.ndarr
     return d_cam @ R  # row-wise R^T * d_cam
 
 
+# far below the ~6e-8 resolution of the float32 depth maps _solve_depth feeds
+SOLVE_RTOL = 1e-12
+
+
 def _solve_depth(
     surface: Surface,
     pose: CameraPose,
@@ -193,16 +193,25 @@ def _solve_depth(
 ) -> np.ndarray:
     """Camera-frame depth Z solving c + Z * d = surface along each ray.
 
-    Fixed-point iteration; gentle slopes converge geometrically.
+    Fixed-point iteration; gentle slopes converge geometrically. It stops
+    after the first step that moves no depth by more than SOLVE_RTOL times
+    the largest depth, and after ``iters`` steps at most. A NaN depth
+    anywhere never passes that test, so such inputs, like ones that do not
+    contract, run all ``iters`` steps.
     """
     R = pose.rotation()
     d = _ray_dirs(R, xs_hat, ys_hat)
     cx, cy, cz = pose.position
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    z = np.maximum((surface.z0 - cz) / np.maximum(dz, 1e-6), 0.1)
+    dx, dy = d[..., 0], d[..., 1]
+    dz = np.maximum(d[..., 2], 1e-6)
+    z = np.maximum((surface.z0 - cz) / dz, 0.1)
     for _ in range(iters):
         zs = surface.height(cx + z * dx, cy + z * dy)
-        z = (zs - cz) / np.maximum(dz, 1e-6)
+        z_next = (zs - cz) / dz
+        step = np.max(np.abs(z_next - z), initial=0.0)
+        z = z_next
+        if step <= SOLVE_RTOL * np.max(np.abs(z), initial=0.0):
+            break
     return z
 
 

@@ -12,6 +12,7 @@ from areatrack.synth import (
     PotholeSpec,
     SceneSpec,
     Surface,
+    _solve_depth,
     analytic_rect_footprint_area,
     pothole_surface_area,
     render,
@@ -65,6 +66,120 @@ class TestSurface:
             fy = (s.height(np.array(x), np.array(y + eps)) - s.height(np.array(x), np.array(y - eps))) / (2 * eps)
             assert float(gx) == pytest.approx(float(fx), abs=1e-5)
             assert float(gy) == pytest.approx(float(fy), abs=1e-5)
+
+
+def _full_array_height(surface, x, y):
+    """Surface.height as a full-array formula: every depression adds a bump
+    image that is zero outside its rim."""
+    z = surface.base_height(x, y)
+    for p in surface.potholes:
+        r2 = ((x - p.center[0]) / p.a) ** 2 + ((y - p.center[1]) / p.b) ** 2
+        inside = r2 < 1.0
+        if np.any(inside):
+            bump = np.zeros_like(z)
+            r = np.sqrt(np.clip(r2, 0.0, 1.0))
+            bump[inside] = np.cos(0.5 * math.pi * r[inside]) ** 2
+            z = z + p.depth * bump
+    return z
+
+
+def _reference_depth(surface, pose, xs_hat, ys_hat, iters=80):
+    """The ray-cast fixed point after exactly `iters` steps."""
+    d = np.stack([xs_hat, ys_hat, np.ones_like(xs_hat)], axis=-1) @ pose.rotation()
+    cx, cy, cz = pose.position
+    z = np.maximum((surface.z0 - cz) / np.maximum(d[..., 2], 1e-6), 0.1)
+    for _ in range(iters):
+        zs = _full_array_height(surface, cx + z * d[..., 0], cy + z * d[..., 1])
+        z = (zs - cz) / np.maximum(d[..., 2], 1e-6)
+    return z
+
+
+def _image_rays(step=2):
+    us = (np.arange(0, INTR.width, step) - INTR.p_u) / INTR.f_u
+    vs = (np.arange(0, INTR.height, step) - INTR.p_v) / INTR.f_v
+    return np.meshgrid(us, vs)
+
+
+@pytest.fixture
+def height_calls(monkeypatch):
+    """Counts Surface.height calls, i.e. the ray-caster's iterations."""
+    calls = []
+    height = Surface.height
+
+    def counted(self, x, y):
+        calls.append(1)
+        return height(self, x, y)
+
+    monkeypatch.setattr(Surface, "height", counted)
+    return calls
+
+
+OVERLAPPING = (
+    PotholeSpec(center=(0.0, 0.1), a=0.3, b=0.2, depth=0.05),
+    PotholeSpec(center=(0.2, 0.2), a=0.25, b=0.2, depth=0.03),
+)
+
+
+class TestSolveDepth:
+    @pytest.mark.parametrize(
+        "surface, pose",
+        [
+            (Surface(kind="plane", z0=5.0), CameraPose()),
+            (Surface(kind="tilted", z0=5.0, pitch_deg=8.0), CameraPose()),
+            (Surface(kind="undulating", z0=5.0, amplitude=0.02, wavelength=2.0), CameraPose()),
+            (Surface(kind="tilted", z0=5.0, pitch_deg=-6.0, potholes=OVERLAPPING), CameraPose()),
+            (
+                Surface(kind="tilted", z0=6.0, pitch_deg=8.0, potholes=OVERLAPPING),
+                CameraPose(position=(0.1, -0.05, 0.3), pitch=0.06, yaw=-0.05, roll=0.02),
+            ),
+        ],
+        ids=["plane", "tilted", "undulating", "tilted-overlapping", "pitched-yawed"],
+    )
+    def test_early_exit_matches_cap_iterations(self, surface, pose, height_calls):
+        xs_hat, ys_hat = _image_rays()
+        got = _solve_depth(surface, pose, xs_hat, ys_hat)
+        assert len(height_calls) < 80
+        ref = _reference_depth(surface, pose, xs_hat, ys_hat)
+        assert np.array_equal(got.astype(np.float32), ref.astype(np.float32))
+
+    def test_non_contracting_runs_to_cap(self, height_calls):
+        # slope 2*pi*A/L ~ 12.6 along y: the iteration never settles
+        surface = Surface(kind="undulating", z0=5.0, amplitude=1.0, wavelength=0.5)
+        xs_hat, ys_hat = _image_rays(step=8)
+        got = _solve_depth(surface, CameraPose(), xs_hat, ys_hat)
+        assert len(height_calls) == 80
+        assert np.array_equal(got, _reference_depth(surface, CameraPose(), xs_hat, ys_hat))
+        early = _reference_depth(surface, CameraPose(), xs_hat, ys_hat, iters=79)
+        assert not np.array_equal(got, early)
+
+    def test_nan_ray_runs_to_cap(self, height_calls):
+        surface = Surface(kind="tilted", z0=5.0, pitch_deg=8.0, potholes=OVERLAPPING)
+        xs_hat, ys_hat = _image_rays(step=8)
+        xs_hat[3, 4] = np.nan
+        got = _solve_depth(surface, CameraPose(), xs_hat, ys_hat)
+        assert len(height_calls) == 80
+        ref = _reference_depth(surface, CameraPose(), xs_hat, ys_hat)
+        assert np.isnan(got[3, 4])
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_empty_rays(self):
+        got = _solve_depth(Surface(), CameraPose(), np.empty(0), np.empty(0))
+        assert got.shape == (0,)
+
+
+class TestHeightMasked:
+    @pytest.mark.parametrize("kind", ["plane", "tilted", "undulating"])
+    def test_equals_full_array_formula(self, kind):
+        surface = Surface(kind=kind, z0=5.0, pitch_deg=7.0, amplitude=0.02, potholes=OVERLAPPING)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-0.5, 0.6, (40, 50))
+        y = rng.uniform(-0.3, 0.6, (40, 50))
+        assert np.array_equal(surface.height(x, y), _full_array_height(surface, x, y))
+        for px, py in [(0.0, 0.1), (0.1, 0.15), (0.9, 0.9), (0.2, 0.2), (0.3, 0.1)]:
+            for x0, y0 in [(np.array(px), np.array(py)), (px, py)]:
+                got = surface.height(x0, y0)
+                assert np.ndim(got) == 0
+                assert got == _full_array_height(surface, x0, y0)
 
 
 class TestRenderDepth:
