@@ -26,6 +26,13 @@ FORMAT_VERSION = 1
 
 
 def parse_pfm(data: bytes) -> DepthMap:
+    """Decode a grayscale PFM file; bytes after the payload are ignored.
+
+    A map stored in the machine's byte order (little-endian, negative
+    scale, on x86 and ARM) is not copied: its values are a read-only,
+    row-flipped view of ``data``, which the map keeps alive. Any other map
+    is converted to native float32.
+    """
     try:
         nl1 = data.index(b"\n")
         nl2 = data.index(b"\n", nl1 + 1)
@@ -45,14 +52,14 @@ def parse_pfm(data: bytes) -> DepthMap:
         raise DimensionMismatch(str(e)) from None
     if width <= 0 or height <= 0:
         raise DimensionMismatch(f"non-positive dimensions {width}x{height}")
-    payload = data[nl3 + 1 :]
     n = width * height
-    if len(payload) < 4 * n:
-        raise TruncatedPayload(f"expected {4 * n} payload bytes, got {len(payload)}")
+    payload_len = len(data) - (nl3 + 1)
+    if payload_len < 4 * n:
+        raise TruncatedPayload(f"expected {4 * n} payload bytes, got {payload_len}")
     endian = "<" if scale < 0 else ">"
-    values = np.frombuffer(payload[: 4 * n], dtype=np.dtype(endian + "f4"))
+    values = np.frombuffer(data, dtype=np.dtype(endian + "f4"), count=n, offset=nl3 + 1)
     grid = values.reshape(height, width)[::-1]  # bottom-to-top on disk
-    return DepthMap(width, height, np.ascontiguousarray(grid))
+    return DepthMap(width, height, grid)
 
 
 def write_pfm(d: DepthMap) -> bytes:

@@ -74,8 +74,9 @@ def project_region(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> ProjectedReg
     vs = np.arange(v0, v1, dtype=np.float64)
     X = (us[None, :] - intr.p_u) / intr.f_u * Z
     Y = (vs[:, None] - intr.p_v) / intr.f_v * Z
-    X[~valid] = np.nan
-    Y[~valid] = np.nan
+    if not valid.all():
+        X[~valid] = np.nan
+        Y[~valid] = np.nan
     return ProjectedRegion(u0=u0, v0=v0, X=X, Y=Y, Z=Z, valid=valid, box=b)
 
 
@@ -106,16 +107,38 @@ def patch_area(r: ProjectedRegion, u: int, v: int) -> Optional[float]:
 
 
 def _patch_areas(r: ProjectedRegion) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized triangle-pair areas and validity for all 2x2 patches."""
+    """Vectorized triangle-pair areas and validity for all 2x2 patches.
+
+    tri1 = |(x1-x0)(y2-y0) - (y1-y0)(x2-x0)| / 2 and
+    tri2 = |(x2-x0)(y3-y0) - (y2-y0)(x3-x0)| / 2, computed on six edge
+    differences in place, in the same operation order as the plain formula,
+    so the values are bit-identical to it. Flat index k = i*w + j anchors
+    patch (i, j), whose corners sit at k, k+1, k+w and k+w+1, so every
+    operation runs over one contiguous range; the k with j = w-1 straddle
+    two rows and are cut off the returned (h-1, w-1) view.
+    """
     X, Y, valid = r.X, r.Y, r.valid
-    x0, y0 = X[:-1, :-1], Y[:-1, :-1]
-    x1, y1 = X[:-1, 1:], Y[:-1, 1:]
-    x2, y2 = X[1:, :-1], Y[1:, :-1]
-    x3, y3 = X[1:, 1:], Y[1:, 1:]
-    tri1 = 0.5 * np.abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-    tri2 = 0.5 * np.abs((x2 - x0) * (y3 - y0) - (y2 - y0) * (x3 - x0))
+    h, w = X.shape
+    n = max((h - 1) * w - 1, 0)
+    x, y = X.ravel(), Y.ravel()
+    buf = np.empty((6, (h - 1) * w))
+    dx1, dy1, dx2, dy2, dx3, dy3 = buf[:, :n]
+    np.subtract(x[1 : n + 1], x[:n], out=dx1)
+    np.subtract(y[1 : n + 1], y[:n], out=dy1)
+    np.subtract(x[w : n + w], x[:n], out=dx2)
+    np.subtract(y[w : n + w], y[:n], out=dy2)
+    np.subtract(x[w + 1 : n + w + 1], x[:n], out=dx3)
+    np.subtract(y[w + 1 : n + w + 1], y[:n], out=dy3)
+    tri1 = np.multiply(dx1, dy2, out=dx1)
+    tri1 -= np.multiply(dy1, dx2, out=dy1)
+    tri2 = np.multiply(dx2, dy3, out=dx2)
+    tri2 -= np.multiply(dy2, dx3, out=dy2)
+    for t in (tri1, tri2):
+        np.abs(t, out=t)
+        t *= 0.5
+    tri1 += tri2
     ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
-    return tri1 + tri2, ok
+    return buf[0].reshape(h - 1, w)[:, : w - 1], ok
 
 
 def estimate_area(

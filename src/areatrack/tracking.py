@@ -129,6 +129,12 @@ def fit_motion_ransac(
 ) -> MotionTransform:
     """RANSAC affine fit mapping first points onto second points.
 
+    All ``n_iters`` 3-point hypotheses are drawn up front, solved in one
+    batch and scored against every pair at once; the first hypothesis with
+    the most inliers wins. A hypothesis is skipped when a sample is not
+    finite, when its samples are rank-deficient under ``lstsq``'s default
+    rule (smallest singular value <= 3 eps times the largest), or when its
+    2x2 linear part is singular. Non-finite pairs are never inliers.
     Refits on the inlier set; falls back to identity when fewer than 3
     inliers support any hypothesis.
     """
@@ -138,24 +144,28 @@ def fit_motion_ransac(
     dst = np.array([c[1] for c in correspondences], dtype=np.float64)
     n = len(src)
     rng = np.random.default_rng(seed)
-    best_inliers: Optional[np.ndarray] = None
-    best_count = 0
-    for _ in range(n_iters):
-        idx = rng.choice(n, size=3, replace=False)
-        m = _fit_affine(src[idx], dst[idx])
-        if m is None:
-            continue
-        pred = src @ m[:2, :2].T + m[:2, 2]
-        err = np.linalg.norm(pred - dst, axis=1)
-        inliers = err < inlier_px
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
-            if count == n:
-                break
-    if best_inliers is None or best_count < 3:
+    idx = np.array(
+        [rng.choice(n, size=3, replace=False) for _ in range(n_iters)], dtype=np.intp
+    ).reshape(-1, 3)
+    # non-finite pairs are zeroed, so no LAPACK call sees them, and masked out
+    finite = np.isfinite(src).all(axis=1) & np.isfinite(dst).all(axis=1)
+    S = np.column_stack([np.where(finite[:, None], src, 0.0), np.ones(n)])
+    D = np.where(finite[:, None], dst, 0.0)
+    A = S[idx]  # (n_iters, 3, 3): one row [x, y, 1] per sample
+    ok = finite[idx].all(axis=1)
+    s = np.linalg.svd(A, compute_uv=False)
+    ok &= s[:, 2] > 3 * np.finfo(np.float64).eps * s[:, 0]
+    A[~ok] = np.eye(3)  # skipped hypotheses solve a placeholder system
+    coef = np.linalg.solve(A, D[idx])  # (n_iters, 3, 2): rows a_x, a_y, t
+    ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > 1e-9
+    dx = coef[:, :, 0] @ S.T - D[:, 0]  # (n_iters, n)
+    dy = coef[:, :, 1] @ S.T - D[:, 1]
+    err = np.sqrt(dx * dx + dy * dy)
+    inliers = (err < inlier_px) & finite
+    counts = np.where(ok, inliers.sum(axis=1), 0)
+    if counts.size == 0 or counts.max() < 3:
         return MotionTransform.identity()
+    best_inliers = inliers[np.argmax(counts)]  # the first with the most inliers
     m = _fit_affine(src[best_inliers], dst[best_inliers])
     if m is None:
         return MotionTransform.identity()

@@ -52,6 +52,37 @@ class TestPfm:
         assert d.depth_at(0, 0) == 5.0
         assert d.depth_at(1, 0) == 6.0
 
+    def test_decode_is_a_read_only_view_of_the_input(self):
+        rng = np.random.default_rng(4)
+        vals = rng.uniform(0.5, 30.0, (9, 13)).astype(np.float32)
+        data = write_pfm(DepthMap(13, 9, vals))
+        d = parse_pfm(data)
+        assert np.shares_memory(d.values, np.frombuffer(data, np.uint8))
+        assert not d.values.flags.writeable
+        with pytest.raises(ValueError):
+            d.values[0, 0] = 1.0
+        assert np.array_equal(d.values, vals)
+
+    def test_trailing_bytes_ignored(self):
+        vals = np.arange(12, dtype=np.float32).reshape(3, 4) + 1.0
+        data = write_pfm(DepthMap(4, 3, vals))
+        d = parse_pfm(data + b"\x00\xff trailing junk\n")
+        assert np.array_equal(d.values, vals)
+
+    def test_truncated_payload_message_gives_byte_counts(self):
+        with pytest.raises(TruncatedPayload, match=r"^expected 64 payload bytes, got 10$"):
+            parse_pfm(b"Pf\n4 4\n-1.0\n" + b"\x00" * 10)
+
+    def test_big_endian_decodes_like_little_endian(self):
+        rng = np.random.default_rng(5)
+        vals = rng.uniform(0.5, 30.0, (6, 10)).astype(np.float32)
+        vals[2, 3] = np.nan
+        little = parse_pfm(write_pfm(DepthMap(10, 6, vals)))
+        big = parse_pfm(b"Pf\n10 6\n1.0\n" + vals[::-1].astype(">f4").tobytes())
+        assert np.array_equal(big.values, little.values, equal_nan=True)
+        assert np.array_equal(big.values, vals, equal_nan=True)
+        assert big.values.dtype == np.float32 and not big.values.flags.writeable
+
     def test_color_magic_rejected(self):
         with pytest.raises(BadMagic):
             parse_pfm(b"PF\n2 2\n-1.0\n" + b"\x00" * 48)

@@ -5,6 +5,7 @@ from areatrack.errors import EmptyRegion
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
 from areatrack.mbtp import (
     ELLIPSE_FACTOR,
+    _patch_areas,
     estimate_area,
     patch_area,
     project_region,
@@ -111,6 +112,46 @@ class TestPatchArea:
             ya = (v - INTR.p_v) / INTR.f_v * za
             yb = (v + 1 - INTR.p_v) / INTR.f_v * zb
             assert got == pytest.approx(width_avg * (yb - ya), rel=1e-5)
+
+
+def reference_patch_areas(r):
+    """The plain triangle-pair formula, one temporary per operation."""
+    X, Y, valid = r.X, r.Y, r.valid
+    x0, y0 = X[:-1, :-1], Y[:-1, :-1]
+    x1, y1 = X[:-1, 1:], Y[:-1, 1:]
+    x2, y2 = X[1:, :-1], Y[1:, :-1]
+    x3, y3 = X[1:, 1:], Y[1:, 1:]
+    tri1 = 0.5 * np.abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    tri2 = 0.5 * np.abs((x2 - x0) * (y3 - y0) - (y2 - y0) * (x3 - x0))
+    ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
+    return tri1 + tri2, ok
+
+
+class TestPatchAreasKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("holes", ["none", "some", "all"])
+    @pytest.mark.parametrize("size", [(1, 40), (40, 1), (1, 1), (2, 2), (37, 53), (200, 200)])
+    def test_bit_identical_to_plain_formula(self, seed, holes, size):
+        rng = np.random.default_rng(seed)
+        vals = (5.0 + 0.3 * rng.standard_normal((1080, 1920))).astype(np.float32)
+        if holes == "some":
+            vals[rng.random(vals.shape) < 0.05] = np.nan
+            vals[rng.random(vals.shape) < 0.02] = -1.0
+        elif holes == "all":
+            vals[:] = np.nan
+        w, h = size
+        b = BBox(float(rng.integers(0, 1700)), float(rng.integers(0, 850)), w, h)
+        r = project_region(b, DepthMap(1920, 1080, vals), INTR)
+        assert r.shape == (h, w)
+        got, ok = _patch_areas(r)
+        want, want_ok = reference_patch_areas(r)
+        assert got.shape == want.shape == (h - 1, w - 1)
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[ok].tobytes() == want[ok].tobytes()
+        assert got[ok].sum().tobytes() == want[ok].sum().tobytes()
+        if holes == "all":
+            assert not ok.any()
 
 
 class TestEstimateArea:

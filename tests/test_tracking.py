@@ -1,14 +1,21 @@
+import inspect
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import areatrack
 from areatrack.errors import OutOfOrderFrame, TooFewCorrespondences
 from areatrack.geometry import BBox, Detection, MotionTransform
 from areatrack.tracking import (
     Tracker,
     TrackerConfig,
+    _fit_affine,
     associate,
     fit_motion_ransac,
     hungarian_solve,
@@ -102,6 +109,147 @@ class TestRansac:
         t1 = fit_motion_ransac(pairs, seed=7)
         t2 = fit_motion_ransac(pairs, seed=7)
         assert np.array_equal(t1.m, t2.m)
+
+
+def reference_ransac(correspondences, seed=0, n_iters=100, inlier_px=3.0):
+    """The one-hypothesis-at-a-time RANSAC loop, kept as an oracle for the
+    batched fit: lstsq per hypothesis, strict ``>`` and the all-inlier break."""
+    src = np.array([c[0] for c in correspondences], dtype=np.float64)
+    dst = np.array([c[1] for c in correspondences], dtype=np.float64)
+    n = len(src)
+    rng = np.random.default_rng(seed)
+    best_inliers = None
+    best_count = 0
+    for _ in range(n_iters):
+        idx = rng.choice(n, size=3, replace=False)
+        m = _fit_affine(src[idx], dst[idx])
+        if m is None:
+            continue
+        pred = src @ m[:2, :2].T + m[:2, 2]
+        err = np.linalg.norm(pred - dst, axis=1)
+        inliers = err < inlier_px
+        count = int(inliers.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = inliers
+            if count == n:
+                break
+    if best_inliers is None or best_count < 3:
+        return MotionTransform.identity()
+    m = _fit_affine(src[best_inliers], dst[best_inliers])
+    if m is None:
+        return MotionTransform.identity()
+    return MotionTransform(m)
+
+
+def _ransac_case(kind: str, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    n = 120
+    src = rng.uniform(0, 1920, (n, 2))
+    lin = np.array([[1.01, 0.02], [-0.015, 0.99]])
+    dst = src @ lin.T + np.array([12.0, -7.0])
+    if kind == "translation":
+        dst = src + np.array([12.0, -7.0])
+    elif kind in ("outliers20", "outliers60"):
+        dst += rng.normal(0.0, 0.8, dst.shape)
+        k = n // 5 if kind == "outliers20" else 3 * n // 5
+        dst[:k] += rng.uniform(-300, 300, (k, 2))
+    elif kind == "duplicates":
+        # 12 distinct points, each ten times: many samples repeat a point
+        src = np.repeat(src[:12], 10, axis=0)
+        dst = np.repeat(dst[:12], 10, axis=0) + rng.normal(0.0, 0.5, (n, 2))
+    elif kind == "collinear":
+        # two thirds of the points on one line, so many samples are collinear
+        t = rng.uniform(0, 1000, 2 * n // 3)
+        src[: len(t)] = np.column_stack([t, 0.5 * t + 100.0])
+        dst = src @ lin.T + np.array([12.0, -7.0]) + rng.normal(0.0, 0.5, (n, 2))
+    elif kind == "singular_linear":
+        # half the pairs follow a map whose 2x2 part has determinant 1e-12:
+        # hypotheses drawn only there are skipped as singular
+        x, y = src[: n // 2, 0], src[: n // 2, 1]
+        dst[: n // 2] = np.column_stack([x, x + 1e-12 * y])
+    elif kind == "all_outliers":
+        dst = rng.uniform(0, 1920, (n, 2))
+    elif kind == "all_collinear":
+        src[:, 1] = 3.0 * src[:, 0] - 40.0  # no hypothesis is well-posed
+    return [(tuple(a), tuple(b)) for a, b in zip(src, dst)]
+
+
+RANSAC_CASES = [
+    "translation", "outliers20", "outliers60", "duplicates", "collinear",
+    "singular_linear", "all_outliers", "all_collinear",
+]
+
+
+class TestRansacBatchEqualsLoop:
+    @pytest.mark.parametrize("kind", RANSAC_CASES)
+    @pytest.mark.parametrize("n_iters", [1, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_bit_identical(self, kind, n_iters, seed):
+        pairs = _ransac_case(kind, seed)
+        for ransac_seed in (seed, seed + 17):
+            want = reference_ransac(pairs, seed=ransac_seed, n_iters=n_iters)
+            got = fit_motion_ransac(pairs, seed=ransac_seed, n_iters=n_iters)
+            assert got.m.tobytes() == want.m.tobytes()
+
+    def test_no_hypotheses_is_identity(self):
+        pairs = _ransac_case("translation", 0)
+        assert np.array_equal(fit_motion_ransac(pairs, n_iters=0).m, np.eye(3))
+
+
+_NONFINITE_SCRIPT = """
+import sys
+import numpy as np
+from areatrack.geometry import MotionTransform
+from areatrack.tracking import _fit_affine, fit_motion_ransac
+
+{reference}
+
+rng = np.random.default_rng(3)
+src = rng.uniform(0, 1000, (200, 2))
+dst = src + np.array([1.0, -0.5])  # the zeroed origin pair would fit
+dst[:40] += rng.uniform(50, 200, (40, 2))
+src[7, 0] = float(sys.argv[1])
+pairs = [(tuple(a), tuple(b)) for a, b in zip(src, dst)]
+fit = reference_ransac if sys.argv[2] == "reference" else fit_motion_ransac
+print(fit(pairs, seed=3).m.tobytes().hex())
+"""
+
+
+def _run_nonfinite(value: str, which: str) -> subprocess.CompletedProcess:
+    script = _NONFINITE_SCRIPT.format(reference=inspect.getsource(reference_ransac))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(areatrack.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script, value, which],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+class TestRansacNonFinite:
+    # in a subprocess with a timeout: LAPACK's least squares never returned
+    # on an infinite sample, and a hang must fail the test, not the run
+    def test_nan_and_inf_skip_the_pair(self):
+        got = {}
+        for value in ("nan", "inf"):
+            p = _run_nonfinite(value, "batched")
+            assert p.returncode == 0, p.stderr
+            # LAPACK complains on stdout, warnings go to stderr: neither may appear
+            assert p.stderr == "" and len(p.stdout.splitlines()) == 1, p.stdout
+            got[value] = p.stdout
+        assert got["nan"] == got["inf"]
+        m = np.frombuffer(bytes.fromhex(got["nan"].strip()))
+        assert m.reshape(3, 3)[:2, 2] == pytest.approx([1.0, -0.5], abs=1e-6)
+
+    def test_nan_result_unchanged(self):
+        # the loop skipped nan samples through LinAlgError (and LAPACK printed
+        # its complaints first); the batched fit returns the same transform
+        want = _run_nonfinite("nan", "reference")
+        assert want.returncode == 0, want.stderr
+        lines = want.stdout.splitlines()
+        result = [line for line in lines if len(line) == 144 and set(line) <= set("0123456789abcdef")]
+        assert len(result) == 1, want.stdout
+        assert _run_nonfinite("nan", "batched").stdout == result[0] + "\n"
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
