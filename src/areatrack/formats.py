@@ -3,6 +3,7 @@ records, and the YAML sequence manifest."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -219,6 +220,8 @@ def parse_motion_file(text: str):
         if kind == "transform":
             if len(nums) != 3:
                 raise MalformedLine(line_no, "transform rows need 3 numbers")
+            if not all(map(math.isfinite, nums)):
+                raise MalformedLine(line_no, f"non-finite transform row {line!r}")
             rows.append(nums)
         else:
             if len(nums) != 4:
@@ -268,7 +271,9 @@ class SequenceManifest:
     def load(cls, path: Union[str, Path]) -> "SequenceManifest":
         path = Path(path)
         try:
-            doc = yaml.safe_load(path.read_text())
+            # libyaml's parser when PyYAML was built with it; same document
+            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+            doc = yaml.load(path.read_text(), Loader=loader)
         except yaml.YAMLError as e:
             raise ManifestError(f"{path}: {e}") from None
         if not isinstance(doc, dict):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -39,6 +39,11 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        finite = math.isfinite
+        if not (finite(self.x) and finite(self.y) and finite(self.w) and finite(self.h)):
+            raise ValueError(
+                f"box fields must be finite, got x={self.x} y={self.y} w={self.w} h={self.h}"
+            )
         if self.w < 0 or self.h < 0:
             raise ValueError("box size must be nonnegative")
 
@@ -153,6 +158,38 @@ def iou(a: BBox, b: BBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def as_xywh(boxes: Iterable[BBox]) -> np.ndarray:
+    """Boxes as an (N, 4) float64 array of ``[x, y, w, h]`` rows."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every ``[x, y, w, h]`` row of ``a`` (N, 4) with every row of
+    ``b`` (M, 4), as an (N, M) array.
+
+    Entry (i, j) equals ``iou`` of the two boxes bit for bit: the float64
+    operations are the same and in the same order, and each ``np.where``
+    keeps the operand that Python's ``min`` or ``max`` would keep.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    ax, ay, aw, ah = (a[:, k, None] for k in range(4))
+    bx, by, bw, bh = b.T
+    # like the scalar, huge finite boxes overflow to inf or NaN without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ar, ab, br, bb = ax + aw, ay + ah, bx + bw, by + bh
+        ix = np.where(br < ar, br, ar) - np.where(bx > ax, bx, ax)
+        iy = np.where(bb < ab, bb, ab) - np.where(by > ay, by, ay)
+        ix = np.where(ix > 0.0, ix, 0.0)
+        iy = np.where(iy > 0.0, iy, 0.0)
+        area_a, area_b = aw * ah, bw * bh
+        inter = ix * iy
+        inter = np.where(area_a < inter, area_a, inter)
+        inter = np.where(area_b < inter, area_b, inter)
+        union = area_a + area_b - inter
+        return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
 
 
 def clip_to_image(b: BBox, intr: CameraIntrinsics) -> BBox:

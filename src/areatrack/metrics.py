@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptySeries, TooShort, ZeroMean
-from .geometry import BBox, Detection, iou
+from .geometry import BBox, Detection, as_xywh, iou_matrix
 
 AP_IOU_THRESHOLDS = [0.5 + 0.05 * i for i in range(10)]  # 0.50 .. 0.95
 
@@ -50,21 +50,18 @@ def match_flags(
     provided that IoU clears the threshold.
     """
     order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-    taken = [False] * len(gts)
+    if not gts:
+        return [False] * len(dets)
+    ious = iou_matrix(as_xywh(d.bbox for d in dets), as_xywh(gts))
+    taken = np.zeros(len(gts), dtype=bool)
     flags = []
     for i in order:
-        best_j, best_iou = -1, 0.0
-        for j, g in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(dets[i].bbox, g)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= iou_thresh:
-            taken[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+        # the first untaken ground truth with the largest positive IoU
+        row = np.where(taken | ~(ious[i] > 0.0), 0.0, ious[i])
+        j = int(np.argmax(row))
+        hit = bool(row[j] > 0.0 and row[j] >= iou_thresh)
+        taken[j] |= hit
+        flags.append(hit)
     return flags
 
 
@@ -173,12 +170,6 @@ def area_afd(series: Sequence[float]) -> float:
         raise TooShort("AFD needs at least two elements")
     a = np.asarray(series, dtype=np.float64)
     return float(np.mean(np.abs(np.diff(a))))
-
-
-def nis_aggregate(per_update_nis: Sequence[float]) -> float:
-    if len(per_update_nis) == 0:
-        raise EmptySeries("NIS of empty series")
-    return float(np.mean(per_update_nis))
 
 
 def objective_j(mae: float, cv: float, afd: float, nis: float) -> float:

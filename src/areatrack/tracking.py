@@ -1,6 +1,11 @@
 """Multi-object tracking: camera-motion compensation, an 8-dim
 constant-velocity Kalman filter per track, two-stage IoU association with
-Hungarian assignment, and track lifecycle management."""
+Hungarian assignment, and track lifecycle management.
+
+Each frame is array work, not a loop per track or per pair: the live
+tracks are stacked and moved, predicted and updated in one batch, and each
+association stage builds its IoU cost matrix with one ``iou_matrix`` call.
+The batched filter equals the per-track matrix products bit for bit."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfOrderFrame, TooFewCorrespondences
-from .geometry import BBox, Detection, MotionTransform, iou
+from .geometry import BBox, Detection, MotionTransform, as_xywh, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -60,15 +65,19 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
 
 
-_F = np.eye(8)
-_F[:4, 4:] = np.eye(4)
-_H = np.hstack([np.eye(4), np.zeros((4, 4))])
-
-
-def _noise_stds(w: float, h: float, cfg: TrackerConfig) -> np.ndarray:
+def _noise_stds(w, h, cfg: TrackerConfig) -> np.ndarray:
+    """Per-state-entry noise stds; ``w`` and ``h`` are scalars or (N,) arrays."""
     s = cfg.pos_noise_scale
     v = cfg.vel_noise_scale
-    return np.array([s * w, s * h, s * w, s * h, v * w, v * h, v * w, v * h])
+    return np.stack([s * w, s * h, s * w, s * h, v * w, v * h, v * w, v * h], axis=-1)
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """(N, k) rows as (N, k, k) diagonal matrices."""
+    n, k = d.shape
+    out = np.zeros((n, k, k))
+    out.reshape(n, k * k)[:, :: k + 1] = d
+    return out
 
 
 def initiate(z: BBox, cfg: TrackerConfig) -> TrackState:
@@ -79,28 +88,55 @@ def initiate(z: BBox, cfg: TrackerConfig) -> TrackState:
     return TrackState(mean, np.diag(np.square(std)))
 
 
-def predict(s: TrackState, cfg: TrackerConfig = TrackerConfig()) -> TrackState:
-    """One constant-velocity step: mean through F, covariance F P F^T + Q."""
-    w, h = max(float(s.mean[2]), 1.0), max(float(s.mean[3]), 1.0)
-    q = np.diag(np.square(_noise_stds(w, h, cfg)))
-    mean = _F @ s.mean
-    cov = _F @ s.covariance @ _F.T + q
-    cov = 0.5 * (cov + cov.T)
-    return TrackState(mean, cov)
+def predict(
+    mean: np.ndarray, covariance: np.ndarray, cfg: TrackerConfig = TrackerConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """One constant-velocity step for N tracks: means (N, 8), covariances
+    (N, 8, 8) to ``F m`` and ``F P F^T + Q``, symmetrised.
+
+    F adds each velocity to its position, so ``F P`` adds the velocity rows
+    to the position rows and ``(F P) F^T`` does the same with columns. These
+    sums equal the 8x8 matrix products bit for bit.
+    """
+    w, h = np.maximum(mean[:, 2], 1.0), np.maximum(mean[:, 3], 1.0)
+    q = _diag(np.square(_noise_stds(w, h, cfg)))
+    mean = mean.copy()
+    mean[:, :4] += mean[:, 4:]
+    fp = covariance.copy()
+    fp[:, :4] += covariance[:, 4:]
+    cov = fp.copy()
+    cov[:, :, :4] += fp[:, :, 4:]
+    cov += q
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    return mean, cov
 
 
-def kf_update(s: TrackState, z: BBox, cfg: TrackerConfig = TrackerConfig()) -> TrackState:
-    """Standard linear Kalman measurement update on (cx, cy, w, h)."""
-    w, h = max(float(s.mean[2]), 1.0), max(float(s.mean[3]), 1.0)
-    r = np.diag(np.square(_noise_stds(w, h, cfg)[:4]))
-    zvec = np.array([z.cx, z.cy, z.w, z.h])
-    innov = zvec - _H @ s.mean
-    S = _H @ s.covariance @ _H.T + r
-    K = np.linalg.solve(S.T, _H @ s.covariance.T).T
-    mean = s.mean + K @ innov
-    cov = (np.eye(8) - K @ _H) @ s.covariance
-    cov = 0.5 * (cov + cov.T)
-    return TrackState(mean, cov)
+def kf_update(
+    mean: np.ndarray,
+    covariance: np.ndarray,
+    z: np.ndarray,
+    cfg: TrackerConfig = TrackerConfig(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear Kalman measurement update of N tracks on (cx, cy, w, h) rows
+    ``z`` (N, 4); means (N, 8), covariances (N, 8, 8).
+
+    H keeps the first four state entries, so ``H m``, ``H P H^T`` and
+    ``H P^T`` are slices and ``I - K H`` is the identity minus K in its first
+    four columns. All gains come from one batched solve.
+    """
+    w, h = np.maximum(mean[:, 2], 1.0), np.maximum(mean[:, 3], 1.0)
+    r = _diag(np.square(_noise_stds(w, h, cfg)[:, :4]))
+    innov = z - mean[:, :4]
+    S = covariance[:, :4, :4] + r
+    K = np.linalg.solve(S.swapaxes(1, 2), covariance.swapaxes(1, 2)[:, :4]).swapaxes(1, 2)
+    # stacked (8, 4) @ (4, 1) products: the same matrix-vector product per
+    # track as K @ innov, where an einsum or (N, 4) @ K^T may sum differently
+    mean = mean + np.matmul(K, innov[:, :, None])[:, :, 0]
+    ikh = np.tile(np.eye(8), (len(mean), 1, 1))
+    ikh[:, :, :4] -= K
+    cov = ikh @ covariance
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    return mean, cov
 
 
 def _fit_affine(src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
@@ -191,18 +227,15 @@ class AssociationResult:
 
 
 def _match_stage(
-    track_boxes: Sequence[BBox],
+    track_xywh: np.ndarray,
     track_idx: list[int],
-    dets: Sequence[Detection],
+    det_xywh: np.ndarray,
     det_idx: list[int],
     gate: float,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     if not track_idx or not det_idx:
         return [], list(track_idx), list(det_idx)
-    cost = np.ones((len(track_idx), len(det_idx)))
-    for i, ti in enumerate(track_idx):
-        for j, dj in enumerate(det_idx):
-            cost[i, j] = 1.0 - iou(track_boxes[ti], dets[dj].bbox)
+    cost = 1.0 - iou_matrix(track_xywh[track_idx], det_xywh[det_idx])
     matches = []
     matched_t, matched_d = set(), set()
     for i, j in hungarian_solve(cost):
@@ -233,9 +266,13 @@ def associate(
         for i, d in enumerate(dets)
         if cfg.low_conf_floor <= d.confidence < cfg.high_conf_threshold
     ]
+    track_xywh = as_xywh(track_boxes)
+    det_xywh = as_xywh(d.bbox for d in dets)
     all_tracks = list(range(len(track_boxes)))
-    m1, rest_t, rest_high = _match_stage(track_boxes, all_tracks, dets, high, cfg.iou_gate_stage1)
-    m2, rest_t, rest_low = _match_stage(track_boxes, rest_t, dets, low, cfg.iou_gate_stage2)
+    m1, rest_t, rest_high = _match_stage(
+        track_xywh, all_tracks, det_xywh, high, cfg.iou_gate_stage1
+    )
+    m2, rest_t, rest_low = _match_stage(track_xywh, rest_t, det_xywh, low, cfg.iou_gate_stage2)
     return AssociationResult(
         matches=m1 + m2,
         unmatched_tracks=rest_t,
@@ -269,26 +306,33 @@ class Tracker:
         self._last_frame = frame
 
         live = [t for t in self.tracks if t.status != TrackStatus.DELETED]
+        mean = np.array([t.state.mean for t in live]).reshape(-1, 8)
+        cov = np.array([t.state.covariance for t in live]).reshape(-1, 8, 8)
 
         # move tracks into the current frame's pixel coordinates, then predict
         if motion is not None:
             # motion maps previous-frame pixels to current-frame pixels, so
-            # track centers are pushed forward through it
-            for t in live:
-                cx, cy = motion.apply_point(float(t.state.mean[0]), float(t.state.mean[1]))
-                t.state.mean[0] = cx
-                t.state.mean[1] = cy
-        for t in live:
-            t.state = predict(t.state, self.cfg)
+            # track centers are pushed forward through it; one stacked 3x3 @ 3
+            # product per track, which rounds as MotionTransform.apply_point does
+            pts = np.column_stack([mean[:, :2], np.ones(len(mean))])
+            p = np.matmul(motion.m, pts[:, :, None])[:, :, 0]
+            mean[:, :2] = p[:, :2] / p[:, 2:]
+        mean, cov = predict(mean, cov, self.cfg)
+        for t, m, c in zip(live, mean, cov):
+            t.state = TrackState(m, c)
 
         boxes = [t.state.box() for t in live]
         result = associate(boxes, frame_dets, self.cfg)
 
         out: list[tuple[int, Detection]] = []
-        for ti, dj in result.matches:
+        matched = [ti for ti, _ in result.matches]
+        det_boxes = [frame_dets[dj].bbox for _, dj in result.matches]
+        z = np.array([[b.cx, b.cy, b.w, b.h] for b in det_boxes]).reshape(-1, 4)
+        mean, cov = kf_update(mean[matched], cov[matched], z, self.cfg)
+        for (ti, dj), m, c in zip(result.matches, mean, cov):
             t = live[ti]
             det = frame_dets[dj]
-            t.state = kf_update(t.state, det.bbox, self.cfg)
+            t.state = TrackState(m, c)
             t.hits += 1
             t.misses = 0
             if t.status == TrackStatus.TENTATIVE and t.hits >= self.cfg.min_hits_to_confirm:

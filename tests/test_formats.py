@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+import yaml
 
 from areatrack.errors import (
     BadMagic,
@@ -12,6 +13,7 @@ from areatrack.errors import (
 )
 from areatrack.formats import (
     FORMAT_VERSION,
+    FrameEntry,
     FrameResultRecord,
     SequenceManifest,
     parse_detections,
@@ -24,7 +26,7 @@ from areatrack.formats import (
     write_results,
     write_transform,
 )
-from areatrack.geometry import BBox, DepthMap, Detection
+from areatrack.geometry import BBox, CameraIntrinsics, DepthMap, Detection
 
 
 class TestPfm:
@@ -139,6 +141,16 @@ class TestDetections:
             parse_detections("# ok\nframe=0 bogus confidence=0.5\n")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h", "confidence"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_field(self, field, value):
+        fields = {"frame": "0", "class_id": "0", "x": "1", "y": "2", "w": "3", "h": "4",
+                  "confidence": "0.5", field: value}
+        line = " ".join(f"{k}={v}" for k, v in fields.items())
+        with pytest.raises(MalformedLine) as exc:
+            parse_detections(f"format_version=1\n# ok\n{line}\n")
+        assert exc.value.line_no == 3
+
     def test_empty_text(self):
         assert parse_detections("") == {}
         assert parse_detections(f"format_version={FORMAT_VERSION}\n") == {}
@@ -201,6 +213,15 @@ class TestMotionFiles:
         with pytest.raises(MalformedLine):
             parse_motion_file("1.0 x 3.0 4.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_transform_entry(self, value):
+        # such a matrix passes the determinant check and would put NaN into
+        # every track centre
+        text = f"format_version=1\ntransform\n1 0 {value}\n0 1 0\n0 0 1\n"
+        with pytest.raises(MalformedLine) as exc:
+            parse_motion_file(text)
+        assert exc.value.line_no == 3
+
 
 class TestManifest:
     def write_minimal(self, tmp_path, frames=(0, 1)):
@@ -256,3 +277,56 @@ class TestManifest:
         m2 = SequenceManifest.load(out)
         assert m2.intrinsics == m.intrinsics
         assert [f.frame for f in m2.frames] == [f.frame for f in m.frames]
+
+
+def _loaders():
+    c = [pytest.param("c", marks=pytest.mark.skipif(
+        not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"))]
+    return c + ["python"]
+
+
+class TestManifestLoaders:
+    """The manifest parses with libyaml's CSafeLoader when PyYAML has it and
+    with the pure-Python SafeLoader otherwise; both give the same manifest."""
+
+    @pytest.fixture(params=_loaders())
+    def loader(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        used = []
+        real_load = yaml.load
+
+        def spy(stream, Loader):
+            used.append(Loader)
+            return real_load(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        want = yaml.SafeLoader if request.param == "python" else yaml.CSafeLoader
+        yield want, used
+
+    def generated(self, tmp_path) -> SequenceManifest:
+        frames = []
+        for k in range(0, 60, 3):
+            depth, dets, motion = (tmp_path / f"{c}{k}.txt" for c in "dtm")
+            for p in (depth, dets, motion):
+                p.write_text("")
+            frames.append(FrameEntry(k, depth, dets, motion if k % 2 else None))
+        intr = CameraIntrinsics(f_u=1001.5, f_v=999.25, p_u=640.5, p_v=360.0,
+                                width=1280, height=720)
+        return SequenceManifest(intr, frames, fps=29.97, dataset="synthetic: crowded")
+
+    def test_same_manifest(self, tmp_path, loader):
+        want_loader, used = loader
+        m = self.generated(tmp_path)
+        m.dump(tmp_path / "manifest.yaml")
+        assert SequenceManifest.load(tmp_path / "manifest.yaml") == m
+        assert used == [want_loader]
+
+    @pytest.mark.parametrize(
+        "text", ["intrinsics: [1, 2\n", "frames:\n  - {frame: 0\n", "a: b: c\n"]
+    )
+    def test_malformed_yaml(self, tmp_path, loader, text):
+        p = tmp_path / "manifest.yaml"
+        p.write_text(text)
+        with pytest.raises(ManifestError):
+            SequenceManifest.load(p)

@@ -8,8 +8,10 @@ from areatrack.geometry import (
     CameraIntrinsics,
     DepthMap,
     MotionTransform,
+    as_xywh,
     clip_to_image,
     iou,
+    iou_matrix,
     pixel_grid,
 )
 
@@ -49,6 +51,50 @@ class TestIou:
     @example(BBox(2, 2, 1e-14, 1e-14), BBox(2, 2, 1e-14, 1e-14))
     def test_bounded(self, a, b):
         assert 0.0 <= iou(a, b) <= 1.0 + 1e-12
+
+
+# coordinates and sizes from a wide range, plus tiny sizes where the clamp bites
+coords = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0, 2.0]))
+sizes = st.one_of(st.floats(0, 1e4), st.floats(0, 1e-12), st.sampled_from([0.0, 1e-14]))
+wide_boxes = st.builds(BBox, x=coords, y=coords, w=sizes, h=sizes)
+box_lists = st.lists(st.one_of(boxes, wide_boxes), max_size=6)
+
+
+class TestIouMatrix:
+    @given(box_lists, box_lists)
+    # two identical 1e-14 boxes at (2, 2): the clamp decides the value
+    @example([BBox(2, 2, 1e-14, 1e-14)], [BBox(2, 2, 1e-14, 1e-14)])
+    # zero-area boxes: a zero union gives 0
+    @example([BBox(0, 0, 0, 0), BBox(1, 1, 0, 5)], [BBox(0, 0, 0, 0), BBox(1, 1, 5, 0)])
+    # disjoint, touching and nested boxes
+    @example([BBox(0, 0, 1, 1), BBox(0, 0, 10, 10)], [BBox(5, 5, 1, 1), BBox(1, 0, 1, 1)])
+    # x = w = -0.0 gives right = -0.0 and an intersection width of -0.0;
+    # Python's max(0.0, -0.0) keeps 0.0, np.maximum would return -0.0
+    @example([BBox(0.0, 0.0, 1.0, 1.0)], [BBox(-0.0, 0.0, -0.0, 1.0)])
+    # x + w overflows to inf: NaN (inf * 0), 1.0 and 1e-300, as the scalar gives
+    @example(
+        [BBox(1e308, 0, 1e308, 1e-300)],
+        [BBox(1e308, 5, 1e308, 1e-300), BBox(1e308, 0, 1e308, 1e-300), BBox(1e308, 0, 1e308, 1)],
+    )
+    def test_equals_scalar_bit_for_bit(self, a, b):
+        got = iou_matrix(as_xywh(a), as_xywh(b))
+        want = np.array([[iou(p, q) for q in b] for p in a]).reshape(len(a), len(b))
+        assert got.dtype == np.float64 and got.shape == (len(a), len(b))
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_sides(self):
+        b = as_xywh([BBox(0, 0, 1, 1), BBox(2, 2, 1, 1)])
+        assert iou_matrix(np.zeros((0, 4)), b).shape == (0, 2)
+        assert iou_matrix(b, np.zeros((0, 4))).shape == (2, 0)
+        assert iou_matrix(as_xywh([]), as_xywh([])).shape == (0, 0)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_bbox_rejects_nonfinite(field, value):
+    kw = {"x": 0.0, "y": 0.0, "w": 1.0, "h": 1.0, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        BBox(**kw)
 
 
 class TestClip:

@@ -250,6 +250,29 @@ class TestCli:
         assert "lambda=" in res.output and "best_j=" in res.output
         assert res.output.count("eval ") == 5
 
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("dets_0001.txt", "format_version=1\n"
+             "frame=1 class_id=0 x=nan y=109.4 w=30.5 h=20.5 confidence=0.78\n", 2),
+            ("dets_0001.txt", "format_version=1\n"
+             "frame=1 class_id=0 x=144.6 y=109.4 w=inf h=20.5 confidence=0.78\n", 2),
+            ("motion_0001.txt", "format_version=1\ntransform\n1 0 0\n0 nan 0\n0 0 1\n", 4),
+        ],
+        ids=["x-nan", "w-inf", "transform-nan"],
+    )
+    def test_nonfinite_input_is_a_data_error(self, scene_dir, tmp_path, name, text, line):
+        src, _ = scene_dir
+        for f in src.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        (tmp_path / name).write_text(text)
+        res = CliRunner().invoke(main, ["estimate", "--manifest", str(tmp_path / "manifest.yaml")])
+        assert res.exit_code in (1, 2), res.output
+        # a clean exit, not an exception caught by the runner
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert f"error: frame 1: line {line}:" in res.output
+
     def test_missing_manifest_exit_code(self):
         runner = CliRunner()
         res = runner.invoke(main, ["estimate", "--manifest", "/nonexistent.yaml"])

@@ -11,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import areatrack
 from areatrack.errors import OutOfOrderFrame, TooFewCorrespondences
-from areatrack.geometry import BBox, Detection, MotionTransform
+from areatrack.geometry import BBox, Detection, MotionTransform, iou
 from areatrack.tracking import (
+    AssociationResult,
+    Track,
     Tracker,
     TrackerConfig,
+    TrackState,
+    TrackStatus,
     _fit_affine,
     associate,
     fit_motion_ransac,
@@ -31,6 +35,11 @@ def det(x, y, w=20, h=20, conf=0.9, frame=0, cls=0):
     return Detection(BBox(x, y, w, h), conf, cls, frame)
 
 
+def one(s: TrackState) -> tuple[np.ndarray, np.ndarray]:
+    """A track state as a batch of one."""
+    return s.mean[None], s.covariance[None]
+
+
 class TestKalman:
     def test_initiate_zero_velocity(self):
         s = initiate(BBox(10, 10, 20, 30), CFG)
@@ -40,34 +49,120 @@ class TestKalman:
     def test_predict_moves_by_velocity(self):
         s = initiate(BBox(0, 0, 10, 10), CFG)
         s.mean[4] = 3.0  # vx
-        s2 = predict(s, CFG)
-        assert s2.mean[0] == pytest.approx(s.mean[0] + 3.0)
-        assert np.trace(s2.covariance) > np.trace(s.covariance)
+        mean, cov = predict(*one(s), CFG)
+        assert mean.shape == (1, 8) and cov.shape == (1, 8, 8)
+        assert mean[0, 0] == pytest.approx(s.mean[0] + 3.0)
+        assert np.trace(cov[0]) > np.trace(s.covariance)
 
     def test_update_pulls_toward_measurement(self):
-        s = predict(initiate(BBox(0, 0, 10, 10), CFG), CFG)
-        s2 = kf_update(s, BBox.from_center(8, 0, 10, 10), CFG)
-        assert 5.0 < s2.mean[0] < 8.0
-        assert np.trace(s2.covariance) < np.trace(s.covariance)
+        mean, cov = predict(*one(initiate(BBox(0, 0, 10, 10), CFG)), CFG)
+        mean2, cov2 = kf_update(mean, cov, np.array([[8.0, 0.0, 10.0, 10.0]]), CFG)
+        assert 5.0 < mean2[0, 0] < 8.0
+        assert np.trace(cov2[0]) < np.trace(cov[0])
 
     def test_velocity_learned_from_track(self):
         # exact measurements at x = 0, 10, 20 with small measurement noise:
         # the filter should predict roughly 30 next
         cfg = TrackerConfig(pos_noise_scale=0.01)
-        s = initiate(BBox.from_center(0, 0, 10, 10), cfg)
+        mean, cov = one(initiate(BBox.from_center(0, 0, 10, 10), cfg))
         for x in (10, 20):
-            s = predict(s, cfg)
-            s = kf_update(s, BBox.from_center(x, 0, 10, 10), cfg)
-        s = predict(s, cfg)
-        assert 28.0 <= s.mean[0] <= 32.0
+            mean, cov = predict(mean, cov, cfg)
+            mean, cov = kf_update(mean, cov, np.array([[x, 0.0, 10.0, 10.0]]), cfg)
+        mean, cov = predict(mean, cov, cfg)
+        assert 28.0 <= mean[0, 0] <= 32.0
 
     def test_covariance_symmetric(self):
-        s = initiate(BBox(5, 5, 12, 8), CFG)
+        mean, cov = one(initiate(BBox(5, 5, 12, 8), CFG))
         for x in (7, 9, 12):
-            s = predict(s, CFG)
-            s = kf_update(s, BBox(x, 5, 12, 8), CFG)
-            assert np.allclose(s.covariance, s.covariance.T)
-            assert np.all(np.linalg.eigvalsh(s.covariance) > -1e-9)
+            mean, cov = predict(mean, cov, CFG)
+            z = BBox(x, 5, 12, 8)
+            mean, cov = kf_update(mean, cov, np.array([[z.cx, z.cy, z.w, z.h]]), CFG)
+            assert np.allclose(cov[0], cov[0].T)
+            assert np.all(np.linalg.eigvalsh(cov[0]) > -1e-9)
+
+
+# The per-track filter the batched predict and kf_update replaced, kept as
+# oracles: the 8x8 matrix products, one track at a time.
+_F = np.eye(8)
+_F[:4, 4:] = np.eye(4)
+_H = np.hstack([np.eye(4), np.zeros((4, 4))])
+
+
+def reference_noise_stds(w, h, cfg):
+    s, v = cfg.pos_noise_scale, cfg.vel_noise_scale
+    return np.array([s * w, s * h, s * w, s * h, v * w, v * h, v * w, v * h])
+
+
+def reference_predict(s: TrackState, cfg: TrackerConfig) -> TrackState:
+    w, h = max(float(s.mean[2]), 1.0), max(float(s.mean[3]), 1.0)
+    q = np.diag(np.square(reference_noise_stds(w, h, cfg)))
+    mean = _F @ s.mean
+    cov = _F @ s.covariance @ _F.T + q
+    cov = 0.5 * (cov + cov.T)
+    return TrackState(mean, cov)
+
+
+def reference_update(s: TrackState, z: BBox, cfg: TrackerConfig) -> TrackState:
+    w, h = max(float(s.mean[2]), 1.0), max(float(s.mean[3]), 1.0)
+    r = np.diag(np.square(reference_noise_stds(w, h, cfg)[:4]))
+    zvec = np.array([z.cx, z.cy, z.w, z.h])
+    innov = zvec - _H @ s.mean
+    S = _H @ s.covariance @ _H.T + r
+    K = np.linalg.solve(S.T, _H @ s.covariance.T).T
+    mean = s.mean + K @ innov
+    cov = (np.eye(8) - K @ _H) @ s.covariance
+    cov = 0.5 * (cov + cov.T)
+    return TrackState(mean, cov)
+
+
+def _random_box(rng) -> BBox:
+    # a quarter of the sizes fall below 1 px, where the noise model clamps
+    size = rng.uniform(0.0, 1.0, 2) if rng.uniform() < 0.25 else rng.uniform(1.0, 80.0, 2)
+    return BBox(*rng.uniform(-50.0, 700.0, 2), *size)
+
+
+def _filtered_states(n: int, seed: int, updates: int):
+    """n random tracks after ``updates`` rounds of the reference predict and update."""
+    rng = np.random.default_rng(seed)
+    cfg = TrackerConfig(
+        pos_noise_scale=rng.uniform(0.005, 0.2), vel_noise_scale=rng.uniform(0.001, 0.05)
+    )
+    states = [initiate(_random_box(rng), cfg) for _ in range(n)]
+    for _ in range(updates):
+        states = [reference_update(reference_predict(s, cfg), _random_box(rng), cfg)
+                  for s in states]
+    return rng, cfg, states
+
+
+def _stack(states):
+    return np.stack([s.mean for s in states]), np.stack([s.covariance for s in states])
+
+
+class TestKalmanBatchEqualsLoop:
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("updates", [0, 1, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_predict_bit_identical(self, n, updates, seed):
+        _, cfg, states = _filtered_states(n, seed, updates)
+        mean, cov = predict(*_stack(states), cfg)
+        for k, s in enumerate(states):
+            want = reference_predict(s, cfg)
+            assert mean[k].tobytes() == want.mean.tobytes()
+            assert cov[k].tobytes() == want.covariance.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("updates", [0, 1, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_update_bit_identical(self, n, updates, seed):
+        rng, cfg, states = _filtered_states(n, seed, updates)
+        states = [reference_predict(s, cfg) for s in states]
+        boxes = [_random_box(rng) for _ in states]
+        z = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes])
+        mean, cov = kf_update(*_stack(states), z, cfg)
+        for k, (s, b) in enumerate(zip(states, boxes)):
+            want = reference_update(s, b, cfg)
+            assert mean[k].tobytes() == want.mean.tobytes()
+            assert cov[k].tobytes() == want.covariance.tobytes()
 
 
 class TestRansac:
@@ -342,6 +437,119 @@ class TestAssociate:
         dets = [det(101, 99), det(1, 2)]
         r = associate(tracks, dets, CFG)
         assert sorted(r.matches) == [(0, 1), (1, 0)]
+
+
+def reference_associate(track_boxes, dets, cfg):
+    """The per-pair association loop the IoU cost matrix replaced, kept as an
+    oracle: one scalar ``iou`` call per track and detection."""
+
+    def stage(track_idx, det_idx, gate):
+        if not track_idx or not det_idx:
+            return [], list(track_idx), list(det_idx)
+        cost = np.ones((len(track_idx), len(det_idx)))
+        for i, ti in enumerate(track_idx):
+            for j, dj in enumerate(det_idx):
+                cost[i, j] = 1.0 - iou(track_boxes[ti], dets[dj].bbox)
+        matches = []
+        matched_t, matched_d = set(), set()
+        for i, j in hungarian_solve(cost):
+            if 1.0 - cost[i, j] >= gate:
+                matches.append((track_idx[i], det_idx[j]))
+                matched_t.add(track_idx[i])
+                matched_d.add(det_idx[j])
+        rest_t = [t for t in track_idx if t not in matched_t]
+        rest_d = [d for d in det_idx if d not in matched_d]
+        return matches, rest_t, rest_d
+
+    high = [i for i, d in enumerate(dets) if d.confidence >= cfg.high_conf_threshold]
+    low = [i for i, d in enumerate(dets)
+           if cfg.low_conf_floor <= d.confidence < cfg.high_conf_threshold]
+    m1, rest_t, rest_high = stage(list(range(len(track_boxes))), high, cfg.iou_gate_stage1)
+    m2, rest_t, rest_low = stage(rest_t, low, cfg.iou_gate_stage2)
+    return AssociationResult(m1 + m2, rest_t, rest_high + rest_low)
+
+
+class TestAssociateEqualsLoop:
+    @given(st.integers(0, 25), st.integers(0, 25), st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, n, m, seed):
+        # boxes crowd a small field so most tracks overlap several detections;
+        # confidences span the floor and both thresholds
+        rng = np.random.default_rng(seed)
+        tracks = [BBox(*rng.uniform(0, 120, 2), *rng.uniform(5, 40, 2)) for _ in range(n)]
+        dets = [
+            Detection(BBox(*rng.uniform(0, 120, 2), *rng.uniform(5, 40, 2)),
+                      float(rng.uniform()), 0, 0)
+            for _ in range(m)
+        ]
+        assert associate(tracks, dets, CFG) == reference_associate(tracks, dets, CFG)
+
+
+def reference_step(tr: Tracker, frame_dets, motion) -> list:
+    """``Tracker.step`` before batching, kept as an oracle: per-track motion
+    through ``apply_point``, per-track predict and update, per-pair association."""
+    live = [t for t in tr.tracks if t.status != TrackStatus.DELETED]
+    if motion is not None:
+        for t in live:
+            t.state.mean[:2] = motion.apply_point(float(t.state.mean[0]), float(t.state.mean[1]))
+    for t in live:
+        t.state = reference_predict(t.state, tr.cfg)
+    result = reference_associate([t.state.box() for t in live], frame_dets, tr.cfg)
+    out = []
+    for ti, dj in result.matches:
+        t = live[ti]
+        t.state = reference_update(t.state, frame_dets[dj].bbox, tr.cfg)
+        t.hits += 1
+        t.misses = 0
+        if t.status == TrackStatus.TENTATIVE and t.hits >= tr.cfg.min_hits_to_confirm:
+            t.status = TrackStatus.CONFIRMED
+        out.append((t.id, frame_dets[dj]))
+    for ti in result.unmatched_tracks:
+        live[ti].misses += 1
+        if live[ti].misses > tr.cfg.max_misses:
+            live[ti].status = TrackStatus.DELETED
+    for dj in result.unmatched_detections:
+        det = frame_dets[dj]
+        if det.confidence >= tr.cfg.high_conf_threshold:
+            tr.tracks.append(Track(tr._next_id, initiate(det.bbox, tr.cfg), det.class_id))
+            tr._next_id += 1
+            out.append((tr._next_id - 1, det))
+    tr.tracks = [t for t in tr.tracks if t.status != TrackStatus.DELETED]
+    return sorted(out, key=lambda pair: pair[0])
+
+
+def _crowded_frames(seed: int, n_objects: int = 30, frames: int = 12):
+    """Moving boxes with jitter, dropouts, mixed confidences and a small
+    random affine camera motion per frame."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0, 600, (n_objects, 2))
+    vel = rng.normal(0, 3, (n_objects, 2))
+    size = rng.uniform(0.5, 40, (n_objects, 2))
+    for k in range(frames):
+        m = np.eye(3)
+        m[:2, :2] += rng.normal(0, 0.01, (2, 2))
+        m[:2, 2] = rng.normal(0, 5, 2)
+        dets = [
+            Detection(BBox(*(pos[i] + rng.normal(0, 1.5, 2)), *size[i]),
+                      float(rng.uniform()), 0, k)
+            for i in range(n_objects) if rng.uniform() > 0.15
+        ]
+        yield k, dets, (MotionTransform(m) if k % 3 else None)
+        pos += vel
+
+
+class TestTrackerBatchEqualsLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bit_identical(self, seed):
+        cfg = TrackerConfig(max_misses=3)
+        got, want = Tracker(cfg), Tracker(cfg)
+        for k, dets, motion in _crowded_frames(seed):
+            assert got.step(dets, motion=motion, frame=k) == reference_step(want, dets, motion)
+            assert len(got.tracks) == len(want.tracks) > 0
+            for a, b in zip(got.tracks, want.tracks):
+                assert (a.id, a.hits, a.misses, a.status) == (b.id, b.hits, b.misses, b.status)
+                assert a.state.mean.tobytes() == b.state.mean.tobytes()
+                assert a.state.covariance.tobytes() == b.state.covariance.tobytes()
 
 
 class TestTracker:
