@@ -107,6 +107,9 @@ def parse_detections(text: str) -> dict[int, list[Detection]]:
                 float(fields["x"]), float(fields["y"]),
                 float(fields["w"]), float(fields["h"]),
             )
+            # BBox itself allows such boxes; the estimator cannot index them
+            if not (math.isfinite(box.right) and math.isfinite(box.bottom)):
+                raise ValueError(f"box far edge overflows: right={box.right} bottom={box.bottom}")
             conf = float(fields["confidence"])
             det = Detection(box, conf, class_id, frame)
         except (ValueError, TypeError) as e:
@@ -139,6 +142,18 @@ class FrameResultRecord:
     area_smoothed_m2: float
     nis: float
     valid_patch_fraction: float
+
+    def smoothed(self, area_m2: float, nis: float) -> "FrameResultRecord":
+        """This record with its smoothed area and NIS replaced.
+
+        ``dataclasses.replace`` does the same, but its scan of the fields
+        on every call made smoothing half again as slow, and the tuner
+        smooths every record once per candidate.
+        """
+        return FrameResultRecord(
+            self.frame, self.track_id, self.class_id, self.bbox, self.confidence,
+            self.distance_m, self.area_raw_m2, area_m2, nis, self.valid_patch_fraction,
+        )
 
     def to_line(self) -> str:
         b = self.bbox

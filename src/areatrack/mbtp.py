@@ -6,6 +6,9 @@ corners are valid, and scales the total by pi/4 to account for the roughly
 elliptical shape of potholes. The paper also keeps only patches inside the
 minimum bounding rectangle of the valid points; every valid point lies in
 that rectangle by construction, so no patch needs checking against it.
+
+``estimate_area`` returns only what it measures; the caller keeps the
+frame, track and detection that the estimate belongs to.
 """
 
 from __future__ import annotations
@@ -29,17 +32,16 @@ Point2 = tuple[float, float]
 class ProjectedRegion:
     """Back-projected pixel grid of a clipped detection box.
 
-    X/Y/Z are (H, W) arrays over integer pixels [v0:v0+H, u0:u0+W];
-    ``valid`` marks pixels whose depth was finite and positive.
+    X/Y are (H, W) camera-plane coordinates of the integer pixels
+    [v0:v0+H, u0:u0+W], NaN where the depth is invalid; ``valid`` marks
+    pixels whose depth was finite and positive.
     """
 
     u0: int
     v0: int
     X: np.ndarray
     Y: np.ndarray
-    Z: np.ndarray
     valid: np.ndarray
-    box: BBox
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -48,13 +50,13 @@ class ProjectedRegion:
 
 @dataclass(frozen=True)
 class AreaEstimate:
+    """What the estimator measures for one box: the ellipse-scaled area,
+    the complete and all 2x2 patches, and the distance to the box center."""
+
     area_m2: float
     valid_patch_count: int
     total_patch_count: int
     distance_m: float
-    confidence: float
-    frame: int
-    track_id: Optional[int] = None
 
     @property
     def valid_patch_fraction(self) -> float:
@@ -77,7 +79,7 @@ def project_region(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> ProjectedReg
     if not valid.all():
         X[~valid] = np.nan
         Y[~valid] = np.nan
-    return ProjectedRegion(u0=u0, v0=v0, X=X, Y=Y, Z=Z, valid=valid, box=b)
+    return ProjectedRegion(u0=u0, v0=v0, X=X, Y=Y, valid=valid)
 
 
 def triangle_area(p1: Point2, p2: Point2, p3: Point2) -> float:
@@ -141,14 +143,7 @@ def _patch_areas(r: ProjectedRegion) -> tuple[np.ndarray, np.ndarray]:
     return buf[0].reshape(h - 1, w)[:, : w - 1], ok
 
 
-def estimate_area(
-    b: BBox,
-    d: DepthMap,
-    intr: CameraIntrinsics,
-    conf: float,
-    frame: int = 0,
-    track_id: Optional[int] = None,
-) -> AreaEstimate:
+def estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> AreaEstimate:
     """Full area estimate for one detection box.
 
     Sums the areas of 2x2 patches whose four corners are valid, then
@@ -162,6 +157,6 @@ def estimate_area(
     areas, ok = _patch_areas(region)
     count = int(ok.sum())
     if count == 0:
-        return AreaEstimate(0.0, 0, total, dist, conf, frame, track_id)
+        return AreaEstimate(0.0, 0, total, dist)
     area = float(areas[ok].sum()) * ELLIPSE_FACTOR
-    return AreaEstimate(area, count, total, dist, conf, frame, track_id)
+    return AreaEstimate(area, count, total, dist)

@@ -91,21 +91,9 @@ def average_precision(flags: Sequence[bool], n_gt: int) -> float:
 def evaluate_detections(
     dets: Sequence[Detection], gts: Sequence[BBox], iou_thresh: float = 0.7
 ) -> DetectionEvalReport:
-    """Single-class detection report. Callers exclude manholes upstream."""
-    tp, fp, fn = match_for_eval(dets, gts, iou_thresh)
-    p, r, f1 = precision_recall_f1(tp, fp, fn)
-    aps = {t: average_precision(match_flags(dets, gts, t), len(gts)) for t in AP_IOU_THRESHOLDS}
-    return DetectionEvalReport(
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        precision=p,
-        recall=r,
-        f1=f1,
-        ap50=aps[0.5],
-        ap50_95=sum(aps.values()) / len(aps),
-        iou_thresh=iou_thresh,
-    )
+    """Single-class detection report on one frame's detections. Callers
+    exclude manholes upstream."""
+    return evaluate_detections_per_frame({0: dets}, {0: gts}, iou_thresh)
 
 
 def evaluate_detections_per_frame(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .cdkf import CdkfConfig, CdkfState
 from . import cdkf
-from .errors import AreatrackError, NoValidDepth
+from .errors import AreatrackError, EmptyRegion, NoValidDepth
 from .formats import (
     FrameResultRecord,
     SequenceManifest,
@@ -51,8 +51,9 @@ def run_pipeline(
     smooth each track's raw areas with ``smooth_records``.
 
     Per-frame input errors abort with the frame index; a detection whose
-    box has no valid depth, or too little coverage, is skipped with a log
-    line and leaves no record, so it never advances its track's filter.
+    box covers no pixels, has no valid depth or too little coverage is
+    skipped with a log line and leaves no record, so it never advances its
+    track's filter.
     """
     tracker = Tracker(config.tracker)
     records: list[FrameResultRecord] = []
@@ -62,9 +63,7 @@ def run_pipeline(
             depth = parse_pfm(entry.depth_path.read_bytes())
             dets_by_frame = parse_detections(entry.detections_path.read_text())
             motion = _load_motion(entry.motion_path, config.seed, entry.frame)
-        except AreatrackError as e:
-            raise FrameProcessingError(entry.frame, e) from e
-        except OSError as e:
+        except (AreatrackError, OSError) as e:
             raise FrameProcessingError(entry.frame, e) from e
         if depth.width != manifest.intrinsics.width or depth.height != manifest.intrinsics.height:
             raise FrameProcessingError(
@@ -75,13 +74,12 @@ def run_pipeline(
             )
         dets = dets_by_frame.get(entry.frame, [])
 
-        assigned = tracker.step(dets, motion=motion, frame=entry.frame)
+        assigned = tracker.step(dets, frame=entry.frame, motion=motion)
         for track_id, det in assigned:
             try:
-                est = estimate_area(det.bbox, depth, manifest.intrinsics, det.confidence,
-                                    frame=entry.frame, track_id=track_id)
-            except NoValidDepth:
-                log.warning("frame %d track %d: no valid depth, skipping", entry.frame, track_id)
+                est = estimate_area(det.bbox, depth, manifest.intrinsics)
+            except (EmptyRegion, NoValidDepth) as e:
+                log.warning("frame %d track %d: %s, skipping", entry.frame, track_id, e)
                 continue
             if est.valid_patch_fraction < config.min_valid_patch_fraction:
                 log.warning(
@@ -137,20 +135,7 @@ def smooth_records(
         state = CdkfState() if state is None else cdkf.predict(state, cfg)
         state = cdkf.update(state, r.area_raw_m2, r.confidence, r.distance_m, cfg)
         states[r.track_id] = state
-        out.append(
-            FrameResultRecord(
-                frame=r.frame,
-                track_id=r.track_id,
-                class_id=r.class_id,
-                bbox=r.bbox,
-                confidence=r.confidence,
-                distance_m=r.distance_m,
-                area_raw_m2=r.area_raw_m2,
-                area_smoothed_m2=state.A,
-                nis=state.last_nis,
-                valid_patch_fraction=r.valid_patch_fraction,
-            )
-        )
+        out.append(r.smoothed(state.A, state.last_nis))
     return out
 
 
@@ -158,7 +143,6 @@ def report_from_records(
     records: list[FrameResultRecord],
     min_track_len: int = 5,
     smoothed: bool = True,
-    pothole_class_only: bool = True,
 ) -> AreaConsistencyReport:
     """Per-track consistency metrics over result records.
 
@@ -168,7 +152,7 @@ def report_from_records(
     areas: dict[int, list[float]] = {}
     nis: dict[int, list[float]] = {}
     for r in records:
-        if pothole_class_only and r.class_id != 0:
+        if r.class_id != 0:
             continue
         value = r.area_smoothed_m2 if smoothed else r.area_raw_m2
         areas.setdefault(r.track_id, []).append(value)

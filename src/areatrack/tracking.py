@@ -2,14 +2,14 @@
 constant-velocity Kalman filter per track, two-stage IoU association with
 Hungarian assignment, and track lifecycle management.
 
-Each frame is array work, not a loop per track or per pair: the live
-tracks are stacked and moved, predicted and updated in one batch, and each
-association stage builds its IoU cost matrix with one ``iou_matrix`` call.
-The batched filter equals the per-track matrix products bit for bit."""
+The live tracks are held as row-aligned arrays (``Tracks``), and each frame
+is array work on them, not a loop per track or per pair: the tracks are
+moved, predicted and updated in one batch, and each association stage
+builds its IoU cost matrix with one ``iou_matrix`` call. The batched
+filter equals the per-track matrix products bit for bit."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfOrderFrame, TooFewCorrespondences
-from .geometry import BBox, Detection, MotionTransform, as_xywh, iou_matrix
+from .geometry import Detection, MotionTransform, as_xywh, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class TrackerConfig:
     iou_gate_stage1: float = 0.3
     iou_gate_stage2: float = 0.5
     max_misses: int = 30
-    min_hits_to_confirm: int = 2
     # noise scales relative to box size (SORT-family heuristic)
     pos_noise_scale: float = 0.05
     vel_noise_scale: float = 0.0125
@@ -37,32 +36,19 @@ class TrackerConfig:
             raise ValueError("need 0 <= low_conf_floor < high_conf_threshold <= 1")
 
 
-@dataclass
-class TrackState:
-    """Kalman state (x, y, w, h, vx, vy, vw, vh) with 8x8 covariance."""
+@dataclass(frozen=True)
+class Tracks:
+    """The live tracks, one row each, oldest first: ids (N,), Kalman means
+    (N, 8) over (cx, cy, w, h, vx, vy, vw, vh), covariances (N, 8, 8) and
+    consecutive missed frames (N,)."""
 
+    ids: np.ndarray
     mean: np.ndarray
-    covariance: np.ndarray
+    cov: np.ndarray
+    misses: np.ndarray
 
-    def box(self) -> BBox:
-        x, y, w, h = self.mean[:4]
-        return BBox.from_center(float(x), float(y), max(0.0, float(w)), max(0.0, float(h)))
-
-
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    DELETED = "deleted"
-
-
-@dataclass
-class Track:
-    id: int
-    state: TrackState
-    class_id: int
-    misses: int = 0
-    hits: int = 1
-    status: TrackStatus = TrackStatus.TENTATIVE
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def _noise_stds(w, h, cfg: TrackerConfig) -> np.ndarray:
@@ -80,12 +66,22 @@ def _diag(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def initiate(z: BBox, cfg: TrackerConfig) -> TrackState:
-    mean = np.array([z.cx, z.cy, z.w, z.h, 0.0, 0.0, 0.0, 0.0])
-    std = _noise_stds(max(z.w, 1.0), max(z.h, 1.0), cfg)
-    std[:4] *= 2.0
-    std[4:] *= 10.0
-    return TrackState(mean, np.diag(np.square(std)))
+def _measurements(xywh: np.ndarray) -> np.ndarray:
+    """``[x, y, w, h]`` rows (K, 4) as ``[cx, cy, w, h]`` rows, rounded as
+    ``BBox.cx`` and ``BBox.cy`` round."""
+    x, y, w, h = xywh.T
+    return np.column_stack([x + w / 2.0, y + h / 2.0, w, h])
+
+
+def initiate(xywh: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """New tracks at ``[x, y, w, h]`` rows (K, 4), at rest: means (K, 8),
+    covariances (K, 8, 8)."""
+    z = _measurements(xywh)
+    mean = np.hstack([z, np.zeros_like(z)])
+    std = _noise_stds(np.maximum(z[:, 2], 1.0), np.maximum(z[:, 3], 1.0), cfg)
+    std[:, :4] *= 2.0
+    std[:, 4:] *= 10.0
+    return mean, _diag(np.square(std))
 
 
 def predict(
@@ -249,11 +245,12 @@ def _match_stage(
 
 
 def associate(
-    track_boxes: Sequence[BBox],
+    track_xywh: np.ndarray,
     dets: Sequence[Detection],
     cfg: TrackerConfig,
 ) -> AssociationResult:
-    """Two-stage IoU association.
+    """Two-stage IoU association of track boxes, ``[x, y, w, h]`` rows
+    (N, 4), with detections.
 
     Stage 1 matches all tracks against high-confidence detections; stage 2
     lets remaining tracks pick up low-confidence detections (those between
@@ -266,9 +263,8 @@ def associate(
         for i, d in enumerate(dets)
         if cfg.low_conf_floor <= d.confidence < cfg.high_conf_threshold
     ]
-    track_xywh = as_xywh(track_boxes)
     det_xywh = as_xywh(d.bbox for d in dets)
-    all_tracks = list(range(len(track_boxes)))
+    all_tracks = list(range(len(track_xywh)))
     m1, rest_t, rest_high = _match_stage(
         track_xywh, all_tracks, det_xywh, high, cfg.iou_gate_stage1
     )
@@ -285,75 +281,70 @@ class Tracker:
 
     def __init__(self, cfg: TrackerConfig = TrackerConfig()):
         self.cfg = cfg
-        self.tracks: list[Track] = []
+        self.tracks = Tracks(
+            np.zeros(0, np.int64), np.zeros((0, 8)), np.zeros((0, 8, 8)), np.zeros(0, np.int64)
+        )
         self._next_id = 1
         self._last_frame: Optional[int] = None
 
     def step(
         self,
         frame_dets: Sequence[Detection],
+        frame: int,
         motion: Optional[MotionTransform] = None,
-        frame: Optional[int] = None,
     ) -> list[tuple[int, Detection]]:
         """Process one frame; returns (track_id, detection) for every
-        detection assigned to or spawning a track."""
-        if frame is None:
-            frame = frame_dets[0].frame if frame_dets else (
-                self._last_frame + 1 if self._last_frame is not None else 0
-            )
+        detection assigned to or spawning a track, by track id.
+
+        Matched tracks are updated and unmatched ones age; a track missing
+        more than ``max_misses`` frames in a row is dropped. Unmatched
+        high-confidence detections start new tracks after the survivors.
+        """
         if self._last_frame is not None and frame <= self._last_frame:
             raise OutOfOrderFrame(f"frame {frame} after {self._last_frame}")
         self._last_frame = frame
-
-        live = [t for t in self.tracks if t.status != TrackStatus.DELETED]
-        mean = np.array([t.state.mean for t in live]).reshape(-1, 8)
-        cov = np.array([t.state.covariance for t in live]).reshape(-1, 8, 8)
+        cfg = self.cfg
+        tracks = self.tracks
 
         # move tracks into the current frame's pixel coordinates, then predict
+        mean = tracks.mean
         if motion is not None:
             # motion maps previous-frame pixels to current-frame pixels, so
             # track centers are pushed forward through it; one stacked 3x3 @ 3
             # product per track, which rounds as MotionTransform.apply_point does
             pts = np.column_stack([mean[:, :2], np.ones(len(mean))])
             p = np.matmul(motion.m, pts[:, :, None])[:, :, 0]
-            mean[:, :2] = p[:, :2] / p[:, 2:]
-        mean, cov = predict(mean, cov, self.cfg)
-        for t, m, c in zip(live, mean, cov):
-            t.state = TrackState(m, c)
+            mean = np.column_stack([p[:, :2] / p[:, 2:], mean[:, 2:]])
+        mean, cov = predict(mean, tracks.cov, cfg)
 
-        boxes = [t.state.box() for t in live]
-        result = associate(boxes, frame_dets, self.cfg)
+        # predicted boxes; each np.where keeps what max(0.0, size) keeps
+        w = np.where(mean[:, 2] > 0.0, mean[:, 2], 0.0)
+        h = np.where(mean[:, 3] > 0.0, mean[:, 3], 0.0)
+        boxes = np.column_stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h])
+        result = associate(boxes, frame_dets, cfg)
 
-        out: list[tuple[int, Detection]] = []
-        matched = [ti for ti, _ in result.matches]
-        det_boxes = [frame_dets[dj].bbox for _, dj in result.matches]
-        z = np.array([[b.cx, b.cy, b.w, b.h] for b in det_boxes]).reshape(-1, 4)
-        mean, cov = kf_update(mean[matched], cov[matched], z, self.cfg)
-        for (ti, dj), m, c in zip(result.matches, mean, cov):
-            t = live[ti]
-            det = frame_dets[dj]
-            t.state = TrackState(m, c)
-            t.hits += 1
-            t.misses = 0
-            if t.status == TrackStatus.TENTATIVE and t.hits >= self.cfg.min_hits_to_confirm:
-                t.status = TrackStatus.CONFIRMED
-            out.append((t.id, det))
-        for ti in result.unmatched_tracks:
-            t = live[ti]
-            t.misses += 1
-            if t.misses > self.cfg.max_misses:
-                t.status = TrackStatus.DELETED
-        for dj in result.unmatched_detections:
-            det = frame_dets[dj]
-            if det.confidence >= self.cfg.high_conf_threshold:
-                track = Track(
-                    id=self._next_id,
-                    state=initiate(det.bbox, self.cfg),
-                    class_id=det.class_id,
-                )
-                self._next_id += 1
-                self.tracks.append(track)
-                out.append((track.id, det))
-        self.tracks = [t for t in self.tracks if t.status != TrackStatus.DELETED]
+        det_xywh = as_xywh(d.bbox for d in frame_dets)
+        ti, dj = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
+        mean[ti], cov[ti] = kf_update(mean[ti], cov[ti], _measurements(det_xywh[dj]), cfg)
+        misses = tracks.misses + 1
+        misses[ti] = 0
+        keep = misses <= cfg.max_misses
+
+        born = [
+            j for j in result.unmatched_detections
+            if frame_dets[j].confidence >= cfg.high_conf_threshold
+        ]
+        born_ids = np.arange(self._next_id, self._next_id + len(born))
+        self._next_id += len(born)
+        born_mean, born_cov = initiate(det_xywh[born], cfg)
+        self.tracks = Tracks(
+            ids=np.concatenate([tracks.ids[keep], born_ids]),
+            mean=np.concatenate([mean[keep], born_mean]),
+            cov=np.concatenate([cov[keep], born_cov]),
+            misses=np.concatenate([misses[keep], np.zeros(len(born), np.int64)]),
+        )
+
+        out = [(int(tracks.ids[i]), frame_dets[j]) for i, j in result.matches]
+        out += [(int(k), frame_dets[j]) for k, j in zip(born_ids, born)]
         out.sort(key=lambda pair: pair[0])
         return out

@@ -65,7 +65,7 @@ def test_criterion_01_area_oracle_accuracy():
         h = int(rng.integers(20, 60))
         x = float(rng.integers(0, INTR.width - w - 1))
         y = float(rng.integers(0, INTR.height - h - 1))
-        est = estimate_area(BBox(x, y, w, h), depth, INTR, 0.9)
+        est = estimate_area(BBox(x, y, w, h), depth, INTR)
         closed = (w - 1) * (h - 1) * z0 * z0 / (INTR.f_u * INTR.f_v)
         worst_flat = max(worst_flat, abs(est.area_m2 / ELLIPSE_FACTOR - closed) / closed)
 
@@ -85,7 +85,7 @@ def test_criterion_01_area_oracle_accuracy():
         x = float(rng.uniform(40, INTR.width - w - 41))
         y = float(rng.uniform(40, INTR.height - h - 41))
         box = BBox(x, y, w, h)
-        est = estimate_area(box, depth, INTR, 0.9)
+        est = estimate_area(box, depth, INTR)
         oracle = analytic_rect_footprint_area(spec, box)
         worst_curved = max(worst_curved, abs(est.area_m2 / ELLIPSE_FACTOR - oracle) / oracle)
 
@@ -114,8 +114,8 @@ def test_criterion_02_depth_scale_law():
         b = BBox(x, y, w, h)
         d1 = DepthMap(INTR.width, INTR.height, np.full((INTR.height, INTR.width), z))
         d2 = DepthMap(INTR.width, INTR.height, np.full((INTR.height, INTR.width), 2 * z))
-        a1 = estimate_area(b, d1, INTR, 0.9).area_m2
-        a2 = estimate_area(b, d2, INTR, 0.9).area_m2
+        a1 = estimate_area(b, d1, INTR).area_m2
+        a2 = estimate_area(b, d2, INTR).area_m2
         worst = max(worst, abs(a2 / a1 - 4.0) / 4.0)
     ok = worst <= 1e-6
     _verdict(2, "depth-squared scale law", ok,
@@ -409,12 +409,12 @@ def test_criterion_09_estimator_latency():
         for _ in range(5)
     ]
     for b in boxes:  # warm-up
-        estimate_area(b, depth, intr, 0.9)
+        estimate_area(b, depth, intr)
     times = []
     for _ in range(100):
         t0 = time.perf_counter()
         for b in boxes:
-            estimate_area(b, depth, intr, 0.9)
+            estimate_area(b, depth, intr)
         times.append((time.perf_counter() - t0) * 1e3)
     mean_ms = float(np.mean(times))
     ok = mean_ms <= 6.2

@@ -157,7 +157,7 @@ class TestPatchAreasKernel:
 class TestEstimateArea:
     def test_fronto_parallel_closed_form(self):
         z = 5.0
-        est = estimate_area(BBox(900, 500, 100, 100), uniform_depth(z), INTR, 0.9)
+        est = estimate_area(BBox(900, 500, 100, 100), uniform_depth(z), INTR)
         expect = ELLIPSE_FACTOR * (99 * z / 1000.0) ** 2
         assert est.area_m2 == pytest.approx(expect, rel=1e-9)
         assert est.valid_patch_count == 99 * 99
@@ -165,8 +165,8 @@ class TestEstimateArea:
 
     def test_depth_doubling_quadruples_area(self):
         b = BBox(900, 500, 80, 60)
-        a1 = estimate_area(b, uniform_depth(5.0), INTR, 0.9).area_m2
-        a2 = estimate_area(b, uniform_depth(10.0), INTR, 0.9).area_m2
+        a1 = estimate_area(b, uniform_depth(5.0), INTR).area_m2
+        a2 = estimate_area(b, uniform_depth(10.0), INTR).area_m2
         assert a2 == pytest.approx(4.0 * a1, rel=1e-9)
 
     def test_one_pixel_wide_box(self):
@@ -177,7 +177,7 @@ class TestEstimateArea:
             (BBox(100, 100, 1, 50), uniform_depth(5.0)),
             (BBox(99, 99, 4, 4), DepthMap(1920, 1080, one_valid)),
         ]:
-            est = estimate_area(b, d, INTR, 0.9)
+            est = estimate_area(b, d, INTR)
             assert est.area_m2 == 0.0
             assert est.valid_patch_count == 0
 
@@ -186,30 +186,30 @@ class TestEstimateArea:
         b = BBox(800, 400, 50, 40)
         for _ in range(20):
             z = float(rng.uniform(1.0, 30.0))
-            a1 = estimate_area(b, uniform_depth(z), INTR, 0.9).area_m2
-            a2 = estimate_area(b, uniform_depth(2 * z), INTR, 0.9).area_m2
+            a1 = estimate_area(b, uniform_depth(z), INTR).area_m2
+            a2 = estimate_area(b, uniform_depth(2 * z), INTR).area_m2
             assert a2 == pytest.approx(4.0 * a1, rel=1e-9)
 
     def test_monotone_in_box_size(self):
         d = uniform_depth(6.0)
         prev = 0.0
         for size in (10, 20, 40, 80):
-            a = estimate_area(BBox(500, 300, size, size), d, INTR, 0.9).area_m2
+            a = estimate_area(BBox(500, 300, size, size), d, INTR).area_m2
             assert a >= prev
             prev = a
 
     def test_translation_invariance(self):
         d = uniform_depth(6.0)
-        ref = estimate_area(BBox(500, 300, 40, 40), d, INTR, 0.9).area_m2
+        ref = estimate_area(BBox(500, 300, 40, 40), d, INTR).area_m2
         for (dx, dy) in [(200, 0), (0, 150), (-300, 100)]:
-            a = estimate_area(BBox(500 + dx, 300 + dy, 40, 40), d, INTR, 0.9).area_m2
+            a = estimate_area(BBox(500 + dx, 300 + dy, 40, 40), d, INTR).area_m2
             assert a == pytest.approx(ref, rel=0.01)
 
     def test_holes_reduce_patch_count_not_crash(self):
         vals = np.full((1080, 1920), 5.0, np.float32)
         vals[510:520, 910:920] = np.nan
         d = DepthMap(1920, 1080, vals)
-        est = estimate_area(BBox(900, 500, 50, 50), d, INTR, 0.9)
+        est = estimate_area(BBox(900, 500, 50, 50), d, INTR)
         assert est.valid_patch_count < est.total_patch_count
         assert est.area_m2 > 0.0
         assert np.isfinite(est.area_m2)

@@ -257,9 +257,11 @@ class TestCli:
              "frame=1 class_id=0 x=nan y=109.4 w=30.5 h=20.5 confidence=0.78\n", 2),
             ("dets_0001.txt", "format_version=1\n"
              "frame=1 class_id=0 x=144.6 y=109.4 w=inf h=20.5 confidence=0.78\n", 2),
+            ("dets_0001.txt", "format_version=1\n"
+             "frame=1 class_id=0 x=1e308 y=109.4 w=1e308 h=20.5 confidence=0.78\n", 2),
             ("motion_0001.txt", "format_version=1\ntransform\n1 0 0\n0 nan 0\n0 0 1\n", 4),
         ],
-        ids=["x-nan", "w-inf", "transform-nan"],
+        ids=["x-nan", "w-inf", "right-overflows", "transform-nan"],
     )
     def test_nonfinite_input_is_a_data_error(self, scene_dir, tmp_path, name, text, line):
         src, _ = scene_dir
@@ -272,6 +274,21 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert f"error: frame 1: line {line}:" in res.output
+
+    @pytest.mark.parametrize("box", ["x=100 y=100 w=0 h=20", "x=5000 y=100 w=30 h=20"],
+                             ids=["zero-width", "off-image"])
+    def test_box_without_pixels_costs_only_that_detection(self, scene_dir, tmp_path, caplog, box):
+        src, manifest_path = scene_dir
+        for f in src.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        with open(tmp_path / "dets_0002.txt", "a") as f:
+            f.write(f"frame=2 class_id=0 {box} confidence=0.9\n")
+        runner = CliRunner()
+        clean = runner.invoke(main, ["estimate", "--manifest", str(manifest_path)])
+        res = runner.invoke(main, ["estimate", "--manifest", str(tmp_path / "manifest.yaml")])
+        assert res.exit_code == 0, res.output
+        assert res.output == clean.output
+        assert "frame 2 track 2: box BBox(" in caplog.text
 
     def test_missing_manifest_exit_code(self):
         runner = CliRunner()

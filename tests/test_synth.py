@@ -339,7 +339,7 @@ class TestAreaOracles:
         )
         frames, gt = render(spec)
         box = gt.boxes[0][0]
-        est = estimate_area(box, frames[0].depth, big, 0.9)
+        est = estimate_area(box, frames[0].depth, big)
         assert est.area_m2 == pytest.approx(p.planar_area, rel=0.02)
 
 

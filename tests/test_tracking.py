@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import areatrack
 from areatrack.errors import OutOfOrderFrame, TooFewCorrespondences
-from areatrack.geometry import BBox, Detection, MotionTransform, iou
+from areatrack.geometry import BBox, Detection, MotionTransform, as_xywh, iou
 from areatrack.tracking import (
     AssociationResult,
-    Track,
     Tracker,
     TrackerConfig,
-    TrackState,
-    TrackStatus,
     _fit_affine,
     associate,
     fit_motion_ransac,
@@ -35,27 +33,39 @@ def det(x, y, w=20, h=20, conf=0.9, frame=0, cls=0):
     return Detection(BBox(x, y, w, h), conf, cls, frame)
 
 
-def one(s: TrackState) -> tuple[np.ndarray, np.ndarray]:
-    """A track state as a batch of one."""
-    return s.mean[None], s.covariance[None]
+def one(b: BBox, cfg: TrackerConfig = CFG) -> tuple[np.ndarray, np.ndarray]:
+    """A new track at one box, as a batch of one."""
+    return initiate(as_xywh([b]), cfg)
 
 
 class TestKalman:
     def test_initiate_zero_velocity(self):
-        s = initiate(BBox(10, 10, 20, 30), CFG)
-        assert list(s.mean) == [20, 25, 20, 30, 0, 0, 0, 0]
-        assert np.all(np.diag(s.covariance) > 0)
+        mean, cov = one(BBox(10, 10, 20, 30))
+        assert mean.shape == (1, 8) and cov.shape == (1, 8, 8)
+        assert mean[0].tolist() == [20, 25, 20, 30, 0, 0, 0, 0]
+        assert np.all(np.diagonal(cov[0]) > 0)
+
+    def test_initiate_bit_identical(self):
+        # sizes below 1 px take the clamped noise branch
+        boxes = [BBox(10, 10, 20, 30), BBox(3.3, -7.1, 0.4, 0.0), BBox(0.1, 0.2, 0.0, 0.7),
+                 BBox(640.25, 359.5, 1.0, 0.999)]
+        cfg = TrackerConfig(pos_noise_scale=0.07, vel_noise_scale=0.003)
+        mean, cov = initiate(as_xywh(boxes), cfg)
+        for k, b in enumerate(boxes):
+            want_mean, want_cov = reference_initiate(b, cfg)
+            assert mean[k].tobytes() == want_mean.tobytes()
+            assert cov[k].tobytes() == want_cov.tobytes()
 
     def test_predict_moves_by_velocity(self):
-        s = initiate(BBox(0, 0, 10, 10), CFG)
-        s.mean[4] = 3.0  # vx
-        mean, cov = predict(*one(s), CFG)
+        mean0, cov0 = one(BBox(0, 0, 10, 10))
+        mean0[0, 4] = 3.0  # vx
+        mean, cov = predict(mean0, cov0, CFG)
         assert mean.shape == (1, 8) and cov.shape == (1, 8, 8)
-        assert mean[0, 0] == pytest.approx(s.mean[0] + 3.0)
-        assert np.trace(cov[0]) > np.trace(s.covariance)
+        assert mean[0, 0] == pytest.approx(mean0[0, 0] + 3.0)
+        assert np.trace(cov[0]) > np.trace(cov0[0])
 
     def test_update_pulls_toward_measurement(self):
-        mean, cov = predict(*one(initiate(BBox(0, 0, 10, 10), CFG)), CFG)
+        mean, cov = predict(*one(BBox(0, 0, 10, 10)), CFG)
         mean2, cov2 = kf_update(mean, cov, np.array([[8.0, 0.0, 10.0, 10.0]]), CFG)
         assert 5.0 < mean2[0, 0] < 8.0
         assert np.trace(cov2[0]) < np.trace(cov[0])
@@ -64,7 +74,7 @@ class TestKalman:
         # exact measurements at x = 0, 10, 20 with small measurement noise:
         # the filter should predict roughly 30 next
         cfg = TrackerConfig(pos_noise_scale=0.01)
-        mean, cov = one(initiate(BBox.from_center(0, 0, 10, 10), cfg))
+        mean, cov = one(BBox.from_center(0, 0, 10, 10), cfg)
         for x in (10, 20):
             mean, cov = predict(mean, cov, cfg)
             mean, cov = kf_update(mean, cov, np.array([[x, 0.0, 10.0, 10.0]]), cfg)
@@ -72,7 +82,7 @@ class TestKalman:
         assert 28.0 <= mean[0, 0] <= 32.0
 
     def test_covariance_symmetric(self):
-        mean, cov = one(initiate(BBox(5, 5, 12, 8), CFG))
+        mean, cov = one(BBox(5, 5, 12, 8))
         for x in (7, 9, 12):
             mean, cov = predict(mean, cov, CFG)
             z = BBox(x, 5, 12, 8)
@@ -81,8 +91,8 @@ class TestKalman:
             assert np.all(np.linalg.eigvalsh(cov[0]) > -1e-9)
 
 
-# The per-track filter the batched predict and kf_update replaced, kept as
-# oracles: the 8x8 matrix products, one track at a time.
+# The per-track filter the batched initiate, predict and kf_update replaced,
+# kept as oracles: the 8x8 matrix products, one track at a time.
 _F = np.eye(8)
 _F[:4, 4:] = np.eye(4)
 _H = np.hstack([np.eye(4), np.zeros((4, 4))])
@@ -93,26 +103,31 @@ def reference_noise_stds(w, h, cfg):
     return np.array([s * w, s * h, s * w, s * h, v * w, v * h, v * w, v * h])
 
 
-def reference_predict(s: TrackState, cfg: TrackerConfig) -> TrackState:
-    w, h = max(float(s.mean[2]), 1.0), max(float(s.mean[3]), 1.0)
+def reference_initiate(z: BBox, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+    mean = np.array([z.cx, z.cy, z.w, z.h, 0.0, 0.0, 0.0, 0.0])
+    std = reference_noise_stds(max(z.w, 1.0), max(z.h, 1.0), cfg)
+    std[:4] *= 2.0
+    std[4:] *= 10.0
+    return mean, np.diag(np.square(std))
+
+
+def reference_predict(mean, cov, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+    w, h = max(float(mean[2]), 1.0), max(float(mean[3]), 1.0)
     q = np.diag(np.square(reference_noise_stds(w, h, cfg)))
-    mean = _F @ s.mean
-    cov = _F @ s.covariance @ _F.T + q
-    cov = 0.5 * (cov + cov.T)
-    return TrackState(mean, cov)
+    cov = _F @ cov @ _F.T + q
+    return _F @ mean, 0.5 * (cov + cov.T)
 
 
-def reference_update(s: TrackState, z: BBox, cfg: TrackerConfig) -> TrackState:
-    w, h = max(float(s.mean[2]), 1.0), max(float(s.mean[3]), 1.0)
+def reference_update(mean, cov, z: BBox, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+    w, h = max(float(mean[2]), 1.0), max(float(mean[3]), 1.0)
     r = np.diag(np.square(reference_noise_stds(w, h, cfg)[:4]))
     zvec = np.array([z.cx, z.cy, z.w, z.h])
-    innov = zvec - _H @ s.mean
-    S = _H @ s.covariance @ _H.T + r
-    K = np.linalg.solve(S.T, _H @ s.covariance.T).T
-    mean = s.mean + K @ innov
-    cov = (np.eye(8) - K @ _H) @ s.covariance
-    cov = 0.5 * (cov + cov.T)
-    return TrackState(mean, cov)
+    innov = zvec - _H @ mean
+    S = _H @ cov @ _H.T + r
+    K = np.linalg.solve(S.T, _H @ cov.T).T
+    mean = mean + K @ innov
+    cov = (np.eye(8) - K @ _H) @ cov
+    return mean, 0.5 * (cov + cov.T)
 
 
 def _random_box(rng) -> BBox:
@@ -127,15 +142,15 @@ def _filtered_states(n: int, seed: int, updates: int):
     cfg = TrackerConfig(
         pos_noise_scale=rng.uniform(0.005, 0.2), vel_noise_scale=rng.uniform(0.001, 0.05)
     )
-    states = [initiate(_random_box(rng), cfg) for _ in range(n)]
+    states = [reference_initiate(_random_box(rng), cfg) for _ in range(n)]
     for _ in range(updates):
-        states = [reference_update(reference_predict(s, cfg), _random_box(rng), cfg)
+        states = [reference_update(*reference_predict(*s, cfg), _random_box(rng), cfg)
                   for s in states]
     return rng, cfg, states
 
 
 def _stack(states):
-    return np.stack([s.mean for s in states]), np.stack([s.covariance for s in states])
+    return np.stack([m for m, _ in states]), np.stack([c for _, c in states])
 
 
 class TestKalmanBatchEqualsLoop:
@@ -146,23 +161,23 @@ class TestKalmanBatchEqualsLoop:
         _, cfg, states = _filtered_states(n, seed, updates)
         mean, cov = predict(*_stack(states), cfg)
         for k, s in enumerate(states):
-            want = reference_predict(s, cfg)
-            assert mean[k].tobytes() == want.mean.tobytes()
-            assert cov[k].tobytes() == want.covariance.tobytes()
+            want_mean, want_cov = reference_predict(*s, cfg)
+            assert mean[k].tobytes() == want_mean.tobytes()
+            assert cov[k].tobytes() == want_cov.tobytes()
 
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize("updates", [0, 1, 6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_update_bit_identical(self, n, updates, seed):
         rng, cfg, states = _filtered_states(n, seed, updates)
-        states = [reference_predict(s, cfg) for s in states]
+        states = [reference_predict(*s, cfg) for s in states]
         boxes = [_random_box(rng) for _ in states]
         z = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes])
         mean, cov = kf_update(*_stack(states), z, cfg)
         for k, (s, b) in enumerate(zip(states, boxes)):
-            want = reference_update(s, b, cfg)
-            assert mean[k].tobytes() == want.mean.tobytes()
-            assert cov[k].tobytes() == want.covariance.tobytes()
+            want_mean, want_cov = reference_update(*s, b, cfg)
+            assert mean[k].tobytes() == want_mean.tobytes()
+            assert cov[k].tobytes() == want_cov.tobytes()
 
 
 class TestRansac:
@@ -395,14 +410,14 @@ class TestAssociate:
     def test_simple_match(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1)]
-        r = associate(tracks, dets, CFG)
+        r = associate(as_xywh(tracks), dets, CFG)
         assert r.matches == [(0, 0)]
         assert r.unmatched_tracks == [] and r.unmatched_detections == []
 
     def test_gate_blocks_weak_overlap(self):
         tracks = [BBox(0, 0, 10, 10)]
         dets = [det(9, 9, 10, 10)]  # IoU = 1/199 < 0.3
-        r = associate(tracks, dets, CFG)
+        r = associate(as_xywh(tracks), dets, CFG)
         assert r.matches == []
         assert r.unmatched_tracks == [0]
         assert r.unmatched_detections == [0]
@@ -410,32 +425,32 @@ class TestAssociate:
     def test_low_conf_second_stage(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1, conf=0.3)]  # below high threshold, above floor
-        r = associate(tracks, dets, CFG)
+        r = associate(as_xywh(tracks), dets, CFG)
         assert r.matches == [(0, 0)]
 
     def test_low_conf_needs_tighter_gate(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(8, 8, conf=0.3)]  # IoU ~ 0.22: passes stage-1 gate but not stage-2
-        r = associate(tracks, dets, CFG)
+        r = associate(as_xywh(tracks), dets, CFG)
         assert r.matches == []
 
     def test_below_floor_never_matched(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(0, 0, conf=0.05)]
-        r = associate(tracks, dets, CFG)
+        r = associate(as_xywh(tracks), dets, CFG)
         assert r.matches == []
         assert r.unmatched_detections == []
 
     def test_high_conf_priority(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(2, 2, conf=0.2), det(4, 4, conf=0.9)]
-        r = associate(tracks, dets, CFG)
+        r = associate(as_xywh(tracks), dets, CFG)
         assert r.matches == [(0, 1)]
 
     def test_two_tracks_two_dets(self):
         tracks = [BBox(0, 0, 20, 20), BBox(100, 100, 20, 20)]
         dets = [det(101, 99), det(1, 2)]
-        r = associate(tracks, dets, CFG)
+        r = associate(as_xywh(tracks), dets, CFG)
         assert sorted(r.matches) == [(0, 1), (1, 0)]
 
 
@@ -482,39 +497,52 @@ class TestAssociateEqualsLoop:
                       float(rng.uniform()), 0, 0)
             for _ in range(m)
         ]
-        assert associate(tracks, dets, CFG) == reference_associate(tracks, dets, CFG)
+        assert associate(as_xywh(tracks), dets, CFG) == reference_associate(tracks, dets, CFG)
 
 
-def reference_step(tr: Tracker, frame_dets, motion) -> list:
-    """``Tracker.step`` before batching, kept as an oracle: per-track motion
-    through ``apply_point``, per-track predict and update, per-pair association."""
-    live = [t for t in tr.tracks if t.status != TrackStatus.DELETED]
+@dataclass
+class RefTrack:
+    id: int
+    mean: np.ndarray
+    cov: np.ndarray
+    misses: int = 0
+
+
+@dataclass
+class RefTracker:
+    cfg: TrackerConfig
+    tracks: list
+    next_id: int = 1
+
+
+def reference_step(tr: RefTracker, frame_dets, motion) -> list:
+    """``Tracker.step`` before batching, kept as an oracle: one record per
+    track, moved through ``apply_point``, predicted and updated one at a
+    time, and associated pair by pair."""
     if motion is not None:
-        for t in live:
-            t.state.mean[:2] = motion.apply_point(float(t.state.mean[0]), float(t.state.mean[1]))
-    for t in live:
-        t.state = reference_predict(t.state, tr.cfg)
-    result = reference_associate([t.state.box() for t in live], frame_dets, tr.cfg)
+        for t in tr.tracks:
+            t.mean[:2] = motion.apply_point(float(t.mean[0]), float(t.mean[1]))
+    for t in tr.tracks:
+        t.mean, t.cov = reference_predict(t.mean, t.cov, tr.cfg)
+    boxes = [BBox.from_center(float(t.mean[0]), float(t.mean[1]),
+                              max(0.0, float(t.mean[2])), max(0.0, float(t.mean[3])))
+             for t in tr.tracks]
+    result = reference_associate(boxes, frame_dets, tr.cfg)
     out = []
     for ti, dj in result.matches:
-        t = live[ti]
-        t.state = reference_update(t.state, frame_dets[dj].bbox, tr.cfg)
-        t.hits += 1
+        t = tr.tracks[ti]
+        t.mean, t.cov = reference_update(t.mean, t.cov, frame_dets[dj].bbox, tr.cfg)
         t.misses = 0
-        if t.status == TrackStatus.TENTATIVE and t.hits >= tr.cfg.min_hits_to_confirm:
-            t.status = TrackStatus.CONFIRMED
         out.append((t.id, frame_dets[dj]))
     for ti in result.unmatched_tracks:
-        live[ti].misses += 1
-        if live[ti].misses > tr.cfg.max_misses:
-            live[ti].status = TrackStatus.DELETED
+        tr.tracks[ti].misses += 1
+    tr.tracks = [t for t in tr.tracks if t.misses <= tr.cfg.max_misses]
     for dj in result.unmatched_detections:
         det = frame_dets[dj]
         if det.confidence >= tr.cfg.high_conf_threshold:
-            tr.tracks.append(Track(tr._next_id, initiate(det.bbox, tr.cfg), det.class_id))
-            tr._next_id += 1
-            out.append((tr._next_id - 1, det))
-    tr.tracks = [t for t in tr.tracks if t.status != TrackStatus.DELETED]
+            tr.tracks.append(RefTrack(tr.next_id, *reference_initiate(det.bbox, tr.cfg)))
+            out.append((tr.next_id, det))
+            tr.next_id += 1
     return sorted(out, key=lambda pair: pair[0])
 
 
@@ -542,14 +570,16 @@ class TestTrackerBatchEqualsLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bit_identical(self, seed):
         cfg = TrackerConfig(max_misses=3)
-        got, want = Tracker(cfg), Tracker(cfg)
+        got, want = Tracker(cfg), RefTracker(cfg, [])
         for k, dets, motion in _crowded_frames(seed):
-            assert got.step(dets, motion=motion, frame=k) == reference_step(want, dets, motion)
-            assert len(got.tracks) == len(want.tracks) > 0
-            for a, b in zip(got.tracks, want.tracks):
-                assert (a.id, a.hits, a.misses, a.status) == (b.id, b.hits, b.misses, b.status)
-                assert a.state.mean.tobytes() == b.state.mean.tobytes()
-                assert a.state.covariance.tobytes() == b.state.covariance.tobytes()
+            assert got.step(dets, frame=k, motion=motion) == reference_step(want, dets, motion)
+            t = got.tracks
+            assert len(t) == len(want.tracks) > 0
+            assert t.ids.tolist() == [r.id for r in want.tracks]
+            assert t.misses.tolist() == [r.misses for r in want.tracks]
+            for mean, cov, r in zip(t.mean, t.cov, want.tracks):
+                assert mean.tobytes() == r.mean.tobytes()
+                assert cov.tobytes() == r.cov.tobytes()
 
 
 class TestTracker:
@@ -569,7 +599,7 @@ class TestTracker:
         tr = Tracker()
         out = tr.step([det(0, 0, conf=0.3, frame=0)], frame=0)
         assert out == []
-        assert tr.tracks == []
+        assert len(tr.tracks) == 0
 
     def test_low_conf_continues_existing(self):
         tr = Tracker()
@@ -583,7 +613,7 @@ class TestTracker:
         tr.step([det(0, 0, frame=0)], frame=0)
         for k in range(1, 5):
             tr.step([], frame=k)
-        assert tr.tracks == []
+        assert len(tr.tracks) == 0
         out = tr.step([det(0, 0, frame=10)], frame=10)
         assert [tid for tid, _ in out] == [2]  # fresh id, not reused
 
