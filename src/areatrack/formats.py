@@ -249,13 +249,6 @@ def parse_motion_file(text: str):
     return "correspondences", pairs
 
 
-def write_transform(m: np.ndarray) -> str:
-    lines = [f"format_version={FORMAT_VERSION}", "transform"]
-    for row in np.asarray(m):
-        lines.append(" ".join(f"{v:.10g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def write_correspondences(pairs) -> str:
     lines = [f"format_version={FORMAT_VERSION}"]
     for (x0, y0), (x1, y1) in pairs:

@@ -7,23 +7,28 @@ elliptical shape of potholes. The paper also keeps only patches inside the
 minimum bounding rectangle of the valid points; every valid point lies in
 that rectangle by construction, so no patch needs checking against it.
 
-``estimate_area`` returns only what it measures; the caller keeps the
-frame, track and detection that the estimate belongs to.
+``estimate_areas`` measures all of a frame's boxes in one call and
+``estimate_area`` one box; both return only what they measure, and the
+caller keeps the frame, track and detection that an estimate belongs to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyRegion
+from .errors import EmptyRegion, NoValidDepth
 from .geometry import BBox, CameraIntrinsics, DepthMap, pixel_grid
 from .projection import center_distance
 
 ELLIPSE_FACTOR = math.pi / 4.0
+# cells of one packed canvas: larger canvases fall out of cache and run slower
+CANVAS_PX = 1 << 14
 
 Point2 = tuple[float, float]
 
@@ -108,8 +113,11 @@ def patch_area(r: ProjectedRegion, u: int, v: int) -> Optional[float]:
     return triangle_area(p0, p1, p2) + triangle_area(p0, p2, p3)
 
 
-def _patch_areas(r: ProjectedRegion) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized triangle-pair areas and validity for all 2x2 patches.
+def _patch_areas(
+    X: np.ndarray, Y: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized triangle-pair areas and validity for all 2x2 patches of
+    the (h, w) grid X, Y, valid.
 
     tri1 = |(x1-x0)(y2-y0) - (y1-y0)(x2-x0)| / 2 and
     tri2 = |(x2-x0)(y3-y0) - (y2-y0)(x3-x0)| / 2, computed on six edge
@@ -119,7 +127,6 @@ def _patch_areas(r: ProjectedRegion) -> tuple[np.ndarray, np.ndarray]:
     operation runs over one contiguous range; the k with j = w-1 straddle
     two rows and are cut off the returned (h-1, w-1) view.
     """
-    X, Y, valid = r.X, r.Y, r.valid
     h, w = X.shape
     n = max((h - 1) * w - 1, 0)
     x, y = X.ravel(), Y.ravel()
@@ -143,20 +150,137 @@ def _patch_areas(r: ProjectedRegion) -> tuple[np.ndarray, np.ndarray]:
     return buf[0].reshape(h - 1, w)[:, : w - 1], ok
 
 
+def _measure_packed(
+    extents: list[list[int]], dists: list[float], d: DepthMap, intr: CameraIntrinsics
+) -> list[AreaEstimate]:
+    """Estimates for the boxes whose pixel extents ``[u0, v0, u1, v1]``
+    (all nonempty) and centre distances are given, from one
+    ``_patch_areas`` pass over a canvas that stacks their depth blocks as
+    row blocks.
+
+    Box k fills rows [r0, r0+h) and columns [0, w) of the canvas; the rest
+    of its rows hold a valid dummy depth. Its patches are the canvas
+    patches in rows [r0, r0+h-1) and columns [0, w-1): none of them reads
+    a dummy column or another box's row, so each has the bits the box
+    alone would give. Each box's valid areas are summed on their own, in
+    the order and with the pairwise summation of a one-box pass.
+    """
+    xhat, yhat = _rays(intr)
+    r0 = [0, *accumulate(v1 - v0 for _, v0, _, v1 in extents)]
+    width = max(u1 - u0 for u0, _, u1, _ in extents)
+    Z = np.empty((r0[-1], width))
+    X = np.empty_like(Z)
+    blocks = list(zip(r0, r0[1:], extents, dists))
+    with np.errstate(invalid="ignore"):  # 0 * inf on a principal ray; NaN-ed below
+        for a, b, (u0, v0, u1, v1), _ in blocks:
+            w = u1 - u0
+            z = Z[a:b, :w]
+            z[...] = d.values[v0:v1, u0:u1]
+            if w < width:  # valid, so a clean frame still skips the NaN scatter
+                Z[a:b, w:] = 1.0
+                X[a:b, w:] = 0.0
+            np.multiply(xhat[u0:u1], z, out=X[a:b, :w])
+        Y = np.concatenate([yhat[v0:v1] for _, v0, _, v1 in extents])[:, None] * Z
+    valid = np.isfinite(Z) & (Z > 0.0)
+    if not valid.all():
+        X[~valid] = np.nan
+        Y[~valid] = np.nan
+    areas, ok = _patch_areas(X, Y, valid)
+    out = []
+    for a, b, (u0, _, u1, _), dist in blocks:
+        own = np.s_[a : b - 1, : u1 - u0 - 1]
+        picked = areas[own][ok[own]]
+        total = (b - a - 1) * (u1 - u0 - 1)
+        out.append(AreaEstimate(float(picked.sum()) * ELLIPSE_FACTOR, picked.size, total, dist))
+    return out
+
+
+@lru_cache(maxsize=8)
+def _rays(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ray tables xhat[u] = (u - p_u) / f_u and yhat[v] = (v - p_v) / f_v,
+    the factors ``project_region`` and ``backproject`` multiply depth by."""
+    xhat = (np.arange(intr.width, dtype=np.float64) - intr.p_u) / intr.f_u
+    yhat = (np.arange(intr.height, dtype=np.float64) - intr.p_v) / intr.f_v
+    xhat.setflags(write=False)
+    yhat.setflags(write=False)
+    return xhat, yhat
+
+
+def estimate_areas(
+    boxes: np.ndarray, d: DepthMap, intr: CameraIntrinsics
+) -> list[AreaEstimate | EmptyRegion | NoValidDepth]:
+    """Area estimates for every ``[x, y, w, h]`` row of ``boxes`` (N, 4) on
+    one depth map, in row order.
+
+    Each entry is what ``estimate_area`` returns for that box, or the
+    ``EmptyRegion`` or ``NoValidDepth`` it raises, bit for bit. The pixel
+    extents, centre pixels and centre distances are the float64 operations
+    of ``pixel_grid``, ``clip_to_image`` and ``center_distance``,
+    vectorised over the boxes (``np.rint`` rounds half to even, like
+    ``round``). Only a box without valid depth at its centre pixel calls
+    ``center_distance`` for its median fallback. The boxes' patches are
+    measured on shared canvases of at most ``CANVAS_PX`` cells; a larger
+    box gets a canvas of its own.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    corners = boxes.reshape(-1, 2, 2).copy()
+    corners[:, 1] += corners[:, 0]  # rows [[x, y], [right, bottom]]
+    size = np.array([intr.width, intr.height], dtype=np.float64)
+    inside = np.maximum(corners, 0.0)
+    # pixel_grid's extents, clipped in float before the cast so a huge far edge stays in range
+    grid = np.minimum(inside, size)
+    np.floor(grid[:, 0], out=grid[:, 0])
+    np.ceil(grid[:, 1], out=grid[:, 1])
+    extents = grid.reshape(-1, 4).astype(np.intp).tolist()
+    # the centre of the box clipped to the image; rint keeps it inside the image
+    c0, c1 = np.minimum(inside, size - 1.0).transpose(1, 0, 2)
+    cu, cv = np.rint(c0 + np.maximum(0.0, c1 - c0) / 2.0).astype(np.intp).T
+    z = d.values[cv, cu].astype(np.float64)
+    centre_ok = np.isfinite(z) & (z > 0.0)
+    z[~centre_ok] = 1.0
+    xhat, yhat = _rays(intr)
+    X, Y = xhat[cu] * z, yhat[cv] * z
+    dist = np.sqrt(X * X + Y * Y + z * z).tolist()
+
+    out: list[AreaEstimate | EmptyRegion | NoValidDepth | None] = [None] * len(boxes)
+    groups: list[list[int]] = []
+    rows = cols = 0
+    for i, ((u0, v0, u1, v1), ok) in enumerate(zip(extents, centre_ok.tolist())):
+        h, w = v1 - v0, u1 - u0
+        if h <= 0 or w <= 0:
+            out[i] = EmptyRegion(f"box {BBox(*boxes[i].tolist())} covers no pixels")
+            continue
+        if not ok:
+            try:
+                dist[i] = center_distance(BBox(*boxes[i].tolist()), d, intr)
+            except NoValidDepth as e:
+                out[i] = e
+                continue
+        if groups and (rows + h) * max(cols, w) <= CANVAS_PX:
+            groups[-1].append(i)
+            rows, cols = rows + h, max(cols, w)
+        else:
+            groups.append([i])
+            rows, cols = h, w
+    for g in groups:
+        for i, est in zip(g, _measure_packed([extents[i] for i in g], [dist[i] for i in g], d, intr)):
+            out[i] = est
+    return out
+
+
 def estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> AreaEstimate:
-    """Full area estimate for one detection box.
+    """Full area estimate for one detection box, equal bit for bit to its
+    entry in ``estimate_areas``.
 
     Sums the areas of 2x2 patches whose four corners are valid, then
     applies the pi/4 ellipse factor. Yields area 0 with zero valid patches
-    when no complete patch exists.
+    when no complete patch exists. Raises ``EmptyRegion`` when the box
+    covers no pixels and ``NoValidDepth`` when no pixel of it has depth.
+    The set-up is scalar: at one box, the vectorised set-up of
+    ``estimate_areas`` costs more than the scalar calls it replaces.
     """
-    region = project_region(b, d, intr)
-    dist = center_distance(b, d, intr)
-    h, w = region.shape
-    total = max(0, (h - 1)) * max(0, (w - 1))
-    areas, ok = _patch_areas(region)
-    count = int(ok.sum())
-    if count == 0:
-        return AreaEstimate(0.0, 0, total, dist)
-    area = float(areas[ok].sum()) * ELLIPSE_FACTOR
-    return AreaEstimate(area, count, total, dist)
+    u0, u1, v0, v1 = pixel_grid(b, intr)
+    if u0 >= u1 or v0 >= v1:
+        raise EmptyRegion(f"box {b} covers no pixels")
+    (est,) = _measure_packed([[u0, v0, u1, v1]], [center_distance(b, d, intr)], d, intr)
+    return est

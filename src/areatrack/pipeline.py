@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .cdkf import CdkfConfig, CdkfState
 from . import cdkf
-from .errors import AreatrackError, EmptyRegion, NoValidDepth
+from .errors import AreatrackError
 from .formats import (
     FrameResultRecord,
     SequenceManifest,
@@ -17,8 +17,8 @@ from .formats import (
     parse_motion_file,
     parse_pfm,
 )
-from .geometry import MotionTransform
-from .mbtp import estimate_area
+from .geometry import MotionTransform, as_xywh
+from .mbtp import estimate_areas
 from .metrics import AreaConsistencyReport, area_consistency_report
 from .tracking import Tracker, TrackerConfig, fit_motion_ransac
 
@@ -75,11 +75,12 @@ def run_pipeline(
         dets = dets_by_frame.get(entry.frame, [])
 
         assigned = tracker.step(dets, frame=entry.frame, motion=motion)
-        for track_id, det in assigned:
-            try:
-                est = estimate_area(det.bbox, depth, manifest.intrinsics)
-            except (EmptyRegion, NoValidDepth) as e:
-                log.warning("frame %d track %d: %s, skipping", entry.frame, track_id, e)
+        estimates = estimate_areas(
+            as_xywh(det.bbox for _, det in assigned), depth, manifest.intrinsics
+        )
+        for (track_id, det), est in zip(assigned, estimates):
+            if isinstance(est, AreatrackError):
+                log.warning("frame %d track %d: %s, skipping", entry.frame, track_id, est)
                 continue
             if est.valid_patch_fraction < config.min_valid_patch_fraction:
                 log.warning(

@@ -32,8 +32,10 @@ class TrackerConfig:
     vel_noise_scale: float = 0.0125
 
     def __post_init__(self):
-        if not (0.0 <= self.low_conf_floor < self.high_conf_threshold <= 1.0):
-            raise ValueError("need 0 <= low_conf_floor < high_conf_threshold <= 1")
+        # a zero floor would let a zero-confidence detection match in stage 2,
+        # where its measurement noise cannot be formed
+        if not (0.0 < self.low_conf_floor < self.high_conf_threshold <= 1.0):
+            raise ValueError("need 0 < low_conf_floor < high_conf_threshold <= 1")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from areatrack.formats import (
     write_detections,
     write_pfm,
     write_results,
-    write_transform,
 )
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap, Detection
 
@@ -188,6 +187,14 @@ class TestResults:
         line = self.rec().to_line().replace("nis=0.73000000", "nis=oops")
         with pytest.raises(MalformedLine):
             parse_results(line + "\n")
+
+
+def write_transform(m: np.ndarray) -> str:
+    """A motion file holding one ``transform`` block."""
+    lines = [f"format_version={FORMAT_VERSION}", "transform"]
+    for row in np.asarray(m):
+        lines.append(" ".join(f"{v:.10g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestMotionFiles:

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter, only the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import areatrack
@@ -62,3 +63,65 @@ def test_detector_flags_unused_and_keeps_used():
         "    return np.zeros(3)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 4: Sequence"]
+
+
+PERFBENCH_LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def missing_traced_names(source: str) -> list[str]:
+    """Entries of ``TIMED`` and ``COUNTED`` whose ``(owner, attr)`` the
+    package does not define, so that the tracer's rebinding would fail.
+
+    Owners are module names imported with ``from areatrack import ...``,
+    optionally followed by a class; the attribute must be in the owner's
+    own ``__dict__``, which is where the tracer looks it up.
+    """
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name: f"areatrack.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "areatrack"
+        for alias in node.names
+    }
+    missing = []
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED") for t in node.targets)):
+            continue
+        for entry in node.value.elts:
+            owner, attr = ast.unparse(entry.elts[1]), entry.elts[2].value
+            root, *path = owner.split(".")
+            obj = importlib.import_module(modules[root]) if root in modules else None
+            for part in path:
+                obj = getattr(obj, part, None)
+            if obj is None or attr not in vars(obj):
+                missing.append(f"{owner}.{attr}")
+    return missing
+
+
+def test_perfbench_traced_names_exist():
+    source = PERFBENCH_LAYERS.read_text()
+    assert "TIMED" in source and "COUNTED" in source
+    assert missing_traced_names(source) == []
+
+
+def test_traced_name_check_flags_missing_names():
+    source = (
+        "from areatrack import formats, mbtp\n"
+        "TIMED = [\n"
+        "    ('a', mbtp, 'estimate_area', None),\n"
+        "    ('b', mbtp, 'no_such_function', None),\n"
+        "    ('c', formats.SequenceManifest, 'load', None),\n"
+        "    ('d', formats.SequenceManifest, 'no_such_method', None),\n"
+        "    ('e', formats.NoSuchClass, 'load', None),\n"
+        "    ('f', unimported, 'load', None),\n"
+        "]\n"
+        "COUNTED = [('g', mbtp, 'gone')]\n"
+    )
+    assert missing_traced_names(source) == [
+        "mbtp.no_such_function",
+        "formats.SequenceManifest.no_such_method",
+        "formats.NoSuchClass.load",
+        "unimported.load",
+        "mbtp.gone",
+    ]

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from areatrack.errors import EmptyRegion
-from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
+from areatrack import mbtp
+from areatrack.errors import EmptyRegion, NoValidDepth
+from areatrack.geometry import BBox, CameraIntrinsics, DepthMap, as_xywh
 from areatrack.mbtp import (
     ELLIPSE_FACTOR,
+    AreaEstimate,
     _patch_areas,
     estimate_area,
+    estimate_areas,
     patch_area,
     project_region,
     triangle_area,
 )
+from areatrack.projection import center_distance
 
 INTR = CameraIntrinsics(f_u=1000.0, f_v=1000.0, p_u=960.0, p_v=540.0, width=1920, height=1080)
 
@@ -143,7 +148,7 @@ class TestPatchAreasKernel:
         b = BBox(float(rng.integers(0, 1700)), float(rng.integers(0, 850)), w, h)
         r = project_region(b, DepthMap(1920, 1080, vals), INTR)
         assert r.shape == (h, w)
-        got, ok = _patch_areas(r)
+        got, ok = _patch_areas(r.X, r.Y, r.valid)
         want, want_ok = reference_patch_areas(r)
         assert got.shape == want.shape == (h - 1, w - 1)
         assert np.array_equal(ok, want_ok)
@@ -213,3 +218,113 @@ class TestEstimateArea:
         assert est.valid_patch_count < est.total_patch_count
         assert est.area_m2 > 0.0
         assert np.isfinite(est.area_m2)
+
+
+def reference_estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> AreaEstimate:
+    """The one-box estimator: project the box, take the centre distance,
+    run the patch kernel on the region alone and sum its valid areas."""
+    region = project_region(b, d, intr)
+    dist = center_distance(b, d, intr)
+    h, w = region.shape
+    total = max(0, (h - 1)) * max(0, (w - 1))
+    areas, ok = _patch_areas(region.X, region.Y, region.valid)
+    count = int(ok.sum())
+    if count == 0:
+        return AreaEstimate(0.0, 0, total, dist)
+    area = float(areas[ok].sum()) * ELLIPSE_FACTOR
+    return AreaEstimate(area, count, total, dist)
+
+
+def _outcome(est):
+    """Everything an estimate or skip carries, floats as their exact bits."""
+    if isinstance(est, Exception):
+        return type(est).__name__, str(est)
+    return (est.area_m2.hex(), est.valid_patch_count, est.total_patch_count,
+            est.distance_m.hex())
+
+
+def assert_matches_reference(boxes: list[BBox], d: DepthMap, intr: CameraIntrinsics):
+    want = []
+    for b in boxes:
+        try:
+            with np.errstate(invalid="ignore"):  # project_region warns on 0 * inf
+                want.append(_outcome(reference_estimate_area(b, d, intr)))
+        except (EmptyRegion, NoValidDepth) as e:
+            want.append(_outcome(e))
+    assert [_outcome(e) for e in estimate_areas(as_xywh(boxes), d, intr)] == want
+    for b, w in zip(boxes, want):
+        try:
+            got = _outcome(estimate_area(b, d, intr))
+        except (EmptyRegion, NoValidDepth) as e:
+            got = _outcome(e)
+        assert got == w
+
+
+# an image of more than CANVAS_PX pixels, so a box near its size gets a canvas of its own
+SMALL_W, SMALL_H = 170, 110
+
+
+@st.composite
+def frames(draw):
+    intr = CameraIntrinsics(
+        f_u=draw(st.floats(50.0, 2000.0)), f_v=draw(st.floats(50.0, 2000.0)),
+        p_u=draw(st.floats(0.0, SMALL_W - 1.0)), p_v=draw(st.floats(0.0, SMALL_H - 1.0)),
+        width=SMALL_W, height=SMALL_H,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(0.5, 40.0, (SMALL_H, SMALL_W))
+    hole_frac = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    holes = rng.random(vals.shape) < hole_frac
+    vals[holes] = rng.choice([np.nan, np.inf, -np.inf, -1.0, 0.0], size=int(holes.sum()))
+    x, y = (st.one_of(st.floats(0.0, n), st.floats(-60.0, n + 60.0)) for n in (SMALL_W, SMALL_H))
+    size = st.one_of(
+        st.sampled_from([0.0, 1.0, 1e308]),
+        st.floats(0.0, 3.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.floats(0.0, 200.0),
+    )
+    boxes = draw(st.lists(st.builds(BBox, x, y, size, size), max_size=40))
+    return boxes, DepthMap(SMALL_W, SMALL_H, vals.astype(np.float32)), intr
+
+
+class TestEstimateAreasEqualsOneBox:
+    """``estimate_areas`` against the one-box reference, bit for bit: area,
+    both patch counts, distance, and the type and text of every skip."""
+
+    @given(frames())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, frame):
+        assert_matches_reference(*frame)
+
+    def test_edge_cases(self):
+        vals = np.full((SMALL_H, SMALL_W), 7.0, np.float32)
+        vals[50, 50] = np.nan  # the centre pixel of the fallback box
+        vals[10:20, 100:120] = np.nan  # the all-invalid box
+        vals[80:90, 10:20] = -2.0  # a hole inside the large box
+        vals[5, 140] = np.inf
+        d = DepthMap(SMALL_W, SMALL_H, vals)
+        intr = CameraIntrinsics(300.0, 320.0, 85.5, 54.0, SMALL_W, SMALL_H)
+        boxes = [
+            BBox(45.0, 45.0, 10.0, 10.0),  # invalid centre pixel: median fallback
+            BBox(101.0, 11.0, 10.0, 5.0),  # no valid depth at all
+            BBox(0.0, 30.0, 1e308, 4.0),  # far edge clipped to the image width
+            BBox(-5.0, -5.0, 12.0, 9.0),  # clipped at the left and top edges
+            BBox(160.0, 100.0, 30.0, 30.0),  # clipped at the right and bottom edges
+            BBox(200.0, 20.0, 5.0, 5.0),  # off the image
+            BBox(20.0, 20.0, 0.0, 5.0),  # zero width
+            BBox(30.0, 30.0, 1.0, 30.0),  # one pixel wide
+            BBox(30.0, 30.0, 30.0, 1.0),  # one pixel tall
+            BBox(1.0, 1.0, 168.0, 108.0),  # larger than a canvas
+            *(BBox(3.0 * k, 2.0 * k, 20.0 + k, 25.0) for k in range(30)),
+            BBox(135.0, 0.0, 10.0, 10.0),  # an inf depth pixel
+        ]
+        got = estimate_areas(as_xywh(boxes), d, intr)
+        assert got[0].valid_patch_count > 0
+        assert isinstance(got[1], NoValidDepth)
+        assert got[2].total_patch_count == (SMALL_W - 1) * 3
+        assert [type(e) for e in got[5:7]] == [EmptyRegion, EmptyRegion]
+        assert got[7].total_patch_count == got[8].total_patch_count == 0
+        assert 168 * 108 > mbtp.CANVAS_PX
+        assert sum(b.w * b.h for b in boxes[10:40]) > mbtp.CANVAS_PX
+        assert_matches_reference(boxes, d, intr)
+
+    def test_no_boxes(self):
+        assert estimate_areas(np.empty((0, 4)), uniform_depth(5.0), INTR) == []

@@ -582,6 +582,16 @@ class TestTrackerBatchEqualsLoop:
                 assert cov.tobytes() == r.cov.tobytes()
 
 
+class TestTrackerConfig:
+    @pytest.mark.parametrize("floor, high", [(0.0, 0.5), (-0.1, 0.5), (0.5, 0.5), (0.6, 0.5), (0.1, 1.5)])
+    def test_rejects_bad_confidence_bands(self, floor, high):
+        with pytest.raises(ValueError, match="0 < low_conf_floor"):
+            TrackerConfig(low_conf_floor=floor, high_conf_threshold=high)
+
+    def test_accepts_a_positive_floor(self):
+        assert TrackerConfig(low_conf_floor=1e-9, high_conf_threshold=1.0).low_conf_floor == 1e-9
+
+
 class TestTracker:
     def test_ids_start_at_one(self):
         tr = Tracker()
