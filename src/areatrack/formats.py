@@ -4,9 +4,9 @@ records, and the YAML sequence manifest."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 import yaml
@@ -70,64 +70,75 @@ def write_pfm(d: DepthMap) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# key=value record lines
+# line-record files: one record per line under a format_version header
 
 
-def _parse_kv_line(line: str, line_no: int) -> dict[str, str]:
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for each data line of a record
+    file. Blank lines, ``#`` comments and a header line whose only token
+    is ``format_version=<v>`` are skipped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("format_version=") and len(line.split()) == 1:
+            continue
+        yield line_no, line
+
+
+def _fields(line: str, line_no: int, keys: tuple[str, ...]) -> dict[str, str]:
+    """The key=value tokens of a record line, which must hold every key in ``keys``."""
     fields = {}
     for token in line.split():
-        if "=" not in token:
+        key, eq, value = token.partition("=")
+        if not eq:
             raise MalformedLine(line_no, f"token {token!r} is not key=value")
-        key, _, value = token.partition("=")
         fields[key] = value
-    return fields
-
-
-def _require(fields: dict[str, str], keys: list[str], line_no: int) -> None:
     for k in keys:
         if k not in fields:
             raise MalformedLine(line_no, f"missing field {k!r}")
+    return fields
+
+
+def _box(fields: dict[str, str]) -> BBox:
+    box = BBox(float(fields["x"]), float(fields["y"]), float(fields["w"]), float(fields["h"]))
+    # BBox itself allows such boxes; the estimator cannot index them
+    if not (math.isfinite(box.right) and math.isfinite(box.bottom)):
+        raise ValueError(f"box far edge overflows: right={box.right} bottom={box.bottom}")
+    return box
+
+
+def write_records(lines: Iterable[str]) -> str:
+    """A record file: the format_version header, then one record per line."""
+    return "\n".join([f"format_version={FORMAT_VERSION}", *lines]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# detections and per-frame results: key=value records
 
 
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Line-delimited detections grouped by frame, input order preserved."""
     out: dict[int, list[Detection]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = _parse_kv_line(line, line_no)
-        if "format_version" in fields and len(fields) == 1:
-            continue
-        _require(fields, ["frame", "class_id", "x", "y", "w", "h", "confidence"], line_no)
+    for line_no, line in _data_lines(text):
+        f = _fields(line, line_no, ("frame", "class_id", "x", "y", "w", "h", "confidence"))
         try:
-            frame = int(fields["frame"])
-            class_id = int(fields["class_id"])
-            box = BBox(
-                float(fields["x"]), float(fields["y"]),
-                float(fields["w"]), float(fields["h"]),
-            )
-            # BBox itself allows such boxes; the estimator cannot index them
-            if not (math.isfinite(box.right) and math.isfinite(box.bottom)):
-                raise ValueError(f"box far edge overflows: right={box.right} bottom={box.bottom}")
-            conf = float(fields["confidence"])
-            det = Detection(box, conf, class_id, frame)
+            det = Detection(frame=int(f["frame"]), class_id=int(f["class_id"]),
+                            bbox=_box(f), confidence=float(f["confidence"]))
         except (ValueError, TypeError) as e:
             raise MalformedLine(line_no, str(e)) from None
-        out.setdefault(frame, []).append(det)
+        out.setdefault(det.frame, []).append(det)
     return out
 
 
 def write_detections(dets_by_frame: dict[int, list[Detection]]) -> str:
-    lines = [f"format_version={FORMAT_VERSION}"]
-    for frame in sorted(dets_by_frame):
-        for d in dets_by_frame[frame]:
-            lines.append(
-                f"frame={d.frame} class_id={d.class_id} "
-                f"x={d.bbox.x:.6f} y={d.bbox.y:.6f} w={d.bbox.w:.6f} h={d.bbox.h:.6f} "
-                f"confidence={d.confidence:.6f}"
-            )
-    return "\n".join(lines) + "\n"
+    return write_records(
+        f"frame={d.frame} class_id={d.class_id} "
+        f"x={d.bbox.x:.6f} y={d.bbox.y:.6f} w={d.bbox.w:.6f} h={d.bbox.h:.6f} "
+        f"confidence={d.confidence:.6f}"
+        for frame in sorted(dets_by_frame)
+        for d in dets_by_frame[frame]
+    )
 
 
 @dataclass(frozen=True)
@@ -166,38 +177,29 @@ class FrameResultRecord:
         )
 
 
-_RESULT_KEYS = [
+_RESULT_KEYS = (
     "frame", "track_id", "class_id", "x", "y", "w", "h", "confidence",
     "distance_m", "area_raw_m2", "area_smoothed_m2", "nis", "valid_patch_fraction",
-]
+)
 
 
 def parse_results(text: str) -> list[FrameResultRecord]:
     out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = _parse_kv_line(line, line_no)
-        if "format_version" in fields and len(fields) == 1:
-            continue
-        _require(fields, _RESULT_KEYS, line_no)
+    for line_no, line in _data_lines(text):
+        f = _fields(line, line_no, _RESULT_KEYS)
         try:
             out.append(
                 FrameResultRecord(
-                    frame=int(fields["frame"]),
-                    track_id=int(fields["track_id"]),
-                    class_id=int(fields["class_id"]),
-                    bbox=BBox(
-                        float(fields["x"]), float(fields["y"]),
-                        float(fields["w"]), float(fields["h"]),
-                    ),
-                    confidence=float(fields["confidence"]),
-                    distance_m=float(fields["distance_m"]),
-                    area_raw_m2=float(fields["area_raw_m2"]),
-                    area_smoothed_m2=float(fields["area_smoothed_m2"]),
-                    nis=float(fields["nis"]),
-                    valid_patch_fraction=float(fields["valid_patch_fraction"]),
+                    frame=int(f["frame"]),
+                    track_id=int(f["track_id"]),
+                    class_id=int(f["class_id"]),
+                    bbox=_box(f),
+                    confidence=float(f["confidence"]),
+                    distance_m=float(f["distance_m"]),
+                    area_raw_m2=float(f["area_raw_m2"]),
+                    area_smoothed_m2=float(f["area_smoothed_m2"]),
+                    nis=float(f["nis"]),
+                    valid_patch_fraction=float(f["valid_patch_fraction"]),
                 )
             )
         except (ValueError, TypeError) as e:
@@ -206,33 +208,28 @@ def parse_results(text: str) -> list[FrameResultRecord]:
 
 
 def write_results(records: list[FrameResultRecord]) -> str:
-    lines = [f"format_version={FORMAT_VERSION}"]
-    lines.extend(r.to_line() for r in records)
-    return "\n".join(lines) + "\n"
+    return write_records(r.to_line() for r in records)
 
 
 # ---------------------------------------------------------------------------
-# motion files: either a 3x3 transform or raw correspondences
+# motion files: bare numbers, either a 3x3 transform or raw correspondences
 
 
 def parse_motion_file(text: str):
     """Returns ('transform', 3x3 array) or ('correspondences', list of pairs)."""
     rows = []
     pairs = []
-    kind = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("format_version"):
-            continue
+    transform_line = None
+    for line_no, line in _data_lines(text):
         parts = line.split()
         if parts[0] == "transform":
-            kind = "transform"
+            transform_line = line_no
             continue
         try:
             nums = [float(p) for p in parts]
         except ValueError:
             raise MalformedLine(line_no, f"non-numeric motion line {line!r}") from None
-        if kind == "transform":
+        if transform_line is not None:
             if len(nums) != 3:
                 raise MalformedLine(line_no, "transform rows need 3 numbers")
             if not all(map(math.isfinite, nums)):
@@ -242,18 +239,15 @@ def parse_motion_file(text: str):
             if len(nums) != 4:
                 raise MalformedLine(line_no, "correspondence lines need 4 numbers")
             pairs.append(((nums[0], nums[1]), (nums[2], nums[3])))
-    if kind == "transform":
+    if transform_line is not None:
         if len(rows) != 3:
-            raise MalformedLine(0, f"transform needs 3 rows, got {len(rows)}")
+            raise MalformedLine(transform_line, f"transform needs 3 rows, got {len(rows)}")
         return "transform", np.array(rows)
     return "correspondences", pairs
 
 
 def write_correspondences(pairs) -> str:
-    lines = [f"format_version={FORMAT_VERSION}"]
-    for (x0, y0), (x1, y1) in pairs:
-        lines.append(f"{x0:.6f} {y0:.6f} {x1:.6f} {y1:.6f}")
-    return "\n".join(lines) + "\n"
+    return write_records(f"{x0:.6f} {y0:.6f} {x1:.6f} {y1:.6f}" for (x0, y0), (x1, y1) in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +319,7 @@ class SequenceManifest:
             "format_version": FORMAT_VERSION,
             "dataset": self.dataset,
             "fps": self.fps,
-            "intrinsics": {
-                "f_u": self.intrinsics.f_u,
-                "f_v": self.intrinsics.f_v,
-                "p_u": self.intrinsics.p_u,
-                "p_v": self.intrinsics.p_v,
-                "width": self.intrinsics.width,
-                "height": self.intrinsics.height,
-            },
+            "intrinsics": asdict(self.intrinsics),
             "frames": [
                 {
                     "frame": f.frame,

@@ -31,7 +31,6 @@ class PipelineConfig:
     cdkf: CdkfConfig = field(default_factory=CdkfConfig)
     smoothing: bool = True
     min_track_len: int = 5
-    min_valid_patch_fraction: float = 0.0
     seed: int = 0
 
 
@@ -51,9 +50,8 @@ def run_pipeline(
     smooth each track's raw areas with ``smooth_records``.
 
     Per-frame input errors abort with the frame index; a detection whose
-    box covers no pixels, has no valid depth or too little coverage is
-    skipped with a log line and leaves no record, so it never advances its
-    track's filter.
+    box covers no pixels or has no valid depth is skipped with a log line
+    and leaves no record, so it never advances its track's filter.
     """
     tracker = Tracker(config.tracker)
     records: list[FrameResultRecord] = []
@@ -81,12 +79,6 @@ def run_pipeline(
         for (track_id, det), est in zip(assigned, estimates):
             if isinstance(est, AreatrackError):
                 log.warning("frame %d track %d: %s, skipping", entry.frame, track_id, est)
-                continue
-            if est.valid_patch_fraction < config.min_valid_patch_fraction:
-                log.warning(
-                    "frame %d track %d: coverage %.2f below threshold, skipping",
-                    entry.frame, track_id, est.valid_patch_fraction,
-                )
                 continue
             records.append(
                 FrameResultRecord(

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from . import formats
 from .errors import PotholeNeverVisible
 from .geometry import BBox, CameraIntrinsics, DepthMap, Detection, MotionTransform
 
@@ -401,16 +403,12 @@ def scene_spec_from_dict(doc: dict) -> SceneSpec:
     )
 
 
-def write_scene(spec: SceneSpec, out_dir) -> "Path":
+def write_scene(spec: SceneSpec, out_dir) -> Path:
     """Render a scene and write it in the pipeline's own file formats.
 
     Produces manifest.yaml, per-frame depth (PFM), detections, motion
     correspondences, plus ground-truth boxes and areas.
     """
-    from pathlib import Path
-
-    from . import formats
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     frames, gt = render(spec)
@@ -445,13 +443,11 @@ def write_scene(spec: SceneSpec, out_dir) -> "Path":
     )
     manifest.dump(out / "manifest.yaml")
     (out / "gt_boxes.txt").write_text(formats.write_detections(gt_dets))
-    gt_lines = [f"format_version={formats.FORMAT_VERSION}"]
-    for i in sorted(gt.planar_areas):
-        gt_lines.append(
-            f"pothole={i} planar_area_m2={gt.planar_areas[i]:.8f} "
-            f"surface_area_m2={gt.surface_areas[i]:.8f}"
-        )
-    (out / "gt_areas.txt").write_text("\n".join(gt_lines) + "\n")
+    (out / "gt_areas.txt").write_text(formats.write_records(
+        f"pothole={i} planar_area_m2={gt.planar_areas[i]:.8f} "
+        f"surface_area_m2={gt.surface_areas[i]:.8f}"
+        for i in sorted(gt.planar_areas)
+    ))
     return out / "manifest.yaml"
 
 

@@ -23,6 +23,7 @@ from areatrack.formats import (
     write_correspondences,
     write_detections,
     write_pfm,
+    write_records,
     write_results,
 )
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap, Detection
@@ -188,19 +189,18 @@ class TestResults:
         with pytest.raises(MalformedLine):
             parse_results(line + "\n")
 
-
-def write_transform(m: np.ndarray) -> str:
-    """A motion file holding one ``transform`` block."""
-    lines = [f"format_version={FORMAT_VERSION}", "transform"]
-    for row in np.asarray(m):
-        lines.append(" ".join(f"{v:.10g}" for v in row))
-    return "\n".join(lines) + "\n"
+    def test_far_edge_overflow(self):
+        line = self.rec().to_line().replace("x=10.000000", "x=1e308").replace("w=30.000000", "w=1e308")
+        with pytest.raises(MalformedLine, match="far edge overflows") as exc:
+            parse_results(f"format_version=1\n{line}\n")
+        assert exc.value.line_no == 2
 
 
 class TestMotionFiles:
     def test_transform_roundtrip(self):
         m = np.array([[1.0, 0.01, 5.0], [-0.01, 1.0, -2.0], [0.0, 0.0, 1.0]])
-        kind, got = parse_motion_file(write_transform(m))
+        text = write_records(["transform", *(" ".join(f"{v:.10g}" for v in row) for row in m)])
+        kind, got = parse_motion_file(text)
         assert kind == "transform"
         assert np.allclose(got, m)
 
@@ -213,8 +213,13 @@ class TestMotionFiles:
     def test_wrong_arity(self):
         with pytest.raises(MalformedLine):
             parse_motion_file("1.0 2.0 3.0\n")  # 3 numbers outside a transform block
-        with pytest.raises(MalformedLine):
-            parse_motion_file("transform\n1 0 0\n0 1 0\n")  # only two rows
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_transform_row_count_names_keyword_line(self, rows):
+        text = "format_version=1\n# motion\ntransform\n" + "1 0 0\n" * rows
+        with pytest.raises(MalformedLine, match="transform needs 3 rows") as exc:
+            parse_motion_file(text)
+        assert exc.value.line_no == 3
 
     def test_non_numeric(self):
         with pytest.raises(MalformedLine):
@@ -227,6 +232,21 @@ class TestMotionFiles:
         text = f"format_version=1\ntransform\n1 0 {value}\n0 1 0\n0 0 1\n"
         with pytest.raises(MalformedLine) as exc:
             parse_motion_file(text)
+        assert exc.value.line_no == 3
+
+
+class TestRecordLines:
+    def test_write_records(self):
+        assert write_records([]) == f"format_version={FORMAT_VERSION}\n"
+        assert write_records(iter(["a=1", "b=2"])) == f"format_version={FORMAT_VERSION}\na=1\nb=2\n"
+
+    @pytest.mark.parametrize("parse, empty", [
+        (parse_detections, {}), (parse_results, []), (parse_motion_file, ("correspondences", [])),
+    ])
+    def test_header_is_a_lone_format_version_token(self, parse, empty):
+        assert parse("# c\n\nformat_version=1\n") == empty
+        with pytest.raises(MalformedLine) as exc:
+            parse("# c\n\nformat_version=1 2\n")
         assert exc.value.line_no == 3
 
 

@@ -52,6 +52,12 @@ def test_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def test_record_header_spelled_only_in_formats():
+    """Other modules write record files through ``formats.write_records``."""
+    hits = sorted(p.name for p in PACKAGE.glob("*.py") if "format_version" in p.read_text())
+    assert hits == ["formats.py"]
+
+
 def test_detector_flags_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from areatrack import formats
 from areatrack.cdkf import CdkfConfig
@@ -58,6 +59,52 @@ def scene_dir(tmp_path_factory):
     return out, manifest
 
 
+@pytest.fixture(scope="module")
+def fuzz_dir(scene_dir, tmp_path_factory):
+    """A copy of the scene plus a results file and a transform motion file."""
+    src, manifest_path = scene_dir
+    out = tmp_path_factory.mktemp("fuzz")
+    for f in src.iterdir():
+        (out / f.name).write_bytes(f.read_bytes())
+    records, _ = run_pipeline(formats.SequenceManifest.load(manifest_path), PipelineConfig())
+    (out / "results.txt").write_text(formats.write_results(records))
+    (out / "transform.txt").write_text(formats.write_records(["transform", "1 0 1.5", "0 1 -0.5", "0 0 1"]))
+    return out
+
+
+# tokens and lines a damaged or hand-edited record file might hold
+_BAD_VALUES = st.sampled_from(
+    ["0", "-1", "0.5", "2", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf", "", "x", "=", "transform"]
+)
+_BAD_LINES = st.sampled_from(
+    ["", "# c", "format_version=1", "format_version=1 2", "transform", "1 0 0", "1 2 3 4", "=", "a=b"]
+)
+
+
+@st.composite
+def corrupted(draw, text: str) -> str:
+    """``text`` after one to three edits, each replacing a value, dropping
+    or inserting a token, or inserting a line."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        op = draw(st.sampled_from(["value", "drop", "insert", "line"]))
+        if op == "line" or not tokens:
+            lines.insert(i, draw(_BAD_LINES))
+            continue
+        j = draw(st.integers(0, len(tokens) - 1))
+        if op == "value":
+            key, eq, _ = tokens[j].partition("=")
+            tokens[j] = key + eq + draw(_BAD_VALUES) if eq else draw(_BAD_VALUES)
+        elif op == "drop":
+            del tokens[j]
+        else:
+            tokens.insert(j, draw(_BAD_VALUES))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
 class TestRunPipeline:
     def test_end_to_end_single_track(self, scene_dir):
         _, manifest_path = scene_dir
@@ -109,22 +156,19 @@ class TestRunPipeline:
     def test_skipped_detections_leave_no_record(self, tmp_path, caplog):
         manifest_path = write_scene(approach_scene(), tmp_path)
         manifest = formats.SequenceManifest.load(manifest_path)
-        # frame 3 loses all depth over the pothole box, frame 6 about half
-        for k, part in ((3, 1.0), (6, 0.5)):
-            entry = manifest.frames[k]
-            depth = formats.parse_pfm(entry.depth_path.read_bytes())
-            (det,) = formats.parse_detections(entry.detections_path.read_text())[entry.frame]
-            b = det.bbox
-            z = np.array(depth.values)
-            u0, v0 = int(b.x) - 2, int(b.y) - 2
-            z[v0:int(b.bottom) + 3, u0:u0 + int(part * (b.w + 5))] = np.nan
-            entry.depth_path.write_bytes(
-                formats.write_pfm(DepthMap(depth.width, depth.height, z)))
-        config = PipelineConfig(min_valid_patch_fraction=0.9)
+        # frame 3 loses all depth over the pothole box
+        entry = manifest.frames[3]
+        depth = formats.parse_pfm(entry.depth_path.read_bytes())
+        (det,) = formats.parse_detections(entry.detections_path.read_text())[entry.frame]
+        b = det.bbox
+        z = np.array(depth.values)
+        u0, v0 = int(b.x) - 2, int(b.y) - 2
+        z[v0:int(b.bottom) + 3, u0:u0 + int(b.w + 5)] = np.nan
+        entry.depth_path.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
+        config = PipelineConfig()
         records, _ = run_pipeline(manifest, config)
         assert "frame 3 track 1: no valid depth" in caplog.text
-        assert "frame 6 track 1: coverage" in caplog.text
-        assert [r.frame for r in records] == [0, 1, 2, 4, 5, 7, 8, 9]
+        assert [r.frame for r in records] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
         raw, _ = run_pipeline(manifest, dataclasses.replace(config, smoothing=False))
         assert records == smooth_records(raw, config.cdkf)
 
@@ -289,6 +333,32 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert res.output == clean.output
         assert "frame 2 track 2: box BBox(" in caplog.text
+
+    @pytest.mark.parametrize("base, target", [
+        ("dets_0001.txt", "dets_0001.txt"),
+        ("motion_0001.txt", "motion_0001.txt"),
+        ("transform.txt", "motion_0001.txt"),
+        ("results.txt", "results.txt"),
+    ])
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_record_file_is_a_clean_exit(self, fuzz_dir, base, target, data):
+        """A damaged detection, motion or results file ends the command
+        with exit code 0, or 1 through ``sys.exit``; never with a traceback."""
+        target = fuzz_dir / target
+        original = target.read_bytes()
+        target.write_text(data.draw(corrupted((fuzz_dir / base).read_text())))
+        if target.name == "results.txt":
+            args = ["eval-area", "--results", str(target)]
+        else:
+            args = ["estimate", "--manifest", str(fuzz_dir / "manifest.yaml")]
+        try:
+            res = CliRunner().invoke(main, args)
+        finally:
+            target.write_bytes(original)
+        assert res.exit_code in (0, 1), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+        assert "Traceback" not in res.output
 
     def test_missing_manifest_exit_code(self):
         runner = CliRunner()
