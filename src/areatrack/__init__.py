@@ -9,7 +9,7 @@ ground-truth oracle.
 from .geometry import BBox, CameraIntrinsics, DepthMap, Detection, MotionTransform, iou
 from .mbtp import AreaEstimate, estimate_area
 from .cdkf import CdkfConfig, CdkfState, NoiseMode
-from .tracking import Tracker, TrackerConfig
+from .tracking import Tracker
 from .pipeline import PipelineConfig, run_pipeline
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __all__ = [
     "CdkfState",
     "NoiseMode",
     "Tracker",
-    "TrackerConfig",
     "PipelineConfig",
     "run_pipeline",
     "__version__",

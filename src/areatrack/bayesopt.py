@@ -1,8 +1,7 @@
 """Gaussian-process Bayesian optimization with expected improvement.
 
-Used to tune the (confidence weight, distance weight) pair of the area
-smoother by minimizing the combined objective J, but works for any cheap
-black-box function over a box domain.
+Tunes the (confidence weight, distance weight) pair of the area smoother
+by minimizing the combined objective J over ``BOUNDS``.
 """
 
 from __future__ import annotations
@@ -22,9 +21,11 @@ from .errors import DegenerateKernel, ObjectiveNonFinite
 Point = tuple[float, float]
 
 
+BOUNDS = ((0.0, 2.0), (0.0, 2.0))  # the (lambda, theta) search box
+
+
 @dataclass(frozen=True)
 class SearchSpec:
-    bounds: tuple[tuple[float, float], ...] = ((0.0, 2.0), (0.0, 2.0))
     n_init: int = 5
     n_iter: int = 30
     seed: int = 0
@@ -32,13 +33,6 @@ class SearchSpec:
     def __post_init__(self):
         if self.n_init < 1:
             raise ValueError("n_init must be >= 1")
-        for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError("each dimension needs lower < upper")
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
 
 
 @dataclass
@@ -152,9 +146,9 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
     Deterministic for a fixed seed: identical history point for point.
     Objective evaluations are cached by exact parameter tuple.
     """
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
+    lo, hi = np.array(BOUNDS).T
     span = hi - lo
+    dim = len(BOUNDS)
     rng = np.random.default_rng(spec.seed)
     cache: dict[tuple[float, ...], float] = {}
     history: list[tuple[tuple[float, ...], float]] = []
@@ -175,7 +169,7 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
         history.append((pt, val))
         return val
 
-    sobol = qmc.Sobol(d=spec.dim, scramble=True, seed=spec.seed)
+    sobol = qmc.Sobol(d=dim, scramble=True, seed=spec.seed)
     n_pow2 = 1 << (spec.n_init - 1).bit_length()
     for unit in sobol.random(n_pow2)[: spec.n_init]:
         evaluate(np.asarray(unit))
@@ -186,10 +180,10 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
         try:
             gp = gp_fit(np.array(X_unit), np.array(y))
         except DegenerateKernel:
-            evaluate(rng.uniform(0.0, 1.0, size=spec.dim))
+            evaluate(rng.uniform(0.0, 1.0, size=dim))
             continue
         diagnostics["length_scales"].append(gp.length_scale)
-        cands = rng.uniform(0.0, 1.0, size=(512, spec.dim))
+        cands = rng.uniform(0.0, 1.0, size=(512, dim))
         ei = expected_improvement(gp, incumbent, cands)
         order = np.argsort(-ei)
         best_unit = cands[order[0]]
@@ -199,7 +193,7 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
             res = minimize(
                 lambda u: -float(expected_improvement(gp, incumbent, u[None, :])[0]),
                 cands[i],
-                bounds=[(0.0, 1.0)] * spec.dim,
+                bounds=[(0.0, 1.0)] * dim,
                 method="L-BFGS-B",
                 options={"maxiter": 15},
             )
@@ -207,7 +201,7 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
                 best_ei = -res.fun
                 best_unit = np.clip(res.x, 0.0, 1.0)
         if best_ei <= 1e-14:
-            best_unit = rng.uniform(0.0, 1.0, size=spec.dim)
+            best_unit = rng.uniform(0.0, 1.0, size=dim)
         evaluate(best_unit)
 
     best_idx = int(np.argmin(y))

@@ -19,21 +19,22 @@ class NoiseMode(enum.Enum):
     COMBINED = "combined"
 
 
+# Units: areas in m^2, so P/Q/R are m^4.
+D0 = 5.0  # trusted distance, meters
+Q = 1e-3  # process noise variance, m^4
+
+
 @dataclass(frozen=True)
 class CdkfConfig:
-    """Noise model parameters. Units: areas in m^2, so P/Q/R are m^4."""
+    """The tuned noise-model parameters."""
 
     lam: float = 1.0  # confidence weight (dimensionless)
     theta: float = 1.0  # distance weight (per meter)
-    d0: float = 5.0  # trusted distance, meters
-    q: float = 1e-3  # process noise variance, m^4
     mode: NoiseMode = NoiseMode.COMBINED
 
     def __post_init__(self):
         if self.lam < 0 or self.theta < 0:
             raise ValueError("weights must be nonnegative")
-        if self.d0 <= 0 or self.q <= 0:
-            raise ValueError("d0 and q must be positive")
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,11 @@ class CdkfState:
         return self.updates > 0
 
 
-def predict(s: CdkfState, cfg: CdkfConfig) -> CdkfState:
-    """Constant-state prediction: A unchanged, P grows by q."""
+def predict(s: CdkfState) -> CdkfState:
+    """Constant-state prediction: A unchanged, P grows by Q."""
     if not s.initialized:
         raise Uninitialized("predict before first measurement")
-    return CdkfState(s.A, s.P + cfg.q, s.last_nis, s.updates)
+    return CdkfState(s.A, s.P + Q, s.last_nis, s.updates)
 
 
 def measurement_noise(c: float, d: float, cfg: CdkfConfig) -> float:
@@ -60,7 +61,7 @@ def measurement_noise(c: float, d: float, cfg: CdkfConfig) -> float:
     if c <= 0.0:
         raise ZeroConfidence(f"confidence must be > 0, got {c}")
     conf_term = cfg.lam / c
-    dist_term = cfg.theta * max(d, cfg.d0)
+    dist_term = cfg.theta * max(d, D0)
     if cfg.mode is NoiseMode.CONFIDENCE_ONLY:
         return conf_term
     if cfg.mode is NoiseMode.DISTANCE_ONLY:

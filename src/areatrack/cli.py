@@ -32,10 +32,12 @@ def _fail(msg: str) -> "NoReturn":  # noqa: F821 - typing only
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
 @click.option("--no-smoothing", is_flag=True, default=False)
-@click.option("--lam", type=float, default=1.0, help="confidence weight of the noise model")
-@click.option("--theta", type=float, default=1.0, help="distance weight of the noise model")
+@click.option("--lam", type=click.FloatRange(min=0), default=1.0,
+              help="confidence weight of the noise model")
+@click.option("--theta", type=click.FloatRange(min=0), default=1.0,
+              help="distance weight of the noise model")
 @click.option("--mode", type=click.Choice([m.value for m in NoiseMode]), default="combined")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def estimate(manifest_path, no_smoothing, lam, theta, mode, seed, out_path):
     """Run the full pipeline on a sequence; emit per-frame result records."""
@@ -58,7 +60,7 @@ def estimate(manifest_path, no_smoothing, lam, theta, mode, seed, out_path):
 
 @main.command("eval-area")
 @click.option("--results", "results_path", required=True, type=click.Path(exists=True))
-@click.option("--min-track-len", type=int, default=5)
+@click.option("--min-track-len", type=click.IntRange(min=2), default=5)
 @click.option("--raw", is_flag=True, default=False, help="score raw instead of smoothed areas")
 def eval_area(results_path, min_track_len, raw):
     """Area-consistency report (per-track MAE/CV/AFD/NIS averages)."""
@@ -99,10 +101,10 @@ def eval_det(dets_path, gt_path, iou_thresh):
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice([m.value for m in NoiseMode]), default="combined")
-@click.option("--seed", type=int, default=0)
-@click.option("--n-init", type=int, default=5)
-@click.option("--n-iter", type=int, default=30)
-@click.option("--min-track-len", type=int, default=5)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--n-init", type=click.IntRange(min=1), default=5)
+@click.option("--n-iter", type=click.IntRange(min=0), default=30)
+@click.option("--min-track-len", type=click.IntRange(min=2), default=5)
 def optimize_cmd(manifest_path, mode, seed, n_init, n_iter, min_track_len):
     """Tune the noise weights (lambda, theta) by minimizing objective J."""
     try:
@@ -134,7 +136,7 @@ main.add_command(optimize_cmd, name="optimize")
 @main.command("synth")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="override the spec's seed")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="override the spec's seed")
 def synth_cmd(spec_path, out_dir, seed):
     """Render a synthetic scene into pipeline-consumable files."""
     try:

@@ -223,6 +223,10 @@ def parse_motion_file(text: str):
     for line_no, line in _data_lines(text):
         parts = line.split()
         if parts[0] == "transform":
+            if transform_line is not None:
+                raise MalformedLine(line_no, "second transform keyword")
+            if pairs:
+                raise MalformedLine(line_no, "transform keyword after correspondence lines")
             transform_line = line_no
             continue
         try:
@@ -283,8 +287,11 @@ class SequenceManifest:
         try:
             intr = CameraIntrinsics(**doc["intrinsics"])
             raw_frames = doc["frames"]
+            fps = float(doc.get("fps", 30.0))
         except (KeyError, TypeError, ValueError) as e:
             raise ManifestError(f"{path}: {e}") from None
+        if not isinstance(raw_frames, list):
+            raise ManifestError(f"{path}: frames must be a list, got {raw_frames!r}")
         base = path.parent
         frames = []
         last = None
@@ -308,7 +315,7 @@ class SequenceManifest:
         return cls(
             intrinsics=intr,
             frames=frames,
-            fps=float(doc.get("fps", 30.0)),
+            fps=fps,
             dataset=str(doc.get("dataset", "")),
         )
 

@@ -20,17 +20,15 @@ from .formats import (
 from .geometry import MotionTransform, as_xywh
 from .mbtp import estimate_areas
 from .metrics import AreaConsistencyReport, area_consistency_report
-from .tracking import Tracker, TrackerConfig, fit_motion_ransac
+from .tracking import Tracker, fit_motion_ransac
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class PipelineConfig:
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
     cdkf: CdkfConfig = field(default_factory=CdkfConfig)
     smoothing: bool = True
-    min_track_len: int = 5
     seed: int = 0
 
 
@@ -53,7 +51,7 @@ def run_pipeline(
     box covers no pixels or has no valid depth is skipped with a log line
     and leaves no record, so it never advances its track's filter.
     """
-    tracker = Tracker(config.tracker)
+    tracker = Tracker()
     records: list[FrameResultRecord] = []
 
     for entry in manifest.frames:
@@ -96,8 +94,7 @@ def run_pipeline(
             )
     if config.smoothing:
         records = smooth_records(records, config.cdkf)
-    report = report_from_records(records, min_track_len=config.min_track_len,
-                                 smoothed=config.smoothing)
+    report = report_from_records(records, smoothed=config.smoothing)
     return records, report
 
 
@@ -125,7 +122,7 @@ def smooth_records(
     out: list[FrameResultRecord] = []
     for r in sorted(records, key=lambda r: (r.frame, r.track_id)):
         state = states.get(r.track_id)
-        state = CdkfState() if state is None else cdkf.predict(state, cfg)
+        state = CdkfState() if state is None else cdkf.predict(state)
         state = cdkf.update(state, r.area_raw_m2, r.confidence, r.distance_m, cfg)
         states[r.track_id] = state
         out.append(r.smoothed(state.A, state.last_nis))

@@ -134,7 +134,6 @@ class NoiseSpec:
     conf_c0: float = 0.95
     conf_slope: float = 0.02  # per meter of distance
     conf_noise_std: float = 0.0
-    shake_px: float = 0.0  # extra per-frame random camera-shake translation
 
 
 @dataclass(frozen=True)
@@ -184,22 +183,19 @@ def _ray_dirs(R: np.ndarray, xs_hat: np.ndarray, ys_hat: np.ndarray) -> np.ndarr
 
 # far below the ~6e-8 resolution of the float32 depth maps _solve_depth feeds
 SOLVE_RTOL = 1e-12
+SOLVE_MAX_ITERS = 80
 
 
 def _solve_depth(
-    surface: Surface,
-    pose: CameraPose,
-    xs_hat: np.ndarray,
-    ys_hat: np.ndarray,
-    iters: int = 80,
+    surface: Surface, pose: CameraPose, xs_hat: np.ndarray, ys_hat: np.ndarray
 ) -> np.ndarray:
     """Camera-frame depth Z solving c + Z * d = surface along each ray.
 
     Fixed-point iteration; gentle slopes converge geometrically. It stops
     after the first step that moves no depth by more than SOLVE_RTOL times
-    the largest depth, and after ``iters`` steps at most. A NaN depth
-    anywhere never passes that test, so such inputs, like ones that do not
-    contract, run all ``iters`` steps.
+    the largest depth, and after ``SOLVE_MAX_ITERS`` steps at most. A NaN
+    depth anywhere never passes that test, so such inputs, like ones that do
+    not contract, run all ``SOLVE_MAX_ITERS`` steps.
     """
     R = pose.rotation()
     d = _ray_dirs(R, xs_hat, ys_hat)
@@ -207,7 +203,7 @@ def _solve_depth(
     dx, dy = d[..., 0], d[..., 1]
     dz = np.maximum(d[..., 2], 1e-6)
     z = np.maximum((surface.z0 - cz) / dz, 0.1)
-    for _ in range(iters):
+    for _ in range(SOLVE_MAX_ITERS):
         zs = surface.height(cx + z * dx, cy + z * dy)
         z_next = (zs - cz) / dz
         step = np.max(np.abs(z_next - z), initial=0.0)
@@ -265,15 +261,13 @@ def _confidence(dist: float, noise: NoiseSpec, rng: np.random.Generator) -> floa
     return float(np.clip(c, 0.05, 0.99))
 
 
-def _true_motion(
-    spec: SceneSpec, prev_frame: int, frame: int, n_grid: int = 12
-) -> MotionTransform:
+def _true_motion(spec: SceneSpec, prev_frame: int, frame: int) -> MotionTransform:
     """Best-fit affine pixel map from the previous frame to this one,
     computed from exact projections of static surface points."""
     intr = spec.intrinsics
     prev_pose, pose = spec.pose(prev_frame), spec.pose(frame)
-    us = np.linspace(0.15, 0.85, n_grid) * intr.width
-    vs = np.linspace(0.15, 0.85, n_grid) * intr.height
+    us = np.linspace(0.15, 0.85, 12) * intr.width
+    vs = np.linspace(0.15, 0.85, 12) * intr.height
     uu, vv = np.meshgrid(us, vs)
     xs_hat = (uu - intr.p_u) / intr.f_u
     ys_hat = (vv - intr.p_v) / intr.f_v
@@ -451,26 +445,18 @@ def write_scene(spec: SceneSpec, out_dir) -> Path:
     return out / "manifest.yaml"
 
 
-def simulate_area_series(
-    true_area: float,
-    n: int,
-    seed: int,
-    d_start: float = 14.0,
-    d_end: float = 3.0,
-    noise: NoiseSpec = NoiseSpec(conf_noise_std=0.03),
-    base_rel_std: float = 0.05,
-    dist_rel_std_per_m: float = 0.015,
-) -> list[tuple[float, float, float]]:
+def simulate_area_series(true_area: float, n: int, seed: int) -> list[tuple[float, float, float]]:
     """Noisy (measurement, confidence, distance) triples for one approach
-    pass: the camera closes in, confidence rises, measurement noise decays
-    with proximity and confidence. Drives the smoother ablations without a
-    full depth render."""
+    pass from 14 m to 3 m: the camera closes in, confidence rises,
+    measurement noise decays with proximity and confidence. Drives the
+    smoother ablations without a full depth render."""
     rng = np.random.default_rng(seed)
+    noise = NoiseSpec(conf_noise_std=0.03)
     out = []
     for k in range(n):
-        d = d_start + (d_end - d_start) * k / max(1, n - 1)
+        d = 14.0 - 11.0 * k / max(1, n - 1)
         c = _confidence(d, noise, rng)
-        rel_std = base_rel_std + dist_rel_std_per_m * d + 0.05 * (1.0 - c)
+        rel_std = 0.05 + 0.015 * d + 0.05 * (1.0 - c)
         z = true_area * (1.0 + rel_std * rng.standard_normal())
         out.append((max(1e-4, z), c, d))
     return out
@@ -478,6 +464,9 @@ def simulate_area_series(
 
 # ---------------------------------------------------------------------------
 # analytic area oracles
+
+# relative change between successive quadrature orders at which both stop
+QUAD_RTOL = 1e-6
 
 
 def _gauss_legendre_2d(f, x0, x1, y0, y1, n):
@@ -490,7 +479,7 @@ def _gauss_legendre_2d(f, x0, x1, y0, y1, n):
     return 0.25 * (x1 - x0) * (y1 - y0) * float(np.sum(W * vals))
 
 
-def pothole_surface_area(surface: Surface, p: PotholeSpec, rel_tol: float = 1e-6) -> float:
+def pothole_surface_area(surface: Surface, p: PotholeSpec) -> float:
     """Surface area of the depression opening (its elliptical footprint),
     integrated over the full surface including the bump.
 
@@ -507,15 +496,13 @@ def pothole_surface_area(surface: Surface, p: PotholeSpec, rel_tol: float = 1e-6
     prev = None
     for n in (16, 32, 64, 128):
         val = _gauss_legendre_2d(integrand, 0.0, 1.0, 0.0, 2.0 * math.pi, n)
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
+        if prev is not None and abs(val - prev) <= QUAD_RTOL * abs(val):
             return val
         prev = val
     return val
 
 
-def analytic_rect_footprint_area(
-    spec: SceneSpec, box: BBox, frame: int = 0, rel_tol: float = 1e-6
-) -> float:
+def analytic_rect_footprint_area(spec: SceneSpec, box: BBox, frame: int = 0) -> float:
     """Exact surface area seen through the box's pixel grid.
 
     Integrates |dS/du x dS/dv| over the normalized-ray rectangle spanned by
@@ -560,7 +547,7 @@ def analytic_rect_footprint_area(
     prev = None
     for n in (16, 32, 64, 128, 256):
         val = _gauss_legendre_2d(integrand, x0, x1, y0, y1, n)
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
+        if prev is not None and abs(val - prev) <= QUAD_RTOL * abs(val):
             return val
         prev = val
     return val

@@ -20,22 +20,19 @@ from .errors import OutOfOrderFrame, TooFewCorrespondences
 from .geometry import Detection, MotionTransform, as_xywh, iou_matrix
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    high_conf_threshold: float = 0.5
-    low_conf_floor: float = 0.1
-    iou_gate_stage1: float = 0.3
-    iou_gate_stage2: float = 0.5
-    max_misses: int = 30
-    # noise scales relative to box size (SORT-family heuristic)
-    pos_noise_scale: float = 0.05
-    vel_noise_scale: float = 0.0125
-
-    def __post_init__(self):
-        # a zero floor would let a zero-confidence detection match in stage 2,
-        # where its measurement noise cannot be formed
-        if not (0.0 < self.low_conf_floor < self.high_conf_threshold <= 1.0):
-            raise ValueError("need 0 < low_conf_floor < high_conf_threshold <= 1")
+# ByteTrack's fixed association settings (Zhang et al., ECCV 2022)
+HIGH_CONF_THRESHOLD = 0.5
+# must stay above 0: a zero floor would let a zero-confidence detection match
+# in stage 2, where its measurement noise cannot be formed
+LOW_CONF_FLOOR = 0.1
+IOU_GATE_STAGE1 = 0.3
+IOU_GATE_STAGE2 = 0.5
+MAX_MISSES = 30
+# noise scales relative to box size (SORT-family heuristic)
+POS_NOISE_SCALE = 0.05
+VEL_NOISE_SCALE = 0.0125
+RANSAC_ITERS = 100
+RANSAC_INLIER_PX = 3.0
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,9 @@ class Tracks:
         return len(self.ids)
 
 
-def _noise_stds(w, h, cfg: TrackerConfig) -> np.ndarray:
+def _noise_stds(w, h) -> np.ndarray:
     """Per-state-entry noise stds; ``w`` and ``h`` are scalars or (N,) arrays."""
-    s = cfg.pos_noise_scale
-    v = cfg.vel_noise_scale
+    s, v = POS_NOISE_SCALE, VEL_NOISE_SCALE
     return np.stack([s * w, s * h, s * w, s * h, v * w, v * h, v * w, v * h], axis=-1)
 
 
@@ -75,20 +71,18 @@ def _measurements(xywh: np.ndarray) -> np.ndarray:
     return np.column_stack([x + w / 2.0, y + h / 2.0, w, h])
 
 
-def initiate(xywh: np.ndarray, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+def initiate(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """New tracks at ``[x, y, w, h]`` rows (K, 4), at rest: means (K, 8),
     covariances (K, 8, 8)."""
     z = _measurements(xywh)
     mean = np.hstack([z, np.zeros_like(z)])
-    std = _noise_stds(np.maximum(z[:, 2], 1.0), np.maximum(z[:, 3], 1.0), cfg)
+    std = _noise_stds(np.maximum(z[:, 2], 1.0), np.maximum(z[:, 3], 1.0))
     std[:, :4] *= 2.0
     std[:, 4:] *= 10.0
     return mean, _diag(np.square(std))
 
 
-def predict(
-    mean: np.ndarray, covariance: np.ndarray, cfg: TrackerConfig = TrackerConfig()
-) -> tuple[np.ndarray, np.ndarray]:
+def predict(mean: np.ndarray, covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One constant-velocity step for N tracks: means (N, 8), covariances
     (N, 8, 8) to ``F m`` and ``F P F^T + Q``, symmetrised.
 
@@ -97,7 +91,7 @@ def predict(
     sums equal the 8x8 matrix products bit for bit.
     """
     w, h = np.maximum(mean[:, 2], 1.0), np.maximum(mean[:, 3], 1.0)
-    q = _diag(np.square(_noise_stds(w, h, cfg)))
+    q = _diag(np.square(_noise_stds(w, h)))
     mean = mean.copy()
     mean[:, :4] += mean[:, 4:]
     fp = covariance.copy()
@@ -110,10 +104,7 @@ def predict(
 
 
 def kf_update(
-    mean: np.ndarray,
-    covariance: np.ndarray,
-    z: np.ndarray,
-    cfg: TrackerConfig = TrackerConfig(),
+    mean: np.ndarray, covariance: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear Kalman measurement update of N tracks on (cx, cy, w, h) rows
     ``z`` (N, 4); means (N, 8), covariances (N, 8, 8).
@@ -123,7 +114,7 @@ def kf_update(
     four columns. All gains come from one batched solve.
     """
     w, h = np.maximum(mean[:, 2], 1.0), np.maximum(mean[:, 3], 1.0)
-    r = _diag(np.square(_noise_stds(w, h, cfg)[:, :4]))
+    r = _diag(np.square(_noise_stds(w, h)[:, :4]))
     innov = z - mean[:, :4]
     S = covariance[:, :4, :4] + r
     K = np.linalg.solve(S.swapaxes(1, 2), covariance.swapaxes(1, 2)[:, :4]).swapaxes(1, 2)
@@ -158,12 +149,10 @@ def _fit_affine(src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
 def fit_motion_ransac(
     correspondences: Sequence[tuple[tuple[float, float], tuple[float, float]]],
     seed: int = 0,
-    n_iters: int = 100,
-    inlier_px: float = 3.0,
 ) -> MotionTransform:
     """RANSAC affine fit mapping first points onto second points.
 
-    All ``n_iters`` 3-point hypotheses are drawn up front, solved in one
+    All ``RANSAC_ITERS`` 3-point hypotheses are drawn up front, solved in one
     batch and scored against every pair at once; the first hypothesis with
     the most inliers wins. A hypothesis is skipped when a sample is not
     finite, when its samples are rank-deficient under ``lstsq``'s default
@@ -179,25 +168,25 @@ def fit_motion_ransac(
     n = len(src)
     rng = np.random.default_rng(seed)
     idx = np.array(
-        [rng.choice(n, size=3, replace=False) for _ in range(n_iters)], dtype=np.intp
-    ).reshape(-1, 3)
+        [rng.choice(n, size=3, replace=False) for _ in range(RANSAC_ITERS)], dtype=np.intp
+    )
     # non-finite pairs are zeroed, so no LAPACK call sees them, and masked out
     finite = np.isfinite(src).all(axis=1) & np.isfinite(dst).all(axis=1)
     S = np.column_stack([np.where(finite[:, None], src, 0.0), np.ones(n)])
     D = np.where(finite[:, None], dst, 0.0)
-    A = S[idx]  # (n_iters, 3, 3): one row [x, y, 1] per sample
+    A = S[idx]  # (RANSAC_ITERS, 3, 3): one row [x, y, 1] per sample
     ok = finite[idx].all(axis=1)
     s = np.linalg.svd(A, compute_uv=False)
     ok &= s[:, 2] > 3 * np.finfo(np.float64).eps * s[:, 0]
     A[~ok] = np.eye(3)  # skipped hypotheses solve a placeholder system
-    coef = np.linalg.solve(A, D[idx])  # (n_iters, 3, 2): rows a_x, a_y, t
+    coef = np.linalg.solve(A, D[idx])  # (RANSAC_ITERS, 3, 2): rows a_x, a_y, t
     ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > 1e-9
-    dx = coef[:, :, 0] @ S.T - D[:, 0]  # (n_iters, n)
+    dx = coef[:, :, 0] @ S.T - D[:, 0]  # (RANSAC_ITERS, n)
     dy = coef[:, :, 1] @ S.T - D[:, 1]
     err = np.sqrt(dx * dx + dy * dy)
-    inliers = (err < inlier_px) & finite
+    inliers = (err < RANSAC_INLIER_PX) & finite
     counts = np.where(ok, inliers.sum(axis=1), 0)
-    if counts.size == 0 or counts.max() < 3:
+    if counts.max() < 3:
         return MotionTransform.identity()
     best_inliers = inliers[np.argmax(counts)]  # the first with the most inliers
     m = _fit_affine(src[best_inliers], dst[best_inliers])
@@ -246,11 +235,7 @@ def _match_stage(
     return matches, rest_t, rest_d
 
 
-def associate(
-    track_xywh: np.ndarray,
-    dets: Sequence[Detection],
-    cfg: TrackerConfig,
-) -> AssociationResult:
+def associate(track_xywh: np.ndarray, dets: Sequence[Detection]) -> AssociationResult:
     """Two-stage IoU association of track boxes, ``[x, y, w, h]`` rows
     (N, 4), with detections.
 
@@ -259,18 +244,14 @@ def associate(
     the floor and the high threshold) under the second gate. Detections
     below the floor are never matched.
     """
-    high = [i for i, d in enumerate(dets) if d.confidence >= cfg.high_conf_threshold]
+    high = [i for i, d in enumerate(dets) if d.confidence >= HIGH_CONF_THRESHOLD]
     low = [
-        i
-        for i, d in enumerate(dets)
-        if cfg.low_conf_floor <= d.confidence < cfg.high_conf_threshold
+        i for i, d in enumerate(dets) if LOW_CONF_FLOOR <= d.confidence < HIGH_CONF_THRESHOLD
     ]
     det_xywh = as_xywh(d.bbox for d in dets)
     all_tracks = list(range(len(track_xywh)))
-    m1, rest_t, rest_high = _match_stage(
-        track_xywh, all_tracks, det_xywh, high, cfg.iou_gate_stage1
-    )
-    m2, rest_t, rest_low = _match_stage(track_xywh, rest_t, det_xywh, low, cfg.iou_gate_stage2)
+    m1, rest_t, rest_high = _match_stage(track_xywh, all_tracks, det_xywh, high, IOU_GATE_STAGE1)
+    m2, rest_t, rest_low = _match_stage(track_xywh, rest_t, det_xywh, low, IOU_GATE_STAGE2)
     return AssociationResult(
         matches=m1 + m2,
         unmatched_tracks=rest_t,
@@ -281,8 +262,7 @@ def associate(
 class Tracker:
     """Stateful per-sequence tracker. Single writer: one step() at a time."""
 
-    def __init__(self, cfg: TrackerConfig = TrackerConfig()):
-        self.cfg = cfg
+    def __init__(self):
         self.tracks = Tracks(
             np.zeros(0, np.int64), np.zeros((0, 8)), np.zeros((0, 8, 8)), np.zeros(0, np.int64)
         )
@@ -299,13 +279,12 @@ class Tracker:
         detection assigned to or spawning a track, by track id.
 
         Matched tracks are updated and unmatched ones age; a track missing
-        more than ``max_misses`` frames in a row is dropped. Unmatched
+        more than ``MAX_MISSES`` frames in a row is dropped. Unmatched
         high-confidence detections start new tracks after the survivors.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise OutOfOrderFrame(f"frame {frame} after {self._last_frame}")
         self._last_frame = frame
-        cfg = self.cfg
         tracks = self.tracks
 
         # move tracks into the current frame's pixel coordinates, then predict
@@ -317,28 +296,28 @@ class Tracker:
             pts = np.column_stack([mean[:, :2], np.ones(len(mean))])
             p = np.matmul(motion.m, pts[:, :, None])[:, :, 0]
             mean = np.column_stack([p[:, :2] / p[:, 2:], mean[:, 2:]])
-        mean, cov = predict(mean, tracks.cov, cfg)
+        mean, cov = predict(mean, tracks.cov)
 
         # predicted boxes; each np.where keeps what max(0.0, size) keeps
         w = np.where(mean[:, 2] > 0.0, mean[:, 2], 0.0)
         h = np.where(mean[:, 3] > 0.0, mean[:, 3], 0.0)
         boxes = np.column_stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h])
-        result = associate(boxes, frame_dets, cfg)
+        result = associate(boxes, frame_dets)
 
         det_xywh = as_xywh(d.bbox for d in frame_dets)
         ti, dj = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
-        mean[ti], cov[ti] = kf_update(mean[ti], cov[ti], _measurements(det_xywh[dj]), cfg)
+        mean[ti], cov[ti] = kf_update(mean[ti], cov[ti], _measurements(det_xywh[dj]))
         misses = tracks.misses + 1
         misses[ti] = 0
-        keep = misses <= cfg.max_misses
+        keep = misses <= MAX_MISSES
 
         born = [
             j for j in result.unmatched_detections
-            if frame_dets[j].confidence >= cfg.high_conf_threshold
+            if frame_dets[j].confidence >= HIGH_CONF_THRESHOLD
         ]
         born_ids = np.arange(self._next_id, self._next_id + len(born))
         self._next_id += len(born)
-        born_mean, born_cov = initiate(det_xywh[born], cfg)
+        born_mean, born_cov = initiate(det_xywh[born])
         self.tracks = Tracks(
             ids=np.concatenate([tracks.ids[keep], born_ids]),
             mean=np.concatenate([mean[keep], born_mean]),

@@ -127,7 +127,7 @@ def test_criterion_02_depth_scale_law():
 
 
 def test_criterion_03_nis_calibration():
-    cfg = CdkfConfig(lam=1.026, theta=0.7179, q=1e-3)
+    cfg = CdkfConfig(lam=1.026, theta=0.7179)
     rng = np.random.default_rng(3003)
     truth = 0.3
     state = CdkfState()
@@ -138,13 +138,13 @@ def test_criterion_03_nis_calibration():
         r = measurement_noise(c, d, cfg)
         z = truth + math.sqrt(r) * float(rng.standard_normal())
         if state.initialized:
-            state = cdkf.predict(state, cfg)
+            state = cdkf.predict(state)
             state = cdkf.update(state, z, c, d, cfg)
             nis_vals.append(state.last_nis)
         else:
             state = cdkf.update(state, z, c, d, cfg)
-        # the modeled process noise is real: truth drifts with variance q
-        truth += math.sqrt(cfg.q) * float(rng.standard_normal())
+        # the modeled process noise is real: truth drifts with variance Q
+        truth += math.sqrt(cdkf.Q) * float(rng.standard_normal())
     mean_nis = float(np.mean(nis_vals))
     ok = 0.9 <= mean_nis <= 1.1
     _verdict(3, "NIS calibration", ok,
@@ -165,7 +165,7 @@ def _run_mode(series, mode):
     out = []
     for z, c, d in series:
         if s.initialized:
-            s = cdkf.predict(s, cfg)
+            s = cdkf.predict(s)
         s = cdkf.update(s, z, c, d, cfg)
         out.append(s.A)
     return out

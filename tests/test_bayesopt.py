@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from areatrack import bayesopt
 from areatrack.bayesopt import (
     OptResult,
     SearchSpec,
@@ -95,7 +96,7 @@ class TestExpectedImprovement:
 
 class TestOptimize:
     def test_finds_quadratic_minimum(self):
-        spec = SearchSpec(bounds=((0.0, 2.0), (0.0, 2.0)), n_init=5, n_iter=25, seed=3)
+        spec = SearchSpec(n_init=5, n_iter=25, seed=3)
         res = optimize(quadratic((1.3, 0.4)), spec)
         assert res.best_point[0] == pytest.approx(1.3, abs=0.05)
         assert res.best_point[1] == pytest.approx(0.4, abs=0.05)
@@ -121,8 +122,9 @@ class TestOptimize:
         r2 = optimize(f, SearchSpec(n_init=5, n_iter=3, seed=1))
         assert r1.history != r2.history
 
-    def test_respects_bounds(self):
-        spec = SearchSpec(bounds=((0.5, 1.5), (-1.0, 0.0)), n_init=6, n_iter=10, seed=5)
+    def test_respects_bounds(self, monkeypatch):
+        monkeypatch.setattr(bayesopt, "BOUNDS", ((0.5, 1.5), (-1.0, 0.0)))
+        spec = SearchSpec(n_init=6, n_iter=10, seed=5)
         res = optimize(quadratic((1.0, -0.5)), spec)
         for (a, b), _ in res.history:
             assert 0.5 <= a <= 1.5

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from areatrack import cdkf
 from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode, measurement_noise, predict, update
 from areatrack.errors import Uninitialized, ZeroConfidence
 
 
 class TestMeasurementNoise:
     def test_combined_hand_value(self):
-        cfg = CdkfConfig(lam=1.026, theta=0.7179, d0=5.0)
-        # lam/c + theta*max(d, d0) with c=0.9, d=4 (below trusted distance)
+        cfg = CdkfConfig(lam=1.026, theta=0.7179)
+        # lam/c + theta*max(d, D0) with c=0.9, d=4 (below trusted distance)
         assert measurement_noise(0.9, 4.0, cfg) == pytest.approx(1.026 / 0.9 + 0.7179 * 5.0)
         assert measurement_noise(0.9, 4.0, cfg) == pytest.approx(4.7295)
 
@@ -18,9 +19,9 @@ class TestMeasurementNoise:
         assert measurement_noise(0.5, 100.0, cfg) == 4.0
 
     def test_distance_only(self):
-        cfg = CdkfConfig(theta=0.5, d0=5.0, mode=NoiseMode.DISTANCE_ONLY)
+        cfg = CdkfConfig(theta=0.5, mode=NoiseMode.DISTANCE_ONLY)
         assert measurement_noise(0.01, 8.0, cfg) == 4.0
-        assert measurement_noise(0.01, 2.0, cfg) == 2.5  # floored at d0
+        assert measurement_noise(0.01, 2.0, cfg) == 2.5  # floored at D0 = 5 m
 
     def test_zero_confidence_rejected(self):
         with pytest.raises(ZeroConfidence):
@@ -45,12 +46,11 @@ class TestFilterSteps:
 
     def test_predict_before_init_raises(self):
         with pytest.raises(Uninitialized):
-            predict(CdkfState(), CdkfConfig())
+            predict(CdkfState())
 
     def test_predict_inflates_variance_only(self):
-        cfg = CdkfConfig(q=1e-3)
         s = CdkfState(A=0.3, P=0.1, updates=1)
-        s2 = predict(s, cfg)
+        s2 = predict(s)  # Q = 1e-3
         assert s2.A == 0.3
         assert s2.P == pytest.approx(0.101)
 
@@ -69,7 +69,7 @@ class TestFilterSteps:
         cfg = CdkfConfig()
         s = update(CdkfState(), 0.5, 0.9, 6.0, cfg)
         for z in (0.52, 0.48, 0.51):
-            prior = predict(s, cfg)
+            prior = predict(s)
             s = update(prior, z, 0.9, 6.0, cfg)
             assert s.P < prior.P
 
@@ -94,18 +94,19 @@ class TestFilterSteps:
 
 
 class TestSmoothing:
-    def test_noise_suppression(self):
+    def test_noise_suppression(self, monkeypatch):
         # noisy measurements of a constant truth: the filtered series must
         # fluctuate far less than the raw one
         rng = np.random.default_rng(11)
         truth = 0.25
-        cfg = CdkfConfig(lam=1.0, theta=0.7, q=1e-5)
+        monkeypatch.setattr(cdkf, "Q", 1e-5)
+        cfg = CdkfConfig(lam=1.0, theta=0.7)
         raw, smooth = [], []
         s = CdkfState()
         for _ in range(200):
             z = truth + rng.normal(0, 0.05)
             raw.append(z)
-            s = update(predict(s, cfg), z, 0.8, 8.0, cfg) if s.initialized else update(
+            s = update(predict(s), z, 0.8, 8.0, cfg) if s.initialized else update(
                 s, z, 0.8, 8.0, cfg
             )
             smooth.append(s.A)
@@ -114,14 +115,15 @@ class TestSmoothing:
         assert smooth_fluct < 0.2 * raw_fluct
         assert smooth[-1] == pytest.approx(truth, abs=0.02)
 
-    def test_steady_state_gain_balance(self):
+    def test_steady_state_gain_balance(self, monkeypatch):
         # with constant R the filter approaches the steady-state variance of
         # the scalar constant-model Riccati equation
-        cfg = CdkfConfig(lam=1.0, q=0.01, mode=NoiseMode.CONFIDENCE_ONLY)
+        monkeypatch.setattr(cdkf, "Q", 0.01)
+        cfg = CdkfConfig(lam=1.0, mode=NoiseMode.CONFIDENCE_ONLY)
         r = 1.0
         s = update(CdkfState(), 0.0, 1.0, 0.0, cfg)
         for _ in range(500):
-            s = update(predict(s, cfg), 0.0, 1.0, 0.0, cfg)
-        q = cfg.q
+            s = update(predict(s), 0.0, 1.0, 0.0, cfg)
+        q = cdkf.Q
         p_star = 0.5 * (-q + np.sqrt(q * q + 4 * q * r))  # posterior fixed point
         assert s.P == pytest.approx(p_star, rel=1e-6)

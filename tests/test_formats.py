@@ -225,6 +225,16 @@ class TestMotionFiles:
         with pytest.raises(MalformedLine):
             parse_motion_file("1.0 x 3.0 4.0\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 2 3 4\ntransform\n1 0 0\n0 1 0\n0 0 1\n", 2, "after correspondence lines"),
+        ("transform\n1 0 0\ntransform\n0 1 0\n0 0 1\n", 3, "second transform keyword"),
+        ("transform\n1 0 0\n0 1 0\n0 0 1\ntransform\n", 5, "second transform keyword"),
+    ], ids=["pairs-then-transform", "repeated-keyword", "trailing-keyword"])
+    def test_mixed_or_repeated_blocks(self, text, line, message):
+        with pytest.raises(MalformedLine, match=message) as exc:
+            parse_motion_file("format_version=1\n" + text)
+        assert exc.value.line_no == line + 1
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_transform_entry(self, value):
         # such a matrix passes the determinant check and would put NaN into
@@ -294,6 +304,22 @@ class TestManifest:
         p = tmp_path / "m.yaml"
         p.write_text("- just\n- a list\n")
         with pytest.raises(ManifestError):
+            SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("frames", 5, "frames must be a list"),
+        ("frames", None, "frames must be a list"),
+        ("frames", "abc", "frames must be a list"),
+        ("frames", {"frame": 0}, "frames must be a list"),
+        ("fps", "x", "could not convert"),
+        ("fps", None, "float"),
+    ])
+    def test_bad_top_level_value(self, tmp_path, key, value, message):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc[key] = value
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=message):
             SequenceManifest.load(p)
 
     def test_dump_load_roundtrip(self, tmp_path):

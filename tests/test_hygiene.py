@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter, only the standard library."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -131,3 +132,35 @@ def test_traced_name_check_flags_missing_names():
         "unimported.load",
         "mbtp.gone",
     ]
+
+
+def unset_fields(source: str, classes: dict) -> list[str]:
+    """``Class.field`` for each dataclass field that no call of that class
+    in ``source`` passes by keyword."""
+    passed = {name: set() for name in classes}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in passed:
+            passed[node.func.id] |= {kw.arg for kw in node.keywords}
+    return [f"{name}.{f.name}" for name, cls in classes.items()
+            for f in dataclasses.fields(cls) if f.name not in passed[name]]
+
+
+def test_every_config_field_is_a_cli_option():
+    """A config field the command line never sets has one value in use,
+    so it belongs in a module constant."""
+    from areatrack.bayesopt import SearchSpec
+    from areatrack.cdkf import CdkfConfig
+    from areatrack.pipeline import PipelineConfig
+
+    classes = {"PipelineConfig": PipelineConfig, "CdkfConfig": CdkfConfig, "SearchSpec": SearchSpec}
+    assert unset_fields((PACKAGE / "cli.py").read_text(), classes) == []
+
+
+def test_unset_field_check_flags_missing_keywords():
+    @dataclasses.dataclass
+    class Spec:
+        a: int = 0
+        b: int = 0
+
+    source = "Spec(a=1)\nOther(b=2)\nx.Spec(b=3)\n"
+    assert unset_fields(source, {"Spec": Spec}) == ["Spec.b"]

@@ -105,6 +105,68 @@ def corrupted(draw, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BAD_MANIFEST_VALUES = st.sampled_from(
+    [5, None, "x", -1, 0, 1e308, float("nan"), float("inf"), True, "", ".", "manifest.yaml",
+     "missing.txt", [], [1], {}, {"frame": 0}]
+)
+
+
+@st.composite
+def corrupted_manifest(draw, data: bytes) -> bytes:
+    """The manifest ``data`` with one key of its top level, its intrinsics
+    or one frame entry set to a bad value or deleted, written as YAML and
+    sometimes cut short."""
+    doc = yaml.safe_load(data)
+    frame = draw(st.sampled_from(doc["frames"]))
+    # the top-level keys the loader reads come first, where hypothesis looks most
+    target, key = draw(st.sampled_from(
+        [(doc, "frames"), (doc, "fps"), (doc, "intrinsics"), (doc, "dataset"), (doc, "extra")]
+        + [(doc["intrinsics"], k) for k in doc["intrinsics"]]
+        + [(frame, k) for k in frame] + [(frame, "extra")]
+    ))
+    if key in target and draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(_BAD_MANIFEST_VALUES)
+    text = yaml.safe_dump(doc, sort_keys=False).encode()
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def corrupted_pfm(draw, data: bytes) -> bytes:
+    """The PFM file ``data`` after one to three edits of its magic,
+    dimension or scale line, its payload length or a block of its values."""
+    *lines, payload = data.split(b"\n", 3)
+    width, height = map(int, lines[1].split())
+    for _ in range(draw(st.integers(1, 3))):
+        # payload edits first: most header edits end the run at the header
+        op = draw(st.sampled_from(["values", "scale", "length", "dims", "magic"]))
+        if op == "magic":
+            lines[0] = draw(st.sampled_from([b"PF", b"P5", b"pf", b"", b"Pf Pf"]))
+        elif op == "dims":
+            lines[1] = draw(st.sampled_from(
+                [b"0 0", b"-1 240", b"320", b"x 240", b"320 240 1", b"240 320", b"321 240",
+                 b"100000 100000", b"1e3 240", b""]))
+        elif op == "scale":
+            lines[2] = draw(st.sampled_from([b"1.0", b"0", b"nan", b"inf", b"x", b"", b"-1 2"]))
+        elif op == "length":
+            cut = draw(st.integers(0, len(payload) + 8))
+            payload = payload[:cut] + b"\0" * max(0, cut - len(payload))
+        else:
+            n = len(payload) // 4
+            z = np.frombuffer(payload[: 4 * n], dtype="<f4").copy()
+            if n == width * height:
+                v0, u0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+                v1, u1 = draw(st.integers(v0 + 1, height)), draw(st.integers(u0 + 1, width))
+                block = z.reshape(height, width)[v0:v1, u0:u1]
+                block[...] = draw(st.sampled_from(
+                    [np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-38, 1e38, 3.4e38]))
+            payload = z.tobytes() + payload[4 * n:]
+    return b"\n".join(lines) + b"\n" + payload
+
+
 class TestRunPipeline:
     def test_end_to_end_single_track(self, scene_dir):
         _, manifest_path = scene_dir
@@ -217,6 +279,13 @@ class TestReportFiltering:
         rep = report_from_records(records)
         # 6 records but only 5 innovations enter the NIS average
         assert rep.nis_mean == pytest.approx(1.0)
+
+
+def assert_clean_exit(res) -> None:
+    """Exit code 0, or 1 through ``sys.exit``; never a traceback."""
+    assert res.exit_code in (0, 1), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
 
 
 class TestCli:
@@ -343,8 +412,7 @@ class TestCli:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_corrupted_record_file_is_a_clean_exit(self, fuzz_dir, base, target, data):
-        """A damaged detection, motion or results file ends the command
-        with exit code 0, or 1 through ``sys.exit``; never with a traceback."""
+        """A damaged detection, motion or results file ends the command cleanly."""
         target = fuzz_dir / target
         original = target.read_bytes()
         target.write_text(data.draw(corrupted((fuzz_dir / base).read_text())))
@@ -356,9 +424,62 @@ class TestCli:
             res = CliRunner().invoke(main, args)
         finally:
             target.write_bytes(original)
-        assert res.exit_code in (0, 1), res.output
-        assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
-        assert "Traceback" not in res.output
+        assert_clean_exit(res)
+
+    @pytest.mark.parametrize("target, corrupt", [
+        ("manifest.yaml", corrupted_manifest),
+        ("depth_0001.pfm", corrupted_pfm),
+    ], ids=["manifest", "depth"])
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_sequence_file_is_a_clean_exit(self, fuzz_dir, target, corrupt, data):
+        """A damaged manifest or depth map ends ``estimate`` cleanly."""
+        target = fuzz_dir / target
+        original = target.read_bytes()
+        target.write_bytes(data.draw(corrupt(original)))
+        try:
+            res = CliRunner().invoke(main, ["estimate", "--manifest", str(fuzz_dir / "manifest.yaml")])
+        finally:
+            target.write_bytes(original)
+        assert_clean_exit(res)
+
+    @pytest.mark.parametrize("command, option, bad, lowest", [
+        ("estimate", "--lam", "-1", "0"),
+        ("estimate", "--theta", "-0.5", "0"),
+        ("estimate", "--seed", "-1", "0"),
+        ("optimize", "--seed", "-1", "0"),
+        ("optimize", "--n-init", "0", "1"),
+        ("optimize", "--n-iter", "-1", "0"),
+        ("optimize", "--min-track-len", "1", "2"),
+        ("eval-area", "--min-track-len", "1", "2"),
+        ("synth", "--seed", "-1", "0"),
+    ], ids=["estimate-lam", "estimate-theta", "estimate-seed", "optimize-seed", "optimize-n-init",
+            "optimize-n-iter", "optimize-min-track-len", "eval-area-min-track-len", "synth-seed"])
+    def test_out_of_range_option_is_a_usage_error(self, fuzz_dir, tmp_path, command, option,
+                                                  bad, lowest):
+        manifest = str(fuzz_dir / "manifest.yaml")
+        # a results file whose only track has one record
+        one = tmp_path / "one.txt"
+        one.write_text(formats.write_records((fuzz_dir / "results.txt").read_text().splitlines()[1:2]))
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({
+            "intrinsics": {"f_u": 100.0, "f_v": 100.0, "p_u": 20.0, "p_v": 15.0,
+                           "width": 40, "height": 30},
+            "surface": {"potholes": [{"center": [0.0, 0.0], "a": 0.3, "b": 0.2}]},
+        }))
+        base = {
+            "estimate": ["estimate", "--manifest", manifest],
+            "optimize": ["optimize", "--manifest", manifest, "--n-init", "1", "--n-iter", "0"],
+            "eval-area": ["eval-area", "--results", str(one)],
+            "synth": ["synth", "--spec", str(spec), "--out", str(tmp_path / "scene")],
+        }[command]
+        runner = CliRunner()
+        res = runner.invoke(main, base + [option, bad])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"Invalid value for '{option}'" in res.output
+        res = runner.invoke(main, base + [option, lowest])
+        assert res.exit_code == 0, res.output
 
     def test_missing_manifest_exit_code(self):
         runner = CliRunner()

@@ -7,6 +7,7 @@ from areatrack.errors import PotholeNeverVisible
 from areatrack.geometry import BBox, CameraIntrinsics
 from areatrack.mbtp import estimate_area
 from areatrack.synth import (
+    SOLVE_MAX_ITERS,
     CameraPose,
     NoiseSpec,
     PotholeSpec,
@@ -83,7 +84,7 @@ def _full_array_height(surface, x, y):
     return z
 
 
-def _reference_depth(surface, pose, xs_hat, ys_hat, iters=80):
+def _reference_depth(surface, pose, xs_hat, ys_hat, iters=SOLVE_MAX_ITERS):
     """The ray-cast fixed point after exactly `iters` steps."""
     d = np.stack([xs_hat, ys_hat, np.ones_like(xs_hat)], axis=-1) @ pose.rotation()
     cx, cy, cz = pose.position
@@ -138,7 +139,7 @@ class TestSolveDepth:
     def test_early_exit_matches_cap_iterations(self, surface, pose, height_calls):
         xs_hat, ys_hat = _image_rays()
         got = _solve_depth(surface, pose, xs_hat, ys_hat)
-        assert len(height_calls) < 80
+        assert len(height_calls) < SOLVE_MAX_ITERS
         ref = _reference_depth(surface, pose, xs_hat, ys_hat)
         assert np.array_equal(got.astype(np.float32), ref.astype(np.float32))
 
@@ -147,9 +148,9 @@ class TestSolveDepth:
         surface = Surface(kind="undulating", z0=5.0, amplitude=1.0, wavelength=0.5)
         xs_hat, ys_hat = _image_rays(step=8)
         got = _solve_depth(surface, CameraPose(), xs_hat, ys_hat)
-        assert len(height_calls) == 80
+        assert len(height_calls) == SOLVE_MAX_ITERS
         assert np.array_equal(got, _reference_depth(surface, CameraPose(), xs_hat, ys_hat))
-        early = _reference_depth(surface, CameraPose(), xs_hat, ys_hat, iters=79)
+        early = _reference_depth(surface, CameraPose(), xs_hat, ys_hat, iters=SOLVE_MAX_ITERS - 1)
         assert not np.array_equal(got, early)
 
     def test_nan_ray_runs_to_cap(self, height_calls):
@@ -157,7 +158,7 @@ class TestSolveDepth:
         xs_hat, ys_hat = _image_rays(step=8)
         xs_hat[3, 4] = np.nan
         got = _solve_depth(surface, CameraPose(), xs_hat, ys_hat)
-        assert len(height_calls) == 80
+        assert len(height_calls) == SOLVE_MAX_ITERS
         ref = _reference_depth(surface, CameraPose(), xs_hat, ys_hat)
         assert np.isnan(got[3, 4])
         assert np.array_equal(got, ref, equal_nan=True)
@@ -387,3 +388,11 @@ class TestSpecFromDict:
         assert len(spec.camera_path) == 2
         # path shorter than frames: last pose repeats
         assert spec.pose(2) == spec.pose(1)
+
+    def test_unknown_noise_key_rejected(self):
+        # a key the renderer does not read is an error, not a silent no-op
+        doc = {"intrinsics": {"f_u": 300.0, "f_v": 300.0, "p_u": 160.0, "p_v": 120.0,
+                              "width": 320, "height": 240},
+               "noise": {"shake_px": 50.0}}
+        with pytest.raises(TypeError, match="shake_px"):
+            scene_spec_from_dict(doc)

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import areatrack
+from areatrack import tracking
 from areatrack.errors import OutOfOrderFrame, TooFewCorrespondences
 from areatrack.geometry import BBox, Detection, MotionTransform, as_xywh, iou
 from areatrack.tracking import (
     AssociationResult,
     Tracker,
-    TrackerConfig,
     _fit_affine,
     associate,
     fit_motion_ransac,
@@ -26,16 +26,13 @@ from areatrack.tracking import (
     predict,
 )
 
-CFG = TrackerConfig()
-
-
 def det(x, y, w=20, h=20, conf=0.9, frame=0, cls=0):
     return Detection(BBox(x, y, w, h), conf, cls, frame)
 
 
-def one(b: BBox, cfg: TrackerConfig = CFG) -> tuple[np.ndarray, np.ndarray]:
+def one(b: BBox) -> tuple[np.ndarray, np.ndarray]:
     """A new track at one box, as a batch of one."""
-    return initiate(as_xywh([b]), cfg)
+    return initiate(as_xywh([b]))
 
 
 class TestKalman:
@@ -45,48 +42,49 @@ class TestKalman:
         assert mean[0].tolist() == [20, 25, 20, 30, 0, 0, 0, 0]
         assert np.all(np.diagonal(cov[0]) > 0)
 
-    def test_initiate_bit_identical(self):
+    def test_initiate_bit_identical(self, monkeypatch):
         # sizes below 1 px take the clamped noise branch
         boxes = [BBox(10, 10, 20, 30), BBox(3.3, -7.1, 0.4, 0.0), BBox(0.1, 0.2, 0.0, 0.7),
                  BBox(640.25, 359.5, 1.0, 0.999)]
-        cfg = TrackerConfig(pos_noise_scale=0.07, vel_noise_scale=0.003)
-        mean, cov = initiate(as_xywh(boxes), cfg)
+        monkeypatch.setattr(tracking, "POS_NOISE_SCALE", 0.07)
+        monkeypatch.setattr(tracking, "VEL_NOISE_SCALE", 0.003)
+        mean, cov = initiate(as_xywh(boxes))
         for k, b in enumerate(boxes):
-            want_mean, want_cov = reference_initiate(b, cfg)
+            want_mean, want_cov = reference_initiate(b)
             assert mean[k].tobytes() == want_mean.tobytes()
             assert cov[k].tobytes() == want_cov.tobytes()
 
     def test_predict_moves_by_velocity(self):
         mean0, cov0 = one(BBox(0, 0, 10, 10))
         mean0[0, 4] = 3.0  # vx
-        mean, cov = predict(mean0, cov0, CFG)
+        mean, cov = predict(mean0, cov0)
         assert mean.shape == (1, 8) and cov.shape == (1, 8, 8)
         assert mean[0, 0] == pytest.approx(mean0[0, 0] + 3.0)
         assert np.trace(cov[0]) > np.trace(cov0[0])
 
     def test_update_pulls_toward_measurement(self):
-        mean, cov = predict(*one(BBox(0, 0, 10, 10)), CFG)
-        mean2, cov2 = kf_update(mean, cov, np.array([[8.0, 0.0, 10.0, 10.0]]), CFG)
+        mean, cov = predict(*one(BBox(0, 0, 10, 10)))
+        mean2, cov2 = kf_update(mean, cov, np.array([[8.0, 0.0, 10.0, 10.0]]))
         assert 5.0 < mean2[0, 0] < 8.0
         assert np.trace(cov2[0]) < np.trace(cov[0])
 
-    def test_velocity_learned_from_track(self):
+    def test_velocity_learned_from_track(self, monkeypatch):
         # exact measurements at x = 0, 10, 20 with small measurement noise:
         # the filter should predict roughly 30 next
-        cfg = TrackerConfig(pos_noise_scale=0.01)
-        mean, cov = one(BBox.from_center(0, 0, 10, 10), cfg)
+        monkeypatch.setattr(tracking, "POS_NOISE_SCALE", 0.01)
+        mean, cov = one(BBox.from_center(0, 0, 10, 10))
         for x in (10, 20):
-            mean, cov = predict(mean, cov, cfg)
-            mean, cov = kf_update(mean, cov, np.array([[x, 0.0, 10.0, 10.0]]), cfg)
-        mean, cov = predict(mean, cov, cfg)
+            mean, cov = predict(mean, cov)
+            mean, cov = kf_update(mean, cov, np.array([[x, 0.0, 10.0, 10.0]]))
+        mean, cov = predict(mean, cov)
         assert 28.0 <= mean[0, 0] <= 32.0
 
     def test_covariance_symmetric(self):
         mean, cov = one(BBox(5, 5, 12, 8))
         for x in (7, 9, 12):
-            mean, cov = predict(mean, cov, CFG)
+            mean, cov = predict(mean, cov)
             z = BBox(x, 5, 12, 8)
-            mean, cov = kf_update(mean, cov, np.array([[z.cx, z.cy, z.w, z.h]]), CFG)
+            mean, cov = kf_update(mean, cov, np.array([[z.cx, z.cy, z.w, z.h]]))
             assert np.allclose(cov[0], cov[0].T)
             assert np.all(np.linalg.eigvalsh(cov[0]) > -1e-9)
 
@@ -98,29 +96,29 @@ _F[:4, 4:] = np.eye(4)
 _H = np.hstack([np.eye(4), np.zeros((4, 4))])
 
 
-def reference_noise_stds(w, h, cfg):
-    s, v = cfg.pos_noise_scale, cfg.vel_noise_scale
+def reference_noise_stds(w, h):
+    s, v = tracking.POS_NOISE_SCALE, tracking.VEL_NOISE_SCALE
     return np.array([s * w, s * h, s * w, s * h, v * w, v * h, v * w, v * h])
 
 
-def reference_initiate(z: BBox, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+def reference_initiate(z: BBox) -> tuple[np.ndarray, np.ndarray]:
     mean = np.array([z.cx, z.cy, z.w, z.h, 0.0, 0.0, 0.0, 0.0])
-    std = reference_noise_stds(max(z.w, 1.0), max(z.h, 1.0), cfg)
+    std = reference_noise_stds(max(z.w, 1.0), max(z.h, 1.0))
     std[:4] *= 2.0
     std[4:] *= 10.0
     return mean, np.diag(np.square(std))
 
 
-def reference_predict(mean, cov, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+def reference_predict(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     w, h = max(float(mean[2]), 1.0), max(float(mean[3]), 1.0)
-    q = np.diag(np.square(reference_noise_stds(w, h, cfg)))
+    q = np.diag(np.square(reference_noise_stds(w, h)))
     cov = _F @ cov @ _F.T + q
     return _F @ mean, 0.5 * (cov + cov.T)
 
 
-def reference_update(mean, cov, z: BBox, cfg: TrackerConfig) -> tuple[np.ndarray, np.ndarray]:
+def reference_update(mean, cov, z: BBox) -> tuple[np.ndarray, np.ndarray]:
     w, h = max(float(mean[2]), 1.0), max(float(mean[3]), 1.0)
-    r = np.diag(np.square(reference_noise_stds(w, h, cfg)[:4]))
+    r = np.diag(np.square(reference_noise_stds(w, h)[:4]))
     zvec = np.array([z.cx, z.cy, z.w, z.h])
     innov = zvec - _H @ mean
     S = _H @ cov @ _H.T + r
@@ -136,17 +134,16 @@ def _random_box(rng) -> BBox:
     return BBox(*rng.uniform(-50.0, 700.0, 2), *size)
 
 
-def _filtered_states(n: int, seed: int, updates: int):
-    """n random tracks after ``updates`` rounds of the reference predict and update."""
+def _filtered_states(monkeypatch, n: int, seed: int, updates: int):
+    """n random tracks after ``updates`` rounds of the reference predict and
+    update, under random noise scales set for the rest of the test."""
     rng = np.random.default_rng(seed)
-    cfg = TrackerConfig(
-        pos_noise_scale=rng.uniform(0.005, 0.2), vel_noise_scale=rng.uniform(0.001, 0.05)
-    )
-    states = [reference_initiate(_random_box(rng), cfg) for _ in range(n)]
+    monkeypatch.setattr(tracking, "POS_NOISE_SCALE", rng.uniform(0.005, 0.2))
+    monkeypatch.setattr(tracking, "VEL_NOISE_SCALE", rng.uniform(0.001, 0.05))
+    states = [reference_initiate(_random_box(rng)) for _ in range(n)]
     for _ in range(updates):
-        states = [reference_update(*reference_predict(*s, cfg), _random_box(rng), cfg)
-                  for s in states]
-    return rng, cfg, states
+        states = [reference_update(*reference_predict(*s), _random_box(rng)) for s in states]
+    return rng, states
 
 
 def _stack(states):
@@ -157,25 +154,25 @@ class TestKalmanBatchEqualsLoop:
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize("updates", [0, 1, 6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_predict_bit_identical(self, n, updates, seed):
-        _, cfg, states = _filtered_states(n, seed, updates)
-        mean, cov = predict(*_stack(states), cfg)
+    def test_predict_bit_identical(self, monkeypatch, n, updates, seed):
+        _, states = _filtered_states(monkeypatch, n, seed, updates)
+        mean, cov = predict(*_stack(states))
         for k, s in enumerate(states):
-            want_mean, want_cov = reference_predict(*s, cfg)
+            want_mean, want_cov = reference_predict(*s)
             assert mean[k].tobytes() == want_mean.tobytes()
             assert cov[k].tobytes() == want_cov.tobytes()
 
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize("updates", [0, 1, 6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_update_bit_identical(self, n, updates, seed):
-        rng, cfg, states = _filtered_states(n, seed, updates)
-        states = [reference_predict(*s, cfg) for s in states]
+    def test_update_bit_identical(self, monkeypatch, n, updates, seed):
+        rng, states = _filtered_states(monkeypatch, n, seed, updates)
+        states = [reference_predict(*s) for s in states]
         boxes = [_random_box(rng) for _ in states]
         z = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes])
-        mean, cov = kf_update(*_stack(states), z, cfg)
+        mean, cov = kf_update(*_stack(states), z)
         for k, (s, b) in enumerate(zip(states, boxes)):
-            want_mean, want_cov = reference_update(*s, b, cfg)
+            want_mean, want_cov = reference_update(*s, b)
             assert mean[k].tobytes() == want_mean.tobytes()
             assert cov[k].tobytes() == want_cov.tobytes()
 
@@ -221,7 +218,7 @@ class TestRansac:
         assert np.array_equal(t1.m, t2.m)
 
 
-def reference_ransac(correspondences, seed=0, n_iters=100, inlier_px=3.0):
+def reference_ransac(correspondences, seed=0):
     """The one-hypothesis-at-a-time RANSAC loop, kept as an oracle for the
     batched fit: lstsq per hypothesis, strict ``>`` and the all-inlier break."""
     src = np.array([c[0] for c in correspondences], dtype=np.float64)
@@ -230,14 +227,14 @@ def reference_ransac(correspondences, seed=0, n_iters=100, inlier_px=3.0):
     rng = np.random.default_rng(seed)
     best_inliers = None
     best_count = 0
-    for _ in range(n_iters):
+    for _ in range(tracking.RANSAC_ITERS):
         idx = rng.choice(n, size=3, replace=False)
         m = _fit_affine(src[idx], dst[idx])
         if m is None:
             continue
         pred = src @ m[:2, :2].T + m[:2, 2]
         err = np.linalg.norm(pred - dst, axis=1)
-        inliers = err < inlier_px
+        inliers = err < tracking.RANSAC_INLIER_PX
         count = int(inliers.sum())
         if count > best_count:
             best_count = count
@@ -295,21 +292,19 @@ class TestRansacBatchEqualsLoop:
     @pytest.mark.parametrize("kind", RANSAC_CASES)
     @pytest.mark.parametrize("n_iters", [1, 100])
     @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_bit_identical(self, kind, n_iters, seed):
+    def test_bit_identical(self, monkeypatch, kind, n_iters, seed):
+        monkeypatch.setattr(tracking, "RANSAC_ITERS", n_iters)
         pairs = _ransac_case(kind, seed)
         for ransac_seed in (seed, seed + 17):
-            want = reference_ransac(pairs, seed=ransac_seed, n_iters=n_iters)
-            got = fit_motion_ransac(pairs, seed=ransac_seed, n_iters=n_iters)
+            want = reference_ransac(pairs, seed=ransac_seed)
+            got = fit_motion_ransac(pairs, seed=ransac_seed)
             assert got.m.tobytes() == want.m.tobytes()
-
-    def test_no_hypotheses_is_identity(self):
-        pairs = _ransac_case("translation", 0)
-        assert np.array_equal(fit_motion_ransac(pairs, n_iters=0).m, np.eye(3))
 
 
 _NONFINITE_SCRIPT = """
 import sys
 import numpy as np
+from areatrack import tracking
 from areatrack.geometry import MotionTransform
 from areatrack.tracking import _fit_affine, fit_motion_ransac
 
@@ -410,14 +405,14 @@ class TestAssociate:
     def test_simple_match(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1)]
-        r = associate(as_xywh(tracks), dets, CFG)
+        r = associate(as_xywh(tracks), dets)
         assert r.matches == [(0, 0)]
         assert r.unmatched_tracks == [] and r.unmatched_detections == []
 
     def test_gate_blocks_weak_overlap(self):
         tracks = [BBox(0, 0, 10, 10)]
         dets = [det(9, 9, 10, 10)]  # IoU = 1/199 < 0.3
-        r = associate(as_xywh(tracks), dets, CFG)
+        r = associate(as_xywh(tracks), dets)
         assert r.matches == []
         assert r.unmatched_tracks == [0]
         assert r.unmatched_detections == [0]
@@ -425,36 +420,36 @@ class TestAssociate:
     def test_low_conf_second_stage(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1, conf=0.3)]  # below high threshold, above floor
-        r = associate(as_xywh(tracks), dets, CFG)
+        r = associate(as_xywh(tracks), dets)
         assert r.matches == [(0, 0)]
 
     def test_low_conf_needs_tighter_gate(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(8, 8, conf=0.3)]  # IoU ~ 0.22: passes stage-1 gate but not stage-2
-        r = associate(as_xywh(tracks), dets, CFG)
+        r = associate(as_xywh(tracks), dets)
         assert r.matches == []
 
     def test_below_floor_never_matched(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(0, 0, conf=0.05)]
-        r = associate(as_xywh(tracks), dets, CFG)
+        r = associate(as_xywh(tracks), dets)
         assert r.matches == []
         assert r.unmatched_detections == []
 
     def test_high_conf_priority(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(2, 2, conf=0.2), det(4, 4, conf=0.9)]
-        r = associate(as_xywh(tracks), dets, CFG)
+        r = associate(as_xywh(tracks), dets)
         assert r.matches == [(0, 1)]
 
     def test_two_tracks_two_dets(self):
         tracks = [BBox(0, 0, 20, 20), BBox(100, 100, 20, 20)]
         dets = [det(101, 99), det(1, 2)]
-        r = associate(as_xywh(tracks), dets, CFG)
+        r = associate(as_xywh(tracks), dets)
         assert sorted(r.matches) == [(0, 1), (1, 0)]
 
 
-def reference_associate(track_boxes, dets, cfg):
+def reference_associate(track_boxes, dets):
     """The per-pair association loop the IoU cost matrix replaced, kept as an
     oracle: one scalar ``iou`` call per track and detection."""
 
@@ -476,11 +471,11 @@ def reference_associate(track_boxes, dets, cfg):
         rest_d = [d for d in det_idx if d not in matched_d]
         return matches, rest_t, rest_d
 
-    high = [i for i, d in enumerate(dets) if d.confidence >= cfg.high_conf_threshold]
+    high = [i for i, d in enumerate(dets) if d.confidence >= tracking.HIGH_CONF_THRESHOLD]
     low = [i for i, d in enumerate(dets)
-           if cfg.low_conf_floor <= d.confidence < cfg.high_conf_threshold]
-    m1, rest_t, rest_high = stage(list(range(len(track_boxes))), high, cfg.iou_gate_stage1)
-    m2, rest_t, rest_low = stage(rest_t, low, cfg.iou_gate_stage2)
+           if tracking.LOW_CONF_FLOOR <= d.confidence < tracking.HIGH_CONF_THRESHOLD]
+    m1, rest_t, rest_high = stage(list(range(len(track_boxes))), high, tracking.IOU_GATE_STAGE1)
+    m2, rest_t, rest_low = stage(rest_t, low, tracking.IOU_GATE_STAGE2)
     return AssociationResult(m1 + m2, rest_t, rest_high + rest_low)
 
 
@@ -497,7 +492,7 @@ class TestAssociateEqualsLoop:
                       float(rng.uniform()), 0, 0)
             for _ in range(m)
         ]
-        assert associate(as_xywh(tracks), dets, CFG) == reference_associate(tracks, dets, CFG)
+        assert associate(as_xywh(tracks), dets) == reference_associate(tracks, dets)
 
 
 @dataclass
@@ -510,7 +505,6 @@ class RefTrack:
 
 @dataclass
 class RefTracker:
-    cfg: TrackerConfig
     tracks: list
     next_id: int = 1
 
@@ -523,24 +517,24 @@ def reference_step(tr: RefTracker, frame_dets, motion) -> list:
         for t in tr.tracks:
             t.mean[:2] = motion.apply_point(float(t.mean[0]), float(t.mean[1]))
     for t in tr.tracks:
-        t.mean, t.cov = reference_predict(t.mean, t.cov, tr.cfg)
+        t.mean, t.cov = reference_predict(t.mean, t.cov)
     boxes = [BBox.from_center(float(t.mean[0]), float(t.mean[1]),
                               max(0.0, float(t.mean[2])), max(0.0, float(t.mean[3])))
              for t in tr.tracks]
-    result = reference_associate(boxes, frame_dets, tr.cfg)
+    result = reference_associate(boxes, frame_dets)
     out = []
     for ti, dj in result.matches:
         t = tr.tracks[ti]
-        t.mean, t.cov = reference_update(t.mean, t.cov, frame_dets[dj].bbox, tr.cfg)
+        t.mean, t.cov = reference_update(t.mean, t.cov, frame_dets[dj].bbox)
         t.misses = 0
         out.append((t.id, frame_dets[dj]))
     for ti in result.unmatched_tracks:
         tr.tracks[ti].misses += 1
-    tr.tracks = [t for t in tr.tracks if t.misses <= tr.cfg.max_misses]
+    tr.tracks = [t for t in tr.tracks if t.misses <= tracking.MAX_MISSES]
     for dj in result.unmatched_detections:
         det = frame_dets[dj]
-        if det.confidence >= tr.cfg.high_conf_threshold:
-            tr.tracks.append(RefTrack(tr.next_id, *reference_initiate(det.bbox, tr.cfg)))
+        if det.confidence >= tracking.HIGH_CONF_THRESHOLD:
+            tr.tracks.append(RefTrack(tr.next_id, *reference_initiate(det.bbox)))
             out.append((tr.next_id, det))
             tr.next_id += 1
     return sorted(out, key=lambda pair: pair[0])
@@ -568,9 +562,9 @@ def _crowded_frames(seed: int, n_objects: int = 30, frames: int = 12):
 
 class TestTrackerBatchEqualsLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_bit_identical(self, seed):
-        cfg = TrackerConfig(max_misses=3)
-        got, want = Tracker(cfg), RefTracker(cfg, [])
+    def test_bit_identical(self, monkeypatch, seed):
+        monkeypatch.setattr(tracking, "MAX_MISSES", 3)
+        got, want = Tracker(), RefTracker([])
         for k, dets, motion in _crowded_frames(seed):
             assert got.step(dets, frame=k, motion=motion) == reference_step(want, dets, motion)
             t = got.tracks
@@ -582,14 +576,9 @@ class TestTrackerBatchEqualsLoop:
                 assert cov.tobytes() == r.cov.tobytes()
 
 
-class TestTrackerConfig:
-    @pytest.mark.parametrize("floor, high", [(0.0, 0.5), (-0.1, 0.5), (0.5, 0.5), (0.6, 0.5), (0.1, 1.5)])
-    def test_rejects_bad_confidence_bands(self, floor, high):
-        with pytest.raises(ValueError, match="0 < low_conf_floor"):
-            TrackerConfig(low_conf_floor=floor, high_conf_threshold=high)
-
-    def test_accepts_a_positive_floor(self):
-        assert TrackerConfig(low_conf_floor=1e-9, high_conf_threshold=1.0).low_conf_floor == 1e-9
+def test_confidence_band_constants():
+    # a zero floor would let a zero-confidence detection match in stage 2
+    assert 0.0 < tracking.LOW_CONF_FLOOR < tracking.HIGH_CONF_THRESHOLD <= 1.0
 
 
 class TestTracker:
@@ -617,9 +606,9 @@ class TestTracker:
         out = tr.step([det(1, 1, conf=0.3, frame=1)], frame=1)
         assert [tid for tid, _ in out] == [1]
 
-    def test_track_dies_after_max_misses(self):
-        cfg = TrackerConfig(max_misses=3)
-        tr = Tracker(cfg)
+    def test_track_dies_after_max_misses(self, monkeypatch):
+        monkeypatch.setattr(tracking, "MAX_MISSES", 3)
+        tr = Tracker()
         tr.step([det(0, 0, frame=0)], frame=0)
         for k in range(1, 5):
             tr.step([], frame=k)
