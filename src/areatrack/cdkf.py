@@ -8,7 +8,10 @@ confidence and large camera distance both inflate R.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import Uninitialized, ZeroConfidence
 
@@ -33,8 +36,10 @@ class CdkfConfig:
     mode: NoiseMode = NoiseMode.COMBINED
 
     def __post_init__(self):
-        if self.lam < 0 or self.theta < 0:
-            raise ValueError("weights must be nonnegative")
+        if not (0 <= self.lam < math.inf and 0 <= self.theta < math.inf):
+            raise ValueError(
+                f"weights must be finite and nonnegative, got lam={self.lam} theta={self.theta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,17 +61,32 @@ def predict(s: CdkfState) -> CdkfState:
     return CdkfState(s.A, s.P + Q, s.last_nis, s.updates)
 
 
-def measurement_noise(c: float, d: float, cfg: CdkfConfig) -> float:
-    """Adaptive measurement noise R(c, d)."""
-    if c <= 0.0:
-        raise ZeroConfidence(f"confidence must be > 0, got {c}")
-    conf_term = cfg.lam / c
-    dist_term = cfg.theta * max(d, D0)
+def measurement_noise(c, d, cfg: CdkfConfig):
+    """Adaptive measurement noise R(c, d), elementwise over arrays of
+    confidences and distances.
+
+    Raises ``ZeroConfidence`` naming the first confidence that is not
+    positive.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    bad = np.flatnonzero(c <= 0.0)
+    if bad.size:
+        raise ZeroConfidence(f"confidence must be > 0, got {c.flat[bad[0]]}")
     if cfg.mode is NoiseMode.CONFIDENCE_ONLY:
-        return conf_term
+        return cfg.lam / c
+    dist_term = cfg.theta * np.maximum(d, D0)
     if cfg.mode is NoiseMode.DISTANCE_ONLY:
         return dist_term
-    return conf_term + dist_term
+    return cfg.lam / c + dist_term
+
+
+def _gain_step(A, P, z, r):
+    """Update prior (A, P) with measurement z of noise r, elementwise:
+    the posterior A and P, and the NIS innovation^2 / (P + r)."""
+    k = P / (P + r)
+    innov = z - A
+    nis = innov * innov / (P + r)
+    return A + k * innov, (1.0 - k) * P, nis
 
 
 def update(s: CdkfState, z: float, c: float, d: float, cfg: CdkfConfig) -> CdkfState:
@@ -75,15 +95,49 @@ def update(s: CdkfState, z: float, c: float, d: float, cfg: CdkfConfig) -> CdkfS
     last_nis records innovation^2 / (prior P + R) for filter-consistency
     monitoring.
     """
-    r = measurement_noise(c, d, cfg)
+    r = float(measurement_noise(c, d, cfg))
     if not s.initialized:
         return CdkfState(A=z, P=r, last_nis=0.0, updates=1)
-    k = s.P / (s.P + r)
-    innov = z - s.A
-    nis = innov * innov / (s.P + r)
-    return CdkfState(
-        A=s.A + k * innov,
-        P=(1.0 - k) * s.P,
-        last_nis=nis,
-        updates=s.updates + 1,
-    )
+    A, P, nis = _gain_step(s.A, s.P, z, r)
+    return CdkfState(A=A, P=P, last_nis=nis, updates=s.updates + 1)
+
+
+def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothed area and NIS after every measurement, each track
+    filtered on its own in input order, as ``predict`` then ``update`` do.
+
+    ``z``, ``c``, ``d`` and ``track_ids`` hold one entry per measurement.
+    Step j updates the tracks with more than j measurements at once. The
+    tracks are laid out longest first, so these are a prefix of the state
+    arrays, and each measurement sees the scalar filter's float64
+    operations in the same order.
+    """
+    r = measurement_noise(c, d, cfg)
+    n = len(r)
+    if n == 0:
+        return np.zeros(0), np.zeros(0)
+    order = np.argsort(track_ids, kind="stable")
+    ids = np.asarray(track_ids)[order]
+    new_track = np.r_[True, ids[1:] != ids[:-1]]
+    track = np.cumsum(new_track) - 1
+    starts = np.flatnonzero(new_track)
+    rank = np.arange(n) - starts[track]  # earlier measurements of the track of order[i]
+    lengths = np.diff(np.r_[starts, n])
+    column = np.empty_like(lengths)
+    column[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
+    # step by step, and by column within a step: step j is the j-th
+    # measurement of columns 0 .. counts[j] - 1
+    packed = order[np.lexsort((column[track], rank))]
+    counts = np.bincount(rank)
+    z = np.asarray(z, dtype=np.float64)[packed]
+    r = r[packed]
+    A, nis = z.copy(), np.zeros(n)  # a first measurement sets A = z, P = r
+    P = r[: counts[0]].copy()
+    prior = 0
+    for lo, m in zip(np.cumsum(counts[:-1]).tolist(), counts[1:].tolist()):
+        step = slice(lo, lo + m)
+        A[step], P[:m], nis[step] = _gain_step(A[prior : prior + m], P[:m] + Q, z[step], r[step])
+        prior = lo
+    out = np.empty((2, n))
+    out[:, packed] = A, nis
+    return out[0], out[1]

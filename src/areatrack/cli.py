@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,13 @@ def main():
     """Tracked, depth-based pothole area estimation toolkit."""
 
 
+def _finite(ctx, param, value: float) -> float:
+    """Click callback: the range types let NaN and infinity through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def _fail(msg: str) -> "NoReturn":  # noqa: F821 - typing only
     click.echo(f"error: {msg}", err=True)
     sys.exit(1)
@@ -32,9 +40,9 @@ def _fail(msg: str) -> "NoReturn":  # noqa: F821 - typing only
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
 @click.option("--no-smoothing", is_flag=True, default=False)
-@click.option("--lam", type=click.FloatRange(min=0), default=1.0,
+@click.option("--lam", type=click.FloatRange(min=0), default=1.0, callback=_finite,
               help="confidence weight of the noise model")
-@click.option("--theta", type=click.FloatRange(min=0), default=1.0,
+@click.option("--theta", type=click.FloatRange(min=0), default=1.0, callback=_finite,
               help="distance weight of the noise model")
 @click.option("--mode", type=click.Choice([m.value for m in NoiseMode]), default="combined")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
@@ -82,7 +90,8 @@ def eval_area(results_path, min_track_len, raw):
 @main.command("eval-det")
 @click.option("--dets", "dets_path", required=True, type=click.Path(exists=True))
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=True))
-@click.option("--iou", "iou_thresh", type=float, default=0.7)
+@click.option("--iou", "iou_thresh", type=click.FloatRange(min=0, max=1, min_open=True),
+              default=0.7, callback=_finite)
 def eval_det(dets_path, gt_path, iou_thresh):
     """Detection metrics (P/R/F1, AP50, AP50-95) for potholes."""
     try:

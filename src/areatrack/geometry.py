@@ -23,8 +23,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.f_u <= 0 or self.f_v <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.f_u < math.inf and 0 < self.f_v < math.inf):
+            raise ValueError(
+                f"focal lengths must be positive and finite, got f_u={self.f_u} f_v={self.f_v}"
+            )
         if not (0 <= self.p_u < self.width and 0 <= self.p_v < self.height):
             raise ValueError("principal point must lie inside the image")
 

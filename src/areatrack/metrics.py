@@ -131,33 +131,38 @@ def evaluate_detections_per_frame(
 
 # ---------------------------------------------------------------------------
 # area consistency metrics
+#
+# Each statistic takes one series, or equal-length series stacked as the
+# rows of a 2-D array, and reduces the last axis: a float for one series,
+# an array of one value per row for a stack.
 
 
-def area_mae(series: Sequence[float]) -> float:
+def area_mae(series: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Mean absolute deviation from the series mean."""
-    if len(series) == 0:
+    a = np.asarray(series, dtype=np.float64)
+    if a.shape[-1] == 0:
         raise EmptySeries("MAE of empty series")
-    a = np.asarray(series, dtype=np.float64)
-    return float(np.mean(np.abs(a - a.mean())))
+    return np.mean(np.abs(a - a.mean(axis=-1, keepdims=True)), axis=-1)
 
 
-def area_cv(series: Sequence[float]) -> float:
+def area_cv(series: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Population standard deviation over mean."""
-    if len(series) == 0:
+    a = np.asarray(series, dtype=np.float64)
+    if a.shape[-1] == 0:
         raise EmptySeries("CV of empty series")
-    a = np.asarray(series, dtype=np.float64)
-    mean = a.mean()
-    if mean <= 0.0:
-        raise ZeroMean(f"CV undefined for mean {mean}")
-    return float(np.sqrt(np.mean((a - mean) ** 2)) / mean)
+    mean = a.mean(axis=-1, keepdims=True)
+    bad = np.flatnonzero(mean <= 0.0)
+    if bad.size:
+        raise ZeroMean(f"CV undefined for mean {mean.flat[bad[0]]}")
+    return np.sqrt(np.mean((a - mean) ** 2, axis=-1)) / mean[..., 0]
 
 
-def area_afd(series: Sequence[float]) -> float:
+def area_afd(series: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Mean absolute difference between consecutive estimates."""
-    if len(series) < 2:
-        raise TooShort("AFD needs at least two elements")
     a = np.asarray(series, dtype=np.float64)
-    return float(np.mean(np.abs(np.diff(a))))
+    if a.shape[-1] < 2:
+        raise TooShort("AFD needs at least two elements")
+    return np.mean(np.abs(np.diff(a, axis=-1)), axis=-1)
 
 
 def objective_j(mae: float, cv: float, afd: float, nis: float) -> float:
@@ -199,35 +204,53 @@ def area_consistency_report(
     nis_by_track: Optional[dict[int, Sequence[float]]] = None,
     min_track_len: int = 5,
 ) -> AreaConsistencyReport:
-    per_track: list[TrackAreaStats] = []
-    for tid in sorted(areas_by_track):
-        series = list(areas_by_track[tid])
-        if len(series) < min_track_len:
-            continue
-        nis_series = list(nis_by_track.get(tid, [])) if nis_by_track else []
-        nis_mean = float(np.mean(nis_series)) if nis_series else None
-        mean = float(np.mean(series))
-        cv = area_cv(series) if mean > 0 else 0.0
-        per_track.append(
-            TrackAreaStats(
-                track_id=tid,
-                n=len(series),
-                mean_area=mean,
-                mae=area_mae(series),
-                cv=cv,
-                afd=area_afd(series),
-                nis_mean=nis_mean,
-            )
-        )
-    if not per_track:
+    """Per-track statistics of the tracks with at least ``min_track_len``
+    areas, and their unweighted averages.
+
+    The series of one length are stacked as the rows of one C-contiguous
+    block and reduced along its rows, which sums each row in the same order
+    as a 1-D ``np.mean`` of that series.
+    """
+    tids = sorted(t for t, s in areas_by_track.items() if len(s) >= min_track_len)
+    if not tids:
         return AreaConsistencyReport(0.0, 0.0, 0.0, 0.0, 0, min_track_len, [])
-    nis_vals = [t.nis_mean for t in per_track if t.nis_mean is not None]
+    areas = [areas_by_track[t] for t in tids]
+    mean, mae, cv, afd = np.zeros((4, len(tids)))
+    for rows, block in _blocks(areas):
+        mean[rows] = block.mean(axis=1)
+        mae[rows] = area_mae(block)
+        positive = mean[rows] > 0.0  # CV is 0 where the mean is not positive or is NaN
+        cv[rows[positive]] = area_cv(block[positive])
+        afd[rows] = area_afd(block)
+    nis_series = [(nis_by_track or {}).get(t, ()) for t in tids]
+    nis = np.zeros(len(tids))
+    for rows, block in _blocks(nis_series):
+        if block.shape[1]:
+            nis[rows] = block.mean(axis=1)
+    has_nis = np.array([len(s) > 0 for s in nis_series])
+    per_track = [
+        TrackAreaStats(track_id=t, n=len(s), mean_area=m, mae=e, cv=v, afd=f,
+                       nis_mean=x if h else None)
+        for t, s, m, e, v, f, x, h in zip(
+            tids, areas, mean.tolist(), mae.tolist(), cv.tolist(), afd.tolist(),
+            nis.tolist(), has_nis.tolist())
+    ]
     return AreaConsistencyReport(
-        mae=float(np.mean([t.mae for t in per_track])),
-        cv=float(np.mean([t.cv for t in per_track])),
-        afd=float(np.mean([t.afd for t in per_track])),
-        nis_mean=float(np.mean(nis_vals)) if nis_vals else 0.0,
+        mae=float(np.mean(mae)),
+        cv=float(np.mean(cv)),
+        afd=float(np.mean(afd)),
+        nis_mean=float(np.mean(nis[has_nis])) if has_nis.any() else 0.0,
         track_count=len(per_track),
         min_track_len=min_track_len,
         per_track=per_track,
     )
+
+
+def _blocks(series: list[Sequence[float]]):
+    """(row indices, 2-D block) for each length in ``series``, shortest
+    first: the series of that length, in order, as the rows of one
+    C-contiguous float64 array."""
+    lengths = np.array([len(s) for s in series])
+    for k in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == k)
+        yield rows, np.array([series[i] for i in rows.tolist()], dtype=np.float64)

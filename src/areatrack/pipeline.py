@@ -4,10 +4,11 @@ smoothed area records out."""
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cdkf import CdkfConfig, CdkfState
+from .cdkf import CdkfConfig
 from . import cdkf
 from .errors import AreatrackError
 from .formats import (
@@ -117,16 +118,18 @@ def smooth_records(
 
     The pipeline's smoothing step; the tuner calls it directly to try
     candidate noise weights without repeating tracking and area estimation.
+    All tracks are filtered together by ``cdkf.filter_tracks``; a repeated
+    (frame, track_id) record counts as the track's next measurement.
     """
-    states: dict[int, CdkfState] = {}
-    out: list[FrameResultRecord] = []
-    for r in sorted(records, key=lambda r: (r.frame, r.track_id)):
-        state = states.get(r.track_id)
-        state = CdkfState() if state is None else cdkf.predict(state)
-        state = cdkf.update(state, r.area_raw_m2, r.confidence, r.distance_m, cfg)
-        states[r.track_id] = state
-        out.append(r.smoothed(state.A, state.last_nis))
-    return out
+    ordered = sorted(records, key=operator.attrgetter("frame", "track_id"))
+    areas, nis = cdkf.filter_tracks(
+        [r.area_raw_m2 for r in ordered],
+        [r.confidence for r in ordered],
+        [r.distance_m for r in ordered],
+        [r.track_id for r in ordered],
+        cfg,
+    )
+    return [r.smoothed(a, n) for r, a, n in zip(ordered, areas.tolist(), nis.tolist())]
 
 
 def report_from_records(
@@ -139,14 +142,12 @@ def report_from_records(
     Manholes (class 1) flow through tracking and estimation but are
     excluded from the pothole report.
     """
-    areas: dict[int, list[float]] = {}
-    nis: dict[int, list[float]] = {}
+    by_track: dict[int, list[FrameResultRecord]] = {}
     for r in records:
-        if r.class_id != 0:
-            continue
-        value = r.area_smoothed_m2 if smoothed else r.area_raw_m2
-        areas.setdefault(r.track_id, []).append(value)
-        # the first update of a track has no meaningful innovation
-        if len(areas[r.track_id]) > 1:
-            nis.setdefault(r.track_id, []).append(r.nis)
+        if r.class_id == 0:
+            by_track.setdefault(r.track_id, []).append(r)
+    value = operator.attrgetter("area_smoothed_m2" if smoothed else "area_raw_m2")
+    areas = {t: [value(r) for r in rs] for t, rs in by_track.items()}
+    # the first update of a track has no meaningful innovation
+    nis = {t: [r.nis for r in rs[1:]] for t, rs in by_track.items() if len(rs) > 1}
     return area_consistency_report(areas, nis, min_track_len=min_track_len)

@@ -27,6 +27,25 @@ class TestMeasurementNoise:
         with pytest.raises(ZeroConfidence):
             measurement_noise(0.0, 5.0, CdkfConfig())
 
+    def test_arrays_match_scalars(self):
+        c, d = [0.9, 0.05, 0.5], [4.0, 30.0, float("nan")]
+        for mode in NoiseMode:
+            cfg = CdkfConfig(lam=1.026, theta=0.7179, mode=mode)
+            got = measurement_noise(np.array(c), np.array(d), cfg).tolist()
+            assert repr(got) == repr([float(measurement_noise(*cd, cfg)) for cd in zip(c, d)])
+
+    def test_first_nonpositive_confidence_named(self):
+        with pytest.raises(ZeroConfidence, match=r"^confidence must be > 0, got -0\.5$"):
+            measurement_noise(np.array([0.9, -0.5, 0.0]), np.full(3, 5.0), CdkfConfig())
+
+    @pytest.mark.parametrize("lam, theta", [
+        (-1.0, 1.0), (1.0, -0.5), (float("nan"), 1.0), (1.0, float("nan")),
+        (float("inf"), 1.0), (1.0, float("inf")),
+    ])
+    def test_bad_weights_rejected(self, lam, theta):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            CdkfConfig(lam=lam, theta=theta)
+
     @given(st.floats(0.01, 1.0), st.floats(0.0, 50.0))
     def test_monotone_in_inputs(self, c, d):
         cfg = CdkfConfig(lam=1.0, theta=0.5)

@@ -322,6 +322,16 @@ class TestManifest:
         with pytest.raises(ManifestError, match=message):
             SequenceManifest.load(p)
 
+    @pytest.mark.parametrize("key", ["f_u", "f_v"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -300.0])
+    def test_bad_focal_length(self, tmp_path, key, value):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["intrinsics"][key] = value
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=f"^{p}: focal lengths must be positive and finite"):
+            SequenceManifest.load(p)
+
     def test_dump_load_roundtrip(self, tmp_path):
         p = self.write_minimal(tmp_path)
         m = SequenceManifest.load(p)

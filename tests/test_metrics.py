@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from areatrack.errors import EmptySeries, TooShort, ZeroMean
+from areatrack.errors import AreatrackError, EmptySeries, TooShort, ZeroMean
 from areatrack.geometry import BBox, Detection
 from areatrack.metrics import (
     AP_IOU_THRESHOLDS,
+    AreaConsistencyReport,
+    TrackAreaStats,
     area_afd,
     area_consistency_report,
     area_cv,
@@ -192,6 +194,18 @@ class TestAreaStats:
         assert area_cv([3 * v for v in s]) == pytest.approx(area_cv(s))  # scale-free
         assert area_afd([3 * v for v in s]) == pytest.approx(3 * area_afd(s))
 
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 6), n=st.integers(2, 300))
+    def test_rows_of_a_block_match_one_series(self, seed, rows, n):
+        block = np.random.default_rng(seed).uniform(0.01, 2.0, (rows, n))
+        for stat in (area_mae, area_cv, area_afd):
+            got = stat(block)
+            assert got.shape == (rows,)
+            assert [v.hex() for v in got.tolist()] == [float(stat(r)).hex() for r in block.tolist()]
+
+    def test_block_zero_mean_cv_names_the_row(self):
+        with pytest.raises(ZeroMean, match="mean -0.5"):
+            area_cv([[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]])
+
 
 class TestObjective:
     def test_reference_row(self):
@@ -202,6 +216,82 @@ class TestObjective:
         assert objective_j(0, 1, 0, 0) == 1.0
         assert objective_j(0, 0, 1, 0) == 1.0
         assert objective_j(0, 0, 0, 1) == 1.0
+
+
+# The per-track report body that the length-block report replaced, with the
+# one-series statistics it called, kept as the oracle.
+
+
+def reference_consistency_report(areas_by_track, nis_by_track=None, min_track_len=5):
+    per_track = []
+    for tid in sorted(areas_by_track):
+        series = list(areas_by_track[tid])
+        if len(series) < min_track_len:
+            continue
+        nis_series = list(nis_by_track.get(tid, [])) if nis_by_track else []
+        nis_mean = float(np.mean(nis_series)) if nis_series else None
+        a = np.asarray(series, dtype=np.float64)
+        mean = float(np.mean(series))
+        cv = float(np.sqrt(np.mean((a - a.mean()) ** 2)) / a.mean()) if mean > 0 else 0.0
+        if len(series) < 2:
+            raise TooShort("AFD needs at least two elements")
+        per_track.append(
+            TrackAreaStats(
+                track_id=tid,
+                n=len(series),
+                mean_area=mean,
+                mae=float(np.mean(np.abs(a - a.mean()))),
+                cv=cv,
+                afd=float(np.mean(np.abs(np.diff(a)))),
+                nis_mean=nis_mean,
+            )
+        )
+    if not per_track:
+        return AreaConsistencyReport(0.0, 0.0, 0.0, 0.0, 0, min_track_len, [])
+    nis_vals = [t.nis_mean for t in per_track if t.nis_mean is not None]
+    return AreaConsistencyReport(
+        mae=float(np.mean([t.mae for t in per_track])),
+        cv=float(np.mean([t.cv for t in per_track])),
+        afd=float(np.mean([t.afd for t in per_track])),
+        nis_mean=float(np.mean(nis_vals)) if nis_vals else 0.0,
+        track_count=len(per_track),
+        min_track_len=min_track_len,
+        per_track=per_track,
+    )
+
+
+def outcome(report, *args) -> str:
+    """The repr of a report, or the package error raised instead."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(report(*args))
+    except AreatrackError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@st.composite
+def track_series(draw):
+    """Areas of 0-60 tracks of 1-150 values each, which crosses numpy's 8-
+    and 128-element pairwise-sum blocks, and NIS series of 0-150 values for
+    most of them. Some values are NaN, infinite, zero or negative, and some
+    tracks are all zero or have a negative mean."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_tracks, max_len = draw(st.integers(0, 60)), draw(st.integers(1, 150))
+    lengths = rng.integers(1, max_len + 1, n_tracks).tolist()
+    special = draw(st.sampled_from([0.0, 0.02, 0.2]))
+
+    def series(n):
+        a = rng.uniform(0.01, 2.0, n) - rng.choice([0.0, 0.0, 0.0, 3.0])
+        if rng.random() < 0.05:
+            a[:] = 0.0
+        mask = rng.random(n) < special
+        a[mask] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e300], mask.sum())
+        return a.tolist()
+
+    tids = rng.permutation(10 * len(lengths) + 1)[: len(lengths)].tolist()
+    areas = {t: series(n) for t, n in zip(tids, lengths)}
+    nis = {t: series(int(rng.integers(0, 151))) for t in tids if rng.random() < 0.8}
+    return areas, nis
 
 
 class TestConsistencyReport:
@@ -229,3 +319,20 @@ class TestConsistencyReport:
         rep = area_consistency_report({}, min_track_len=5)
         assert rep.track_count == 0
         assert rep.objective == 0.0
+
+    def test_one_record_track_at_min_len_one_is_too_short(self):
+        with pytest.raises(TooShort, match="AFD needs at least two elements"):
+            area_consistency_report({1: [0.2] * 5, 2: [0.3]}, min_track_len=1)
+
+    def test_nonpositive_or_nan_mean_has_zero_cv(self):
+        rep = area_consistency_report(
+            {1: [0.0, 0.0], 2: [-1.0, -2.0], 3: [np.nan, 1.0], 4: [1.0, 3.0]}, min_track_len=2)
+        assert [t.cv for t in rep.per_track] == [0.0, 0.0, 0.0, 0.5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=track_series(), min_track_len=st.sampled_from([1, 2, 5, 12]))
+    def test_matches_per_track_reference(self, data, min_track_len):
+        areas, nis = data
+        assert outcome(area_consistency_report, areas, nis, min_track_len) == outcome(
+            reference_consistency_report, areas, nis, min_track_len)
+

@@ -7,9 +7,10 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from areatrack import formats
-from areatrack.cdkf import CdkfConfig
+from areatrack import cdkf, formats
+from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode
 from areatrack.cli import main
+from areatrack.errors import ZeroConfidence
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
 from areatrack.pipeline import (
     PipelineConfig,
@@ -25,6 +26,8 @@ from areatrack.synth import (
     Surface,
     write_scene,
 )
+
+from test_metrics import outcome, reference_consistency_report
 
 INTR = CameraIntrinsics(f_u=300.0, f_v=300.0, p_u=160.0, p_v=120.0, width=320, height=240)
 
@@ -209,11 +212,7 @@ class TestRunPipeline:
         cfg = CdkfConfig(lam=0.8, theta=0.5)
         inline, _ = run_pipeline(manifest, PipelineConfig(cdkf=cfg))
         raw, _ = run_pipeline(manifest, PipelineConfig(smoothing=False))
-        redone = smooth_records(raw, cfg)
-        assert [r.area_smoothed_m2 for r in redone] == pytest.approx(
-            [r.area_smoothed_m2 for r in inline]
-        )
-        assert [r.nis for r in redone] == pytest.approx([r.nis for r in inline])
+        assert smooth_records(raw, cfg) == inline
 
     def test_skipped_detections_leave_no_record(self, tmp_path, caplog):
         manifest_path = write_scene(approach_scene(), tmp_path)
@@ -258,24 +257,115 @@ class TestRunPipeline:
         assert 3 not in frames_with_output
 
 
-class TestReportFiltering:
-    def rec(self, frame, track_id, class_id, smoothed):
-        return formats.FrameResultRecord(
-            frame=frame, track_id=track_id, class_id=class_id,
-            bbox=BBox(0, 0, 10, 10), confidence=0.9, distance_m=5.0,
-            area_raw_m2=smoothed, area_smoothed_m2=smoothed, nis=1.0,
-            valid_patch_fraction=1.0,
-        )
+# The record-by-record loop that the all-tracks pass replaced, kept as the
+# oracle: one scalar filter per track, records in (frame, track_id) order.
 
+
+def reference_smooth_records(records, cfg):
+    states: dict[int, CdkfState] = {}
+    out = []
+    for r in sorted(records, key=lambda r: (r.frame, r.track_id)):
+        state = states.get(r.track_id)
+        state = CdkfState() if state is None else cdkf.predict(state)
+        state = cdkf.update(state, r.area_raw_m2, r.confidence, r.distance_m, cfg)
+        states[r.track_id] = state
+        out.append(dataclasses.replace(r, area_smoothed_m2=state.A, nis=state.last_nis))
+    return out
+
+
+def reference_report_from_records(records, min_track_len=5, smoothed=True):
+    areas: dict[int, list[float]] = {}
+    nis: dict[int, list[float]] = {}
+    for r in records:
+        if r.class_id != 0:
+            continue
+        areas.setdefault(r.track_id, []).append(r.area_smoothed_m2 if smoothed else r.area_raw_m2)
+        if len(areas[r.track_id]) > 1:
+            nis.setdefault(r.track_id, []).append(r.nis)
+    return reference_consistency_report(areas, nis, min_track_len=min_track_len)
+
+
+def record(frame, track_id, area, confidence=0.9, distance=5.0, class_id=0, nis=0.0):
+    return formats.FrameResultRecord(
+        frame=frame, track_id=track_id, class_id=class_id,
+        bbox=BBox(0, 0, 10, 10), confidence=confidence, distance_m=distance,
+        area_raw_m2=area, area_smoothed_m2=area, nis=nis, valid_patch_fraction=1.0,
+    )
+
+
+@st.composite
+def raw_records(draw):
+    """Raw records of 0-60 tracks of 1-150 records each, shuffled. Frames
+    skip up to 3 between records and sometimes repeat, giving repeated
+    (frame, track_id) rows; some tracks are manholes, and some distances
+    are NaN or infinite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_tracks, max_len = draw(st.integers(0, 60)), draw(st.integers(1, 150))
+    special = draw(st.sampled_from([0.0, 0.02]))
+    records = []
+    for track_id in rng.permutation(10 * n_tracks + 1)[:n_tracks].tolist():
+        n = int(rng.integers(1, max_len + 1))
+        frames = int(rng.integers(0, 50)) + np.cumsum(rng.integers(0, 4, n))
+        distance = rng.uniform(1.0, 20.0, n)
+        mask = rng.random(n) < special
+        distance[mask] = rng.choice([np.nan, np.inf], mask.sum())
+        class_id = int(rng.random() < 0.1)
+        records += [
+            record(f, track_id, a, confidence=c, distance=d, class_id=class_id)
+            for f, a, c, d in zip(frames.tolist(), rng.uniform(0.01, 1.0, n).tolist(),
+                                  rng.uniform(0.01, 1.0, n).tolist(), distance.tolist())
+        ]
+    return [records[i] for i in rng.permutation(len(records)).tolist()]
+
+
+_WEIGHTS = st.sampled_from([0.0, 1e-6, 0.3, 1.0, 2.5, 1e6, 1e300])
+
+
+class TestSmoothRecords:
+    @settings(max_examples=100, deadline=None)
+    @given(records=raw_records(), lam=_WEIGHTS, theta=_WEIGHTS, mode=st.sampled_from(NoiseMode))
+    def test_matches_per_record_reference(self, records, lam, theta, mode):
+        cfg = CdkfConfig(lam=lam, theta=theta, mode=mode)
+        with np.errstate(all="ignore"):
+            got = smooth_records(records, cfg)
+            want = reference_smooth_records(records, cfg)
+        assert [r.area_smoothed_m2.hex() for r in got] == [r.area_smoothed_m2.hex() for r in want]
+        assert [r.nis.hex() for r in got] == [r.nis.hex() for r in want]
+        assert repr(got) == repr(want)
+        for min_track_len in (1, 2, 5, 12):
+            for smoothed in (True, False):
+                assert outcome(report_from_records, got, min_track_len, smoothed) == outcome(
+                    reference_report_from_records, want, min_track_len, smoothed)
+
+    def test_zero_confidence_names_first_record_in_frame_order(self):
+        records = [record(2, 1, 0.2, confidence=-0.5), record(0, 1, 0.2), record(0, 2, 0.3),
+                   record(1, 2, 0.3, confidence=0.0), record(1, 1, 0.2)]
+        for smooth in (smooth_records, reference_smooth_records):
+            with pytest.raises(ZeroConfidence, match=r"^confidence must be > 0, got 0\.0$"):
+                smooth(records, CdkfConfig())
+
+    def test_empty(self):
+        assert smooth_records([], CdkfConfig()) == []
+        rep = report_from_records([])
+        assert (rep.track_count, rep.objective) == (0, 0.0)
+
+    def test_repeated_row_is_the_next_update(self):
+        records = [record(0, 1, 0.2), record(1, 1, 0.4), record(1, 1, 0.3)]
+        got = smooth_records(records, CdkfConfig())
+        assert got == reference_smooth_records(records, CdkfConfig())
+        assert got[2].area_smoothed_m2 != got[1].area_smoothed_m2
+
+
+class TestReportFiltering:
     def test_manhole_class_excluded(self):
-        records = [self.rec(k, 1, 0, 0.2) for k in range(6)]
-        records += [self.rec(k, 2, 1, 0.5) for k in range(6)]
+        records = [record(k, 1, 0.2) for k in range(6)]
+        records += [record(k, 2, 0.5, class_id=1) for k in range(6)]
         rep = report_from_records(records)
         assert rep.track_count == 1
         assert rep.per_track[0].track_id == 1
 
     def test_first_update_nis_excluded(self):
-        records = [self.rec(k, 1, 0, 0.2) for k in range(6)]
+        records = [record(k, 1, 0.2, nis=1.0) for k in range(6)]
         rep = report_from_records(records)
         # 6 records but only 5 innovations enter the NIS average
         assert rep.nis_mean == pytest.approx(1.0)
@@ -443,9 +533,11 @@ class TestCli:
             target.write_bytes(original)
         assert_clean_exit(res)
 
-    @pytest.mark.parametrize("command, option, bad, lowest", [
+    @pytest.mark.parametrize("command, option, bad, valid", [
         ("estimate", "--lam", "-1", "0"),
+        ("estimate", "--lam", "nan", "0"),
         ("estimate", "--theta", "-0.5", "0"),
+        ("estimate", "--theta", "inf", "0"),
         ("estimate", "--seed", "-1", "0"),
         ("optimize", "--seed", "-1", "0"),
         ("optimize", "--n-init", "0", "1"),
@@ -453,10 +545,14 @@ class TestCli:
         ("optimize", "--min-track-len", "1", "2"),
         ("eval-area", "--min-track-len", "1", "2"),
         ("synth", "--seed", "-1", "0"),
-    ], ids=["estimate-lam", "estimate-theta", "estimate-seed", "optimize-seed", "optimize-n-init",
-            "optimize-n-iter", "optimize-min-track-len", "eval-area-min-track-len", "synth-seed"])
+        ("eval-det", "--iou", "-1", "1"),
+        ("eval-det", "--iou", "nan", "1"),
+    ], ids=["estimate-lam", "estimate-lam-nan", "estimate-theta", "estimate-theta-inf",
+            "estimate-seed", "optimize-seed", "optimize-n-init", "optimize-n-iter",
+            "optimize-min-track-len", "eval-area-min-track-len", "synth-seed", "eval-det-iou",
+            "eval-det-iou-nan"])
     def test_out_of_range_option_is_a_usage_error(self, fuzz_dir, tmp_path, command, option,
-                                                  bad, lowest):
+                                                  bad, valid):
         manifest = str(fuzz_dir / "manifest.yaml")
         # a results file whose only track has one record
         one = tmp_path / "one.txt"
@@ -467,19 +563,35 @@ class TestCli:
                            "width": 40, "height": 30},
             "surface": {"potholes": [{"center": [0.0, 0.0], "a": 0.3, "b": 0.2}]},
         }))
+        results = tmp_path / "results.txt"
         base = {
-            "estimate": ["estimate", "--manifest", manifest],
+            "estimate": ["estimate", "--manifest", manifest, "--out", str(results)],
             "optimize": ["optimize", "--manifest", manifest, "--n-init", "1", "--n-iter", "0"],
             "eval-area": ["eval-area", "--results", str(one)],
             "synth": ["synth", "--spec", str(spec), "--out", str(tmp_path / "scene")],
+            "eval-det": ["eval-det", "--dets", str(fuzz_dir / "dets_0001.txt"),
+                         "--gt", str(fuzz_dir / "gt_boxes.txt")],
         }[command]
         runner = CliRunner()
         res = runner.invoke(main, base + [option, bad])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert f"Invalid value for '{option}'" in res.output
-        res = runner.invoke(main, base + [option, lowest])
+        assert not results.exists()
+        res = runner.invoke(main, base + [option, valid])
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_nonfinite_focal_length_is_a_data_error(self, fuzz_dir, tmp_path, value):
+        manifest = tmp_path / "manifest.yaml"
+        text = (fuzz_dir / "manifest.yaml").read_text()
+        manifest.write_text(text.replace("f_u: 300.0", f"f_u: {value}"))
+        assert manifest.read_text() != text
+        res = CliRunner().invoke(main, ["estimate", "--manifest", str(manifest)])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert f"error: {manifest}: focal lengths must be positive and finite" in res.output
 
     def test_missing_manifest_exit_code(self):
         runner = CliRunner()
