@@ -4,6 +4,7 @@ records, and the YAML sequence manifest."""
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -26,20 +27,22 @@ FORMAT_VERSION = 1
 # PFM depth maps (grayscale "Pf" only; rows stored bottom-to-top)
 
 
-def parse_pfm(data: bytes) -> DepthMap:
+def parse_pfm(data: bytes | mmap.mmap) -> DepthMap:
     """Decode a grayscale PFM file; bytes after the payload are ignored.
 
+    ``data`` is the whole file as bytes or as a read-only ``mmap`` of it.
     A map stored in the machine's byte order (little-endian, negative
     scale, on x86 and ARM) is not copied: its values are a read-only,
-    row-flipped view of ``data``, which the map keeps alive. Any other map
-    is converted to native float32.
+    row-flipped view of ``data``, which the map keeps alive, so a mapping
+    stays open until the map is released. Any other map is converted to
+    native float32. The scale must be finite and non-zero; only its sign
+    is used.
     """
-    try:
-        nl1 = data.index(b"\n")
-        nl2 = data.index(b"\n", nl1 + 1)
-        nl3 = data.index(b"\n", nl2 + 1)
-    except ValueError:
-        raise TruncatedPayload("incomplete PFM header") from None
+    nl1 = data.find(b"\n")
+    nl2 = data.find(b"\n", nl1 + 1)
+    nl3 = data.find(b"\n", nl2 + 1)
+    if min(nl1, nl2, nl3) < 0:
+        raise TruncatedPayload("incomplete PFM header")
     magic = data[:nl1].strip()
     if magic != b"Pf":
         raise BadMagic(f"expected grayscale 'Pf', got {magic!r}")
@@ -53,6 +56,8 @@ def parse_pfm(data: bytes) -> DepthMap:
         raise DimensionMismatch(str(e)) from None
     if width <= 0 or height <= 0:
         raise DimensionMismatch(f"non-positive dimensions {width}x{height}")
+    if not math.isfinite(scale) or scale == 0.0:
+        raise DimensionMismatch(f"scale must be finite and non-zero, got {scale!r}")
     n = width * height
     payload_len = len(data) - (nl3 + 1)
     if payload_len < 4 * n:

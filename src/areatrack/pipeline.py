@@ -4,7 +4,9 @@ smoothed area records out."""
 from __future__ import annotations
 
 import logging
+import mmap
 import operator
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from .formats import (
     parse_motion_file,
     parse_pfm,
 )
-from .geometry import MotionTransform, as_xywh
+from .geometry import DepthMap, MotionTransform, as_xywh
 from .mbtp import estimate_areas
 from .metrics import AreaConsistencyReport, area_consistency_report
 from .tracking import Tracker, fit_motion_ransac
@@ -51,13 +53,17 @@ def run_pipeline(
     Per-frame input errors abort with the frame index; a detection whose
     box covers no pixels or has no valid depth is skipped with a log line
     and leaves no record, so it never advances its track's filter.
+
+    Depth files are memory-mapped, not read: only the pages that the
+    frame's boxes touch are loaded. A depth file must therefore not be
+    truncated or rewritten while its frame is processed.
     """
     tracker = Tracker()
     records: list[FrameResultRecord] = []
 
     for entry in manifest.frames:
         try:
-            depth = parse_pfm(entry.depth_path.read_bytes())
+            depth = _load_depth(entry.depth_path)
             dets_by_frame = parse_detections(entry.detections_path.read_text())
             motion = _load_motion(entry.motion_path, config.seed, entry.frame)
         except (AreatrackError, OSError) as e:
@@ -97,6 +103,20 @@ def run_pipeline(
         records = smooth_records(records, config.cdkf)
     report = report_from_records(records, smoothed=config.smoothing)
     return records, report
+
+
+def _load_depth(path: Path) -> DepthMap:
+    """``parse_pfm`` over a read-only mapping of the file; the map keeps
+    the mapping open while it views it."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            return parse_pfm(b"")  # mmap cannot map an empty file
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        return parse_pfm(data)
+    except AreatrackError:
+        data.close()
+        raise
 
 
 def _load_motion(path, seed: int, frame: int) -> MotionTransform | None:

@@ -146,13 +146,27 @@ def _fit_affine(src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
     return m
 
 
+def _sample_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """(k, 3) indices, each row a uniform random 3-subset of range(n), n >= 3.
+
+    Floyd's algorithm (Bentley & Floyd, 1987) for three picks, run over
+    all rows at once: a ~ U[0, n-2); b ~ U[0, n-1), or n-2 where b == a;
+    c ~ U[0, n), or n-1 where c is a or b.
+    """
+    a, b, c = rng.integers(0, (n - 2, n - 1, n), size=(k, 3)).T
+    b = np.where(b == a, n - 2, b)
+    c = np.where((c == a) | (c == b), n - 1, c)
+    return np.column_stack([a, b, c])
+
+
 def fit_motion_ransac(
     correspondences: Sequence[tuple[tuple[float, float], tuple[float, float]]],
     seed: int = 0,
 ) -> MotionTransform:
     """RANSAC affine fit mapping first points onto second points.
 
-    All ``RANSAC_ITERS`` 3-point hypotheses are drawn up front, solved in one
+    All ``RANSAC_ITERS`` 3-point hypotheses are drawn up front in one
+    ``_sample_triples`` call from ``default_rng(seed)``, solved in one
     batch and scored against every pair at once; the first hypothesis with
     the most inliers wins. A hypothesis is skipped when a sample is not
     finite, when its samples are rank-deficient under ``lstsq``'s default
@@ -166,10 +180,7 @@ def fit_motion_ransac(
     src = np.array([c[0] for c in correspondences], dtype=np.float64)
     dst = np.array([c[1] for c in correspondences], dtype=np.float64)
     n = len(src)
-    rng = np.random.default_rng(seed)
-    idx = np.array(
-        [rng.choice(n, size=3, replace=False) for _ in range(RANSAC_ITERS)], dtype=np.intp
-    )
+    idx = _sample_triples(np.random.default_rng(seed), n, RANSAC_ITERS)
     # non-finite pairs are zeroed, so no LAPACK call sees them, and masked out
     finite = np.isfinite(src).all(axis=1) & np.isfinite(dst).all(axis=1)
     S = np.column_stack([np.where(finite[:, None], src, 0.0), np.ones(n)])

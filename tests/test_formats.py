@@ -102,6 +102,15 @@ class TestPfm:
             parse_pfm(b"Pf\n2\n-1.0\n" + b"\x00" * 16)
         with pytest.raises(DimensionMismatch):
             parse_pfm(b"Pf\n0 2\n-1.0\n")
+        # a scale of zero or not finite gives no byte order; nan once read
+        # this little-endian [1.5, 2.5] as big-endian [6.9e-41, 1.2e-41]
+        payload = struct.pack("<2f", 1.5, 2.5)
+        for scale, named in [(b"0", "0.0"), (b"-0.0", "-0.0"), (b"nan", "nan"),
+                             (b"inf", "inf"), (b"-inf", "-inf")]:
+            with pytest.raises(DimensionMismatch, match=f"got {named}$"):
+                parse_pfm(b"Pf\n2 1\n" + scale + b"\n" + payload)
+        with pytest.raises(DimensionMismatch):
+            parse_pfm(b"Pf\n2 1\nx\n" + payload)
 
 
 class TestDetections:

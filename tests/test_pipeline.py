@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import mmap
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +10,13 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from areatrack import cdkf, formats
+from areatrack import cdkf, formats, pipeline
 from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode
 from areatrack.cli import main
-from areatrack.errors import ZeroConfidence
+from areatrack.errors import AreatrackError, ZeroConfidence
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
 from areatrack.pipeline import (
+    FrameProcessingError,
     PipelineConfig,
     report_from_records,
     run_pipeline,
@@ -170,6 +174,19 @@ def corrupted_pfm(draw, data: bytes) -> bytes:
     return b"\n".join(lines) + b"\n" + payload
 
 
+def _open_fds() -> int | None:
+    """This process's open file descriptors, where Linux's /proc lists them."""
+    fd_dir = Path("/proc/self/fd")
+    return len(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+
+def _buffer_owner(a: np.ndarray):
+    """The object whose buffer an array views, or the array if it owns its data."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
 class TestRunPipeline:
     def test_end_to_end_single_track(self, scene_dir):
         _, manifest_path = scene_dir
@@ -232,6 +249,72 @@ class TestRunPipeline:
         assert [r.frame for r in records] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
         raw, _ = run_pipeline(manifest, dataclasses.replace(config, smoothing=False))
         assert records == smooth_records(raw, config.cdkf)
+
+    @pytest.mark.parametrize("kind", ["little", "big", "trailing"])
+    def test_mapped_depth_equals_read_bytes(self, tmp_path, kind):
+        rng = np.random.default_rng(6)
+        vals = rng.uniform(0.5, 30.0, (9, 13)).astype(np.float32)
+        vals[4, 5] = np.nan
+        path = tmp_path / "depth.pfm"
+        path.write_bytes({
+            "little": formats.write_pfm(DepthMap(13, 9, vals)),
+            "big": b"Pf\n13 9\n1.0\n" + vals[::-1].astype(">f4").tobytes(),
+            "trailing": formats.write_pfm(DepthMap(13, 9, vals)) + b"\x00\xff junk\n",
+        }[kind])
+        got, want = pipeline._load_depth(path), formats.parse_pfm(path.read_bytes())
+        assert (got.width, got.height) == (want.width, want.height)
+        assert got.values.dtype == want.values.dtype == np.float32
+        assert got.values.tobytes() == want.values.tobytes()
+        assert not got.values.flags.writeable
+        with pytest.raises(ValueError):
+            got.values[0, 0] = 1.0
+        # a little-endian map views the mapping; a big-endian one is a copy
+        assert isinstance(_buffer_owner(got.values), mmap.mmap) == (kind != "big")
+
+    @pytest.mark.parametrize("kind", ["empty", "header-cut", "header-only", "nan-scale", "directory"])
+    def test_unreadable_depth_file_names_its_frame(self, scene_dir, tmp_path, kind):
+        src, _ = scene_dir
+        for f in src.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        depth = tmp_path / "depth_0001.pfm"
+        if kind == "directory":
+            depth.unlink()
+            depth.mkdir()
+        else:
+            header = f"Pf\n{INTR.width} {INTR.height}\n".encode()
+            depth.write_bytes({
+                "empty": b"",
+                "header-cut": header[:-1],
+                "header-only": header + b"-1.0\n",
+                "nan-scale": header + b"nan\n" + depth.read_bytes()[len(header) + 5:],
+            }[kind])
+        fds = _open_fds()
+        with pytest.raises((AreatrackError, OSError)) as err:
+            pipeline._load_depth(depth)
+        # a bad file's mapping is closed at once, not when the error is freed
+        assert _open_fds() == fds, err.value
+        manifest_path = tmp_path / "manifest.yaml"
+        with pytest.raises(FrameProcessingError, match="^frame 1: ") as err:
+            run_pipeline(formats.SequenceManifest.load(manifest_path), PipelineConfig())
+        assert err.value.frame == 1
+        res = CliRunner().invoke(main, ["estimate", "--manifest", str(manifest_path)])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "error: frame 1: " in res.output
+
+    @pytest.mark.skipif(_open_fds() is None, reason="needs /proc/self/fd")
+    def test_no_depth_mapping_outlives_its_frame(self, scene_dir):
+        _, manifest_path = scene_dir
+        manifest = formats.SequenceManifest.load(manifest_path)
+        before = _open_fds()
+        depth = pipeline._load_depth(manifest.frames[0].depth_path)
+        # a live map holds its mapping, and the mapping a file descriptor
+        assert _open_fds() == before + 1
+        del depth
+        assert _open_fds() == before
+        run_pipeline(manifest, PipelineConfig())
+        assert _open_fds() == before
 
     def test_empty_detection_frames_ok(self, tmp_path):
         # a scene where the depression leaves the view partway through still

@@ -218,17 +218,41 @@ class TestRansac:
         assert np.array_equal(t1.m, t2.m)
 
 
+class TestSampleTriples:
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 120, 10**9])
+    def test_three_distinct_indices_in_range(self, n):
+        idx = tracking._sample_triples(np.random.default_rng(n), n, 5000)
+        assert idx.shape == (5000, 3)
+        assert ((idx >= 0) & (idx < n)).all()
+        s = np.sort(idx, axis=1)
+        assert ((s[:, 1] > s[:, 0]) & (s[:, 2] > s[:, 1])).all()
+        if n == 3:
+            assert (s == [0, 1, 2]).all()
+
+    def test_subsets_uniform(self):
+        n, draws = 7, 20000
+        idx = np.sort(tracking._sample_triples(np.random.default_rng(11), n, draws), axis=1)
+        subsets = list(itertools.combinations(range(n), 3))
+        code = (idx * [n * n, n, 1]).sum(axis=1)
+        counts = np.array([np.count_nonzero(code == a * n * n + b * n + c) for a, b, c in subsets])
+        assert counts.sum() == draws
+        expected = draws / len(subsets)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # chi-square with 34 degrees of freedom: 65.25 is its 0.999 quantile
+        assert chi2 < 65.25, counts
+
+
 def reference_ransac(correspondences, seed=0):
     """The one-hypothesis-at-a-time RANSAC loop, kept as an oracle for the
-    batched fit: lstsq per hypothesis, strict ``>`` and the all-inlier break."""
+    batched fit: lstsq per hypothesis, strict ``>`` and the all-inlier break.
+    It tries the hypotheses of the fit's own draw, which is its input."""
     src = np.array([c[0] for c in correspondences], dtype=np.float64)
     dst = np.array([c[1] for c in correspondences], dtype=np.float64)
     n = len(src)
     rng = np.random.default_rng(seed)
     best_inliers = None
     best_count = 0
-    for _ in range(tracking.RANSAC_ITERS):
-        idx = rng.choice(n, size=3, replace=False)
+    for idx in tracking._sample_triples(rng, n, tracking.RANSAC_ITERS):
         m = _fit_affine(src[idx], dst[idx])
         if m is None:
             continue
