@@ -119,6 +119,10 @@ class DepthMap:
         return z
 
 
+# a transform whose 2x2 linear part has |determinant| at or below this is singular
+SINGULAR_DET = 1e-9
+
+
 @dataclass(frozen=True)
 class MotionTransform:
     """3x3 homogeneous 2D transform between consecutive frames (pixel units)."""
@@ -129,9 +133,28 @@ class MotionTransform:
         m = np.asarray(self.m, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError("transform must be 3x3")
-        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) <= 1e-9:
+        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) <= SINGULAR_DET:
             raise SingularTransform("upper-left 2x2 block is singular")
         object.__setattr__(self, "m", m)
+
+    @classmethod
+    def fit(cls, src: np.ndarray, dst: np.ndarray) -> Optional["MotionTransform"]:
+        """Least-squares affine map taking (n, 2) points ``src`` onto ``dst``; None
+        when ``src`` is rank-deficient for ``lstsq`` or the 2x2 part is singular."""
+        A = np.column_stack([src, np.ones(len(src))])
+        try:
+            coef, _, rank, _ = np.linalg.lstsq(A, dst, rcond=None)
+        except np.linalg.LinAlgError:
+            return None
+        if rank < 3:
+            return None
+        m = np.eye(3)
+        m[:2, :2] = coef[:2].T
+        m[:2, 2] = coef[2]
+        try:
+            return cls(m)
+        except SingularTransform:
+            return None
 
     @classmethod
     def identity(cls) -> "MotionTransform":

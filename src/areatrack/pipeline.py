@@ -14,13 +14,14 @@ from .cdkf import CdkfConfig
 from . import cdkf
 from .errors import AreatrackError
 from .formats import (
+    FrameEntry,
     FrameResultRecord,
     SequenceManifest,
     parse_detections,
     parse_motion_file,
     parse_pfm,
 )
-from .geometry import DepthMap, MotionTransform, as_xywh
+from .geometry import CameraIntrinsics, DepthMap, MotionTransform, as_xywh
 from .mbtp import estimate_areas
 from .metrics import AreaConsistencyReport, area_consistency_report
 from .tracking import Tracker, fit_motion_ransac
@@ -60,49 +61,54 @@ def run_pipeline(
     """
     tracker = Tracker()
     records: list[FrameResultRecord] = []
-
     for entry in manifest.frames:
-        try:
-            depth = _load_depth(entry.depth_path)
-            dets_by_frame = parse_detections(entry.detections_path.read_text())
-            motion = _load_motion(entry.motion_path, config.seed, entry.frame)
-        except (AreatrackError, OSError) as e:
-            raise FrameProcessingError(entry.frame, e) from e
-        if depth.width != manifest.intrinsics.width or depth.height != manifest.intrinsics.height:
-            raise FrameProcessingError(
-                entry.frame,
-                ValueError(
-                    f"depth {depth.width}x{depth.height} does not match intrinsics"
-                ),
-            )
-        dets = dets_by_frame.get(entry.frame, [])
-
-        assigned = tracker.step(dets, frame=entry.frame, motion=motion)
-        estimates = estimate_areas(
-            as_xywh(det.bbox for _, det in assigned), depth, manifest.intrinsics
-        )
-        for (track_id, det), est in zip(assigned, estimates):
-            if isinstance(est, AreatrackError):
-                log.warning("frame %d track %d: %s, skipping", entry.frame, track_id, est)
-                continue
-            records.append(
-                FrameResultRecord(
-                    frame=entry.frame,
-                    track_id=track_id,
-                    class_id=det.class_id,
-                    bbox=det.bbox,
-                    confidence=det.confidence,
-                    distance_m=est.distance_m,
-                    area_raw_m2=est.area_m2,
-                    area_smoothed_m2=est.area_m2,
-                    nis=0.0,
-                    valid_patch_fraction=est.valid_patch_fraction,
-                )
-            )
+        records += _process_frame(entry, manifest.intrinsics, tracker, config.seed)
     if config.smoothing:
         records = smooth_records(records, config.cdkf)
     report = report_from_records(records, smoothed=config.smoothing)
     return records, report
+
+
+def _process_frame(
+    entry: FrameEntry, intr: CameraIntrinsics, tracker: Tracker, seed: int
+) -> list[FrameResultRecord]:
+    """The raw records of one frame. Its depth map lives only in this call,
+    so a later frame's error does not keep the map's file mapping open."""
+    records = []
+    try:
+        depth = _load_depth(entry.depth_path)
+        dets_by_frame = parse_detections(entry.detections_path.read_text())
+        motion = _load_motion(entry.motion_path, seed, entry.frame)
+    except (AreatrackError, OSError) as e:
+        raise FrameProcessingError(entry.frame, e) from e
+    if depth.width != intr.width or depth.height != intr.height:
+        raise FrameProcessingError(
+            entry.frame,
+            ValueError(f"depth {depth.width}x{depth.height} does not match intrinsics"),
+        )
+    dets = dets_by_frame.get(entry.frame, [])
+
+    assigned = tracker.step(dets, frame=entry.frame, motion=motion)
+    estimates = estimate_areas(as_xywh(det.bbox for _, det in assigned), depth, intr)
+    for (track_id, det), est in zip(assigned, estimates):
+        if isinstance(est, AreatrackError):
+            log.warning("frame %d track %d: %s, skipping", entry.frame, track_id, est)
+            continue
+        records.append(
+            FrameResultRecord(
+                frame=entry.frame,
+                track_id=track_id,
+                class_id=det.class_id,
+                bbox=det.bbox,
+                confidence=det.confidence,
+                distance_m=est.distance_m,
+                area_raw_m2=est.area_m2,
+                area_smoothed_m2=est.area_m2,
+                nis=0.0,
+                valid_patch_fraction=est.valid_patch_fraction,
+            )
+        )
+    return records
 
 
 def _load_depth(path: Path) -> DepthMap:

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from . import formats
-from .errors import PotholeNeverVisible
-from .geometry import BBox, CameraIntrinsics, DepthMap, Detection, MotionTransform
+from .errors import PotholeNeverVisible, SingularTransform
+from .geometry import BBox, CameraIntrinsics, DepthMap, Detection, MotionTransform, pixel_grid
 
 # ---------------------------------------------------------------------------
 # surface models (world frame: x right, y down, z forward)
@@ -157,7 +157,7 @@ class FrameData:
     frame: int
     depth: DepthMap
     detections: list[Detection]
-    correspondences: Optional[list[tuple[tuple[float, float], tuple[float, float]]]]
+    correspondences: Optional[np.ndarray]  # (n, 2, 2); None in the first frame
 
 
 @dataclass
@@ -261,52 +261,46 @@ def _confidence(dist: float, noise: NoiseSpec, rng: np.random.Generator) -> floa
     return float(np.clip(c, 0.05, 0.99))
 
 
+def _reproject(
+    spec: SceneSpec, prev_frame: int, frame: int, uu: np.ndarray, vv: np.ndarray
+) -> np.ndarray:
+    """Pixels (uu, vv) of ``prev_frame`` cast onto the surface and projected
+    into ``frame``, as (k, 2, 2) ``[[x0, y0], [x1, y1]]`` rows in flattened
+    pixel order; pixels whose surface point is behind the camera are left out."""
+    intr = spec.intrinsics
+    prev_pose = spec.pose(prev_frame)
+    xs_hat = (uu - intr.p_u) / intr.f_u
+    ys_hat = (vv - intr.p_v) / intr.f_v
+    z = _solve_depth(spec.surface, prev_pose, xs_hat, ys_hat)
+    d = _ray_dirs(prev_pose.rotation(), xs_hat, ys_hat)
+    world = np.asarray(prev_pose.position) + z[..., None] * d
+    curr = _project_world(world.reshape(-1, 3), spec.pose(frame), intr)
+    ok = ~np.isnan(curr).any(axis=1)
+    return np.stack([np.column_stack([uu.ravel(), vv.ravel()])[ok], curr[ok]], axis=1)
+
+
 def _true_motion(spec: SceneSpec, prev_frame: int, frame: int) -> MotionTransform:
     """Best-fit affine pixel map from the previous frame to this one,
     computed from exact projections of static surface points."""
     intr = spec.intrinsics
-    prev_pose, pose = spec.pose(prev_frame), spec.pose(frame)
     us = np.linspace(0.15, 0.85, 12) * intr.width
     vs = np.linspace(0.15, 0.85, 12) * intr.height
     uu, vv = np.meshgrid(us, vs)
-    xs_hat = (uu - intr.p_u) / intr.f_u
-    ys_hat = (vv - intr.p_v) / intr.f_v
-    z = _solve_depth(spec.surface, prev_pose, xs_hat, ys_hat)
-    R = prev_pose.rotation()
-    d = _ray_dirs(R, xs_hat, ys_hat)
-    world = np.asarray(prev_pose.position) + z[..., None] * d
-    curr = _project_world(world.reshape(-1, 3), pose, intr)
-    prev = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    ok = ~np.isnan(curr).any(axis=1)
-    A = np.column_stack([prev[ok], np.ones(ok.sum())])
-    coef, _, _, _ = np.linalg.lstsq(A, curr[ok], rcond=None)
-    m = np.eye(3)
-    m[:2, :2] = coef[:2].T
-    m[:2, 2] = coef[2]
-    return MotionTransform(m)
+    pairs = _reproject(spec, prev_frame, frame, uu, vv)
+    fit = MotionTransform.fit(pairs[:, 0], pairs[:, 1])
+    if fit is None:
+        raise SingularTransform(f"no affine map from frame {prev_frame} to frame {frame}")
+    return fit
 
 
 def _correspondences(
     spec: SceneSpec, prev_frame: int, frame: int, rng: np.random.Generator
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+) -> np.ndarray:
     intr = spec.intrinsics
-    prev_pose, pose = spec.pose(prev_frame), spec.pose(frame)
     n = spec.n_correspondences
     uu = rng.uniform(0, intr.width - 1, size=n)
     vv = rng.uniform(0, intr.height - 1, size=n)
-    xs_hat = (uu - intr.p_u) / intr.f_u
-    ys_hat = (vv - intr.p_v) / intr.f_v
-    z = _solve_depth(spec.surface, prev_pose, xs_hat, ys_hat)
-    R = prev_pose.rotation()
-    d = _ray_dirs(R, xs_hat, ys_hat)
-    world = np.asarray(prev_pose.position) + z[..., None] * d
-    curr = _project_world(world, pose, intr)
-    pairs = []
-    for i in range(n):
-        if np.isnan(curr[i]).any():
-            continue
-        pairs.append(((float(uu[i]), float(vv[i])), (float(curr[i, 0]), float(curr[i, 1]))))
-    return pairs
+    return _reproject(spec, prev_frame, frame, uu, vv)
 
 
 def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
@@ -469,14 +463,22 @@ def simulate_area_series(true_area: float, n: int, seed: int) -> list[tuple[floa
 QUAD_RTOL = 1e-6
 
 
-def _gauss_legendre_2d(f, x0, x1, y0, y1, n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    xs = 0.5 * (x1 - x0) * nodes + 0.5 * (x1 + x0)
-    ys = 0.5 * (y1 - y0) * nodes + 0.5 * (y1 + y0)
-    X, Y = np.meshgrid(xs, ys)
-    W = np.outer(weights, weights)
-    vals = f(X, Y)
-    return 0.25 * (x1 - x0) * (y1 - y0) * float(np.sum(W * vals))
+def _gauss_legendre_2d(f, x0, x1, y0, y1, orders):
+    """Tensor Gauss-Legendre integral of f over [x0, x1] x [y0, y1] at each
+    order in turn; the first value within QUAD_RTOL of the one before it,
+    else the value at the last order."""
+    prev = None
+    for n in orders:
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        xs = 0.5 * (x1 - x0) * nodes + 0.5 * (x1 + x0)
+        ys = 0.5 * (y1 - y0) * nodes + 0.5 * (y1 + y0)
+        X, Y = np.meshgrid(xs, ys)
+        W = np.outer(weights, weights)
+        val = 0.25 * (x1 - x0) * (y1 - y0) * float(np.sum(W * f(X, Y)))
+        if prev is not None and abs(val - prev) <= QUAD_RTOL * abs(val):
+            return val
+        prev = val
+    return val
 
 
 def pothole_surface_area(surface: Surface, p: PotholeSpec) -> float:
@@ -493,13 +495,7 @@ def pothole_surface_area(surface: Surface, p: PotholeSpec) -> float:
         gx, gy = surface.grad(X, Y)
         return np.sqrt(1.0 + gx ** 2 + gy ** 2) * p.a * p.b * r
 
-    prev = None
-    for n in (16, 32, 64, 128):
-        val = _gauss_legendre_2d(integrand, 0.0, 1.0, 0.0, 2.0 * math.pi, n)
-        if prev is not None and abs(val - prev) <= QUAD_RTOL * abs(val):
-            return val
-        prev = val
-    return val
+    return _gauss_legendre_2d(integrand, 0.0, 1.0, 0.0, 2.0 * math.pi, (16, 32, 64, 128))
 
 
 def analytic_rect_footprint_area(spec: SceneSpec, box: BBox, frame: int = 0) -> float:
@@ -512,14 +508,11 @@ def analytic_rect_footprint_area(spec: SceneSpec, box: BBox, frame: int = 0) -> 
     """
     intr = spec.intrinsics
     pose = spec.pose(frame)
-    u0 = max(0, int(math.floor(box.x)))
-    v0 = max(0, int(math.floor(box.y)))
-    u1 = min(intr.width, int(math.ceil(box.right))) - 1
-    v1 = min(intr.height, int(math.ceil(box.bottom))) - 1
+    u0, u1, v0, v1 = pixel_grid(box, intr)  # half-open: the last pixel is u1 - 1
     x0 = (u0 - intr.p_u) / intr.f_u
-    x1 = (u1 - intr.p_u) / intr.f_u
+    x1 = (u1 - 1 - intr.p_u) / intr.f_u
     y0 = (v0 - intr.p_v) / intr.f_v
-    y1 = (v1 - intr.p_v) / intr.f_v
+    y1 = (v1 - 1 - intr.p_v) / intr.f_v
     R = pose.rotation()
     r1 = R.T[:, 0]
     r2 = R.T[:, 1]
@@ -544,10 +537,4 @@ def analytic_rect_footprint_area(spec: SceneSpec, box: BBox, frame: int = 0) -> 
         cross = np.cross(Su, Sv)
         return np.linalg.norm(cross, axis=-1)
 
-    prev = None
-    for n in (16, 32, 64, 128, 256):
-        val = _gauss_legendre_2d(integrand, x0, x1, y0, y1, n)
-        if prev is not None and abs(val - prev) <= QUAD_RTOL * abs(val):
-            return val
-        prev = val
-    return val
+    return _gauss_legendre_2d(integrand, x0, x1, y0, y1, (16, 32, 64, 128, 256))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfOrderFrame, TooFewCorrespondences
-from .geometry import Detection, MotionTransform, as_xywh, iou_matrix
+from .geometry import SINGULAR_DET, Detection, MotionTransform, as_xywh, iou_matrix
 
 
 # ByteTrack's fixed association settings (Zhang et al., ECCV 2022)
@@ -128,24 +128,6 @@ def kf_update(
     return mean, cov
 
 
-def _fit_affine(src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
-    """Least-squares affine mapping src -> dst; None when rank-deficient."""
-    n = len(src)
-    A = np.column_stack([src, np.ones(n)])
-    try:
-        coef, _, rank, _ = np.linalg.lstsq(A, dst, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    if rank < 3:
-        return None
-    m = np.eye(3)
-    m[:2, :2] = coef[:2].T
-    m[:2, 2] = coef[2]
-    if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) <= 1e-9:
-        return None
-    return m
-
-
 def _sample_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """(k, 3) indices, each row a uniform random 3-subset of range(n), n >= 3.
 
@@ -159,11 +141,11 @@ def _sample_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return np.column_stack([a, b, c])
 
 
-def fit_motion_ransac(
-    correspondences: Sequence[tuple[tuple[float, float], tuple[float, float]]],
-    seed: int = 0,
-) -> MotionTransform:
+def fit_motion_ransac(correspondences: np.ndarray, seed: int = 0) -> MotionTransform:
     """RANSAC affine fit mapping first points onto second points.
+
+    ``correspondences`` holds ``[[x0, y0], [x1, y1]]`` rows: the (n, 2, 2)
+    array ``formats.parse_motion_file`` returns, or a list of point pairs.
 
     All ``RANSAC_ITERS`` 3-point hypotheses are drawn up front in one
     ``_sample_triples`` call from ``default_rng(seed)``, solved in one
@@ -172,17 +154,18 @@ def fit_motion_ransac(
     finite, when its samples are rank-deficient under ``lstsq``'s default
     rule (smallest singular value <= 3 eps times the largest), or when its
     2x2 linear part is singular. Non-finite pairs are never inliers.
-    Refits on the inlier set; falls back to identity when fewer than 3
-    inliers support any hypothesis.
+    Refits on the inlier set with ``MotionTransform.fit``; falls back to
+    identity when fewer than 3 inliers support any hypothesis or the refit
+    fails.
     """
-    if len(correspondences) < 3:
-        raise TooFewCorrespondences(f"need >= 3 pairs, got {len(correspondences)}")
-    src = np.array([c[0] for c in correspondences], dtype=np.float64)
-    dst = np.array([c[1] for c in correspondences], dtype=np.float64)
-    n = len(src)
+    pairs = np.asarray(correspondences, dtype=np.float64)
+    n = len(pairs)
+    if n < 3:
+        raise TooFewCorrespondences(f"need >= 3 pairs, got {n}")
+    src, dst = pairs[:, 0], pairs[:, 1]
     idx = _sample_triples(np.random.default_rng(seed), n, RANSAC_ITERS)
     # non-finite pairs are zeroed, so no LAPACK call sees them, and masked out
-    finite = np.isfinite(src).all(axis=1) & np.isfinite(dst).all(axis=1)
+    finite = np.isfinite(pairs).all(axis=(1, 2))
     S = np.column_stack([np.where(finite[:, None], src, 0.0), np.ones(n)])
     D = np.where(finite[:, None], dst, 0.0)
     A = S[idx]  # (RANSAC_ITERS, 3, 3): one row [x, y, 1] per sample
@@ -191,7 +174,7 @@ def fit_motion_ransac(
     ok &= s[:, 2] > 3 * np.finfo(np.float64).eps * s[:, 0]
     A[~ok] = np.eye(3)  # skipped hypotheses solve a placeholder system
     coef = np.linalg.solve(A, D[idx])  # (RANSAC_ITERS, 3, 2): rows a_x, a_y, t
-    ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > 1e-9
+    ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > SINGULAR_DET
     dx = coef[:, :, 0] @ S.T - D[:, 0]  # (RANSAC_ITERS, n)
     dy = coef[:, :, 1] @ S.T - D[:, 1]
     err = np.sqrt(dx * dx + dy * dy)
@@ -200,10 +183,8 @@ def fit_motion_ransac(
     if counts.max() < 3:
         return MotionTransform.identity()
     best_inliers = inliers[np.argmax(counts)]  # the first with the most inliers
-    m = _fit_affine(src[best_inliers], dst[best_inliers])
-    if m is None:
-        return MotionTransform.identity()
-    return MotionTransform(m)
+    fit = MotionTransform.fit(src[best_inliers], dst[best_inliers])
+    return MotionTransform.identity() if fit is None else fit
 
 
 def hungarian_solve(cost: np.ndarray) -> list[tuple[int, int]]:

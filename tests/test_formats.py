@@ -214,10 +214,11 @@ class TestMotionFiles:
         assert np.allclose(got, m)
 
     def test_correspondences_roundtrip(self):
-        pairs = [((1.0, 2.0), (3.0, 4.0)), ((5.5, 6.5), (7.0, 8.0))]
+        pairs = np.array([[[1.0, 2.0], [3.0, 4.0]], [[5.5, 6.5], [7.0, 8.0]]])
         kind, got = parse_motion_file(write_correspondences(pairs))
         assert kind == "correspondences"
-        assert got == pairs
+        assert got.dtype == np.float64 and got.shape == (2, 2, 2)
+        assert np.array_equal(got, pairs)
 
     def test_wrong_arity(self):
         with pytest.raises(MalformedLine):
@@ -260,10 +261,12 @@ class TestRecordLines:
         assert write_records(iter(["a=1", "b=2"])) == f"format_version={FORMAT_VERSION}\na=1\nb=2\n"
 
     @pytest.mark.parametrize("parse, empty", [
-        (parse_detections, {}), (parse_results, []), (parse_motion_file, ("correspondences", [])),
+        (parse_detections, {}), (parse_results, []),
+        (parse_motion_file, ("correspondences", np.zeros((0, 2, 2)))),
     ])
     def test_header_is_a_lone_format_version_token(self, parse, empty):
-        assert parse("# c\n\nformat_version=1\n") == empty
+        # assert_equal compares the nested array's shape, not only its (no) values
+        np.testing.assert_equal(parse("# c\n\nformat_version=1\n"), empty)
         with pytest.raises(MalformedLine) as exc:
             parse("# c\n\nformat_version=1 2\n")
         assert exc.value.line_no == 3

@@ -173,6 +173,25 @@ def test_motion_transform_singular_rejected():
         MotionTransform(m)
 
 
+class TestMotionFit:
+    def test_recovers_exact_affine(self):
+        src = np.random.default_rng(0).uniform(0, 640, (30, 2))
+        m = np.array([[1.02, -0.03, 12.5], [0.01, 0.97, -7.25], [0.0, 0.0, 1.0]])
+        fit = MotionTransform.fit(src, src @ m[:2, :2].T + m[:2, 2])
+        assert np.allclose(fit.m, m, rtol=0.0, atol=1e-9)
+
+    def test_collinear_points_give_none(self):
+        t = np.arange(10.0)
+        src = np.column_stack([t, 2.0 * t + 1.0])
+        assert MotionTransform.fit(src, src + 5.0) is None
+
+    def test_singular_linear_part_gives_none(self):
+        # full-rank points, but the fitted 2x2 part has determinant 1e-12
+        src = np.random.default_rng(1).uniform(0, 640, (20, 2))
+        x, y = src.T
+        assert MotionTransform.fit(src, np.column_stack([x, x + 1e-12 * y])) is None
+
+
 def test_motion_transform_roundtrip():
     t = MotionTransform.translation(5, -3)
     assert t.apply_point(10, 10) == pytest.approx((15, 7))

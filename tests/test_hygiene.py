@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import areatrack
@@ -57,6 +58,15 @@ def test_record_header_spelled_only_in_formats():
     """Other modules write record files through ``formats.write_records``."""
     hits = sorted(p.name for p in PACKAGE.glob("*.py") if "format_version" in p.read_text())
     assert hits == ["formats.py"]
+
+
+def test_affine_fit_and_singular_rule_written_once():
+    """Least squares runs only in ``MotionTransform.fit``, and every
+    singularity check reads ``geometry.SINGULAR_DET``."""
+    lstsq = sorted(p.name for p in PACKAGE.glob("*.py") if "np.linalg.lstsq" in p.read_text())
+    assert lstsq == ["geometry.py"]
+    det = sorted(p.name for p in PACKAGE.glob("*.py") if re.search(r"\b1e-9\b", p.read_text()))
+    assert det == ["geometry.py"]
 
 
 def test_detector_flags_unused_and_keeps_used():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import mmap
 import os
@@ -288,6 +289,7 @@ class TestRunPipeline:
                 "header-only": header + b"-1.0\n",
                 "nan-scale": header + b"nan\n" + depth.read_bytes()[len(header) + 5:],
             }[kind])
+        gc.collect()  # close what earlier tests left in reference cycles before counting
         fds = _open_fds()
         with pytest.raises((AreatrackError, OSError)) as err:
             pipeline._load_depth(depth)
@@ -297,6 +299,8 @@ class TestRunPipeline:
         with pytest.raises(FrameProcessingError, match="^frame 1: ") as err:
             run_pipeline(formats.SequenceManifest.load(manifest_path), PipelineConfig())
         assert err.value.frame == 1
+        # the error's traceback holds no earlier frame's depth map or its mapping
+        assert _open_fds() == fds, err.value
         res = CliRunner().invoke(main, ["estimate", "--manifest", str(manifest_path)])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from areatrack.errors import PotholeNeverVisible
+from areatrack.errors import PotholeNeverVisible, SingularTransform
 from areatrack.geometry import BBox, CameraIntrinsics
 from areatrack.mbtp import estimate_area
 from areatrack.synth import (
@@ -13,6 +13,7 @@ from areatrack.synth import (
     PotholeSpec,
     SceneSpec,
     Surface,
+    _correspondences,
     _solve_depth,
     analytic_rect_footprint_area,
     pothole_surface_area,
@@ -269,10 +270,24 @@ class TestRender:
         )
         frames, gt = render(spec)
         t = gt.motions[1]
-        for (p0, p1) in frames[1].correspondences[:20]:
+        corr = frames[1].correspondences
+        assert corr.dtype == np.float64 and corr.shape == (50, 2, 2)
+        for (p0, p1) in corr[:20]:
             x, y = t.apply_point(*p0)
             assert x == pytest.approx(p1[0], abs=0.1)
             assert y == pytest.approx(p1[1], abs=0.1)
+
+    def test_next_pose_past_the_surface(self):
+        # the second camera sits behind the plane: no surface point projects
+        spec = plane_scene(
+            frames=2,
+            potholes=[PotholeSpec(center=(0.0, 0.0), a=0.3, b=0.2)],
+            camera_path=(CameraPose(), CameraPose(position=(0.0, 0.0, 6.0))),
+        )
+        corr = _correspondences(spec, 0, 1, np.random.default_rng(0))
+        assert corr.dtype == np.float64 and corr.shape == (0, 2, 2)
+        with pytest.raises(SingularTransform):
+            render(spec)
 
 
 class TestAreaOracles:

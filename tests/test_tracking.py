@@ -17,7 +17,6 @@ from areatrack.geometry import BBox, Detection, MotionTransform, as_xywh, iou
 from areatrack.tracking import (
     AssociationResult,
     Tracker,
-    _fit_affine,
     associate,
     fit_motion_ransac,
     hungarian_solve,
@@ -253,9 +252,10 @@ def reference_ransac(correspondences, seed=0):
     best_inliers = None
     best_count = 0
     for idx in tracking._sample_triples(rng, n, tracking.RANSAC_ITERS):
-        m = _fit_affine(src[idx], dst[idx])
-        if m is None:
+        fit = MotionTransform.fit(src[idx], dst[idx])
+        if fit is None:
             continue
+        m = fit.m
         pred = src @ m[:2, :2].T + m[:2, 2]
         err = np.linalg.norm(pred - dst, axis=1)
         inliers = err < tracking.RANSAC_INLIER_PX
@@ -267,10 +267,8 @@ def reference_ransac(correspondences, seed=0):
                 break
     if best_inliers is None or best_count < 3:
         return MotionTransform.identity()
-    m = _fit_affine(src[best_inliers], dst[best_inliers])
-    if m is None:
-        return MotionTransform.identity()
-    return MotionTransform(m)
+    fit = MotionTransform.fit(src[best_inliers], dst[best_inliers])
+    return MotionTransform.identity() if fit is None else fit
 
 
 def _ransac_case(kind: str, seed: int) -> list:
@@ -323,6 +321,9 @@ class TestRansacBatchEqualsLoop:
             want = reference_ransac(pairs, seed=ransac_seed)
             got = fit_motion_ransac(pairs, seed=ransac_seed)
             assert got.m.tobytes() == want.m.tobytes()
+            # the (n, 2, 2) array parse_motion_file returns fits as its list of pairs
+            got = fit_motion_ransac(np.array(pairs), seed=ransac_seed)
+            assert got.m.tobytes() == want.m.tobytes()
 
 
 _NONFINITE_SCRIPT = """
@@ -330,7 +331,7 @@ import sys
 import numpy as np
 from areatrack import tracking
 from areatrack.geometry import MotionTransform
-from areatrack.tracking import _fit_affine, fit_motion_ransac
+from areatrack.tracking import fit_motion_ransac
 
 {reference}
 
