@@ -7,7 +7,7 @@ by minimizing the combined objective J over ``BOUNDS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,9 +17,6 @@ from scipy.special import ndtr
 from scipy.stats import qmc
 
 from .errors import DegenerateKernel, ObjectiveNonFinite
-
-Point = tuple[float, float]
-
 
 BOUNDS = ((0.0, 2.0), (0.0, 2.0))  # the (lambda, theta) search box
 
@@ -40,7 +37,6 @@ class OptResult:
     best_point: tuple[float, ...]
     best_value: float
     history: list[tuple[tuple[float, ...], float]]
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,6 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
     for unit in sobol.random(n_pow2)[: spec.n_init]:
         evaluate(np.asarray(unit))
 
-    diagnostics: dict = {"length_scales": []}
     for _ in range(spec.n_iter):
         incumbent = min(y)
         try:
@@ -182,7 +177,6 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
         except DegenerateKernel:
             evaluate(rng.uniform(0.0, 1.0, size=dim))
             continue
-        diagnostics["length_scales"].append(gp.length_scale)
         cands = rng.uniform(0.0, 1.0, size=(512, dim))
         ei = expected_improvement(gp, incumbent, cands)
         order = np.argsort(-ei)
@@ -209,5 +203,4 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
         best_point=history[best_idx][0],
         best_value=history[best_idx][1],
         history=history,
-        diagnostics=diagnostics,
     )

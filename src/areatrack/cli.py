@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 import click
-import yaml
 
 from . import formats, synth
 from .bayesopt import SearchSpec, optimize
@@ -20,9 +19,22 @@ from .metrics import evaluate_detections_per_frame
 from .pipeline import PipelineConfig, report_from_records, run_pipeline, smooth_records
 
 
-@click.group()
+class _Commands(click.Group):
+    """Ends a command on a package error or a failed file operation: one ``error:`` line, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (AreatrackError, OSError) as e:
+            _fail(str(e))
+
+
+@click.group(cls=_Commands)
 def main():
     """Tracked, depth-based pothole area estimation toolkit."""
+
+
+_INPUT = click.Path(exists=True, dir_okay=False)  # a missing path or a directory is a usage error
 
 
 def _finite(ctx, param, value: float) -> float:
@@ -38,7 +50,7 @@ def _fail(msg: str) -> "NoReturn":  # noqa: F821 - typing only
 
 
 @main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
+@click.option("--manifest", "manifest_path", required=True, type=_INPUT)
 @click.option("--no-smoothing", is_flag=True, default=False)
 @click.option("--lam", type=click.FloatRange(min=0), default=1.0, callback=_finite,
               help="confidence weight of the noise model")
@@ -49,16 +61,13 @@ def _fail(msg: str) -> "NoReturn":  # noqa: F821 - typing only
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def estimate(manifest_path, no_smoothing, lam, theta, mode, seed, out_path):
     """Run the full pipeline on a sequence; emit per-frame result records."""
-    try:
-        manifest = formats.SequenceManifest.load(manifest_path)
-        config = PipelineConfig(
-            cdkf=CdkfConfig(lam=lam, theta=theta, mode=NoiseMode(mode)),
-            smoothing=not no_smoothing,
-            seed=seed,
-        )
-        records, _ = run_pipeline(manifest, config)
-    except AreatrackError as e:
-        _fail(str(e))
+    manifest = formats.SequenceManifest.load(manifest_path)
+    config = PipelineConfig(
+        cdkf=CdkfConfig(lam=lam, theta=theta, mode=NoiseMode(mode)),
+        smoothing=not no_smoothing,
+        seed=seed,
+    )
+    records, _ = run_pipeline(manifest, config)
     text = formats.write_results(records)
     if out_path:
         Path(out_path).write_text(text)
@@ -67,15 +76,12 @@ def estimate(manifest_path, no_smoothing, lam, theta, mode, seed, out_path):
 
 
 @main.command("eval-area")
-@click.option("--results", "results_path", required=True, type=click.Path(exists=True))
+@click.option("--results", "results_path", required=True, type=_INPUT)
 @click.option("--min-track-len", type=click.IntRange(min=2), default=5)
 @click.option("--raw", is_flag=True, default=False, help="score raw instead of smoothed areas")
 def eval_area(results_path, min_track_len, raw):
     """Area-consistency report (per-track MAE/CV/AFD/NIS averages)."""
-    try:
-        records = formats.parse_results(Path(results_path).read_text())
-    except AreatrackError as e:
-        _fail(str(e))
+    records = formats.parse_results(formats.read_text(results_path))
     report = report_from_records(records, min_track_len=min_track_len, smoothed=not raw)
     click.echo(f"# per-track averages over {report.track_count} tracks "
                f"(min length {report.min_track_len}, potholes only)")
@@ -88,17 +94,14 @@ def eval_area(results_path, min_track_len, raw):
 
 
 @main.command("eval-det")
-@click.option("--dets", "dets_path", required=True, type=click.Path(exists=True))
-@click.option("--gt", "gt_path", required=True, type=click.Path(exists=True))
+@click.option("--dets", "dets_path", required=True, type=_INPUT)
+@click.option("--gt", "gt_path", required=True, type=_INPUT)
 @click.option("--iou", "iou_thresh", type=click.FloatRange(min=0, max=1, min_open=True),
               default=0.7, callback=_finite)
 def eval_det(dets_path, gt_path, iou_thresh):
     """Detection metrics (P/R/F1, AP50, AP50-95) for potholes."""
-    try:
-        dets = formats.parse_detections(Path(dets_path).read_text())
-        gts = formats.parse_detections(Path(gt_path).read_text())
-    except AreatrackError as e:
-        _fail(str(e))
+    dets = formats.parse_detections(formats.read_text(dets_path))
+    gts = formats.parse_detections(formats.read_text(gt_path))
     dets = {f: [d for d in ds if d.class_id == 0] for f, ds in dets.items()}
     gt_boxes = {f: [g.bbox for g in gs if g.class_id == 0] for f, gs in gts.items()}
     rep = evaluate_detections_per_frame(dets, gt_boxes, iou_thresh)
@@ -107,8 +110,8 @@ def eval_det(dets_path, gt_path, iou_thresh):
     click.echo(f"ap50={rep.ap50:.4f} ap50_95={rep.ap50_95:.4f}")
 
 
-@main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
+@main.command("optimize")
+@click.option("--manifest", "manifest_path", required=True, type=_INPUT)
 @click.option("--mode", type=click.Choice([m.value for m in NoiseMode]), default="combined")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--n-init", type=click.IntRange(min=1), default=5)
@@ -116,12 +119,8 @@ def eval_det(dets_path, gt_path, iou_thresh):
 @click.option("--min-track-len", type=click.IntRange(min=2), default=5)
 def optimize_cmd(manifest_path, mode, seed, n_init, n_iter, min_track_len):
     """Tune the noise weights (lambda, theta) by minimizing objective J."""
-    try:
-        manifest = formats.SequenceManifest.load(manifest_path)
-        base = PipelineConfig(smoothing=False, seed=seed)
-        records, _ = run_pipeline(manifest, base)
-    except AreatrackError as e:
-        _fail(str(e))
+    manifest = formats.SequenceManifest.load(manifest_path)
+    records, _ = run_pipeline(manifest, PipelineConfig(smoothing=False, seed=seed))
     if not records:
         _fail("no tracked detections in sequence; nothing to optimize")
 
@@ -139,24 +138,13 @@ def optimize_cmd(manifest_path, mode, seed, n_init, n_iter, min_track_len):
         click.echo(f"eval lambda={p[0]:.6f} theta={p[1]:.6f} j={v:.6f}")
 
 
-main.add_command(optimize_cmd, name="optimize")
-
-
 @main.command("synth")
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
+@click.option("--spec", "spec_path", required=True, type=_INPUT)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override the spec's seed")
 def synth_cmd(spec_path, out_dir, seed):
     """Render a synthetic scene into pipeline-consumable files."""
-    try:
-        doc = yaml.safe_load(Path(spec_path).read_text())
-        if seed is not None:
-            doc["seed"] = seed
-        spec = synth.scene_spec_from_dict(doc)
-        manifest_path = synth.write_scene(spec, out_dir)
-    except (AreatrackError, KeyError, TypeError, ValueError, yaml.YAMLError) as e:
-        _fail(str(e))
-    click.echo(str(manifest_path))
+    click.echo(str(synth.write_scene(synth.load_scene_spec(spec_path, seed), out_dir)))
 
 
 if __name__ == "__main__":

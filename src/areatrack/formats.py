@@ -15,6 +15,7 @@ import yaml
 from .errors import (
     BadMagic,
     DimensionMismatch,
+    FormatError,
     MalformedLine,
     ManifestError,
     TruncatedPayload,
@@ -22,6 +23,15 @@ from .errors import (
 from .geometry import BBox, CameraIntrinsics, DepthMap, Detection
 
 FORMAT_VERSION = 1
+
+
+def read_text(path: Union[str, Path]) -> str:
+    """A UTF-8 file's text; an undecodable file is a ``FormatError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: {e}") from None
+
 
 # ---------------------------------------------------------------------------
 # PFM depth maps (grayscale "Pf" only; rows stored bottom-to-top)
@@ -288,7 +298,7 @@ class SequenceManifest:
         try:
             # libyaml's parser when PyYAML was built with it; same document
             loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-            doc = yaml.load(path.read_text(), Loader=loader)
+            doc = yaml.load(read_text(path), Loader=loader)
         except yaml.YAMLError as e:
             raise ManifestError(f"{path}: {e}") from None
         if not isinstance(doc, dict):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .cdkf import CdkfConfig
 from . import cdkf
-from .errors import AreatrackError
+from .errors import AreatrackError, DimensionMismatch
 from .formats import (
     FrameEntry,
     FrameResultRecord,
@@ -20,6 +20,7 @@ from .formats import (
     parse_detections,
     parse_motion_file,
     parse_pfm,
+    read_text,
 )
 from .geometry import CameraIntrinsics, DepthMap, MotionTransform, as_xywh
 from .mbtp import estimate_areas
@@ -29,7 +30,7 @@ from .tracking import Tracker, fit_motion_ransac
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     cdkf: CdkfConfig = field(default_factory=CdkfConfig)
     smoothing: bool = True
@@ -42,7 +43,6 @@ class FrameProcessingError(AreatrackError):
     def __init__(self, frame: int, cause: Exception):
         super().__init__(f"frame {frame}: {cause}")
         self.frame = frame
-        self.cause = cause
 
 
 def run_pipeline(
@@ -77,15 +77,12 @@ def _process_frame(
     records = []
     try:
         depth = _load_depth(entry.depth_path)
-        dets_by_frame = parse_detections(entry.detections_path.read_text())
+        if depth.width != intr.width or depth.height != intr.height:
+            raise DimensionMismatch(f"depth {depth.width}x{depth.height} does not match intrinsics")
+        dets_by_frame = parse_detections(read_text(entry.detections_path))
         motion = _load_motion(entry.motion_path, seed, entry.frame)
     except (AreatrackError, OSError) as e:
         raise FrameProcessingError(entry.frame, e) from e
-    if depth.width != intr.width or depth.height != intr.height:
-        raise FrameProcessingError(
-            entry.frame,
-            ValueError(f"depth {depth.width}x{depth.height} does not match intrinsics"),
-        )
     dets = dets_by_frame.get(entry.frame, [])
 
     assigned = tracker.step(dets, frame=entry.frame, motion=motion)
@@ -128,7 +125,7 @@ def _load_depth(path: Path) -> DepthMap:
 def _load_motion(path, seed: int, frame: int) -> MotionTransform | None:
     if path is None:
         return None
-    kind, payload = parse_motion_file(Path(path).read_text())
+    kind, payload = parse_motion_file(read_text(path))
     if kind == "transform":
         return MotionTransform(payload)
     if len(payload) < 3:

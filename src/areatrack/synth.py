@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
+import yaml
 from scipy.spatial.transform import Rotation
 
 from . import formats
-from .errors import PotholeNeverVisible, SingularTransform
+from .errors import FormatError, PotholeNeverVisible, SingularTransform
 from .geometry import BBox, CameraIntrinsics, DepthMap, Detection, MotionTransform, pixel_grid
 
 # ---------------------------------------------------------------------------
@@ -41,6 +43,8 @@ class PotholeSpec:
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
             raise ValueError("semi-axes must be positive")
+        if len(self.center) != 2:
+            raise ValueError(f"center needs 2 coordinates, got {self.center!r}")
 
     @property
     def planar_area(self) -> float:
@@ -62,14 +66,16 @@ class Surface:
     wavelength: float = 2.0
     potholes: tuple[PotholeSpec, ...] = ()
 
+    def __post_init__(self):
+        if self.kind not in ("plane", "tilted", "undulating"):
+            raise ValueError(f"unknown surface kind {self.kind!r}")
+
     def base_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.kind == "plane":
             return np.full_like(np.asarray(x, dtype=np.float64), self.z0)
         if self.kind == "tilted":
             return self.z0 + math.tan(math.radians(self.pitch_deg)) * y
-        if self.kind == "undulating":
-            return self.z0 + self.amplitude * np.sin(2.0 * math.pi * y / self.wavelength)
-        raise ValueError(f"unknown surface kind {self.kind!r}")
+        return self.z0 + self.amplitude * np.sin(2.0 * math.pi * y / self.wavelength)
 
     def base_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         zeros = np.zeros_like(np.asarray(x, dtype=np.float64))
@@ -77,14 +83,8 @@ class Surface:
             return zeros, zeros.copy()
         if self.kind == "tilted":
             return zeros, zeros + math.tan(math.radians(self.pitch_deg))
-        if self.kind == "undulating":
-            gy = (
-                self.amplitude
-                * (2.0 * math.pi / self.wavelength)
-                * np.cos(2.0 * math.pi * y / self.wavelength)
-            )
-            return zeros, gy
-        raise ValueError(f"unknown surface kind {self.kind!r}")
+        return zeros, (self.amplitude * (2.0 * math.pi / self.wavelength)
+                       * np.cos(2.0 * math.pi * y / self.wavelength))
 
     def height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Surface depth-coordinate z at world (x, y), depressions included."""
@@ -122,6 +122,10 @@ class CameraPose:
     yaw: float = 0.0
     roll: float = 0.0
 
+    def __post_init__(self):
+        if len(self.position) != 3:
+            raise ValueError(f"position needs 3 coordinates, got {self.position!r}")
+
     def rotation(self) -> np.ndarray:
         """World-to-camera rotation matrix."""
         return Rotation.from_euler("xyz", [self.pitch, self.yaw, self.roll]).as_matrix()
@@ -135,16 +139,26 @@ class NoiseSpec:
     conf_slope: float = 0.02  # per meter of distance
     conf_noise_std: float = 0.0
 
+    def __post_init__(self):
+        for name in ("box_jitter_px", "depth_rel_std", "conf_noise_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"noise {name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class SceneSpec:
     intrinsics: CameraIntrinsics
-    surface: Surface
+    surface: Surface = Surface()
     frames: int = 1
     camera_path: tuple[CameraPose, ...] = ()
     noise: NoiseSpec = NoiseSpec()
     n_correspondences: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("frames", "n_correspondences", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def pose(self, k: int) -> CameraPose:
         if not self.camera_path:
@@ -214,13 +228,14 @@ def _solve_depth(
 
 
 def render_depth(spec: SceneSpec, frame: int, rng: Optional[np.random.Generator] = None) -> DepthMap:
+    """The frame's exact depth; ``rng``, if given, draws its relative depth noise."""
     intr = spec.intrinsics
     pose = spec.pose(frame)
     us = (np.arange(intr.width) - intr.p_u) / intr.f_u
     vs = (np.arange(intr.height) - intr.p_v) / intr.f_v
     xs_hat, ys_hat = np.meshgrid(us, vs)
     z = _solve_depth(spec.surface, pose, xs_hat, ys_hat)
-    if rng is not None and spec.noise.depth_rel_std > 0:
+    if rng is not None:
         z = z * (1.0 + spec.noise.depth_rel_std * rng.standard_normal(z.shape))
     return DepthMap(intr.width, intr.height, z.astype(np.float32))
 
@@ -356,39 +371,49 @@ def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
     return frames, GroundTruth(boxes=gt_boxes, planar_areas=planar, surface_areas=surf, motions=motions)
 
 
+def _number(name: str, t: type, v):
+    """``v``, which must be a finite number, and a whole one if ``t`` is int. An int
+    field gets an int; a float field gets ``v`` as given, so ``f_u: 300`` is written back as 300."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+            float(v).is_integer() if t is int else math.isfinite(v)):
+        raise ValueError(f"{name} must be a finite{' whole' if t is int else ''} number, got {v!r}")
+    return int(v) if t is int else v
+
+
+def _build(cls, doc, **convert):
+    """A ``cls`` from a mapping of its field names. Each value goes through its
+    ``convert`` entry, or through ``_number`` if its field is an int or a float."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} must be a mapping, got {doc!r}")
+    casts = {k: partial(_number, k, t) for k, t in get_type_hints(cls).items() if t in (int, float)}
+    casts |= convert
+    return cls(**{k: casts[k](v) if k in casts else v for k, v in doc.items()})
+
+
 def scene_spec_from_dict(doc: dict) -> SceneSpec:
-    """Build a SceneSpec from a parsed YAML/JSON mapping."""
-    intr = CameraIntrinsics(**doc["intrinsics"])
-    surf_doc = dict(doc.get("surface", {}))
-    potholes = tuple(
-        PotholeSpec(
-            center=tuple(p["center"]),
-            a=float(p["a"]),
-            b=float(p["b"]),
-            depth=float(p.get("depth", 0.05)),
-        )
-        for p in surf_doc.pop("potholes", [])
-    )
-    surface = Surface(potholes=potholes, **surf_doc)
-    path = tuple(
-        CameraPose(
-            position=tuple(p.get("position", (0.0, 0.0, 0.0))),
-            pitch=float(p.get("pitch", 0.0)),
-            yaw=float(p.get("yaw", 0.0)),
-            roll=float(p.get("roll", 0.0)),
-        )
-        for p in doc.get("camera_path", [])
-    )
-    noise = NoiseSpec(**doc.get("noise", {}))
-    return SceneSpec(
-        intrinsics=intr,
-        surface=surface,
-        frames=int(doc.get("frames", 1)),
-        camera_path=path,
-        noise=noise,
-        n_correspondences=int(doc.get("n_correspondences", 200)),
-        seed=int(doc.get("seed", 0)),
-    )
+    """Build a SceneSpec from a parsed YAML/JSON mapping of field names, at every level."""
+    def floats(name: str):
+        return lambda values: tuple(_number(name, float, v) for v in values)
+
+    return _build(SceneSpec, doc,
+                  intrinsics=lambda d: _build(CameraIntrinsics, d),
+                  surface=lambda d: _build(Surface, d, potholes=lambda ps: tuple(
+                      _build(PotholeSpec, p, center=floats("center")) for p in ps)),
+                  camera_path=lambda ps: tuple(
+                      _build(CameraPose, p, position=floats("position")) for p in ps),
+                  noise=lambda d: _build(NoiseSpec, d))
+
+
+def load_scene_spec(path, seed: Optional[int] = None) -> SceneSpec:
+    """The scene spec in a YAML file, its seed replaced by ``seed`` if one is given.
+    An invalid spec is a ``FormatError`` naming the file."""
+    try:
+        doc = yaml.safe_load(formats.read_text(path))
+        if seed is not None and isinstance(doc, dict):
+            doc = {**doc, "seed": seed}
+        return scene_spec_from_dict(doc)
+    except (yaml.YAMLError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def write_scene(spec: SceneSpec, out_dir) -> Path:
@@ -403,33 +428,20 @@ def write_scene(spec: SceneSpec, out_dir) -> Path:
     entries = []
     gt_dets: dict[int, list[Detection]] = {}
     for f in frames:
-        depth_name = f"depth_{f.frame:04d}.pfm"
-        det_name = f"dets_{f.frame:04d}.txt"
-        (out / depth_name).write_bytes(formats.write_pfm(f.depth))
-        (out / det_name).write_text(
-            formats.write_detections({f.frame: f.detections})
+        entry = formats.FrameEntry(
+            frame=f.frame,
+            depth_path=out / f"depth_{f.frame:04d}.pfm",
+            detections_path=out / f"dets_{f.frame:04d}.txt",
+            motion_path=None if f.correspondences is None else out / f"motion_{f.frame:04d}.txt",
         )
-        motion_name = None
-        if f.correspondences is not None:
-            motion_name = f"motion_{f.frame:04d}.txt"
-            (out / motion_name).write_text(
-                formats.write_correspondences(f.correspondences)
-            )
-        entries.append(
-            formats.FrameEntry(
-                frame=f.frame,
-                depth_path=out / depth_name,
-                detections_path=out / det_name,
-                motion_path=(out / motion_name) if motion_name else None,
-            )
-        )
-        gt_dets[f.frame] = [
-            Detection(box, 1.0, 0, f.frame) for box in gt.boxes[f.frame].values()
-        ]
-    manifest = formats.SequenceManifest(
-        intrinsics=spec.intrinsics, frames=entries, dataset="synthetic"
-    )
-    manifest.dump(out / "manifest.yaml")
+        entry.depth_path.write_bytes(formats.write_pfm(f.depth))
+        entry.detections_path.write_text(formats.write_detections({f.frame: f.detections}))
+        if entry.motion_path is not None:
+            entry.motion_path.write_text(formats.write_correspondences(f.correspondences))
+        entries.append(entry)
+        gt_dets[f.frame] = [Detection(box, 1.0, 0, f.frame) for box in gt.boxes[f.frame].values()]
+    formats.SequenceManifest(intrinsics=spec.intrinsics, frames=entries,
+                             dataset="synthetic").dump(out / "manifest.yaml")
     (out / "gt_boxes.txt").write_text(formats.write_detections(gt_dets))
     (out / "gt_areas.txt").write_text(formats.write_records(
         f"pothole={i} planar_area_m2={gt.planar_areas[i]:.8f} "

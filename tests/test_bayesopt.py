@@ -154,4 +154,3 @@ class TestOptimize:
     def test_result_type(self):
         res = optimize(quadratic((1.0, 1.0)), SearchSpec(n_init=3, n_iter=2, seed=0))
         assert isinstance(res, OptResult)
-        assert "length_scales" in res.diagnostics

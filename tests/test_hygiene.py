@@ -69,6 +69,37 @@ def test_affine_fit_and_singular_rule_written_once():
     assert det == ["geometry.py"]
 
 
+def _functions_calling(source: str, attr: str) -> list[str]:
+    """Names of the functions that call a method named ``attr`` of anything
+    but the ``formats`` module; ``<module>`` for a call outside any function."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr and ast.unparse(node.func.value) != "formats"):
+            hits.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return hits
+
+
+def test_text_files_read_only_through_formats_read_text():
+    """Every text input is decoded in one place, which names an undecodable file."""
+    hits = {p.name: _functions_calling(p.read_text(), "read_text") for p in PACKAGE.glob("*.py")}
+    assert {name: fns for name, fns in hits.items() if fns} == {"formats.py": ["read_text"]}
+
+
+def test_cli_catches_in_one_place():
+    """Data errors reach the user through the command group alone."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    assert len(handlers) == 1
+
+
 def test_detector_flags_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"

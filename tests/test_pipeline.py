@@ -528,6 +528,11 @@ class TestCli:
         manifest = formats.SequenceManifest.load(out / "manifest.yaml")
         assert len(manifest.frames) == 2
         assert (out / "gt_areas.txt").exists()
+        # --seed replaces the spec's seed before the spec is checked
+        spec_path.write_text(yaml.safe_dump({**doc, "seed": -1}))
+        res = runner.invoke(main, ["synth", "--spec", str(spec_path), "--out", str(out),
+                                   "--seed", "0"])
+        assert res.exit_code == 0, res.output
 
     def test_optimize_smoke(self, scene_dir):
         _, manifest_path = scene_dir
@@ -667,6 +672,64 @@ class TestCli:
         assert not results.exists()
         res = runner.invoke(main, base + [option, valid])
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("case", [
+        "manifest-dir", "results-dir", "spec-dir", "manifest-estimate", "manifest-optimize",
+        "dets", "motion", "results", "eval-det-dets", "out-dir-missing", "synth-out-file",
+        "negative-frames", "nan-noise",
+    ])
+    def test_bad_input_file_is_a_clean_exit(self, scene_dir, tmp_path, case):
+        """A directory given as an input file is a usage error. An undecodable
+        input, an unwritable output or an invalid spec ends the command with
+        one ``error:`` line that names the file, and the frame where there is one."""
+        src, _ = scene_dir
+        for f in src.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        manifest, spec, results = (tmp_path / n for n in ("manifest.yaml", "spec.yaml", "results.txt"))
+        spec.write_text(yaml.safe_dump({
+            "intrinsics": {"f_u": 100.0, "f_v": 100.0, "p_u": 20.0, "p_v": 15.0,
+                           "width": 40, "height": 30},
+            "frames": -1 if case == "negative-frames" else 1,
+            "noise": {"conf_c0": math.nan if case == "nan-noise" else 0.95},
+        }))
+        dets, motion = tmp_path / "dets_0001.txt", tmp_path / "motion_0001.txt"
+        estimate = ["estimate", "--manifest", str(manifest)]
+        # the arguments, the file written as undecodable bytes, and what the error names
+        args, undecodable, named = {
+            "manifest-dir": (["estimate", "--manifest", str(tmp_path)], None, None),
+            "results-dir": (["eval-area", "--results", str(tmp_path)], None, None),
+            "spec-dir": (["synth", "--spec", str(tmp_path), "--out", str(tmp_path / "o")],
+                         None, None),
+            "manifest-estimate": (estimate, manifest, f"{manifest}: "),
+            "manifest-optimize": (["optimize", "--manifest", str(manifest)], manifest,
+                                  f"{manifest}: "),
+            "dets": (estimate, dets, f"frame 1: {dets}: "),
+            "motion": (estimate, motion, f"frame 1: {motion}: "),
+            "results": (["eval-area", "--results", str(results)], results, f"{results}: "),
+            "eval-det-dets": (["eval-det", "--dets", str(dets), "--gt", str(tmp_path / "gt_boxes.txt")],
+                              dets, f"{dets}: "),
+            "out-dir-missing": (estimate + ["--out", str(tmp_path / "missing" / "r.txt")], None,
+                                str(tmp_path / "missing" / "r.txt")),
+            "synth-out-file": (["synth", "--spec", str(spec), "--out", str(manifest)], None,
+                               str(manifest)),
+            "negative-frames": (["synth", "--spec", str(spec), "--out", str(tmp_path / "o")], None,
+                                f"{spec}: frames must be >= 0"),
+            "nan-noise": (["synth", "--spec", str(spec), "--out", str(tmp_path / "o")], None,
+                          f"{spec}: conf_c0 must be a finite number, got nan"),
+        }[case]
+        if undecodable is not None:
+            undecodable.write_bytes(b"\xff\xfe format_version=1\n")
+        res = CliRunner().invoke(main, args)
+        assert isinstance(res.exception, SystemExit), repr(res.exception)
+        assert "Traceback" not in res.output
+        if named is None:
+            assert res.exit_code == 2, res.output
+            assert "is a directory" in res.output
+            return
+        assert res.exit_code == 1, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, res.output
+        assert named in errors[0]
 
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_nonfinite_focal_length_is_a_data_error(self, fuzz_dir, tmp_path, value):

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import yaml
 
-from areatrack.errors import PotholeNeverVisible, SingularTransform
+from areatrack.errors import FormatError, PotholeNeverVisible, SingularTransform
 from areatrack.geometry import BBox, CameraIntrinsics
 from areatrack.mbtp import estimate_area
 from areatrack.synth import (
@@ -16,6 +18,7 @@ from areatrack.synth import (
     _correspondences,
     _solve_depth,
     analytic_rect_footprint_area,
+    load_scene_spec,
     pothole_surface_area,
     render,
     render_depth,
@@ -380,21 +383,31 @@ class TestSimulatedSeries:
         assert zs.mean() == pytest.approx(0.3, rel=0.02)
 
 
+def spec_doc() -> dict:
+    return {
+        "intrinsics": {"f_u": 300.0, "f_v": 300.0, "p_u": 160.0, "p_v": 120.0,
+                       "width": 320, "height": 240},
+        "surface": {
+            "kind": "tilted", "z0": 5.0, "pitch_deg": 4.0,
+            "potholes": [{"center": [0.0, 0.5], "a": 0.3, "b": 0.2, "depth": 0.02}],
+        },
+        "frames": 3,
+        "camera_path": [{"position": [0.0, 0.0, 0.0]}, {"position": [0.0, 0.0, 0.2]}],
+        "noise": {"box_jitter_px": 0.5},
+        "seed": 9,
+    }
+
+
+def _at(doc: dict, *keys):
+    """The mapping inside ``doc`` that the keys and indices lead to."""
+    for k in keys:
+        doc = doc[k]
+    return doc
+
+
 class TestSpecFromDict:
     def test_roundtrip_fields(self):
-        doc = {
-            "intrinsics": {"f_u": 300.0, "f_v": 300.0, "p_u": 160.0, "p_v": 120.0,
-                           "width": 320, "height": 240},
-            "surface": {
-                "kind": "tilted", "z0": 5.0, "pitch_deg": 4.0,
-                "potholes": [{"center": [0.0, 0.5], "a": 0.3, "b": 0.2, "depth": 0.02}],
-            },
-            "frames": 3,
-            "camera_path": [{"position": [0.0, 0.0, 0.0]}, {"position": [0.0, 0.0, 0.2]}],
-            "noise": {"box_jitter_px": 0.5},
-            "seed": 9,
-        }
-        spec = scene_spec_from_dict(doc)
+        spec = scene_spec_from_dict(spec_doc())
         assert spec.frames == 3
         assert spec.seed == 9
         assert spec.surface.kind == "tilted"
@@ -411,3 +424,58 @@ class TestSpecFromDict:
                "noise": {"shake_px": 50.0}}
         with pytest.raises(TypeError, match="shake_px"):
             scene_spec_from_dict(doc)
+
+    @pytest.mark.parametrize("keys, key", [
+        ((), "frame"),
+        (("surface",), "pitch"),
+        (("surface", "potholes", 0), "dpeth"),
+        (("camera_path", 1), "positon"),
+    ], ids=["top-level", "surface", "pothole", "pose"])
+    def test_misspelled_key_rejected(self, keys, key):
+        # the default would otherwise be rendered in the misspelled value's place
+        doc = spec_doc()
+        _at(doc, *keys)[key] = 1
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            scene_spec_from_dict(doc)
+
+    @pytest.mark.parametrize("keys, key, value, message", [
+        (("surface",), "kind", "bogus", "unknown surface kind 'bogus'"),
+        ((), "frames", -1, "frames must be >= 0"),
+        ((), "n_correspondences", -1, "n_correspondences must be >= 0"),
+        ((), "seed", -1, "seed must be >= 0"),
+        (("surface", "potholes", 0), "center", [0.0], "center needs 2 coordinates"),
+        (("camera_path", 0), "position", [0.0, 0.0], "position needs 3 coordinates"),
+        (("surface",), "z0", "deep", "z0 must be a finite number, got 'deep'"),
+        (("intrinsics",), "f_u", "300", "f_u must be a finite number, got '300'"),
+        (("intrinsics",), "width", 320.5, "width must be a finite whole number, got 320.5"),
+        ((), "frames", 2.5, "frames must be a finite whole number, got 2.5"),
+        (("noise",), "conf_c0", math.nan, "conf_c0 must be a finite number, got nan"),
+        (("noise",), "box_jitter_px", math.inf, "box_jitter_px must be a finite number, got inf"),
+        (("noise",), "depth_rel_std", -0.1, "noise depth_rel_std must be >= 0"),
+        (("noise",), "conf_noise_std", -0.1, "noise conf_noise_std must be >= 0"),
+        (("surface", "potholes", 0), "center", [0.0, "x"], "center must be a finite number"),
+    ], ids=["kind", "frames", "n-correspondences", "seed", "center", "position", "z0",
+            "string-f-u", "fractional-width", "fractional-frames", "nan-conf-c0",
+            "inf-box-jitter", "negative-depth-std", "negative-conf-std", "string-center"])
+    def test_bad_value_rejected_when_built(self, keys, key, value, message):
+        doc = spec_doc()
+        _at(doc, *keys)[key] = value
+        with pytest.raises(ValueError, match=message):
+            scene_spec_from_dict(doc)
+
+    def test_load_replaces_the_seed_before_building(self, tmp_path):
+        # a seed the caller replaces is not checked
+        path = tmp_path / "spec.yaml"
+        path.write_text(yaml.safe_dump({**spec_doc(), "seed": -1}))
+        assert load_scene_spec(path, seed=4) == scene_spec_from_dict({**spec_doc(), "seed": 4})
+        with pytest.raises(FormatError, match="seed must be >= 0"):
+            load_scene_spec(path)
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        path.write_text("intrinsics: [\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+            load_scene_spec(path)
+        path.write_text("- 1\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: SceneSpec must be a mapping"):
+            load_scene_spec(path)
