@@ -3,6 +3,7 @@ records, and the YAML sequence manifest."""
 
 from __future__ import annotations
 
+import io
 import math
 import mmap
 from dataclasses import asdict, dataclass
@@ -31,6 +32,14 @@ def read_text(path: Union[str, Path]) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: {e}") from None
+
+
+def yaml_stream(path: Union[str, Path]) -> io.StringIO:
+    """A YAML file's text as a stream named after the file, so the context
+    lines of a YAML syntax error name the file, not "<unicode string>"."""
+    stream = io.StringIO(read_text(path))
+    stream.name = str(path)
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,7 @@ class SequenceManifest:
         try:
             # libyaml's parser when PyYAML was built with it; same document
             loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-            doc = yaml.load(read_text(path), Loader=loader)
+            doc = yaml.load(yaml_stream(path), Loader=loader)
         except yaml.YAMLError as e:
             raise ManifestError(f"{path}: {e}") from None
         if not isinstance(doc, dict):

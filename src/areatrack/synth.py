@@ -1,10 +1,12 @@
 """Synthetic scene oracle.
 
-Analytic road surfaces with smooth elliptical depressions are ray-cast
+Analytic road surfaces with smooth elliptical depressions are rendered
 into exact depth maps, together with ground-truth boxes, per-depression
-true areas, noisy detections, and camera-motion correspondences. The
-rendered files use the same formats the pipeline consumes, so synthetic
-and real sequences are interchangeable.
+true areas, noisy detections, and camera-motion correspondences. A plane
+or tilted road's depth is its closed-form ray hit; only the rays that land
+in a depression, meet an undulating road or have no forward road hit are
+ray-cast. The rendered files use the same formats the pipeline consumes,
+so synthetic and real sequences are interchangeable.
 """
 
 from __future__ import annotations
@@ -145,6 +147,13 @@ class NoiseSpec:
                 raise ValueError(f"noise {name} must be >= 0, got {getattr(self, name)}")
 
 
+# Largest scene that render accepts: rendering one 3840x2160 frame's depth peaks
+# near 0.9 GB, and the other two bound its per-frame loop and draws.
+MAX_FRAME_PX = 3840 * 2160
+MAX_FRAMES = 100_000
+MAX_CORRESPONDENCES = 1_000_000
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     intrinsics: CameraIntrinsics
@@ -159,6 +168,13 @@ class SceneSpec:
         for name in ("frames", "n_correspondences", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        intr = self.intrinsics
+        if intr.width * intr.height > MAX_FRAME_PX:
+            raise ValueError(f"intrinsics width*height must be at most {MAX_FRAME_PX} pixels, "
+                             f"got {intr.width:.6g}x{intr.height:.6g}")
+        for name, limit in (("frames", MAX_FRAMES), ("n_correspondences", MAX_CORRESPONDENCES)):
+            if getattr(self, name) > limit:
+                raise ValueError(f"{name} must be at most {limit}, got {getattr(self, name):.6g}")
 
     def pose(self, k: int) -> CameraPose:
         if not self.camera_path:
@@ -228,13 +244,34 @@ def _solve_depth(
 
 
 def render_depth(spec: SceneSpec, frame: int, rng: Optional[np.random.Generator] = None) -> DepthMap:
-    """The frame's exact depth; ``rng``, if given, draws its relative depth noise."""
+    """The frame's exact depth; ``rng``, if given, draws its relative depth noise.
+
+    A ray meets a plane or tilted road z = z0 + t*y at Z = (z0 + t*cy - cz) / (dz - t*dy),
+    t = 0 for a plane, wherever that denominator is positive. Depressions only
+    recede the road, so a ray whose base hit lies outside every depression is in
+    front of the surface all the way to it: the hit is the ray's first root, and
+    exact. Where ``_solve_depth`` converges it settles on the same root, so such
+    a ray is not iterated. Only the other rays (an undulating road, no forward
+    base hit, a base hit inside a depression) are ray-cast by ``_solve_depth``.
+    """
     intr = spec.intrinsics
     pose = spec.pose(frame)
+    surface = spec.surface
     us = (np.arange(intr.width) - intr.p_u) / intr.f_u
     vs = (np.arange(intr.height) - intr.p_v) / intr.f_v
     xs_hat, ys_hat = np.meshgrid(us, vs)
-    z = _solve_depth(spec.surface, pose, xs_hat, ys_hat)
+    if surface.kind == "undulating":  # no closed form: every ray is cast
+        z = _solve_depth(surface, pose, xs_hat, ys_hat)
+    else:
+        d = _ray_dirs(pose.rotation(), xs_hat, ys_hat)
+        cx, cy, cz = pose.position
+        t = math.tan(math.radians(surface.pitch_deg)) if surface.kind == "tilted" else 0.0
+        den = np.maximum(d[..., 2], 1e-6) - t * d[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # den <= 0 rays are cast
+            z = (surface.z0 + t * cy - cz) / den
+            hx, hy = cx + z * d[..., 0], cy + z * d[..., 1]
+            cast = (den <= 0) | (surface.height(hx, hy) != surface.base_height(hx, hy))
+        z[cast] = _solve_depth(surface, pose, xs_hat[cast], ys_hat[cast])
     if rng is not None:
         z = z * (1.0 + spec.noise.depth_rel_std * rng.standard_normal(z.shape))
     return DepthMap(intr.width, intr.height, z.astype(np.float32))
@@ -408,7 +445,7 @@ def load_scene_spec(path, seed: Optional[int] = None) -> SceneSpec:
     """The scene spec in a YAML file, its seed replaced by ``seed`` if one is given.
     An invalid spec is a ``FormatError`` naming the file."""
     try:
-        doc = yaml.safe_load(formats.read_text(path))
+        doc = yaml.safe_load(formats.yaml_stream(path))
         if seed is not None and isinstance(doc, dict):
             doc = {**doc, "seed": seed}
         return scene_spec_from_dict(doc)

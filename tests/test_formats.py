@@ -405,3 +405,11 @@ class TestManifestLoaders:
         p.write_text(text)
         with pytest.raises(ManifestError):
             SequenceManifest.load(p)
+
+    def test_syntax_error_names_the_file(self, tmp_path, loader):
+        p = tmp_path / "manifest.yaml"
+        p.write_text("intrinsics: [\n")
+        with pytest.raises(ManifestError) as e:
+            SequenceManifest.load(p)
+        assert f'in "{p}", line 2' in str(e.value)
+        assert "<unicode string>" not in str(e.value)

@@ -731,6 +731,26 @@ class TestCli:
         assert len(errors) == 1, res.output
         assert named in errors[0]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("width", 1.0e300, "intrinsics width*height must be at most"),
+        ("width", 3_000_000_000, "intrinsics width*height must be at most"),
+        ("frames", 1.0e300, "frames must be at most"),
+        ("n_correspondences", 10 ** 20, "n_correspondences must be at most"),
+    ], ids=["width-1e300", "width-3e9", "frames", "n-correspondences"])
+    def test_oversized_spec_is_a_clean_exit(self, tmp_path, field, value, message):
+        """A spec too large to render is refused before anything is allocated."""
+        doc = {"intrinsics": {"f_u": 100.0, "f_v": 100.0, "p_u": 20.0, "p_v": 15.0,
+                              "width": 40, "height": 30}}
+        (doc["intrinsics"] if field == "width" else doc)[field] = value
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        res = CliRunner().invoke(main, ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code == 1, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {spec}: {message}"), res.output
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_nonfinite_focal_length_is_a_data_error(self, fuzz_dir, tmp_path, value):
         manifest = tmp_path / "manifest.yaml"

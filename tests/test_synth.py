@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from areatrack import synth
 from areatrack.errors import FormatError, PotholeNeverVisible, SingularTransform
 from areatrack.geometry import BBox, CameraIntrinsics
 from areatrack.mbtp import estimate_area
@@ -212,6 +213,120 @@ class TestRenderDepth:
         m = math.tan(math.radians(5.0))
         yhat = (200 - INTR.p_v) / INTR.f_v
         assert d.depth_at(160, 200) == pytest.approx(5.0 / (1.0 - m * yhat), rel=1e-6)
+
+
+def _cast_every_ray(spec, frame, rng=None):
+    """The renderer before the closed-form road hit: ``_solve_depth`` over every pixel's ray."""
+    xs_hat, ys_hat = _image_rays(step=1)
+    z = _solve_depth(spec.surface, spec.pose(frame), xs_hat, ys_hat)
+    if rng is not None:
+        z = z * (1.0 + spec.noise.depth_rel_std * rng.standard_normal(z.shape))
+    return z.astype(np.float32)
+
+
+def _residual(spec, depth):
+    """|c_z + Z d_z - height| of each pixel's ray at the rendered depth Z, and the
+    closed-form denominator d_z - tan(pitch) d_y of a tilted road."""
+    pose = spec.pose(0)
+    cx, cy, cz = pose.position
+    xs_hat, ys_hat = _image_rays(step=1)
+    d = np.stack([xs_hat, ys_hat, np.ones_like(xs_hat)], axis=-1) @ pose.rotation()
+    z = depth.astype(np.float64)
+    dz = np.maximum(d[..., 2], 1e-6)
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = np.abs(cz + z * dz - spec.surface.height(cx + z * d[..., 0], cy + z * d[..., 1]))
+    return res, dz - math.tan(math.radians(spec.surface.pitch_deg)) * d[..., 1]
+
+
+RENDER_POSES = (
+    CameraPose(position=(0.1, -0.05, 0.3), pitch=0.06, yaw=-0.05, roll=0.02),
+    CameraPose(position=(-0.2, 0.1, -0.4), pitch=-0.1, yaw=0.08, roll=-0.05),
+    CameraPose(position=(0.0, -1.0, 0.0), pitch=0.3, yaw=0.04, roll=0.1),
+)
+# two overlapping depressions and one cut by the right image border
+RENDER_POTHOLES = OVERLAPPING + (PotholeSpec(center=(2.6, 0.0), a=0.3, b=0.25, depth=0.04),)
+
+
+class TestClosedFormRender:
+    """render_depth against the old renderer, which ray-cast every pixel."""
+
+    @pytest.mark.parametrize("pose", RENDER_POSES, ids=["pose0", "pose1", "pose2"])
+    @pytest.mark.parametrize("surface", [
+        Surface(kind="plane", z0=5.0, potholes=RENDER_POTHOLES),
+        Surface(kind="tilted", z0=5.0, pitch_deg=8.0, potholes=RENDER_POTHOLES),
+        Surface(kind="tilted", z0=5.0, pitch_deg=-8.0, potholes=RENDER_POTHOLES),
+        Surface(kind="undulating", z0=5.0, amplitude=0.02, wavelength=2.0,
+                potholes=RENDER_POTHOLES),
+    ], ids=["plane", "tilted+8", "tilted-8", "undulating"])
+    def test_same_bytes_as_casting_every_ray(self, surface, pose):
+        spec = SceneSpec(intrinsics=INTR, surface=surface, camera_path=(pose,))
+        got = render_depth(spec, 0).values
+        assert got.tobytes() == _cast_every_ray(spec, 0).tobytes()
+
+    def test_pothole_cut_by_the_border(self):
+        spec = plane_scene(potholes=RENDER_POTHOLES)
+        got = render_depth(spec, 0).values
+        assert got[:, -1].max() > 5.0  # the depression reaches the last column
+        assert got.tobytes() == _cast_every_ray(spec, 0).tobytes()
+
+    def test_same_noise_draws(self):
+        spec = SceneSpec(intrinsics=INTR,
+                         surface=Surface(kind="tilted", z0=5.0, pitch_deg=8.0, potholes=OVERLAPPING),
+                         camera_path=RENDER_POSES[:1], noise=NoiseSpec(depth_rel_std=0.005))
+        got = render_depth(spec, 0, np.random.default_rng(3)).values
+        assert got.tobytes() == _cast_every_ray(spec, 0, np.random.default_rng(3)).tobytes()
+
+    def test_criterion_11_scene(self):
+        spec = SceneSpec(
+            intrinsics=INTR,
+            surface=Surface(kind="plane", z0=6.0,
+                            potholes=(PotholeSpec(center=(0.0, 0.0), a=0.3, b=0.2, depth=0.015),)),
+            frames=8,
+            camera_path=tuple(CameraPose(position=(0.0, 0.0, 0.15 * k)) for k in range(8)),
+            noise=NoiseSpec(box_jitter_px=0.6, depth_rel_std=0.004, conf_noise_std=0.02),
+            n_correspondences=60,
+            seed=11,
+        )
+        # render() hands each frame's depth the first draws of its own stream
+        streams = np.random.SeedSequence(spec.seed).spawn(spec.frames)
+        for k in range(spec.frames):
+            got = render_depth(spec, k, np.random.default_rng(streams[k])).values
+            want = _cast_every_ray(spec, k, np.random.default_rng(streams[k]))
+            assert got.tobytes() == want.tobytes(), f"frame {k}"
+
+    @pytest.mark.parametrize("pitch", [1.0, 1.29], ids=["57deg", "74deg"])
+    def test_steep_road_solved_where_iteration_is_not(self, pitch):
+        # a 30 degree road seen steeply: the fixed-point iteration does not contract
+        spec = SceneSpec(intrinsics=INTR, surface=Surface(kind="tilted", z0=5.0, pitch_deg=30.0),
+                         camera_path=(CameraPose(pitch=pitch),))
+        with np.errstate(over="ignore"):
+            got = render_depth(spec, 0).values
+            old = _cast_every_ray(spec, 0)
+        res, den = _residual(spec, got)
+        forward = den > 0
+        eps = np.finfo(np.float32).eps
+        assert forward.any() and (res[forward] <= eps * got[forward]).all()
+        old_res, _ = _residual(spec, old)
+        assert (old_res[forward] > 1e3 * eps * old[forward]).any()
+
+    def test_ray_without_forward_hit_is_cast(self, monkeypatch):
+        spec = SceneSpec(intrinsics=INTR, surface=Surface(kind="tilted", z0=5.0, pitch_deg=30.0),
+                         camera_path=(CameraPose(pitch=1.29),))
+        _, den = _residual(spec, np.ones((INTR.height, INTR.width)))
+        cast = []
+
+        def recorded(surface, pose, xs_hat, ys_hat):
+            cast.append(xs_hat.size)
+            return _solve_depth(surface, pose, xs_hat, ys_hat)
+
+        monkeypatch.setattr(synth, "_solve_depth", recorded)
+        with np.errstate(over="ignore"):
+            got = render_depth(spec, 0).values
+            monkeypatch.undo()
+            old = _cast_every_ray(spec, 0)
+        # no depressions: exactly the rays with no forward hit on the road are cast
+        assert cast == [np.count_nonzero(den <= 0)] and cast[0] > 0
+        assert got[den <= 0].tobytes() == old[den <= 0].tobytes()
 
 
 class TestRender:
@@ -479,3 +594,11 @@ class TestSpecFromDict:
         path.write_text("- 1\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: SceneSpec must be a mapping"):
             load_scene_spec(path)
+
+    def test_syntax_error_names_the_file(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        path.write_text("intrinsics: [\n")
+        with pytest.raises(FormatError) as e:
+            load_scene_spec(path)
+        assert f'in "{path}", line 2' in str(e.value)
+        assert "<unicode string>" not in str(e.value)
