@@ -81,7 +81,7 @@ def estimate(manifest_path, no_smoothing, lam, theta, mode, seed, out_path):
 @click.option("--raw", is_flag=True, default=False, help="score raw instead of smoothed areas")
 def eval_area(results_path, min_track_len, raw):
     """Area-consistency report (per-track MAE/CV/AFD/NIS averages)."""
-    records = formats.parse_results(formats.read_text(results_path))
+    records = formats.parse_file(results_path, formats.parse_results)
     report = report_from_records(records, min_track_len=min_track_len, smoothed=not raw)
     click.echo(f"# per-track averages over {report.track_count} tracks "
                f"(min length {report.min_track_len}, potholes only)")
@@ -100,8 +100,8 @@ def eval_area(results_path, min_track_len, raw):
               default=0.7, callback=_finite)
 def eval_det(dets_path, gt_path, iou_thresh):
     """Detection metrics (P/R/F1, AP50, AP50-95) for potholes."""
-    dets = formats.parse_detections(formats.read_text(dets_path))
-    gts = formats.parse_detections(formats.read_text(gt_path))
+    dets = formats.parse_file(dets_path, formats.parse_detections)
+    gts = formats.parse_file(gt_path, formats.parse_detections)
     dets = {f: [d for d in ds if d.class_id == 0] for f, ds in dets.items()}
     gt_boxes = {f: [g.bbox for g in gs if g.class_id == 0] for f, gs in gts.items()}
     rep = evaluate_detections_per_frame(dets, gt_boxes, iou_thresh)

@@ -34,6 +34,14 @@ def read_text(path: Union[str, Path]) -> str:
         raise FormatError(f"{path}: {e}") from None
 
 
+def parse_file(path: Union[str, Path], parse):
+    """``parse`` of a text file; a malformed line is a ``FormatError`` naming the file."""
+    try:
+        return parse(read_text(path))
+    except MalformedLine as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 def yaml_stream(path: Union[str, Path]) -> io.StringIO:
     """A YAML file's text as a stream named after the file, so the context
     lines of a YAML syntax error name the file, not "<unicode string>"."""

@@ -30,6 +30,14 @@ class CameraIntrinsics:
         if not (0 <= self.p_u < self.width and 0 <= self.p_v < self.height):
             raise ValueError("principal point must lie inside the image")
 
+    def ray(self, u, v):
+        """Pixel (u, v) to (x, y) with the point (x*Z, y*Z, Z) at depth Z; elementwise."""
+        return (u - self.p_u) / self.f_u, (v - self.p_v) / self.f_v
+
+    def pixel(self, x, y, z):
+        """Camera-frame point (x, y, z) to its pixel (u, v), the inverse of ``ray``."""
+        return self.f_u * x / z + self.p_u, self.f_v * y / z + self.p_v
+
 
 @dataclass(frozen=True)
 class BBox:

@@ -77,10 +77,8 @@ def project_region(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> ProjectedReg
         raise EmptyRegion(f"box {b} covers no pixels")
     Z = np.asarray(d.values[v0:v1, u0:u1], dtype=np.float64)
     valid = np.isfinite(Z) & (Z > 0.0)
-    us = np.arange(u0, u1, dtype=np.float64)
-    vs = np.arange(v0, v1, dtype=np.float64)
-    X = (us[None, :] - intr.p_u) / intr.f_u * Z
-    Y = (vs[:, None] - intr.p_v) / intr.f_v * Z
+    xhat, yhat = intr.ray(np.arange(u0, u1, dtype=np.float64), np.arange(v0, v1, dtype=np.float64))
+    X, Y = xhat[None, :] * Z, yhat[:, None] * Z
     if not valid.all():
         X[~valid] = np.nan
         Y[~valid] = np.nan
@@ -197,10 +195,10 @@ def _measure_packed(
 
 @lru_cache(maxsize=8)
 def _rays(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ray tables xhat[u] = (u - p_u) / f_u and yhat[v] = (v - p_v) / f_v,
-    the factors ``project_region`` and ``backproject`` multiply depth by."""
-    xhat = (np.arange(intr.width, dtype=np.float64) - intr.p_u) / intr.f_u
-    yhat = (np.arange(intr.height, dtype=np.float64) - intr.p_v) / intr.f_v
+    """Read-only tables of ``intr.ray`` over every pixel column u and row v:
+    xhat[u] and yhat[v], the factors that depth is multiplied by."""
+    xhat, yhat = intr.ray(np.arange(intr.width, dtype=np.float64),
+                          np.arange(intr.height, dtype=np.float64))
     xhat.setflags(write=False)
     yhat.setflags(write=False)
     return xhat, yhat

@@ -18,11 +18,11 @@ from .formats import (
     FrameResultRecord,
     SequenceManifest,
     parse_detections,
+    parse_file,
     parse_motion_file,
     parse_pfm,
-    read_text,
 )
-from .geometry import CameraIntrinsics, DepthMap, MotionTransform, as_xywh
+from .geometry import CameraIntrinsics, DepthMap, Detection, MotionTransform, as_xywh
 from .mbtp import estimate_areas
 from .metrics import AreaConsistencyReport, area_consistency_report
 from .tracking import Tracker, fit_motion_ransac
@@ -57,12 +57,14 @@ def run_pipeline(
 
     Depth files are memory-mapped, not read: only the pages that the
     frame's boxes touch are loaded. A depth file must therefore not be
-    truncated or rewritten while its frame is processed.
+    truncated or rewritten while its frame is processed. A detections file
+    that several frames share is parsed once, by the first of them.
     """
     tracker = Tracker()
+    detections: dict[Path, dict[int, list[Detection]]] = {}  # each file's detections not yet taken
     records: list[FrameResultRecord] = []
     for entry in manifest.frames:
-        records += _process_frame(entry, manifest.intrinsics, tracker, config.seed)
+        records += _process_frame(entry, manifest.intrinsics, tracker, config.seed, detections)
     if config.smoothing:
         records = smooth_records(records, config.cdkf)
     report = report_from_records(records, smoothed=config.smoothing)
@@ -70,7 +72,8 @@ def run_pipeline(
 
 
 def _process_frame(
-    entry: FrameEntry, intr: CameraIntrinsics, tracker: Tracker, seed: int
+    entry: FrameEntry, intr: CameraIntrinsics, tracker: Tracker, seed: int,
+    detections: dict[Path, dict[int, list[Detection]]],
 ) -> list[FrameResultRecord]:
     """The raw records of one frame. Its depth map lives only in this call,
     so a later frame's error does not keep the map's file mapping open."""
@@ -79,11 +82,13 @@ def _process_frame(
         depth = _load_depth(entry.depth_path)
         if depth.width != intr.width or depth.height != intr.height:
             raise DimensionMismatch(f"depth {depth.width}x{depth.height} does not match intrinsics")
-        dets_by_frame = parse_detections(read_text(entry.detections_path))
+        path = entry.detections_path
+        if path not in detections:
+            detections[path] = parse_file(path, parse_detections)
+        dets = detections[path].pop(entry.frame, [])
         motion = _load_motion(entry.motion_path, seed, entry.frame)
     except (AreatrackError, OSError) as e:
         raise FrameProcessingError(entry.frame, e) from e
-    dets = dets_by_frame.get(entry.frame, [])
 
     assigned = tracker.step(dets, frame=entry.frame, motion=motion)
     estimates = estimate_areas(as_xywh(det.bbox for _, det in assigned), depth, intr)
@@ -125,7 +130,7 @@ def _load_depth(path: Path) -> DepthMap:
 def _load_motion(path, seed: int, frame: int) -> MotionTransform | None:
     if path is None:
         return None
-    kind, payload = parse_motion_file(read_text(path))
+    kind, payload = parse_file(path, parse_motion_file)
     if kind == "transform":
         return MotionTransform(payload)
     if len(payload) < 3:

@@ -1,40 +1,13 @@
-"""Pinhole back-projection and pothole-to-camera distance."""
+"""Pothole-to-camera distance."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoValidDepth
 from .geometry import BBox, CameraIntrinsics, DepthMap, clip_to_image, pixel_grid
-
-
-@dataclass(frozen=True)
-class Point3:
-    """3D point in the camera frame, meters."""
-
-    X: float
-    Y: float
-    Z: float
-
-
-def backproject(u: float, v: float, Z: float, intr: CameraIntrinsics) -> Point3:
-    """Map pixel (u, v) with depth Z to camera-frame coordinates."""
-    if not (math.isfinite(Z) and Z > 0.0):
-        raise ValueError(f"depth must be positive and finite, got {Z}")
-    X = (u - intr.p_u) / intr.f_u * Z
-    Y = (v - intr.p_v) / intr.f_v * Z
-    return Point3(X, Y, Z)
-
-
-def forward_project(p: Point3, intr: CameraIntrinsics) -> tuple[float, float]:
-    """Inverse of backproject: camera-frame point to pixel coordinates."""
-    return (
-        intr.f_u * p.X / p.Z + intr.p_u,
-        intr.f_v * p.Y / p.Z + intr.p_v,
-    )
 
 
 def center_distance(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> float:
@@ -58,5 +31,6 @@ def center_distance(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> float:
         if valid.size == 0:
             raise NoValidDepth("no valid depth inside the box")
         z = float(np.median(valid))
-    p = backproject(u, v, z, intr)
-    return math.sqrt(p.X * p.X + p.Y * p.Y + p.Z * p.Z)
+    x, y = intr.ray(u, v)
+    X, Y = x * z, y * z
+    return math.sqrt(X * X + Y * Y + z * z)

@@ -3,15 +3,16 @@
 Analytic road surfaces with smooth elliptical depressions are rendered
 into exact depth maps, together with ground-truth boxes, per-depression
 true areas, noisy detections, and camera-motion correspondences. A plane
-or tilted road's depth is its closed-form ray hit; only the rays that land
-in a depression, meet an undulating road or have no forward road hit are
-ray-cast. The rendered files use the same formats the pipeline consumes,
-so synthetic and real sequences are interchangeable.
+or tilted road's depth is its closed-form ray hit, or +inf for a ray that
+never meets it; only the rays that land in a depression or meet an
+undulating road are ray-cast. The rendered files use the same formats the
+pipeline consumes, so synthetic and real sequences are interchangeable.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -251,27 +252,29 @@ def render_depth(spec: SceneSpec, frame: int, rng: Optional[np.random.Generator]
     recede the road, so a ray whose base hit lies outside every depression is in
     front of the surface all the way to it: the hit is the ray's first root, and
     exact. Where ``_solve_depth`` converges it settles on the same root, so such
-    a ray is not iterated. Only the other rays (an undulating road, no forward
-    base hit, a base hit inside a depression) are ray-cast by ``_solve_depth``.
+    a ray is not iterated. For a camera on the near side of the road, a ray whose
+    denominator is not positive never meets it, and its depth is +inf, which
+    ``DepthMap`` treats as invalid. Only the rays of an undulating road and the
+    rays whose base hit is inside a depression are ray-cast by ``_solve_depth``.
     """
     intr = spec.intrinsics
     pose = spec.pose(frame)
     surface = spec.surface
-    us = (np.arange(intr.width) - intr.p_u) / intr.f_u
-    vs = (np.arange(intr.height) - intr.p_v) / intr.f_v
-    xs_hat, ys_hat = np.meshgrid(us, vs)
+    xs_hat, ys_hat = np.meshgrid(*intr.ray(np.arange(intr.width), np.arange(intr.height)))
     if surface.kind == "undulating":  # no closed form: every ray is cast
         z = _solve_depth(surface, pose, xs_hat, ys_hat)
     else:
         d = _ray_dirs(pose.rotation(), xs_hat, ys_hat)
         cx, cy, cz = pose.position
         t = math.tan(math.radians(surface.pitch_deg)) if surface.kind == "tilted" else 0.0
-        den = np.maximum(d[..., 2], 1e-6) - t * d[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # den <= 0 rays are cast
-            z = (surface.z0 + t * cy - cz) / den
+        den = d[..., 2] - t * d[..., 1]
+        hit = den > 0
+        z = np.divide(surface.z0 + t * cy - cz, den, out=np.full(den.shape, np.inf), where=hit)
+        with np.errstate(invalid="ignore"):  # inf * 0 on the rays with no hit
             hx, hy = cx + z * d[..., 0], cy + z * d[..., 1]
-            cast = (den <= 0) | (surface.height(hx, hy) != surface.base_height(hx, hy))
-        z[cast] = _solve_depth(surface, pose, xs_hat[cast], ys_hat[cast])
+            cast = hit & (surface.height(hx, hy) != surface.base_height(hx, hy))
+        if cast.any():
+            z[cast] = _solve_depth(surface, pose, xs_hat[cast], ys_hat[cast])
     if rng is not None:
         z = z * (1.0 + spec.noise.depth_rel_std * rng.standard_normal(z.shape))
     return DepthMap(intr.width, intr.height, z.astype(np.float32))
@@ -283,9 +286,7 @@ def _project_world(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics)
     cam = (points - np.asarray(pose.position)) @ R.T
     z = cam[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.f_u * cam[:, 0] / z + intr.p_u
-        v = intr.f_v * cam[:, 1] / z + intr.p_v
-    out = np.stack([u, v], axis=1)
+        out = np.stack(intr.pixel(cam[:, 0], cam[:, 1], z), axis=1)
     out[z <= 0.05] = np.nan
     return out
 
@@ -321,8 +322,7 @@ def _reproject(
     pixel order; pixels whose surface point is behind the camera are left out."""
     intr = spec.intrinsics
     prev_pose = spec.pose(prev_frame)
-    xs_hat = (uu - intr.p_u) / intr.f_u
-    ys_hat = (vv - intr.p_v) / intr.f_v
+    xs_hat, ys_hat = intr.ray(uu, vv)
     z = _solve_depth(spec.surface, prev_pose, xs_hat, ys_hat)
     d = _ray_dirs(prev_pose.rotation(), xs_hat, ys_hat)
     world = np.asarray(prev_pose.position) + z[..., None] * d
@@ -411,8 +411,9 @@ def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
 def _number(name: str, t: type, v):
     """``v``, which must be a finite number, and a whole one if ``t`` is int. An int
     field gets an int; a float field gets ``v`` as given, so ``f_u: 300`` is written back as 300."""
+    # an exact comparison: an int beyond the float range fails it, where float(v) would raise
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-            float(v).is_integer() if t is int else math.isfinite(v)):
+            abs(v) <= sys.float_info.max and (t is not int or float(v).is_integer())):
         raise ValueError(f"{name} must be a finite{' whole' if t is int else ''} number, got {v!r}")
     return int(v) if t is int else v
 
@@ -449,7 +450,7 @@ def load_scene_spec(path, seed: Optional[int] = None) -> SceneSpec:
         if seed is not None and isinstance(doc, dict):
             doc = {**doc, "seed": seed}
         return scene_spec_from_dict(doc)
-    except (yaml.YAMLError, TypeError, ValueError, OverflowError) as e:
+    except (yaml.YAMLError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: {e}") from None
 
 
@@ -558,10 +559,8 @@ def analytic_rect_footprint_area(spec: SceneSpec, box: BBox, frame: int = 0) -> 
     intr = spec.intrinsics
     pose = spec.pose(frame)
     u0, u1, v0, v1 = pixel_grid(box, intr)  # half-open: the last pixel is u1 - 1
-    x0 = (u0 - intr.p_u) / intr.f_u
-    x1 = (u1 - 1 - intr.p_u) / intr.f_u
-    y0 = (v0 - intr.p_v) / intr.f_v
-    y1 = (v1 - 1 - intr.p_v) / intr.f_v
+    x0, y0 = intr.ray(u0, v0)
+    x1, y1 = intr.ray(u1 - 1, v1 - 1)
     R = pose.rotation()
     r1 = R.T[:, 0]
     r2 = R.T[:, 1]

@@ -161,6 +161,36 @@ def test_pixel_grid_floor_ceil():
     assert (u0, u1, v0, v1) == (10, 14, 4, 7)
 
 
+class TestPinhole:
+    def test_principal_point_on_axis(self):
+        assert INTR.ray(INTR.p_u, INTR.p_v) == (0.0, 0.0)
+
+    def test_direct_evaluation(self):
+        assert INTR.ray(1460, INTR.p_v) == (0.5, 0.0)
+        assert INTR.pixel(5.0, 0.0, 10.0) == (1460.0, INTR.p_v)
+
+    def test_linear_in_depth(self):
+        # every point of a pixel's ray projects back to that pixel
+        x, y = INTR.ray(1200, 700)
+        assert INTR.pixel(4.0 * x, 4.0 * y, 4.0) == pytest.approx(INTR.pixel(8.0 * x, 8.0 * y, 8.0))
+
+    def test_arrays_match_scalars(self):
+        rng = np.random.default_rng(0)
+        u, v, z = rng.uniform(0, 1920, 50), rng.uniform(0, 1080, 50), rng.uniform(0.1, 100.0, 50)
+        x, y = INTR.ray(u, v)
+        pu, pv = INTR.pixel(x * z, y * z, z)
+        for k in range(50):
+            assert (x[k], y[k]) == INTR.ray(float(u[k]), float(v[k]))
+            assert (pu[k], pv[k]) == INTR.pixel(float(x[k] * z[k]), float(y[k] * z[k]), float(z[k]))
+
+    @given(st.floats(0, 1919), st.floats(0, 1079), st.floats(0.1, 100.0))
+    def test_pixel_inverts_ray(self, u, v, z):
+        x, y = INTR.ray(u, v)
+        u2, v2 = INTR.pixel(x * z, y * z, z)
+        assert u2 == pytest.approx(u, abs=1e-9)
+        assert v2 == pytest.approx(v, abs=1e-9)
+
+
 def test_motion_transform_singular_rejected():
     from areatrack.errors import SingularTransform
 

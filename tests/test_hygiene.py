@@ -69,6 +69,15 @@ def test_affine_fit_and_singular_rule_written_once():
     assert det == ["geometry.py"]
 
 
+def test_pinhole_model_written_once():
+    """Only ``CameraIntrinsics`` reads the focal lengths and the principal
+    point; every other module converts through ``ray`` and ``pixel``."""
+    names = {"f_u", "f_v", "p_u", "p_v"}
+    hits = sorted({p.name for p in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr in names})
+    assert hits == ["geometry.py"]
+
+
 def _functions_calling(source: str, attr: str) -> list[str]:
     """Names of the functions that call a method named ``attr`` of anything
     but the ``formats`` module; ``<module>`` for a call outside any function."""

@@ -251,6 +251,24 @@ class TestRunPipeline:
         raw, _ = run_pipeline(manifest, dataclasses.replace(config, smoothing=False))
         assert records == smooth_records(raw, config.cdkf)
 
+    @pytest.mark.parametrize("files", [10, 2, 1], ids=["per-frame", "interleaved", "shared"])
+    def test_each_detections_file_parsed_once(self, scene_dir, tmp_path, monkeypatch, files):
+        _, manifest_path = scene_dir
+        manifest = formats.SequenceManifest.load(manifest_path)
+        want = formats.write_results(run_pipeline(manifest, PipelineConfig())[0])
+        # frame k reads file k % files, which holds the detections of all its frames
+        paths = [tmp_path / f"dets_{i}.txt" for i in range(files)]
+        for i, path in enumerate(paths):
+            path.write_text("".join(e.detections_path.read_text() for e in manifest.frames[i::files]))
+        shared = dataclasses.replace(manifest, frames=[
+            dataclasses.replace(e, detections_path=paths[k % files]) for k, e in enumerate(manifest.frames)])
+        parsed = []
+        monkeypatch.setattr(pipeline, "parse_detections",
+                            lambda text: parsed.append(text) or formats.parse_detections(text))
+        records, _ = run_pipeline(shared, PipelineConfig())
+        assert sorted(parsed) == sorted(path.read_text() for path in paths)
+        assert formats.write_results(records) == want
+
     @pytest.mark.parametrize("kind", ["little", "big", "trailing"])
     def test_mapped_depth_equals_read_bytes(self, tmp_path, kind):
         rng = np.random.default_rng(6)
@@ -568,7 +586,7 @@ class TestCli:
         # a clean exit, not an exception caught by the runner
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
-        assert f"error: frame 1: line {line}:" in res.output
+        assert f"error: frame 1: {tmp_path / name}: line {line}:" in res.output
 
     @pytest.mark.parametrize("box", ["x=100 y=100 w=0 h=20", "x=5000 y=100 w=30 h=20"],
                              ids=["zero-width", "off-image"])
@@ -736,12 +754,15 @@ class TestCli:
         ("width", 3_000_000_000, "intrinsics width*height must be at most"),
         ("frames", 1.0e300, "frames must be at most"),
         ("n_correspondences", 10 ** 20, "n_correspondences must be at most"),
-    ], ids=["width-1e300", "width-3e9", "frames", "n-correspondences"])
+        # integers beyond the float range, in an int field and in a float field
+        ("width", 10 ** 400, "width must be a finite whole number"),
+        ("f_u", 10 ** 400, "f_u must be a finite number"),
+    ], ids=["width-1e300", "width-3e9", "frames", "n-correspondences", "width-1e400", "f_u-1e400"])
     def test_oversized_spec_is_a_clean_exit(self, tmp_path, field, value, message):
         """A spec too large to render is refused before anything is allocated."""
         doc = {"intrinsics": {"f_u": 100.0, "f_v": 100.0, "p_u": 20.0, "p_v": 15.0,
                               "width": 40, "height": 30}}
-        (doc["intrinsics"] if field == "width" else doc)[field] = value
+        (doc["intrinsics"] if field in ("width", "f_u") else doc)[field] = value
         spec = tmp_path / "spec.yaml"
         spec.write_text(yaml.safe_dump(doc))
         res = CliRunner().invoke(main, ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
@@ -774,3 +795,4 @@ class TestCli:
         runner = CliRunner()
         res = runner.invoke(main, ["eval-area", "--results", str(bad)])
         assert res.exit_code == 1
+        assert f"error: {bad}: line 1: " in res.output

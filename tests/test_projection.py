@@ -2,50 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from areatrack.errors import NoValidDepth
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
-from areatrack.projection import backproject, center_distance, forward_project
+from areatrack.projection import center_distance
 
 INTR = CameraIntrinsics(f_u=1000.0, f_v=1000.0, p_u=960.0, p_v=540.0, width=1920, height=1080)
-
-
-def test_principal_point_on_axis():
-    p = backproject(INTR.p_u, INTR.p_v, 7.0, INTR)
-    assert (p.X, p.Y, p.Z) == (0.0, 0.0, 7.0)
-
-
-def test_direct_evaluation():
-    p = backproject(1460, INTR.p_v, 10.0, INTR)
-    assert p.X == pytest.approx(5.0)
-    assert p.Y == pytest.approx(0.0)
-
-
-def test_linear_in_depth():
-    a = backproject(1200, 700, 4.0, INTR)
-    b = backproject(1200, 700, 8.0, INTR)
-    assert b.X == pytest.approx(2 * a.X)
-    assert b.Y == pytest.approx(2 * a.Y)
-
-
-def test_invalid_depth_rejected():
-    with pytest.raises(ValueError):
-        backproject(100, 100, 0.0, INTR)
-    with pytest.raises(ValueError):
-        backproject(100, 100, float("nan"), INTR)
-
-
-@given(
-    st.floats(0, 1919),
-    st.floats(0, 1079),
-    st.floats(0.1, 100.0),
-)
-def test_forward_backward_roundtrip(u, v, z):
-    p = backproject(u, v, z, INTR)
-    u2, v2 = forward_project(p, INTR)
-    assert u2 == pytest.approx(u, abs=1e-9)
-    assert v2 == pytest.approx(v, abs=1e-9)
 
 
 class TestCenterDistance:

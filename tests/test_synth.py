@@ -309,24 +309,23 @@ class TestClosedFormRender:
         old_res, _ = _residual(spec, old)
         assert (old_res[forward] > 1e3 * eps * old[forward]).any()
 
-    def test_ray_without_forward_hit_is_cast(self, monkeypatch):
-        spec = SceneSpec(intrinsics=INTR, surface=Surface(kind="tilted", z0=5.0, pitch_deg=30.0),
-                         camera_path=(CameraPose(pitch=1.29),))
-        _, den = _residual(spec, np.ones((INTR.height, INTR.width)))
-        cast = []
-
-        def recorded(surface, pose, xs_hat, ys_hat):
-            cast.append(xs_hat.size)
-            return _solve_depth(surface, pose, xs_hat, ys_hat)
-
-        monkeypatch.setattr(synth, "_solve_depth", recorded)
-        with np.errstate(over="ignore"):
-            got = render_depth(spec, 0).values
-            monkeypatch.undo()
-            old = _cast_every_ray(spec, 0)
-        # no depressions: exactly the rays with no forward hit on the road are cast
-        assert cast == [np.count_nonzero(den <= 0)] and cast[0] > 0
-        assert got[den <= 0].tobytes() == old[den <= 0].tobytes()
+    @pytest.mark.parametrize("surface", [
+        Surface(kind="plane", z0=5.0),
+        Surface(kind="tilted", z0=5.0, pitch_deg=30.0),
+    ], ids=["plane", "tilted30"])
+    def test_ray_without_forward_hit_is_infinite(self, surface, monkeypatch):
+        spec = SceneSpec(intrinsics=INTR, surface=surface, camera_path=(CameraPose(pitch=1.29),))
+        xs_hat, ys_hat = _image_rays(step=1)
+        d = np.stack([xs_hat, ys_hat, np.ones_like(xs_hat)], axis=-1) @ spec.pose(0).rotation()
+        t = math.tan(math.radians(surface.pitch_deg))
+        forward = d[..., 2] - t * d[..., 1] > 0
+        monkeypatch.setattr(synth, "_solve_depth", lambda *args: pytest.fail("a ray was cast"))
+        got = render_depth(spec, 0).values
+        assert forward.any() and (~forward).any()
+        assert np.isposinf(got[~forward]).all()
+        # the rays that meet the road keep the closed form with its old clamp of d_z to 1e-6
+        clamped = (surface.z0 / (np.maximum(d[..., 2], 1e-6) - t * d[..., 1])).astype(np.float32)
+        assert got[forward].tobytes() == clamped[forward].tobytes()
 
 
 class TestRender:
