@@ -110,7 +110,9 @@ def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig) -> tuple[np.ndarray, np.n
     Step j updates the tracks with more than j measurements at once. The
     tracks are laid out longest first, so these are a prefix of the state
     arrays, and each measurement sees the scalar filter's float64
-    operations in the same order.
+    operations in the same order. Once a step updates only the longest
+    track, the rest of that track runs the same arithmetic on Python
+    floats, without numpy's per-call cost.
     """
     r = measurement_noise(c, d, cfg)
     n = len(r)
@@ -133,11 +135,20 @@ def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig) -> tuple[np.ndarray, np.n
     r = r[packed]
     A, nis = z.copy(), np.zeros(n)  # a first measurement sets A = z, P = r
     P = r[: counts[0]].copy()
+    ends = np.cumsum(counts).tolist()
+    wide = max(1, int(np.count_nonzero(counts > 1)))  # steps 1 .. wide - 1 update several tracks
     prior = 0
-    for lo, m in zip(np.cumsum(counts[:-1]).tolist(), counts[1:].tolist()):
+    for lo, m in zip(ends[: wide - 1], counts[1:wide].tolist()):
         step = slice(lo, lo + m)
         A[step], P[:m], nis[step] = _gain_step(A[prior : prior + m], P[:m] + Q, z[step], r[step])
         prior = lo
+    tail = slice(ends[wide - 1], n)
+    a, p, tail_a, tail_nis = float(A[prior]), float(P[0]), [], []
+    for zi, ri in zip(z[tail].tolist(), r[tail].tolist()):
+        a, p, ni = _gain_step(a, p + Q, zi, ri)
+        tail_a.append(a)
+        tail_nis.append(ni)
+    A[tail], nis[tail] = tail_a, tail_nis
     out = np.empty((2, n))
     out[:, packed] = A, nis
     return out[0], out[1]

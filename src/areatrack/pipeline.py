@@ -51,9 +51,11 @@ def run_pipeline(
     """Process frames in order through tracking and area estimation, then
     smooth each track's raw areas with ``smooth_records``.
 
-    Per-frame input errors abort with the frame index; a detection whose
-    box covers no pixels or has no valid depth is skipped with a log line
-    and leaves no record, so it never advances its track's filter.
+    Per-frame input errors abort with the frame index. A detection wider
+    or taller than the image is skipped with a log line before tracking,
+    so it starts no track. A detection whose box covers no pixels or has
+    no valid depth is skipped with a log line and leaves no record, so it
+    never advances its track's filter.
 
     Depth files are memory-mapped, not read: only the pages that the
     frame's boxes touch are loaded. A depth file must therefore not be
@@ -90,7 +92,14 @@ def _process_frame(
     except (AreatrackError, OSError) as e:
         raise FrameProcessingError(entry.frame, e) from e
 
-    assigned = tracker.step(dets, frame=entry.frame, motion=motion)
+    fitting = []
+    for det in dets:
+        if det.bbox.w > intr.width or det.bbox.h > intr.height:
+            log.warning("frame %d: box %s is larger than the %dx%d image, skipping",
+                        entry.frame, det.bbox, intr.width, intr.height)
+        else:
+            fitting.append(det)
+    assigned = tracker.step(fitting, frame=entry.frame, motion=motion)
     estimates = estimate_areas(as_xywh(det.bbox for _, det in assigned), depth, intr)
     for (track_id, det), est in zip(assigned, estimates):
         if isinstance(est, AreatrackError):

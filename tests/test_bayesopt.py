@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize
 
 from areatrack import bayesopt
 from areatrack.bayesopt import (
+    REFINE_GTOL,
+    GpPosterior,
     OptResult,
     SearchSpec,
     expected_improvement,
     gp_fit,
+    neg_ei_and_grad,
     optimize,
 )
 from areatrack.errors import DegenerateKernel, ObjectiveNonFinite
@@ -92,6 +97,88 @@ class TestExpectedImprovement:
         lo = expected_improvement(Fake(0.01), 1.0, pt)[0]
         hi = expected_improvement(Fake(1.0), 1.0, pt)[0]
         assert hi > lo
+
+
+def random_gp(seed: int, kind: str) -> tuple[GpPosterior, float, float]:
+    """A GP on 2-25 random points of the unit square, an incumbent drawn
+    around the data's minimum, and the spread of the data.
+
+    ``tiny-spread`` data have a spread of 2e-12, so sigma <= 1e-12 near the
+    data and EI is clamped to 0 there. ``variance-clamp`` divides the
+    Cholesky factor by 1e3, so the posterior variance sits at its floor
+    almost everywhere.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 26))
+    X = rng.uniform(0.0, 1.0, (n, 2))
+    y = rng.normal(size=n)
+    if kind == "tiny-spread":
+        y = 2e-12 * y / y.std()
+    gp = gp_fit(X, y)
+    if kind == "variance-clamp":
+        gp = GpPosterior(gp.X, gp._alpha, gp._chol / 1e3, gp.length_scale, gp.signal_var,
+                         gp._y_mean, gp._y_scale)
+    return gp, float(y.min()) + float(rng.normal(0.0, 1.0)) * float(np.ptp(y)), float(np.ptp(y))
+
+
+_GP_KINDS = st.sampled_from(["fitted", "tiny-spread", "variance-clamp"])
+
+
+class TestEiGradient:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=_GP_KINDS,
+           u=st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)), near=st.booleans())
+    def test_matches_central_differences(self, seed, kind, u, near):
+        gp, incumbent, spread = random_gp(seed, kind)
+        u, h = np.array(u), 1e-6
+        if near:  # within 0.014 of a data point, where the posterior is most certain
+            u = gp.X[0] + 0.01 * (u - 0.5)
+        points = [u] + [u + sign * h * e for e in np.eye(2) for sign in (1.0, -1.0)]
+        ei = expected_improvement(gp, incumbent, np.array(points))
+        mu, var = gp.mean_var(np.array(points))
+        floor = gp._y_scale ** 2 * 1e-12
+        # the same clamps apply at every difference point; where the variance
+        # is clamped EI is a kink within a few sigma of the incumbent
+        assume(len(set(zip(ei == 0.0, var == floor))) == 1)
+        assume(var[0] > floor or np.all(np.abs(incumbent - mu) > 40.0 * np.sqrt(var)))
+        fun, grad = neg_ei_and_grad(gp, incumbent, u)
+        central = (ei[1::2] - ei[2::2]) / (2.0 * h)
+        np.testing.assert_allclose(-grad, central, rtol=1e-5, atol=1e-7 * spread)
+        if ei[0] == 0.0:
+            assert fun == 0.0 and np.all(grad == 0.0)
+        if var[0] == floor:
+            assert np.all(gp.mean_var_grad(u)[3] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=_GP_KINDS,
+           u=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)))
+    def test_value_is_expected_improvement(self, seed, kind, u):
+        gp, incumbent, _ = random_gp(seed, kind)
+        u = np.array(u)
+        fun, _ = neg_ei_and_grad(gp, incumbent, u)
+        assert -fun == pytest.approx(expected_improvement(gp, incumbent, u[None, :])[0],
+                                     rel=1e-12, abs=0.0)
+
+    def test_mean_and_variance_are_mean_var(self):
+        gp, _, _ = random_gp(11, "fitted")
+        for u in np.random.default_rng(1).uniform(-0.5, 1.5, (50, 2)):
+            mu, var = gp.mean_var(u[None, :])
+            assert gp.mean_var_grad(u)[:2] == (mu[0], var[0])
+
+    def test_stationary_start_skip_matches_minimize(self):
+        # the starts the skip returns unchanged are the ones L-BFGS-B stops at in iteration 0
+        skipped = 0
+        for seed in range(40):
+            gp, incumbent, _ = random_gp(seed, "fitted")
+            for start in np.random.default_rng(seed).uniform(0.0, 1.0, (10, 2)):
+                x, fun = bayesopt._refine(gp, incumbent, start)
+                res = minimize(lambda v: neg_ei_and_grad(gp, incumbent, v), start, jac=True,
+                               bounds=[(0.0, 1.0)] * 2, method="L-BFGS-B",
+                               options={"maxiter": 15, "gtol": REFINE_GTOL})
+                assert x.tolist() == res.x.tolist()
+                assert fun == res.fun
+                skipped += res.nit == 0
+        assert skipped >= 10
 
 
 class TestOptimize:

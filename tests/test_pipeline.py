@@ -3,6 +3,7 @@ import gc
 import math
 import mmap
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,25 @@ class TestSmoothRecords:
         rep = report_from_records([])
         assert (rep.track_count, rep.objective) == (0, 0.0)
 
+    def test_long_track_matches_reference(self):
+        # past the short tracks' lengths only the long track is updated, on Python floats
+        rng = np.random.default_rng(3)
+        records = [record(f, 7, a, confidence=c, distance=d) for f, a, c, d in zip(
+            range(3000), rng.uniform(0.01, 1.0, 3000).tolist(),
+            rng.uniform(0.01, 1.0, 3000).tolist(), rng.uniform(1.0, 20.0, 3000).tolist())]
+        for track_id in (1, 2, 9):
+            frames = [0, 1, 1, 2, 2, 2, 5][: 2 * track_id]  # repeated (frame, track_id) rows
+            records += [record(f, track_id, 0.1 * track_id + 0.01 * k)
+                        for k, f in enumerate(frames)]
+        records = [records[i] for i in rng.permutation(len(records)).tolist()]
+        for lam, theta in ((1.0, 1.0), (0.0, 0.0), (1e300, 0.3)):
+            cfg = CdkfConfig(lam=lam, theta=theta)
+            got = smooth_records(records, cfg)
+            want = reference_smooth_records(records, cfg)
+            assert [r.area_smoothed_m2.hex() for r in got] == [r.area_smoothed_m2.hex() for r in want]
+            assert [r.nis.hex() for r in got] == [r.nis.hex() for r in want]
+            assert repr(got) == repr(want)
+
     def test_repeated_row_is_the_next_update(self):
         records = [record(0, 1, 0.2), record(1, 1, 0.4), record(1, 1, 0.3)]
         got = smooth_records(records, CdkfConfig())
@@ -602,6 +622,30 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert res.output == clean.output
         assert "frame 2 track 2: box BBox(" in caplog.text
+
+    @pytest.mark.parametrize("box", ["x=0 y=100 w=1e308 h=20", "x=100 y=0 w=30 h=1e308",
+                                     "x=-100 y=100 w=321 h=20"],
+                             ids=["huge-width", "huge-height", "one-px-wider"])
+    def test_box_larger_than_image_is_skipped_before_tracking(self, scene_dir, tmp_path, caplog,
+                                                              box):
+        # listed first in frame 0, the box would take track id 1 if it were tracked
+        src, manifest_path = scene_dir
+        for f in src.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        dets = tmp_path / "dets_0000.txt"
+        header, rest = dets.read_text().split("\n", 1)
+        dets.write_text(f"{header}\nframe=0 class_id=0 {box} confidence=0.9\n{rest}")
+        runner = CliRunner()
+        clean = runner.invoke(main, ["estimate", "--manifest", str(manifest_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["estimate", "--manifest", str(tmp_path / "manifest.yaml")])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == clean.stdout
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in res.stderr
+        assert "frame 0: box BBox(" in caplog.text
+        assert "is larger than the 320x240 image, skipping" in caplog.text
 
     @pytest.mark.parametrize("base, target", [
         ("dets_0001.txt", "dets_0001.txt"),
