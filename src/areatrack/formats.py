@@ -6,9 +6,11 @@ from __future__ import annotations
 import io
 import math
 import mmap
+import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union, get_type_hints
 
 import numpy as np
 import yaml
@@ -48,6 +50,26 @@ def yaml_stream(path: Union[str, Path]) -> io.StringIO:
     stream = io.StringIO(read_text(path))
     stream.name = str(path)
     return stream
+
+
+def number(name: str, t: type, v):
+    """``v``, which must be a finite number, and a whole one if ``t`` is int. An int
+    field gets an int; a float field gets ``v`` as given, so ``f_u: 300`` is written back as 300."""
+    # an exact comparison: an int beyond the float range fails it, where float(v) would raise
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+            abs(v) <= sys.float_info.max and (t is not int or float(v).is_integer())):
+        raise ValueError(f"{name} must be a finite{' whole' if t is int else ''} number, got {v!r}")
+    return int(v) if t is int else v
+
+
+def build(cls, doc, **convert):
+    """A ``cls`` from a YAML mapping of its field names. Each value goes through its
+    ``convert`` entry, or through ``number`` if its field is an int or a float."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} must be a mapping, got {doc!r}")
+    casts = {k: partial(number, k, t) for k, t in get_type_hints(cls).items() if t in (int, float)}
+    casts |= convert
+    return cls(**{k: casts[k](v) if k in casts else v for k, v in doc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +343,9 @@ class SequenceManifest:
         if not isinstance(doc, dict):
             raise ManifestError(f"{path}: manifest must be a mapping")
         try:
-            intr = CameraIntrinsics(**doc["intrinsics"])
+            intr = build(CameraIntrinsics, doc["intrinsics"])
             raw_frames = doc["frames"]
-            fps = float(doc.get("fps", 30.0))
+            fps = number("fps", float, doc.get("fps", 30.0))
         except (KeyError, TypeError, ValueError) as e:
             raise ManifestError(f"{path}: {e}") from None
         if not isinstance(raw_frames, list):
@@ -334,7 +356,7 @@ class SequenceManifest:
         for item in raw_frames:
             try:
                 entry = FrameEntry(
-                    frame=int(item["frame"]),
+                    frame=number("frame", int, item["frame"]),
                     depth_path=base / item["depth"],
                     detections_path=base / item["detections"],
                     motion_path=(base / item["motion"]) if item.get("motion") else None,

@@ -225,15 +225,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
 
 
-def clip_to_image(b: BBox, intr: CameraIntrinsics) -> BBox:
-    """Intersect a box with [0, width-1] x [0, height-1]; zero-size if outside."""
-    x0 = min(max(b.x, 0.0), intr.width - 1.0)
-    y0 = min(max(b.y, 0.0), intr.height - 1.0)
-    x1 = min(max(b.right, 0.0), intr.width - 1.0)
-    y1 = min(max(b.bottom, 0.0), intr.height - 1.0)
-    return BBox(x0, y0, max(0.0, x1 - x0), max(0.0, y1 - y0))
-
-
 def pixel_grid(b: BBox, intr: CameraIntrinsics) -> tuple[int, int, int, int]:
     """Integer pixel extent (u0, u1, v0, v1) covered by a box, half-open.
 

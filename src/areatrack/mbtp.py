@@ -7,9 +7,12 @@ elliptical shape of potholes. The paper also keeps only patches inside the
 minimum bounding rectangle of the valid points; every valid point lies in
 that rectangle by construction, so no patch needs checking against it.
 
-``estimate_areas`` measures all of a frame's boxes in one call and
-``estimate_area`` one box; both return only what they measure, and the
-caller keeps the frame, track and detection that an estimate belongs to.
+``box_setup`` finds every box's pixel extents and the camera's distance
+to its centre, the weight CDKF gives the estimate, in one vectorised
+pass. ``estimate_areas`` measures all of a frame's boxes on it;
+``estimate_area`` and ``projection.center_distance`` are its one-box
+cases. All return only what they measure, and the caller keeps the
+frame, track and detection that an estimate belongs to.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyRegion, NoValidDepth
-from .geometry import BBox, CameraIntrinsics, DepthMap, pixel_grid
-from .projection import center_distance
+from .geometry import BBox, CameraIntrinsics, DepthMap, as_xywh, pixel_grid
 
 ELLIPSE_FACTOR = math.pi / 4.0
 # cells of one packed canvas: larger canvases fall out of cache and run slower
@@ -204,23 +206,15 @@ def _rays(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     return xhat, yhat
 
 
-def estimate_areas(
+def box_setup(
     boxes: np.ndarray, d: DepthMap, intr: CameraIntrinsics
-) -> list[AreaEstimate | EmptyRegion | NoValidDepth]:
-    """Area estimates for every ``[x, y, w, h]`` row of ``boxes`` (N, 4) on
-    one depth map, in row order.
-
-    Each entry is what ``estimate_area`` returns for that box, or the
-    ``EmptyRegion`` or ``NoValidDepth`` it raises, bit for bit. The pixel
-    extents, centre pixels and centre distances are the float64 operations
-    of ``pixel_grid``, ``clip_to_image`` and ``center_distance``,
-    vectorised over the boxes (``np.rint`` rounds half to even, like
-    ``round``). Only a box without valid depth at its centre pixel calls
-    ``center_distance`` for its median fallback. The boxes' patches are
-    measured on shared canvases of at most ``CANVAS_PX`` cells; a larger
-    box gets a canvas of its own.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+) -> tuple[list[list[int]], list[float | NoValidDepth]]:
+    """``pixel_grid``'s extents ``[u0, v0, u1, v1]`` and the centre distance
+    of every ``[x, y, w, h]`` float64 row of ``boxes`` (N, 4), or the
+    ``NoValidDepth`` that says why a box has none. The distance is to the
+    centre pixel of the box clipped to [0, width-1] x [0, height-1]
+    (``np.rint`` rounds half to even, like ``round``), at its depth or else
+    at the median valid depth in the box."""
     corners = boxes.reshape(-1, 2, 2).copy()
     corners[:, 1] += corners[:, 0]  # rows [[x, y], [right, bottom]]
     size = np.array([intr.width, intr.height], dtype=np.float64)
@@ -234,26 +228,47 @@ def estimate_areas(
     c0, c1 = np.minimum(inside, size - 1.0).transpose(1, 0, 2)
     cu, cv = np.rint(c0 + np.maximum(0.0, c1 - c0) / 2.0).astype(np.intp).T
     z = d.values[cv, cu].astype(np.float64)
-    centre_ok = np.isfinite(z) & (z > 0.0)
-    z[~centre_ok] = 1.0
+    errors = {}
+    for i in np.flatnonzero(~(np.isfinite(z) & (z > 0.0))).tolist():
+        u0, v0, u1, v1 = extents[i]
+        patch = d.values[v0:v1, u0:u1]
+        valid = patch[np.isfinite(patch) & (patch > 0.0)]
+        if valid.size:
+            z[i] = np.median(valid)
+        else:
+            z[i] = 1.0
+            errors[i] = NoValidDepth("box does not intersect the image" if u0 >= u1 or v0 >= v1
+                                     else "no valid depth inside the box")
     xhat, yhat = _rays(intr)
     X, Y = xhat[cu] * z, yhat[cv] * z
     dist = np.sqrt(X * X + Y * Y + z * z).tolist()
+    return extents, [errors.get(i, r) for i, r in enumerate(dist)]
 
+
+def estimate_areas(
+    boxes: np.ndarray, d: DepthMap, intr: CameraIntrinsics
+) -> list[AreaEstimate | EmptyRegion | NoValidDepth]:
+    """Area estimates for every ``[x, y, w, h]`` row of ``boxes`` (N, 4) on
+    one depth map, in row order.
+
+    Each entry is what ``estimate_area`` returns for that box, or the
+    ``EmptyRegion`` or ``NoValidDepth`` it raises, bit for bit. The boxes'
+    patches are measured on shared canvases of at most ``CANVAS_PX``
+    cells; a larger box gets a canvas of its own.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    extents, dists = box_setup(boxes, d, intr)
     out: list[AreaEstimate | EmptyRegion | NoValidDepth | None] = [None] * len(boxes)
     groups: list[list[int]] = []
     rows = cols = 0
-    for i, ((u0, v0, u1, v1), ok) in enumerate(zip(extents, centre_ok.tolist())):
+    for i, ((u0, v0, u1, v1), dist) in enumerate(zip(extents, dists)):
         h, w = v1 - v0, u1 - u0
         if h <= 0 or w <= 0:
             out[i] = EmptyRegion(f"box {BBox(*boxes[i].tolist())} covers no pixels")
             continue
-        if not ok:
-            try:
-                dist[i] = center_distance(BBox(*boxes[i].tolist()), d, intr)
-            except NoValidDepth as e:
-                out[i] = e
-                continue
+        if isinstance(dist, NoValidDepth):
+            out[i] = dist
+            continue
         if groups and (rows + h) * max(cols, w) <= CANVAS_PX:
             groups[-1].append(i)
             rows, cols = rows + h, max(cols, w)
@@ -261,24 +276,21 @@ def estimate_areas(
             groups.append([i])
             rows, cols = h, w
     for g in groups:
-        for i, est in zip(g, _measure_packed([extents[i] for i in g], [dist[i] for i in g], d, intr)):
+        for i, est in zip(g, _measure_packed([extents[i] for i in g], [dists[i] for i in g], d, intr)):
             out[i] = est
     return out
 
 
 def estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> AreaEstimate:
-    """Full area estimate for one detection box, equal bit for bit to its
-    entry in ``estimate_areas``.
+    """Full area estimate for one detection box: its ``estimate_areas``
+    entry, raised if it is a skip.
 
     Sums the areas of 2x2 patches whose four corners are valid, then
     applies the pi/4 ellipse factor. Yields area 0 with zero valid patches
     when no complete patch exists. Raises ``EmptyRegion`` when the box
     covers no pixels and ``NoValidDepth`` when no pixel of it has depth.
-    The set-up is scalar: at one box, the vectorised set-up of
-    ``estimate_areas`` costs more than the scalar calls it replaces.
     """
-    u0, u1, v0, v1 = pixel_grid(b, intr)
-    if u0 >= u1 or v0 >= v1:
-        raise EmptyRegion(f"box {b} covers no pixels")
-    (est,) = _measure_packed([[u0, v0, u1, v1]], [center_distance(b, d, intr)], d, intr)
+    (est,) = estimate_areas(as_xywh([b]), d, intr)
+    if isinstance(est, Exception):
+        raise est
     return est

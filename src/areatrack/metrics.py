@@ -32,15 +32,6 @@ class DetectionEvalReport:
     iou_thresh: float
 
 
-def match_for_eval(
-    dets: Sequence[Detection], gts: Sequence[BBox], iou_thresh: float
-) -> tuple[int, int, int]:
-    """Greedy one-to-one matching in descending confidence order."""
-    flags = match_flags(dets, gts, iou_thresh)
-    tp = sum(flags)
-    return tp, len(dets) - tp, len(gts) - tp
-
-
 def match_flags(
     dets: Sequence[Detection], gts: Sequence[BBox], iou_thresh: float
 ) -> list[bool]:
@@ -49,19 +40,27 @@ def match_flags(
     Each detection claims the highest-IoU ground truth still unmatched,
     provided that IoU clears the threshold.
     """
+    return _flag_table(dets, gts, [iou_thresh])[:, 0].tolist()
+
+
+def _flag_table(
+    dets: Sequence[Detection], gts: Sequence[BBox], thresholds: Sequence[float]
+) -> np.ndarray:
+    """``match_flags`` at each of ``thresholds`` (columns) from one IoU
+    matrix: each threshold keeps its own taken ground truths."""
     order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    flags = np.zeros((len(dets), len(thresholds)), dtype=bool)
     if not gts:
-        return [False] * len(dets)
-    ious = iou_matrix(as_xywh(d.bbox for d in dets), as_xywh(gts))
-    taken = np.zeros(len(gts), dtype=bool)
-    flags = []
-    for i in order:
-        # the first untaken ground truth with the largest positive IoU
-        row = np.where(taken | ~(ious[i] > 0.0), 0.0, ious[i])
-        j = int(np.argmax(row))
-        hit = bool(row[j] > 0.0 and row[j] >= iou_thresh)
-        taken[j] |= hit
-        flags.append(hit)
+        return flags
+    ious = iou_matrix(as_xywh(dets[i].bbox for i in order), as_xywh(gts))
+    taken = np.zeros((len(thresholds), len(gts)), dtype=bool)
+    cols = np.arange(len(thresholds))
+    for r, row in enumerate(ious):
+        free = np.where(taken | ~(row > 0.0), 0.0, row)
+        j = np.argmax(free, axis=1)
+        best = free[cols, j]
+        flags[r] = hit = (best > 0.0) & (best >= thresholds)
+        taken[cols[hit], j[hit]] = True
     return flags
 
 
@@ -101,31 +100,28 @@ def evaluate_detections_per_frame(
     gts_by_frame: dict[int, list[BBox]],
     iou_thresh: float = 0.7,
 ) -> DetectionEvalReport:
-    """Pools per-frame matches into one ranked list before AP integration."""
+    """Pools per-frame matches into one ranked list before AP integration:
+    one flag table per frame, at ``iou_thresh`` and each AP threshold, its
+    rows ranked by descending confidence, ties in frame and rank order."""
     frames = sorted(set(dets_by_frame) | set(gts_by_frame))
-    tp = fp = fn = n_gt = 0
-    ranked: list[tuple[float, dict[float, bool]]] = []
+    thresholds = [iou_thresh, *AP_IOU_THRESHOLDS]
+    confidence, tables = [], [np.zeros((0, len(thresholds)), dtype=bool)]
+    n_gt = 0
     for f in frames:
         dets = dets_by_frame.get(f, [])
         gts = gts_by_frame.get(f, [])
         n_gt += len(gts)
-        t, fpp, fnn = match_for_eval(dets, gts, iou_thresh)
-        tp, fp, fn = tp + t, fp + fpp, fn + fnn
-        per_thresh = {t_: match_flags(dets, gts, t_) for t_ in AP_IOU_THRESHOLDS}
-        order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-        for rank, i in enumerate(order):
-            ranked.append(
-                (dets[i].confidence, {t_: per_thresh[t_][rank] for t_ in AP_IOU_THRESHOLDS})
-            )
-    ranked.sort(key=lambda pair: -pair[0])
-    aps = {
-        t_: average_precision([fl[t_] for _, fl in ranked], n_gt)
-        for t_ in AP_IOU_THRESHOLDS
-    }
+        tables.append(_flag_table(dets, gts, thresholds))
+        confidence += sorted((d.confidence for d in dets), reverse=True)
+    flags = np.concatenate(tables)
+    tp = int(flags[:, 0].sum())
+    fp, fn = len(flags) - tp, n_gt - tp
+    ranked = flags[np.argsort(-np.asarray(confidence, dtype=np.float64), kind="stable")]
+    aps = [average_precision(column, n_gt) for column in ranked[:, 1:].T]
     p, r, f1 = precision_recall_f1(tp, fp, fn)
     return DetectionEvalReport(
         tp=tp, fp=fp, fn=fn, precision=p, recall=r, f1=f1,
-        ap50=aps[0.5], ap50_95=sum(aps.values()) / len(aps), iou_thresh=iou_thresh,
+        ap50=aps[0], ap50_95=sum(aps) / len(aps), iou_thresh=iou_thresh,
     )
 
 

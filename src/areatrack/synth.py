@@ -12,11 +12,9 @@ pipeline consumes, so synthetic and real sequences are interchangeable.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -408,38 +406,18 @@ def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
     return frames, GroundTruth(boxes=gt_boxes, planar_areas=planar, surface_areas=surf, motions=motions)
 
 
-def _number(name: str, t: type, v):
-    """``v``, which must be a finite number, and a whole one if ``t`` is int. An int
-    field gets an int; a float field gets ``v`` as given, so ``f_u: 300`` is written back as 300."""
-    # an exact comparison: an int beyond the float range fails it, where float(v) would raise
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-            abs(v) <= sys.float_info.max and (t is not int or float(v).is_integer())):
-        raise ValueError(f"{name} must be a finite{' whole' if t is int else ''} number, got {v!r}")
-    return int(v) if t is int else v
-
-
-def _build(cls, doc, **convert):
-    """A ``cls`` from a mapping of its field names. Each value goes through its
-    ``convert`` entry, or through ``_number`` if its field is an int or a float."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"{cls.__name__} must be a mapping, got {doc!r}")
-    casts = {k: partial(_number, k, t) for k, t in get_type_hints(cls).items() if t in (int, float)}
-    casts |= convert
-    return cls(**{k: casts[k](v) if k in casts else v for k, v in doc.items()})
-
-
 def scene_spec_from_dict(doc: dict) -> SceneSpec:
     """Build a SceneSpec from a parsed YAML/JSON mapping of field names, at every level."""
     def floats(name: str):
-        return lambda values: tuple(_number(name, float, v) for v in values)
+        return lambda values: tuple(formats.number(name, float, v) for v in values)
 
-    return _build(SceneSpec, doc,
-                  intrinsics=lambda d: _build(CameraIntrinsics, d),
-                  surface=lambda d: _build(Surface, d, potholes=lambda ps: tuple(
-                      _build(PotholeSpec, p, center=floats("center")) for p in ps)),
-                  camera_path=lambda ps: tuple(
-                      _build(CameraPose, p, position=floats("position")) for p in ps),
-                  noise=lambda d: _build(NoiseSpec, d))
+    return formats.build(SceneSpec, doc,
+                         intrinsics=lambda d: formats.build(CameraIntrinsics, d),
+                         surface=lambda d: formats.build(Surface, d, potholes=lambda ps: tuple(
+                             formats.build(PotholeSpec, p, center=floats("center")) for p in ps)),
+                         camera_path=lambda ps: tuple(
+                             formats.build(CameraPose, p, position=floats("position")) for p in ps),
+                         noise=lambda d: formats.build(NoiseSpec, d))
 
 
 def load_scene_spec(path, seed: Optional[int] = None) -> SceneSpec:

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -323,8 +324,8 @@ class TestManifest:
         ("frames", None, "frames must be a list"),
         ("frames", "abc", "frames must be a list"),
         ("frames", {"frame": 0}, "frames must be a list"),
-        ("fps", "x", "could not convert"),
-        ("fps", None, "float"),
+        ("fps", "x", "fps must be a finite number"),
+        ("fps", None, "fps must be a finite number"),
     ])
     def test_bad_top_level_value(self, tmp_path, key, value, message):
         p = self.write_minimal(tmp_path)
@@ -341,7 +342,10 @@ class TestManifest:
         doc = yaml.safe_load(p.read_text())
         doc["intrinsics"][key] = value
         p.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ManifestError, match=f"^{p}: focal lengths must be positive and finite"):
+        # a non-finite value fails the number check every YAML loader makes
+        message = "focal lengths must be positive and finite" if math.isfinite(value) else (
+            f"{key} must be a finite number, got {value!r}")
+        with pytest.raises(ManifestError, match=f"^{p}: {message}"):
             SequenceManifest.load(p)
 
     def test_dump_load_roundtrip(self, tmp_path):

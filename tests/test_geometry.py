@@ -9,7 +9,6 @@ from areatrack.geometry import (
     DepthMap,
     MotionTransform,
     as_xywh,
-    clip_to_image,
     iou,
     iou_matrix,
     pixel_grid,
@@ -95,25 +94,6 @@ def test_bbox_rejects_nonfinite(field, value):
     kw = {"x": 0.0, "y": 0.0, "w": 1.0, "h": 1.0, field: value}
     with pytest.raises(ValueError, match="finite"):
         BBox(**kw)
-
-
-class TestClip:
-    def test_corner_clamp(self):
-        c = clip_to_image(BBox(-5, -5, 10, 10), INTR)
-        assert (c.x, c.y, c.w, c.h) == (0, 0, 5, 5)
-
-    def test_interior_unchanged(self):
-        b = BBox(100, 100, 50, 50)
-        assert clip_to_image(b, INTR) == b
-
-    def test_right_edge(self):
-        c = clip_to_image(BBox(1900, 0, 100, 50), INTR)
-        assert (c.x, c.y, c.w, c.h) == (1900, 0, 19, 50)
-
-    @given(boxes)
-    def test_idempotent(self, b):
-        once = clip_to_image(b, INTR)
-        assert clip_to_image(once, INTR) == once
 
 
 class TestDepthMap:

@@ -78,6 +78,16 @@ def test_pinhole_model_written_once():
     assert hits == ["geometry.py"]
 
 
+def test_centre_distance_rule_written_once():
+    """Only ``mbtp.box_setup`` reads a box's centre-pixel depth and takes
+    the median fallback; every other module asks it for the distance."""
+    names = {"depth_at", "median", "nanmedian"}
+    hits = sorted({p.name for p in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr in names
+                   or isinstance(node, ast.Name) and node.id in names})
+    assert hits == ["mbtp.py"]
+
+
 def _functions_calling(source: str, attr: str) -> list[str]:
     """Names of the functions that call a method named ``attr`` of anything
     but the ``formats`` module; ``<module>`` for a call outside any function."""

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from areatrack import mbtp
 from areatrack.errors import EmptyRegion, NoValidDepth
-from areatrack.geometry import BBox, CameraIntrinsics, DepthMap, as_xywh
+from areatrack.geometry import BBox, CameraIntrinsics, DepthMap, as_xywh, pixel_grid
 from areatrack.mbtp import (
     ELLIPSE_FACTOR,
     AreaEstimate,
@@ -220,11 +222,34 @@ class TestEstimateArea:
         assert np.isfinite(est.area_m2)
 
 
+def reference_center_distance(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> float:
+    """The scalar centre distance: the box clipped to [0, width-1] x
+    [0, height-1], its rounded centre pixel at that pixel's depth, or at
+    the median of the valid depths inside the box when it has none."""
+    x0, x1 = (min(max(t, 0.0), intr.width - 1.0) for t in (b.x, b.right))
+    y0, y1 = (min(max(t, 0.0), intr.height - 1.0) for t in (b.y, b.bottom))
+    u = min(max(int(round(x0 + max(0.0, x1 - x0) / 2.0)), 0), intr.width - 1)
+    v = min(max(int(round(y0 + max(0.0, y1 - y0) / 2.0)), 0), intr.height - 1)
+    z = d.depth_at(u, v)
+    if z is None:
+        u0, u1, v0, v1 = pixel_grid(b, intr)
+        if u0 >= u1 or v0 >= v1:
+            raise NoValidDepth("box does not intersect the image")
+        patch = d.values[v0:v1, u0:u1]
+        valid = patch[np.isfinite(patch) & (patch > 0.0)]
+        if valid.size == 0:
+            raise NoValidDepth("no valid depth inside the box")
+        z = float(np.median(valid))
+    x, y = intr.ray(u, v)
+    X, Y = x * z, y * z
+    return math.sqrt(X * X + Y * Y + z * z)
+
+
 def reference_estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> AreaEstimate:
     """The one-box estimator: project the box, take the centre distance,
     run the patch kernel on the region alone and sum its valid areas."""
     region = project_region(b, d, intr)
-    dist = center_distance(b, d, intr)
+    dist = reference_center_distance(b, d, intr)
     h, w = region.shape
     total = max(0, (h - 1)) * max(0, (w - 1))
     areas, ok = _patch_areas(region.X, region.Y, region.valid)
@@ -236,28 +261,30 @@ def reference_estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> Are
 
 
 def _outcome(est):
-    """Everything an estimate or skip carries, floats as their exact bits."""
+    """Everything an estimate, distance or skip carries, floats as their exact bits."""
     if isinstance(est, Exception):
         return type(est).__name__, str(est)
+    if isinstance(est, float):
+        return est.hex()
     return (est.area_m2.hex(), est.valid_patch_count, est.total_patch_count,
             est.distance_m.hex())
 
 
+def _try(f, *args):
+    """``_outcome`` of ``f(*args)``, or of the skip it raises."""
+    try:
+        return _outcome(f(*args))
+    except (EmptyRegion, NoValidDepth) as e:
+        return _outcome(e)
+
+
 def assert_matches_reference(boxes: list[BBox], d: DepthMap, intr: CameraIntrinsics):
-    want = []
-    for b in boxes:
-        try:
-            with np.errstate(invalid="ignore"):  # project_region warns on 0 * inf
-                want.append(_outcome(reference_estimate_area(b, d, intr)))
-        except (EmptyRegion, NoValidDepth) as e:
-            want.append(_outcome(e))
+    with np.errstate(invalid="ignore"):  # project_region warns on 0 * inf
+        want = [_try(reference_estimate_area, b, d, intr) for b in boxes]
     assert [_outcome(e) for e in estimate_areas(as_xywh(boxes), d, intr)] == want
-    for b, w in zip(boxes, want):
-        try:
-            got = _outcome(estimate_area(b, d, intr))
-        except (EmptyRegion, NoValidDepth) as e:
-            got = _outcome(e)
-        assert got == w
+    assert [_try(estimate_area, b, d, intr) for b in boxes] == want
+    assert ([_try(center_distance, b, d, intr) for b in boxes]
+            == [_try(reference_center_distance, b, d, intr) for b in boxes])
 
 
 # an image of more than CANVAS_PX pixels, so a box near its size gets a canvas of its own

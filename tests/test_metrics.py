@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from areatrack.errors import AreatrackError, EmptySeries, TooShort, ZeroMean
-from areatrack.geometry import BBox, Detection
+from areatrack.geometry import BBox, Detection, iou
 from areatrack.metrics import (
     AP_IOU_THRESHOLDS,
     AreaConsistencyReport,
+    DetectionEvalReport,
     TrackAreaStats,
     area_afd,
     area_consistency_report,
@@ -16,8 +17,8 @@ from areatrack.metrics import (
     area_mae,
     average_precision,
     evaluate_detections,
+    evaluate_detections_per_frame,
     match_flags,
-    match_for_eval,
     objective_j,
     precision_recall_f1,
 )
@@ -27,16 +28,21 @@ def det(x, y, w=10, h=10, conf=0.9):
     return Detection(BBox(x, y, w, h), conf, 0, 0)
 
 
+def counts(dets, gts, iou_thresh):
+    r = evaluate_detections(dets, gts, iou_thresh)
+    return r.tp, r.fp, r.fn
+
+
 class TestMatching:
     def test_perfect_match(self):
         gts = [BBox(0, 0, 10, 10), BBox(50, 50, 10, 10)]
         dets = [det(0, 0), det(50, 50)]
-        assert match_for_eval(dets, gts, 0.7) == (2, 0, 0)
+        assert counts(dets, gts, 0.7) == (2, 0, 0)
 
     def test_duplicate_detection_is_fp(self):
         gts = [BBox(0, 0, 10, 10)]
         dets = [det(0, 0, conf=0.9), det(1, 0, conf=0.8)]
-        tp, fp, fn = match_for_eval(dets, gts, 0.5)
+        tp, fp, fn = counts(dets, gts, 0.5)
         assert (tp, fp, fn) == (1, 1, 0)
 
     def test_confidence_order_decides_claim(self):
@@ -63,8 +69,8 @@ class TestMatching:
     def test_threshold_gate(self):
         gts = [BBox(0, 0, 10, 10)]
         dets = [det(4, 0)]  # IoU = 6/14 ~ 0.43
-        assert match_for_eval(dets, gts, 0.5) == (0, 1, 1)
-        assert match_for_eval(dets, gts, 0.4) == (1, 0, 0)
+        assert counts(dets, gts, 0.5) == (0, 1, 1)
+        assert counts(dets, gts, 0.4) == (1, 0, 0)
 
     @given(
         st.lists(st.tuples(st.floats(0, 80), st.floats(0, 80), st.floats(0.1, 0.99)), max_size=8),
@@ -74,7 +80,7 @@ class TestMatching:
     def test_counts_are_consistent(self, ds, gs):
         dets = [det(x, y, conf=c) for x, y, c in ds]
         gts = [BBox(x, y, 10, 10) for x, y in gs]
-        tp, fp, fn = match_for_eval(dets, gts, 0.5)
+        tp, fp, fn = counts(dets, gts, 0.5)
         assert tp + fp == len(dets)
         assert tp + fn == len(gts)
         assert tp >= 0 and fp >= 0 and fn >= 0
@@ -139,6 +145,42 @@ class TestAveragePrecision:
         assert 0.0 <= got <= 1.0 + 1e-9
 
 
+def reference_flags(dets, gts, thresh):
+    """Greedy matching one threshold at a time with the scalar ``iou``: in
+    descending confidence, each detection claims the first untaken ground
+    truth with the largest positive IoU if that IoU clears ``thresh``."""
+    taken, flags = set(), []
+    for d in sorted(dets, key=lambda d: -d.confidence):
+        best, j = 0.0, None
+        for k, g in enumerate(gts):
+            v = iou(d.bbox, g)
+            if k not in taken and v > best:
+                best, j = v, k
+        hit = j is not None and best >= thresh
+        taken |= {j} if hit else set()
+        flags.append(hit)
+    return flags
+
+
+def reference_pooled_report(dets_by_frame, gts_by_frame, iou_thresh):
+    """Per-frame counts at ``iou_thresh``, and each AP threshold's flags
+    pooled over frames and ranked by descending confidence."""
+    tp = n_det = n_gt = 0
+    ranked = []
+    for f in sorted(set(dets_by_frame) | set(gts_by_frame)):
+        dets, gts = dets_by_frame.get(f, []), gts_by_frame.get(f, [])
+        tp += sum(reference_flags(dets, gts, iou_thresh))
+        n_det, n_gt = n_det + len(dets), n_gt + len(gts)
+        per_thresh = [reference_flags(dets, gts, t) for t in AP_IOU_THRESHOLDS]
+        confs = sorted((d.confidence for d in dets), reverse=True)
+        ranked += [(c, [fl[r] for fl in per_thresh]) for r, c in enumerate(confs)]
+    ranked.sort(key=lambda pair: -pair[0])
+    aps = [average_precision([fl[k] for _, fl in ranked], n_gt) for k in range(len(AP_IOU_THRESHOLDS))]
+    p, r, f1 = precision_recall_f1(tp, n_det - tp, n_gt - tp)
+    return DetectionEvalReport(tp, n_det - tp, n_gt - tp, p, r, f1, aps[0], sum(aps) / len(aps),
+                               iou_thresh)
+
+
 class TestEvaluateDetections:
     def test_report_fields(self):
         gts = [BBox(0, 0, 10, 10), BBox(40, 40, 10, 10)]
@@ -148,6 +190,19 @@ class TestEvaluateDetections:
         assert rep.recall == 1.0
         assert rep.precision == pytest.approx(2 / 3)
         assert rep.ap50 >= rep.ap50_95 - 1e-12
+
+    @given(st.lists(st.tuples(
+        st.lists(st.tuples(st.floats(0, 60), st.floats(0, 60), st.sampled_from([0.3, 0.5, 0.8])),
+                 max_size=6),
+        st.lists(st.tuples(st.floats(0, 60), st.floats(0, 60)), max_size=5)), max_size=5),
+        st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=150, deadline=None)
+    def test_pooled_frames_match_per_threshold_reference(self, frames, iou_thresh):
+        dets = {f: [Detection(BBox(x, y, 10, 10), c, 0, f) for x, y, c in ds]
+                for f, (ds, _) in enumerate(frames)}
+        gts = {f: [BBox(x, y, 10, 10) for x, y in gs] for f, (_, gs) in enumerate(frames)}
+        want = reference_pooled_report(dets, gts, iou_thresh)
+        assert evaluate_detections_per_frame(dets, gts, iou_thresh) == want
 
     def test_ap_thresholds_grid(self):
         assert AP_IOU_THRESHOLDS[0] == 0.5

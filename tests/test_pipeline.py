@@ -826,7 +826,26 @@ class TestCli:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
-        assert f"error: {manifest}: focal lengths must be positive and finite" in res.output
+        assert f"error: {manifest}: f_u must be a finite number, got {value[1:]}" in res.output
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("- frame: 0\n", "- frame: 0.9\n", "frame must be a finite whole number, got 0.9"),
+        ("- frame: 0\n", "- frame: true\n", "frame must be a finite whole number, got True"),
+        ("fps: 30.0\n", "fps: .nan\n", "fps must be a finite number, got nan"),
+    ], ids=["fractional-frame", "bool-frame", "nan-fps"])
+    def test_manifest_numbers_are_checked_like_the_scene_spec(self, fuzz_dir, tmp_path,
+                                                              old, new, message):
+        manifest = tmp_path / "manifest.yaml"
+        text = (fuzz_dir / "manifest.yaml").read_text()
+        manifest.write_text(text.replace(old, new, 1))
+        assert manifest.read_text() != text
+        res = CliRunner().invoke(main, ["estimate", "--manifest", str(manifest)])
+        assert isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code == 1, res.output
+        assert "Traceback" not in res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {manifest}: "), res.output
+        assert message in errors[0]
 
     def test_missing_manifest_exit_code(self):
         runner = CliRunner()
