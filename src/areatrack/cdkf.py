@@ -80,13 +80,13 @@ def measurement_noise(c, d, cfg: CdkfConfig):
     return cfg.lam / c + dist_term
 
 
-def _gain_step(A, P, z, r):
-    """Update prior (A, P) with measurement z of noise r, elementwise:
-    the posterior A and P, and the NIS innovation^2 / (P + r)."""
-    k = P / (P + r)
-    innov = z - A
-    nis = innov * innov / (P + r)
-    return A + k * innov, (1.0 - k) * P, nis
+def _gain_step(a, p, z, r):
+    """Update prior (a, p) with measurement z of noise r: the posterior
+    area and variance, and the NIS innovation^2 / (p + r)."""
+    k = p / (p + r)
+    innov = z - a
+    nis = innov * innov / (p + r)
+    return a + k * innov, (1.0 - k) * p, nis
 
 
 def update(s: CdkfState, z: float, c: float, d: float, cfg: CdkfConfig) -> CdkfState:
@@ -102,53 +102,22 @@ def update(s: CdkfState, z: float, c: float, d: float, cfg: CdkfConfig) -> CdkfS
     return CdkfState(A=A, P=P, last_nis=nis, updates=s.updates + 1)
 
 
-def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig) -> tuple[np.ndarray, np.ndarray]:
+def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig) -> tuple[list[float], list[float]]:
     """The smoothed area and NIS after every measurement, each track
     filtered on its own in input order, as ``predict`` then ``update`` do.
 
-    ``z``, ``c``, ``d`` and ``track_ids`` hold one entry per measurement.
-    Step j updates the tracks with more than j measurements at once. The
-    tracks are laid out longest first, so these are a prefix of the state
-    arrays, and each measurement sees the scalar filter's float64
-    operations in the same order. Once a step updates only the longest
-    track, the rest of that track runs the same arithmetic on Python
-    floats, without numpy's per-call cost.
+    ``z``, ``c``, ``d`` and ``track_ids`` hold one entry per measurement;
+    a track's first measurement sets A = z and P = R. ``measurement_noise``
+    runs over all of them first, so a bad confidence stops the pass
+    before any step.
     """
-    r = measurement_noise(c, d, cfg)
-    n = len(r)
-    if n == 0:
-        return np.zeros(0), np.zeros(0)
-    order = np.argsort(track_ids, kind="stable")
-    ids = np.asarray(track_ids)[order]
-    new_track = np.r_[True, ids[1:] != ids[:-1]]
-    track = np.cumsum(new_track) - 1
-    starts = np.flatnonzero(new_track)
-    rank = np.arange(n) - starts[track]  # earlier measurements of the track of order[i]
-    lengths = np.diff(np.r_[starts, n])
-    column = np.empty_like(lengths)
-    column[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
-    # step by step, and by column within a step: step j is the j-th
-    # measurement of columns 0 .. counts[j] - 1
-    packed = order[np.lexsort((column[track], rank))]
-    counts = np.bincount(rank)
-    z = np.asarray(z, dtype=np.float64)[packed]
-    r = r[packed]
-    A, nis = z.copy(), np.zeros(n)  # a first measurement sets A = z, P = r
-    P = r[: counts[0]].copy()
-    ends = np.cumsum(counts).tolist()
-    wide = max(1, int(np.count_nonzero(counts > 1)))  # steps 1 .. wide - 1 update several tracks
-    prior = 0
-    for lo, m in zip(ends[: wide - 1], counts[1:wide].tolist()):
-        step = slice(lo, lo + m)
-        A[step], P[:m], nis[step] = _gain_step(A[prior : prior + m], P[:m] + Q, z[step], r[step])
-        prior = lo
-    tail = slice(ends[wide - 1], n)
-    a, p, tail_a, tail_nis = float(A[prior]), float(P[0]), [], []
-    for zi, ri in zip(z[tail].tolist(), r[tail].tolist()):
-        a, p, ni = _gain_step(a, p + Q, zi, ri)
-        tail_a.append(a)
-        tail_nis.append(ni)
-    A[tail], nis[tail] = tail_a, tail_nis
-    out = np.empty((2, n))
-    out[:, packed] = A, nis
-    return out[0], out[1]
+    r = measurement_noise(c, d, cfg).tolist()
+    states: dict = {}  # track id -> (A, P)
+    areas, nis = [], []
+    for zi, ri, t in zip(np.asarray(z, dtype=np.float64).tolist(), r, track_ids):
+        prior = states.get(t)
+        a, p, ni = (zi, ri, 0.0) if prior is None else _gain_step(prior[0], prior[1] + Q, zi, ri)
+        states[t] = a, p
+        areas.append(a)
+        nis.append(ni)
+    return areas, nis

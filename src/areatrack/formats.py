@@ -130,12 +130,15 @@ def write_pfm(d: DepthMap) -> bytes:
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
     """(1-based line number, stripped line) for each data line of a record
     file. Blank lines, ``#`` comments and a header line whose only token
-    is ``format_version=<v>`` are skipped."""
+    is ``format_version=<v>`` are skipped; a ``v`` other than
+    ``FORMAT_VERSION`` is an error."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("format_version=") and len(line.split()) == 1:
+            if line != f"format_version={FORMAT_VERSION}":
+                raise MalformedLine(line_no, f"unsupported {line}, expected {FORMAT_VERSION}")
             continue
         yield line_no, line
 
@@ -282,6 +285,8 @@ def parse_motion_file(text: str):
     for line_no, line in _data_lines(text):
         parts = line.split()
         if parts[0] == "transform":
+            if len(parts) > 1:
+                raise MalformedLine(line_no, f"tokens after the transform keyword in {line!r}")
             if transform_line is not None:
                 raise MalformedLine(line_no, "second transform keyword")
             if rows:
@@ -315,6 +320,15 @@ def write_correspondences(pairs: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # sequence manifest
 
+_MANIFEST_KEYS = ("format_version", "dataset", "fps", "intrinsics", "frames")
+_FRAME_KEYS = ("frame", "depth", "detections", "motion")
+
+
+def _check_keys(path: Path, doc: dict, allowed: tuple[str, ...], what: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ManifestError(f"{path}: unknown {what} key {key!r}, allowed: {', '.join(allowed)}")
+
 
 @dataclass(frozen=True)
 class FrameEntry:
@@ -342,7 +356,11 @@ class SequenceManifest:
             raise ManifestError(f"{path}: {e}") from None
         if not isinstance(doc, dict):
             raise ManifestError(f"{path}: manifest must be a mapping")
+        _check_keys(path, doc, _MANIFEST_KEYS, "manifest")
         try:
+            version = number("format_version", int, doc.get("format_version", FORMAT_VERSION))
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported format_version {version}, expected {FORMAT_VERSION}")
             intr = build(CameraIntrinsics, doc["intrinsics"])
             raw_frames = doc["frames"]
             fps = number("fps", float, doc.get("fps", 30.0))
@@ -354,6 +372,8 @@ class SequenceManifest:
         frames = []
         last = None
         for item in raw_frames:
+            if isinstance(item, dict):
+                _check_keys(path, item, _FRAME_KEYS, "frame entry")
             try:
                 entry = FrameEntry(
                     frame=number("frame", int, item["frame"]),

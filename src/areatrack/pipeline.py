@@ -155,8 +155,9 @@ def smooth_records(
 
     The pipeline's smoothing step; the tuner calls it directly to try
     candidate noise weights without repeating tracking and area estimation.
-    All tracks are filtered together by ``cdkf.filter_tracks``; a repeated
-    (frame, track_id) record counts as the track's next measurement.
+    The records are sorted by (frame, track_id) and filtered in one pass
+    by ``cdkf.filter_tracks``; a repeated (frame, track_id) record counts
+    as the track's next measurement.
     """
     ordered = sorted(records, key=operator.attrgetter("frame", "track_id"))
     areas, nis = cdkf.filter_tracks(
@@ -166,7 +167,7 @@ def smooth_records(
         [r.track_id for r in ordered],
         cfg,
     )
-    return [r.smoothed(a, n) for r, a, n in zip(ordered, areas.tolist(), nis.tolist())]
+    return [r.smoothed(a, n) for r, a, n in zip(ordered, areas, nis)]
 
 
 def report_from_records(

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from areatrack import cdkf
 from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode, measurement_noise, predict, update
@@ -146,3 +148,51 @@ class TestSmoothing:
         q = cdkf.Q
         p_star = 0.5 * (-q + np.sqrt(q * q + 4 * q * r))  # posterior fixed point
         assert s.P == pytest.approx(p_star, rel=1e-6)
+
+
+def chain_reference(z, c, d, track_ids, cfg):
+    """The scalar ``predict``/``update`` chain of each track, in input order."""
+    states: dict = {}
+    areas, nis = [], []
+    for zi, ci, di, t in zip(z, c, d, track_ids):
+        s = states.get(t)
+        s = update(CdkfState() if s is None else predict(s), zi, ci, di, cfg)
+        states[t] = s
+        areas.append(s.A)
+        nis.append(s.last_nis)
+    return areas, nis
+
+
+@st.composite
+def measurements(draw):
+    """Interleaved, unsorted and repeated track ids; integer or float areas;
+    distances that may be NaN or infinite."""
+    n = draw(st.integers(0, 60))
+    ids = draw(st.lists(st.integers(-3, 5), min_size=n, max_size=n))
+    area = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e3))
+    z = draw(st.lists(area, min_size=n, max_size=n))
+    c = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    distance = st.one_of(st.floats(0.0, 50.0), st.sampled_from([math.nan, math.inf]))
+    d = draw(st.lists(distance, min_size=n, max_size=n))
+    return z, c, d, ids
+
+
+class TestFilterTracks:
+    @settings(max_examples=200, deadline=None)
+    @given(data=measurements(), lam=st.sampled_from([0.0, 1e-6, 1.0, 1e300]),
+           theta=st.sampled_from([0.0, 1e-6, 0.3, 1e300]), mode=st.sampled_from(NoiseMode))
+    def test_matches_scalar_chain(self, data, lam, theta, mode):
+        cfg = CdkfConfig(lam=lam, theta=theta, mode=mode)
+        with np.errstate(all="ignore"):
+            got = cdkf.filter_tracks(*data, cfg)
+            want = chain_reference(*data, cfg)
+        for got_seq, want_seq in zip(got, want):
+            assert all(type(v) is float for v in got_seq)
+            assert [v.hex() for v in got_seq] == [float(v).hex() for v in want_seq]
+
+    def test_empty(self):
+        assert cdkf.filter_tracks([], [], [], [], CdkfConfig()) == ([], [])
+
+    def test_first_bad_confidence_named_before_any_step(self):
+        with pytest.raises(ZeroConfidence, match=r"^confidence must be > 0, got -1\.0$"):
+            cdkf.filter_tracks([0.1, 0.2, 0.3], [0.9, -1.0, 0.0], [5.0] * 3, [2, 1, 2], CdkfConfig())

@@ -236,6 +236,12 @@ class TestMotionFiles:
         with pytest.raises(MalformedLine):
             parse_motion_file("1.0 x 3.0 4.0\n")
 
+    @pytest.mark.parametrize("keyword", ["transform 9 9", "transform 1"])
+    def test_tokens_after_transform_keyword(self, keyword):
+        with pytest.raises(MalformedLine, match="tokens after the transform keyword") as exc:
+            parse_motion_file(f"format_version=1\n{keyword}\n1 0 0\n0 1 0\n0 0 1\n")
+        assert exc.value.line_no == 2
+
     @pytest.mark.parametrize("text, line, message", [
         ("1 2 3 4\ntransform\n1 0 0\n0 1 0\n0 0 1\n", 2, "after correspondence lines"),
         ("transform\n1 0 0\ntransform\n0 1 0\n0 0 1\n", 3, "second transform keyword"),
@@ -271,6 +277,13 @@ class TestRecordLines:
         with pytest.raises(MalformedLine) as exc:
             parse("# c\n\nformat_version=1 2\n")
         assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("parse", [parse_detections, parse_results, parse_motion_file])
+    @pytest.mark.parametrize("version", ["99", "0", "01", "1.0", ""])
+    def test_other_format_version_rejected(self, parse, version):
+        with pytest.raises(MalformedLine, match=f"unsupported format_version={version}, expected 1") as exc:
+            parse(f"# c\nformat_version={version}\n")
+        assert exc.value.line_no == 2
 
 
 class TestManifest:
@@ -347,6 +360,48 @@ class TestManifest:
             f"{key} must be a finite number, got {value!r}")
         with pytest.raises(ManifestError, match=f"^{p}: {message}"):
             SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("key", ["extra", "frame", "intrinsic"])
+    def test_unknown_top_level_key(self, tmp_path, key):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc[key] = 1
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=f"^{p}: unknown manifest key '{key}'"):
+            SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("key", ["motoin", "depth_path", "confidence"])
+    def test_unknown_frame_entry_key(self, tmp_path, key):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["frames"][1][key] = "t1.txt"
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=f"^{p}: unknown frame entry key '{key}'"):
+            SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("version, message", [
+        (99, "unsupported format_version 99, expected 1"),
+        (0, "unsupported format_version 0, expected 1"),
+        ("1", "format_version must be a finite whole number, got '1'"),
+        (True, "format_version must be a finite whole number, got True"),
+        (None, "format_version must be a finite whole number, got None"),
+    ])
+    def test_other_format_version_rejected(self, tmp_path, version, message):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["format_version"] = version
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=f"^{p}: {message}$"):
+            SequenceManifest.load(p)
+
+    def test_every_allowed_key_loads(self, tmp_path):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc |= {"format_version": FORMAT_VERSION, "dataset": "d", "fps": 10.0}
+        doc["frames"][0]["motion"] = "t0.txt"
+        p.write_text(yaml.safe_dump(doc))
+        m = SequenceManifest.load(p)
+        assert (m.dataset, m.fps, m.frames[0].motion_path) == ("d", 10.0, tmp_path / "t0.txt")
 
     def test_dump_load_roundtrip(self, tmp_path):
         p = self.write_minimal(tmp_path)

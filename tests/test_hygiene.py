@@ -205,6 +205,38 @@ def unset_fields(source: str, classes: dict) -> list[str]:
             for f in dataclasses.fields(cls) if f.name not in passed[name]]
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def module_constants(source: str) -> list[str]:
+    """The public UPPER_CASE names a module assigns at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names += [t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+    return names
+
+
+def configuration_table(readme: str) -> dict[str, str]:
+    """Constant name -> module of each row of the README's "Configuration" table."""
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|.*\| `(\w+)` \|[^|]*\|$", section, flags=re.M)
+    return dict(rows)
+
+
+def test_every_module_constant_in_configuration_table():
+    table = configuration_table(README.read_text())
+    constants = {name: p.stem for p in sorted(PACKAGE.glob("*.py")) for name in module_constants(p.read_text())}
+    assert constants
+    assert {name: module for name, module in constants.items() if table.get(name) != module} == {}
+
+
+def test_constant_scan_reads_top_level_public_names():
+    source = "A_B = 1\nC: int = 2\n_D = 3\nlower = 4\nE, F = 5, 6\ndef f():\n    G = 7\n"
+    assert module_constants(source) == ["A_B", "C"]
+
+
 def test_every_config_field_is_a_cli_option():
     """A config field the command line never sets has one value in use,
     so it belongs in a module constant."""
