@@ -17,6 +17,10 @@ class EmptyRegion(AreatrackError):
     """A box clipped to the image covers zero pixels."""
 
 
+class FoldedRegion(AreatrackError):
+    """The signed area of a box's valid depth patches is not positive."""
+
+
 class TooFewCorrespondences(AreatrackError):
     """Motion fitting needs at least 3 point pairs."""
 

@@ -1,11 +1,25 @@
 """Depth-based box area estimation.
 
 The estimator back-projects every pixel of a detection box to the camera
-XY plane, sums the areas of per-2x2-pixel triangle pairs whose four
-corners are valid, and scales the total by pi/4 to account for the roughly
-elliptical shape of potholes. The paper also keeps only patches inside the
-minimum bounding rectangle of the valid points; every valid point lies in
-that rectangle by construction, so no patch needs checking against it.
+XY plane, X = xhat[u]*Z and Y = yhat[v]*Z, and takes the signed area of
+every 2x2 pixel patch whose four corners are valid: the shoelace area of
+the quad TL, TR, BR, BL. It sums those areas and scales the total by pi/4
+to account for the roughly elliptical shape of potholes. Depth noise
+moves a patch's corners both ways, so the signed sum averages it out,
+where a sum of absolute areas would fold it into area. The paper also
+keeps only patches inside the minimum bounding rectangle of the valid
+points; every valid point lies in that rectangle by construction, so no
+patch needs checking against it.
+
+The sum is not taken patch by patch. A patch's shoelace area is the sum
+of the cross products of its four edges, and an edge that two valid
+patches share enters them with opposite signs, so the total is a
+weighted sum of edge terms (``_edge_sum``). When every depth in a box is
+valid, only the box's border edges keep a weight (``_border_sum``), so a
+box costs a min, a max and four dot products along its border. A box
+whose valid patches have no positive signed total folds over, as depth
+noise far above the pixel spacing can make it do: it is skipped with
+``FoldedRegion``.
 
 ``box_setup`` finds every box's pixel extents and the camera's distance
 to its centre, the weight CDKF gives the estimate, in one vectorised
@@ -20,19 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyRegion, NoValidDepth
+from .errors import EmptyRegion, FoldedRegion, NoValidDepth
 from .geometry import BBox, CameraIntrinsics, DepthMap, as_xywh, pixel_grid
 
 ELLIPSE_FACTOR = math.pi / 4.0
-# cells of one packed canvas: larger canvases fall out of cache and run slower
-CANVAS_PX = 1 << 14
-
-Point2 = tuple[float, float]
 
 
 @dataclass
@@ -87,114 +95,6 @@ def project_region(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> ProjectedReg
     return ProjectedRegion(u0=u0, v0=v0, X=X, Y=Y, valid=valid)
 
 
-def triangle_area(p1: Point2, p2: Point2, p3: Point2) -> float:
-    """Half the absolute cross product of two edge vectors."""
-    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
-    return 0.5 * abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
-
-
-def patch_area(r: ProjectedRegion, u: int, v: int) -> Optional[float]:
-    """Area of the 2x2 patch anchored at image pixel (u, v).
-
-    The patch quad (P0..P3) is split into triangles (P0,P1,P2) and
-    (P0,P2,P3). Returns None (skipped) when any corner is invalid.
-    """
-    i = v - r.v0
-    j = u - r.u0
-    h, w = r.shape
-    if not (0 <= i < h - 1 and 0 <= j < w - 1):
-        raise IndexError(f"patch ({u}, {v}) outside region grid")
-    if not (r.valid[i, j] and r.valid[i, j + 1] and r.valid[i + 1, j] and r.valid[i + 1, j + 1]):
-        return None
-    p0 = (r.X[i, j], r.Y[i, j])
-    p1 = (r.X[i, j + 1], r.Y[i, j + 1])
-    p2 = (r.X[i + 1, j], r.Y[i + 1, j])
-    p3 = (r.X[i + 1, j + 1], r.Y[i + 1, j + 1])
-    return triangle_area(p0, p1, p2) + triangle_area(p0, p2, p3)
-
-
-def _patch_areas(
-    X: np.ndarray, Y: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized triangle-pair areas and validity for all 2x2 patches of
-    the (h, w) grid X, Y, valid.
-
-    tri1 = |(x1-x0)(y2-y0) - (y1-y0)(x2-x0)| / 2 and
-    tri2 = |(x2-x0)(y3-y0) - (y2-y0)(x3-x0)| / 2, computed on six edge
-    differences in place, in the same operation order as the plain formula,
-    so the values are bit-identical to it. Flat index k = i*w + j anchors
-    patch (i, j), whose corners sit at k, k+1, k+w and k+w+1, so every
-    operation runs over one contiguous range; the k with j = w-1 straddle
-    two rows and are cut off the returned (h-1, w-1) view.
-    """
-    h, w = X.shape
-    n = max((h - 1) * w - 1, 0)
-    x, y = X.ravel(), Y.ravel()
-    buf = np.empty((6, (h - 1) * w))
-    dx1, dy1, dx2, dy2, dx3, dy3 = buf[:, :n]
-    np.subtract(x[1 : n + 1], x[:n], out=dx1)
-    np.subtract(y[1 : n + 1], y[:n], out=dy1)
-    np.subtract(x[w : n + w], x[:n], out=dx2)
-    np.subtract(y[w : n + w], y[:n], out=dy2)
-    np.subtract(x[w + 1 : n + w + 1], x[:n], out=dx3)
-    np.subtract(y[w + 1 : n + w + 1], y[:n], out=dy3)
-    tri1 = np.multiply(dx1, dy2, out=dx1)
-    tri1 -= np.multiply(dy1, dx2, out=dy1)
-    tri2 = np.multiply(dx2, dy3, out=dx2)
-    tri2 -= np.multiply(dy2, dx3, out=dy2)
-    for t in (tri1, tri2):
-        np.abs(t, out=t)
-        t *= 0.5
-    tri1 += tri2
-    ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
-    return buf[0].reshape(h - 1, w)[:, : w - 1], ok
-
-
-def _measure_packed(
-    extents: list[list[int]], dists: list[float], d: DepthMap, intr: CameraIntrinsics
-) -> list[AreaEstimate]:
-    """Estimates for the boxes whose pixel extents ``[u0, v0, u1, v1]``
-    (all nonempty) and centre distances are given, from one
-    ``_patch_areas`` pass over a canvas that stacks their depth blocks as
-    row blocks.
-
-    Box k fills rows [r0, r0+h) and columns [0, w) of the canvas; the rest
-    of its rows hold a valid dummy depth. Its patches are the canvas
-    patches in rows [r0, r0+h-1) and columns [0, w-1): none of them reads
-    a dummy column or another box's row, so each has the bits the box
-    alone would give. Each box's valid areas are summed on their own, in
-    the order and with the pairwise summation of a one-box pass.
-    """
-    xhat, yhat = _rays(intr)
-    r0 = [0, *accumulate(v1 - v0 for _, v0, _, v1 in extents)]
-    width = max(u1 - u0 for u0, _, u1, _ in extents)
-    Z = np.empty((r0[-1], width))
-    X = np.empty_like(Z)
-    blocks = list(zip(r0, r0[1:], extents, dists))
-    with np.errstate(invalid="ignore"):  # 0 * inf on a principal ray; NaN-ed below
-        for a, b, (u0, v0, u1, v1), _ in blocks:
-            w = u1 - u0
-            z = Z[a:b, :w]
-            z[...] = d.values[v0:v1, u0:u1]
-            if w < width:  # valid, so a clean frame still skips the NaN scatter
-                Z[a:b, w:] = 1.0
-                X[a:b, w:] = 0.0
-            np.multiply(xhat[u0:u1], z, out=X[a:b, :w])
-        Y = np.concatenate([yhat[v0:v1] for _, v0, _, v1 in extents])[:, None] * Z
-    valid = np.isfinite(Z) & (Z > 0.0)
-    if not valid.all():
-        X[~valid] = np.nan
-        Y[~valid] = np.nan
-    areas, ok = _patch_areas(X, Y, valid)
-    out = []
-    for a, b, (u0, _, u1, _), dist in blocks:
-        own = np.s_[a : b - 1, : u1 - u0 - 1]
-        picked = areas[own][ok[own]]
-        total = (b - a - 1) * (u1 - u0 - 1)
-        out.append(AreaEstimate(float(picked.sum()) * ELLIPSE_FACTOR, picked.size, total, dist))
-    return out
-
-
 @lru_cache(maxsize=8)
 def _rays(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables of ``intr.ray`` over every pixel column u and row v:
@@ -245,39 +145,91 @@ def box_setup(
     return extents, [errors.get(i, r) for i, r in enumerate(dist)]
 
 
+def _border_sum(z: np.ndarray, xhat: np.ndarray, yhat: np.ndarray) -> float:
+    """``_edge_sum`` of the (h, w) depth block ``z``, h, w >= 2, when every
+    depth in it is valid: the edges inside the block cancel, and only the
+    first and last rows and columns are left."""
+    dx, dy = xhat[:-1] - xhat[1:], yhat[1:] - yhat[:-1]
+
+    def along(line: np.ndarray, step: np.ndarray) -> float:
+        line = line.astype(np.float64)
+        return (line[:-1] * line[1:]) @ step
+
+    return float(yhat[0] * along(z[0], dx) - yhat[-1] * along(z[-1], dx)
+                 + xhat[-1] * along(z[:, -1], dy) - xhat[0] * along(z[:, 0], dy))
+
+
+def _edge_sum(z: np.ndarray, ok: np.ndarray, xhat: np.ndarray, yhat: np.ndarray) -> float:
+    """Twice the signed area of the patches of the (h, w) depth block ``z``
+    that ``ok`` (h-1, w-1) marks, on the rays ``xhat`` (w) and ``yhat`` (h).
+
+    Patch (i, j) is the quad of pixels (i, j), (i, j+1), (i+1, j+1),
+    (i+1, j); twice its area is the sum of its edges' cross products.
+    Horizontal edge (i, j)->(i, j+1) has the cross product
+    yhat[i]*Z[i,j]*Z[i,j+1]*(xhat[j] - xhat[j+1]) and enters patch (i, j)
+    forwards and patch (i-1, j) backwards: weight ok[i, j] - ok[i-1, j].
+    Vertical edge (i, j)->(i+1, j) has xhat[j]*Z[i,j]*Z[i+1,j]*(yhat[i+1] -
+    yhat[i]) and weight ok[i, j-1] - ok[i, j]. ``ok`` is 0 outside the
+    block, and an invalid depth is read as 0, as its edges weigh 0.
+    """
+    Z = z.astype(np.float64)
+    Z[~(np.isfinite(Z) & (Z > 0.0))] = 0.0
+    wh = np.zeros((Z.shape[0], Z.shape[1] - 1))
+    wh[:-1] += ok
+    wh[1:] -= ok
+    wv = np.zeros((Z.shape[0] - 1, Z.shape[1]))
+    wv[:, 1:] += ok
+    wv[:, :-1] -= ok
+    dx, dy = xhat[:-1] - xhat[1:], yhat[1:] - yhat[:-1]
+    return float(yhat @ ((wh * Z[:, :-1] * Z[:, 1:]) @ dx) + (dy @ (wv * Z[:-1] * Z[1:])) @ xhat)
+
+
+def _measure(
+    z: np.ndarray, xhat: np.ndarray, yhat: np.ndarray, dist: float
+) -> AreaEstimate | FoldedRegion:
+    """The estimate of the nonempty depth block ``z`` on the rays ``xhat``
+    and ``yhat``, at centre distance ``dist``, or the ``FoldedRegion``
+    that says why it has none."""
+    h, w = z.shape
+    total = (h - 1) * (w - 1)
+    if total == 0:
+        return AreaEstimate(0.0, 0, 0, dist)
+    if z.min() > 0.0 and z.max() < np.inf:  # every depth valid; a NaN fails the first test
+        count, twice = total, _border_sum(z, xhat, yhat)
+    else:
+        valid = np.isfinite(z) & (z > 0.0)
+        ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
+        count = int(np.count_nonzero(ok))
+        if count == 0:
+            return AreaEstimate(0.0, 0, total, dist)
+        twice = _edge_sum(z, ok, xhat, yhat)
+    area = 0.5 * twice * ELLIPSE_FACTOR
+    if area <= 0.0:
+        return FoldedRegion(f"the signed area of its {count} valid patches is not positive: "
+                            "the back-projected box folds over")
+    return AreaEstimate(area, count, total, dist)
+
+
 def estimate_areas(
     boxes: np.ndarray, d: DepthMap, intr: CameraIntrinsics
-) -> list[AreaEstimate | EmptyRegion | NoValidDepth]:
+) -> list[AreaEstimate | EmptyRegion | NoValidDepth | FoldedRegion]:
     """Area estimates for every ``[x, y, w, h]`` row of ``boxes`` (N, 4) on
     one depth map, in row order.
 
     Each entry is what ``estimate_area`` returns for that box, or the
-    ``EmptyRegion`` or ``NoValidDepth`` it raises, bit for bit. The boxes'
-    patches are measured on shared canvases of at most ``CANVAS_PX``
-    cells; a larger box gets a canvas of its own.
+    ``EmptyRegion``, ``NoValidDepth`` or ``FoldedRegion`` it raises.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     extents, dists = box_setup(boxes, d, intr)
-    out: list[AreaEstimate | EmptyRegion | NoValidDepth | None] = [None] * len(boxes)
-    groups: list[list[int]] = []
-    rows = cols = 0
-    for i, ((u0, v0, u1, v1), dist) in enumerate(zip(extents, dists)):
-        h, w = v1 - v0, u1 - u0
-        if h <= 0 or w <= 0:
-            out[i] = EmptyRegion(f"box {BBox(*boxes[i].tolist())} covers no pixels")
-            continue
-        if isinstance(dist, NoValidDepth):
-            out[i] = dist
-            continue
-        if groups and (rows + h) * max(cols, w) <= CANVAS_PX:
-            groups[-1].append(i)
-            rows, cols = rows + h, max(cols, w)
+    xhat, yhat = _rays(intr)
+    out: list[AreaEstimate | EmptyRegion | NoValidDepth | FoldedRegion] = []
+    for box, (u0, v0, u1, v1), dist in zip(boxes.tolist(), extents, dists):
+        if u0 >= u1 or v0 >= v1:
+            out.append(EmptyRegion(f"box {BBox(*box)} covers no pixels"))
+        elif isinstance(dist, NoValidDepth):
+            out.append(dist)
         else:
-            groups.append([i])
-            rows, cols = h, w
-    for g in groups:
-        for i, est in zip(g, _measure_packed([extents[i] for i in g], [dists[i] for i in g], d, intr)):
-            out[i] = est
+            out.append(_measure(d.values[v0:v1, u0:u1], xhat[u0:u1], yhat[v0:v1], dist))
     return out
 
 
@@ -285,10 +237,11 @@ def estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> AreaEstimate:
     """Full area estimate for one detection box: its ``estimate_areas``
     entry, raised if it is a skip.
 
-    Sums the areas of 2x2 patches whose four corners are valid, then
-    applies the pi/4 ellipse factor. Yields area 0 with zero valid patches
-    when no complete patch exists. Raises ``EmptyRegion`` when the box
-    covers no pixels and ``NoValidDepth`` when no pixel of it has depth.
+    Sums the signed areas of 2x2 patches whose four corners are valid,
+    then applies the pi/4 ellipse factor. Yields area 0 with zero valid
+    patches when no complete patch exists. Raises ``EmptyRegion`` when the
+    box covers no pixels, ``NoValidDepth`` when no pixel of it has depth
+    and ``FoldedRegion`` when the signed sum is not positive.
     """
     (est,) = estimate_areas(as_xywh([b]), d, intr)
     if isinstance(est, Exception):

@@ -53,9 +53,10 @@ def run_pipeline(
 
     Per-frame input errors abort with the frame index. A detection wider
     or taller than the image is skipped with a log line before tracking,
-    so it starts no track. A detection whose box covers no pixels or has
-    no valid depth is skipped with a log line and leaves no record, so it
-    never advances its track's filter.
+    so it starts no track. A detection whose box covers no pixels, has
+    no valid depth or folds over (``mbtp.estimate_areas``) is skipped with
+    a log line and leaves no record, so it never advances its track's
+    filter.
 
     Depth files are memory-mapped, not read: only the pages that the
     frame's boxes touch are loaded. A depth file must therefore not be

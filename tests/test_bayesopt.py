@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from areatrack import bayesopt
@@ -128,22 +128,45 @@ class TestEiGradient:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=_GP_KINDS,
            u=st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)), near=st.booleans())
+    # EI is 204 here, and a step of 1e-6 alone misses its gradient by 7e-5 in rounding
+    @example(seed=489, kind="fitted", u=(0.0, 1.0), near=False)
     def test_matches_central_differences(self, seed, kind, u, near):
         gp, incumbent, spread = random_gp(seed, kind)
-        u, h = np.array(u), 1e-6
+        u = np.array(u)
         if near:  # within 0.014 of a data point, where the posterior is most certain
             u = gp.X[0] + 0.01 * (u - 0.5)
-        points = [u] + [u + sign * h * e for e in np.eye(2) for sign in (1.0, -1.0)]
-        ei = expected_improvement(gp, incumbent, np.array(points))
-        mu, var = gp.mean_var(np.array(points))
+        # central differences along each axis at steps t = h and 2h, for h
+        # on a ladder from 1e-6 to 0.066
+        h = 1e-6 * 4.0 ** np.arange(9)
+        t = np.concatenate([h, 2.0 * h])
+        shifts = t[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * np.eye(2)
+        points = np.vstack([u, (u + shifts).reshape(-1, 2)])
+        ei = expected_improvement(gp, incumbent, points)
+        mu, var = gp.mean_var(points[:5])  # u and its four nearest difference points
         floor = gp._y_scale ** 2 * 1e-12
-        # the same clamps apply at every difference point; where the variance
-        # is clamped EI is a kink within a few sigma of the incumbent
-        assume(len(set(zip(ei == 0.0, var == floor))) == 1)
+        # the same clamps apply at those five; where the variance is
+        # clamped EI is a kink within a few sigma of the incumbent
+        assume(len(set(zip(ei[:5] == 0.0, var == floor))) == 1)
         assume(var[0] > floor or np.all(np.abs(incumbent - mu) > 40.0 * np.sqrt(var)))
         fun, grad = neg_ei_and_grad(gp, incumbent, u)
-        central = (ei[1::2] - ei[2::2]) / (2.0 * h)
-        np.testing.assert_allclose(-grad, central, rtol=1e-5, atol=1e-7 * spread)
+        f = ei[1:].reshape(len(t), 2, 2)  # (step, sign, axis)
+        diff = (f[:, 0] - f[:, 1]) / (2.0 * t[:, None])
+        # Richardson's extrapolation of each h and 2h pair cancels the h^2
+        # error term. A small step loses EI's rounding error, up to about
+        # 1e-16 * sum |alpha| / h on an ill-conditioned GP; a large one loses
+        # the h^4 term where EI bends sharply, and any step that crosses a
+        # clamp. The reference is the extrapolation closest to both of its
+        # neighbours on the ladder, and that distance is its error estimate:
+        # a reference less certain than a quarter of the tolerance decides
+        # nothing
+        richardson = (4.0 * diff[: len(h)] - diff[len(h):]) / 3.0
+        gaps = np.abs(np.diff(richardson, axis=0))
+        error = np.maximum(gaps[:-1], gaps[1:])
+        best = np.argmin(error, axis=0)
+        central = richardson[1 + best, [0, 1]]
+        rtol, atol = 1e-5, 1e-7 * spread
+        assume(np.all(error[best, [0, 1]] <= (rtol * np.abs(central) + atol) / 4.0))
+        np.testing.assert_allclose(-grad, central, rtol=rtol, atol=atol)
         if ei[0] == 0.0:
             assert fun == 0.0 and np.all(grad == 0.0)
         if var[0] == floor:

@@ -456,7 +456,7 @@ class TestSmoothRecords:
         assert (rep.track_count, rep.objective) == (0, 0.0)
 
     def test_long_track_matches_reference(self):
-        # past the short tracks' lengths only the long track is updated, on Python floats
+        # one 3000-measurement track shuffled among three short ones, some with repeated frames
         rng = np.random.default_rng(3)
         records = [record(f, 7, a, confidence=c, distance=d) for f, a, c, d in zip(
             range(3000), rng.uniform(0.01, 1.0, 3000).tolist(),
