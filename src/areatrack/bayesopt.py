@@ -211,26 +211,20 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
     """Seeded quasi-random initialization followed by GP/EI iterations.
 
     Deterministic for a fixed seed: identical history point for point.
-    Objective evaluations are cached by exact parameter tuple.
     """
     lo, hi = np.array(BOUNDS).T
     span = hi - lo
     dim = len(BOUNDS)
     rng = np.random.default_rng(spec.seed)
-    cache: dict[tuple[float, ...], float] = {}
     history: list[tuple[tuple[float, ...], float]] = []
     X_unit: list[np.ndarray] = []
     y: list[float] = []
 
     def evaluate(unit: np.ndarray) -> float:
         pt = tuple((lo + unit * span).tolist())
-        if pt in cache:
-            val = cache[pt]
-        else:
-            val = float(objective(pt))
-            if not math.isfinite(val):
-                raise ObjectiveNonFinite(pt, val)
-            cache[pt] = val
+        val = float(objective(pt))
+        if not math.isfinite(val):
+            raise ObjectiveNonFinite(pt, val)
         X_unit.append(unit)
         y.append(val)
         history.append((pt, val))

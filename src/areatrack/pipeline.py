@@ -51,12 +51,13 @@ def run_pipeline(
     """Process frames in order through tracking and area estimation, then
     smooth each track's raw areas with ``smooth_records``.
 
-    Per-frame input errors abort with the frame index. A detection wider
-    or taller than the image is skipped with a log line before tracking,
-    so it starts no track. A detection whose box covers no pixels, has
-    no valid depth or folds over (``mbtp.estimate_areas``) is skipped with
-    a log line and leaves no record, so it never advances its track's
-    filter.
+    Per-frame input errors abort with the frame index. Each detection is
+    measured before tracking, and one that cannot be measured is skipped
+    there with a log line naming its frame and box: a box wider or taller
+    than the image, or one that covers no pixels, has no valid depth or
+    folds over (``mbtp.estimate_areas``). A skipped detection starts no
+    track and leaves no record; a live track whose detection is skipped
+    coasts through that frame as if unmatched.
 
     Depth files are memory-mapped, not read: only the pages that the
     frame's boxes touch are loaded. A depth file must therefore not be
@@ -93,19 +94,21 @@ def _process_frame(
     except (AreatrackError, OSError) as e:
         raise FrameProcessingError(entry.frame, e) from e
 
-    fitting = []
+    # keyed by id(), so equal duplicate detections stay separate measurements
+    fits = [det for det in dets if det.bbox.w <= intr.width and det.bbox.h <= intr.height]
+    estimates = dict(zip(map(id, fits), estimate_areas(as_xywh(d.bbox for d in fits), depth, intr)))
+    measured = []
     for det in dets:
-        if det.bbox.w > intr.width or det.bbox.h > intr.height:
+        est = estimates.get(id(det))
+        if est is None:
             log.warning("frame %d: box %s is larger than the %dx%d image, skipping",
                         entry.frame, det.bbox, intr.width, intr.height)
+        elif isinstance(est, AreatrackError):
+            log.warning("frame %d: box %s: %s, skipping", entry.frame, det.bbox, est)
         else:
-            fitting.append(det)
-    assigned = tracker.step(fitting, frame=entry.frame, motion=motion)
-    estimates = estimate_areas(as_xywh(det.bbox for _, det in assigned), depth, intr)
-    for (track_id, det), est in zip(assigned, estimates):
-        if isinstance(est, AreatrackError):
-            log.warning("frame %d track %d: %s, skipping", entry.frame, track_id, est)
-            continue
+            measured.append(det)
+    for track_id, det in tracker.step(measured, frame=entry.frame, motion=motion):
+        est = estimates[id(det)]
         records.append(
             FrameResultRecord(
                 frame=entry.frame,

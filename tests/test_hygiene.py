@@ -119,6 +119,35 @@ def test_cli_catches_in_one_place():
     assert len(handlers) == 1
 
 
+def _calls_of(name: str) -> list[tuple[str, str, int]]:
+    """(module file, enclosing function, line) of every package call of a
+    function or method named ``name``."""
+    hits = []
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            hits.append((path.name, owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for p in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(p.read_text()), p, "<module>")
+    return hits
+
+
+def test_detections_measured_before_tracking_in_one_place():
+    """The pipeline measures a frame's detections once and tracks only the
+    measured ones, so a skipped box never takes a track id. The one other
+    ``estimate_areas`` call is ``mbtp.estimate_area``, its one-box case."""
+    (measure,) = [hit for hit in _calls_of("estimate_areas") if hit[:2] != ("mbtp.py", "estimate_area")]
+    (track,) = _calls_of("step")
+    assert measure[:2] == track[:2] == ("pipeline.py", "_process_frame")
+    assert measure[2] < track[2]
+
+
 def test_detector_flags_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"

@@ -189,6 +189,19 @@ def _buffer_owner(a: np.ndarray):
     return a.obj if isinstance(a, memoryview) else a
 
 
+def _blank_depth_around_box(entry: formats.FrameEntry) -> BBox:
+    """Set the depth of ``entry``'s frame to NaN over its one detection
+    box and a margin; returns the box."""
+    depth = formats.parse_pfm(entry.depth_path.read_bytes())
+    (det,) = formats.parse_detections(entry.detections_path.read_text())[entry.frame]
+    b = det.bbox
+    z = np.array(depth.values)
+    u0, v0 = int(b.x) - 2, int(b.y) - 2
+    z[v0:int(b.bottom) + 3, u0:u0 + int(b.w + 5)] = np.nan
+    entry.depth_path.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
+    return b
+
+
 class TestRunPipeline:
     def test_end_to_end_single_track(self, scene_dir):
         _, manifest_path = scene_dir
@@ -238,19 +251,43 @@ class TestRunPipeline:
         manifest = formats.SequenceManifest.load(manifest_path)
         # frame 3 loses all depth over the pothole box
         entry = manifest.frames[3]
-        depth = formats.parse_pfm(entry.depth_path.read_bytes())
-        (det,) = formats.parse_detections(entry.detections_path.read_text())[entry.frame]
-        b = det.bbox
-        z = np.array(depth.values)
-        u0, v0 = int(b.x) - 2, int(b.y) - 2
-        z[v0:int(b.bottom) + 3, u0:u0 + int(b.w + 5)] = np.nan
-        entry.depth_path.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
+        b = _blank_depth_around_box(entry)
         config = PipelineConfig()
         records, _ = run_pipeline(manifest, config)
-        assert "frame 3 track 1: no valid depth" in caplog.text
+        assert f"frame 3: box {b}: no valid depth" in caplog.text
         assert [r.frame for r in records] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
         raw, _ = run_pipeline(manifest, dataclasses.replace(config, smoothing=False))
         assert records == smooth_records(raw, config.cdkf)
+
+    def test_track_coasts_through_a_frame_without_depth(self, tmp_path):
+        """An unmeasurable detection of a live track acts as no detection:
+        the track coasts through that frame and keeps its id after it."""
+        config = PipelineConfig(smoothing=False)
+        blanked = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "nan"))
+        _blank_depth_around_box(blanked.frames[3])
+        missing = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "gone"))
+        missing.frames[3].detections_path.write_text(formats.write_records([]))
+        records, _ = run_pipeline(blanked, config)
+        assert [(r.frame, r.track_id) for r in records] == [(k, 1) for k in (0, 1, 2, 4, 5, 6, 7, 8, 9)]
+        assert records == run_pipeline(missing, config)[0]
+
+    @pytest.mark.parametrize("box", ["x=100 y=100 w=0 h=20", "x=5000 y=100 w=30 h=20",
+                                     "x=4 y=4 w=20 h=12", "x=0 y=100 w=1e308 h=20"],
+                             ids=["zero-width", "off-image", "no-depth", "larger-than-image"])
+    def test_unmeasurable_box_first_in_the_sequence_costs_only_itself(self, tmp_path, caplog, box):
+        # listed first in frame 0, the box would take track id 1 if it were tracked
+        manifest = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path))
+        entry = manifest.frames[0]
+        depth = formats.parse_pfm(entry.depth_path.read_bytes())
+        z = np.array(depth.values)
+        z[:20, :28] = np.nan  # the no-depth box lies inside this corner, the pothole far from it
+        entry.depth_path.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
+        clean = formats.write_results(run_pipeline(manifest, PipelineConfig())[0])
+        header, rest = entry.detections_path.read_text().split("\n", 1)
+        entry.detections_path.write_text(f"{header}\nframe=0 class_id=0 {box} confidence=0.9\n{rest}")
+        records, _ = run_pipeline(manifest, PipelineConfig())
+        assert "frame 0: box BBox(" in caplog.text
+        assert formats.write_results(records) == clean
 
     @pytest.mark.parametrize("files", [10, 2, 1], ids=["per-frame", "interleaved", "shared"])
     def test_each_detections_file_parsed_once(self, scene_dir, tmp_path, monkeypatch, files):
@@ -621,7 +658,7 @@ class TestCli:
         res = runner.invoke(main, ["estimate", "--manifest", str(tmp_path / "manifest.yaml")])
         assert res.exit_code == 0, res.output
         assert res.output == clean.output
-        assert "frame 2 track 2: box BBox(" in caplog.text
+        assert "frame 2: box BBox(" in caplog.text
 
     @pytest.mark.parametrize("box", ["x=0 y=100 w=1e308 h=20", "x=100 y=0 w=30 h=1e308",
                                      "x=-100 y=100 w=321 h=20"],
