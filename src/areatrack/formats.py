@@ -276,40 +276,68 @@ def write_results(records: list[FrameResultRecord]) -> str:
 # motion files: bare numbers, either a 3x3 transform or raw correspondences
 
 
+def _motion_numbers(line_no: int, line: str, transform: bool) -> list[float]:
+    """One number line of a motion file, checked on its own: its numbers, or
+    the error of its first fault (non-numeric, then count, then non-finite)."""
+    try:
+        nums = [float(p) for p in line.split()]
+    except ValueError:
+        raise MalformedLine(line_no, f"non-numeric motion line {line!r}") from None
+    if transform:
+        if len(nums) != 3:
+            raise MalformedLine(line_no, "transform rows need 3 numbers")
+        if not all(map(math.isfinite, nums)):
+            raise MalformedLine(line_no, f"non-finite transform row {line!r}")
+    elif len(nums) != 4:
+        raise MalformedLine(line_no, "correspondence lines need 4 numbers")
+    return nums
+
+
 def parse_motion_file(text: str):
     """Returns ('transform', 3x3 array) or ('correspondences', (n, 2, 2)
     float64 array of ``[[x0, y0], [x1, y1]]`` rows); a file with no data
-    lines gives ``("correspondences", array of shape (0, 2, 2))``."""
-    rows = []  # the transform's rows or the correspondence lines: never both
-    transform_line = None
-    for line_no, line in _data_lines(text):
-        parts = line.split()
-        if parts[0] == "transform":
-            if len(parts) > 1:
-                raise MalformedLine(line_no, f"tokens after the transform keyword in {line!r}")
-            if transform_line is not None:
-                raise MalformedLine(line_no, "second transform keyword")
-            if rows:
-                raise MalformedLine(line_no, "transform keyword after correspondence lines")
-            transform_line = line_no
-            continue
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError:
-            raise MalformedLine(line_no, f"non-numeric motion line {line!r}") from None
-        if transform_line is not None:
-            if len(nums) != 3:
-                raise MalformedLine(line_no, "transform rows need 3 numbers")
-            if not all(map(math.isfinite, nums)):
-                raise MalformedLine(line_no, f"non-finite transform row {line!r}")
-        elif len(nums) != 4:
-            raise MalformedLine(line_no, "correspondence lines need 4 numbers")
-        rows.append(nums)
-    if transform_line is not None:
-        if len(rows) != 3:
-            raise MalformedLine(transform_line, f"transform needs 3 rows, got {len(rows)}")
-        return "transform", np.array(rows)
-    return "correspondences", np.array(rows, dtype=np.float64).reshape(-1, 2, 2)
+    lines gives ``("correspondences", array of shape (0, 2, 2))``.
+
+    One pass checks each line's structure and collects the number tokens,
+    which one ``np.array`` call converts under ``float()``'s rules. Only on a
+    fault are the lines before it converted one by one, so that the first
+    bad line is named.
+    """
+    lines = []  # (line_no, line) of the number lines before the first structural fault
+    tokens = []
+    transform_line = fault = None
+    try:
+        for line_no, line in _data_lines(text):
+            parts = line.split()
+            if parts[0] == "transform":
+                if len(parts) > 1:
+                    raise MalformedLine(line_no, f"tokens after the transform keyword in {line!r}")
+                if transform_line is not None:
+                    raise MalformedLine(line_no, "second transform keyword")
+                if lines:
+                    raise MalformedLine(line_no, "transform keyword after correspondence lines")
+                transform_line = line_no
+                continue
+            if len(parts) != (4 if transform_line is None else 3):
+                _motion_numbers(line_no, line, transform_line is not None)  # raises
+            lines.append((line_no, line))
+            tokens += parts
+    except MalformedLine as e:
+        fault = e
+    transform = transform_line is not None
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or (transform and not np.isfinite(values).all()):
+        values = np.array([_motion_numbers(n, line, transform) for n, line in lines])
+    if fault is not None:
+        raise fault
+    if transform:
+        if len(lines) != 3:
+            raise MalformedLine(transform_line, f"transform needs 3 rows, got {len(lines)}")
+        return "transform", values.reshape(3, 3)
+    return "correspondences", values.reshape(-1, 2, 2)
 
 
 def write_correspondences(pairs: np.ndarray) -> str:

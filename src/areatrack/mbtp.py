@@ -84,7 +84,7 @@ def project_region(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> ProjectedReg
     """Back-project every integer pixel of the clipped box."""
     u0, u1, v0, v1 = pixel_grid(b, intr)
     if u0 >= u1 or v0 >= v1:
-        raise EmptyRegion(f"box {b} covers no pixels")
+        raise EmptyRegion("the box covers no pixels")
     Z = np.asarray(d.values[v0:v1, u0:u1], dtype=np.float64)
     valid = np.isfinite(Z) & (Z > 0.0)
     xhat, yhat = intr.ray(np.arange(u0, u1, dtype=np.float64), np.arange(v0, v1, dtype=np.float64))
@@ -223,9 +223,9 @@ def estimate_areas(
     extents, dists = box_setup(boxes, d, intr)
     xhat, yhat = _rays(intr)
     out: list[AreaEstimate | EmptyRegion | NoValidDepth | FoldedRegion] = []
-    for box, (u0, v0, u1, v1), dist in zip(boxes.tolist(), extents, dists):
+    for (u0, v0, u1, v1), dist in zip(extents, dists):
         if u0 >= u1 or v0 >= v1:
-            out.append(EmptyRegion(f"box {BBox(*box)} covers no pixels"))
+            out.append(EmptyRegion("the box covers no pixels"))
         elif isinstance(dist, NoValidDepth):
             out.append(dist)
         else:

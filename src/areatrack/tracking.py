@@ -33,6 +33,9 @@ POS_NOISE_SCALE = 0.05
 VEL_NOISE_SCALE = 0.0125
 RANSAC_ITERS = 100
 RANSAC_INLIER_PX = 3.0
+# a sample with computed |det A| > RANK_CERT * eps * ||A||_F^3 passes lstsq's
+# rank rule without an SVD; see _full_rank for the bound
+RANK_CERT = 128.0
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,33 @@ def _sample_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return np.column_stack([a, b, c])
 
 
+def _full_rank(A: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``ok`` and lstsq's default rank rule, s_min > 3 eps s_max, on (k, 3, 3)
+    samples whose rows are ``[x, y, 1]``.
+
+    s_min / s_max >= |det A| / ||A||_F^3, since |det A| = s_1 s_2 s_3 <=
+    s_max^2 s_min and s_max <= ||A||_F. The determinant is the cross product
+    a_x b_y - a_y b_x of the edges a, b from row 0, whose rounding is at most
+    about 2 eps (|a_x b_y| + |a_y b_x|) <= 4 eps ||A||_F^2 <= 2.4 eps
+    ||A||_F^3, as the ones column makes ||A||_F >= sqrt(3). LAPACK's singular
+    values are off by at most p eps s_max with a small p, so with RANK_CERT =
+    128 a sample whose computed |det| clears RANK_CERT eps ||A||_F^3 passes
+    the rule for any p up to about 120. Only the other ``ok`` samples are
+    decomposed; an overflowing ||A||_F^3 or determinant certifies nothing.
+    """
+    eps = np.finfo(np.float64).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = A[:, 1] - A[:, 0], A[:, 2] - A[:, 0]
+        det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        certified = np.abs(det) > RANK_CERT * eps * np.einsum("kij,kij->k", A, A) ** 1.5
+    passed = ok & certified
+    doubt = ok & ~certified
+    if doubt.any():
+        s = np.linalg.svd(A[doubt], compute_uv=False)
+        passed[doubt] = s[:, 2] > 3 * eps * s[:, 0]
+    return passed
+
+
 def fit_motion_ransac(correspondences: np.ndarray, seed: int = 0) -> MotionTransform:
     """RANSAC affine fit mapping first points onto second points.
 
@@ -169,9 +199,7 @@ def fit_motion_ransac(correspondences: np.ndarray, seed: int = 0) -> MotionTrans
     S = np.column_stack([np.where(finite[:, None], src, 0.0), np.ones(n)])
     D = np.where(finite[:, None], dst, 0.0)
     A = S[idx]  # (RANSAC_ITERS, 3, 3): one row [x, y, 1] per sample
-    ok = finite[idx].all(axis=1)
-    s = np.linalg.svd(A, compute_uv=False)
-    ok &= s[:, 2] > 3 * np.finfo(np.float64).eps * s[:, 0]
+    ok = _full_rank(A, finite[idx].all(axis=1))
     A[~ok] = np.eye(3)  # skipped hypotheses solve a placeholder system
     coef = np.linalg.solve(A, D[idx])  # (RANSAC_ITERS, 3, 2): rows a_x, a_y, t
     ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > SINGULAR_DET

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from areatrack.errors import (
     BadMagic,
@@ -14,6 +15,7 @@ from areatrack.errors import (
 )
 from areatrack.formats import (
     FORMAT_VERSION,
+    _data_lines,
     FrameEntry,
     FrameResultRecord,
     SequenceManifest,
@@ -260,6 +262,152 @@ class TestMotionFiles:
         with pytest.raises(MalformedLine) as exc:
             parse_motion_file(text)
         assert exc.value.line_no == 3
+
+
+def reference_parse_motion_file(text: str):
+    """The line-at-a-time motion parser, kept as an oracle for the one-pass
+    parse: each line is split and converted with ``float()`` as it is read."""
+    rows = []  # the transform's rows or the correspondence lines: never both
+    transform_line = None
+    for line_no, line in _data_lines(text):
+        parts = line.split()
+        if parts[0] == "transform":
+            if len(parts) > 1:
+                raise MalformedLine(line_no, f"tokens after the transform keyword in {line!r}")
+            if transform_line is not None:
+                raise MalformedLine(line_no, "second transform keyword")
+            if rows:
+                raise MalformedLine(line_no, "transform keyword after correspondence lines")
+            transform_line = line_no
+            continue
+        try:
+            nums = [float(p) for p in parts]
+        except ValueError:
+            raise MalformedLine(line_no, f"non-numeric motion line {line!r}") from None
+        if transform_line is not None:
+            if len(nums) != 3:
+                raise MalformedLine(line_no, "transform rows need 3 numbers")
+            if not all(map(math.isfinite, nums)):
+                raise MalformedLine(line_no, f"non-finite transform row {line!r}")
+        elif len(nums) != 4:
+            raise MalformedLine(line_no, "correspondence lines need 4 numbers")
+        rows.append(nums)
+    if transform_line is not None:
+        if len(rows) != 3:
+            raise MalformedLine(transform_line, f"transform needs 3 rows, got {len(rows)}")
+        return "transform", np.array(rows)
+    return "correspondences", np.array(rows, dtype=np.float64).reshape(-1, 2, 2)
+
+
+def _motion_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the array with its dtype, shape and
+    bytes, or the error's type, line and message."""
+    try:
+        kind, arr = parse(text)
+    except MalformedLine as e:
+        return "error", type(e), e.line_no, str(e)
+    return kind, arr.dtype, arr.shape, arr.tobytes()
+
+
+FINITE_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e4, 1e4).map(lambda v: f"{v:.6f}"),
+    st.sampled_from(["0", "-0", "+.5", "5.", "1_000.25", "1e-400", "١٢", "１.５", "1E+3"]),
+)
+NUMBER_TOKENS = st.one_of(
+    FINITE_TOKENS,
+    st.sampled_from(["inf", "-inf", "+Infinity", "nan", "-NaN", "1e400", "-1e400"]),
+)
+BAD_TOKENS = st.sampled_from(["x", "1,5", "0x10", "nan(1)", "1__0", "_1", "--1", "1e", "#"])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def motion_rows(draw):
+    """The data lines of a valid motion file as token lists: a transform
+    block or 0-8 correspondence lines."""
+    if draw(st.booleans()):
+        return [["transform"]] + [draw(st.lists(FINITE_TOKENS, min_size=3, max_size=3))
+                                  for _ in range(3)]
+    return draw(st.lists(st.lists(NUMBER_TOKENS, min_size=4, max_size=4), max_size=8))
+
+
+@st.composite
+def corrupt(draw, rows):
+    """``rows`` with one or two faults, each on a line of its own, in either order."""
+    rows = [list(r) for r in rows]
+    numbers = [r for r in rows if r != ["transform"]]  # lines not yet faulted, changed in place
+    faults = st.sampled_from(["count", "word", "hash", "nonfinite", "keyword", "header"])
+    for fault in draw(st.lists(faults, min_size=1, max_size=2)):
+        if fault in ("keyword", "header") or not numbers:
+            line = (draw(st.sampled_from([["transform"], ["transform", "9"]]))
+                    if fault == "keyword" else ["format_version=2"])
+            rows.insert(draw(st.integers(0, len(rows))), line)
+            continue
+        row = numbers.pop(draw(st.integers(0, len(numbers) - 1)))
+        if fault == "count":
+            if draw(st.booleans()):
+                del row[draw(st.integers(0, len(row) - 1))]
+            else:
+                row.insert(draw(st.integers(0, len(row))), draw(NUMBER_TOKENS))
+        elif fault == "word":
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_TOKENS)
+        elif fault == "hash":
+            row += draw(st.sampled_from([["#"], ["#", "note"], ["#x"]]))
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(["nan", "-inf", "1e400"]))
+    return rows
+
+
+@st.composite
+def motion_text(draw, rows):
+    """``rows`` written out with a header, comments, blank lines and odd spacing."""
+    out = [draw(st.sampled_from(["", "format_version=1\n", "# motion\nformat_version=1\n"]))]
+    for row in rows:
+        out.append(draw(st.sampled_from(["", "", "\n", "   \n", "# c\n", "\t# 1 2 3 4\n"])))
+        sep = draw(SEPARATORS)
+        out.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(row)
+                   + draw(st.sampled_from(["", " ", "\t"])) + "\n")
+    return "".join(out)
+
+
+class TestMotionFileEqualsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_valid_files(self, data):
+        text = data.draw(motion_text(data.draw(motion_rows())))
+        want = _motion_outcome(reference_parse_motion_file, text)
+        assert want[0] != "error", want
+        assert _motion_outcome(parse_motion_file, text) == want
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_invalid_files(self, data):
+        rows = data.draw(motion_rows())
+        text = data.draw(motion_text(data.draw(corrupt(rows))))
+        want = _motion_outcome(reference_parse_motion_file, text)
+        assert _motion_outcome(parse_motion_file, text) == want
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 2 3 4\n1 x 3 4\n1 2 3\n", 2, "non-numeric"),
+        ("1 2 3 4\n1 2 3\n1 x 3 4\n", 2, "need 4 numbers"),
+        ("1 2 3 4 # x\n", 1, "non-numeric"),
+        ("1 2 3 #\n", 1, "non-numeric"),
+        ("transform\n1 0 nan\n0 1 x\n0 0 1\n", 2, "non-finite"),
+        ("transform\n1 0 x\n0 1 nan\n0 0 1\n", 2, "non-numeric"),
+        ("transform\n1 0 inf\n0 1\n0 0 1\n", 2, "non-finite"),
+        ("1 2 3 x\nformat_version=2\n", 1, "non-numeric"),
+        ("1 2 3 4\nformat_version=2\n1 2 3 x\n", 2, "unsupported"),
+        ("transform\n1 0 0\n0 1 0\n0 0 1\n0 0 1\n", 1, "needs 3 rows, got 4"),
+    ], ids=["word-then-count", "count-then-word", "trailing-hash", "hash-as-fourth-token",
+            "nonfinite-then-word", "word-then-nonfinite", "nonfinite-then-count",
+            "word-then-header", "header-then-word", "fourth-transform-row"])
+    def test_first_bad_line_named(self, text, line, message):
+        with pytest.raises(MalformedLine, match=message) as exc:
+            parse_motion_file(text)
+        assert exc.value.line_no == line
+        assert _motion_outcome(parse_motion_file, text) == _motion_outcome(
+            reference_parse_motion_file, text)
 
 
 class TestRecordLines:

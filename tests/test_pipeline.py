@@ -287,6 +287,9 @@ class TestRunPipeline:
         entry.detections_path.write_text(f"{header}\nframe=0 class_id=0 {box} confidence=0.9\n{rest}")
         records, _ = run_pipeline(manifest, PipelineConfig())
         assert "frame 0: box BBox(" in caplog.text
+        # each skip line names its box once, whatever the skip
+        skips = [r.getMessage() for r in caplog.records if r.getMessage().endswith(", skipping")]
+        assert skips and all(m.count("BBox(") == 1 for m in skips), skips
         assert formats.write_results(records) == clean
 
     @pytest.mark.parametrize("files", [10, 2, 1], ids=["per-frame", "interleaved", "shared"])

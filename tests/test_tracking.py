@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -308,6 +309,71 @@ RANSAC_CASES = [
     "translation", "outliers20", "outliers60", "duplicates", "collinear",
     "singular_linear", "all_outliers", "all_collinear",
 ]
+
+
+def svd_rank_rule(A: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """lstsq's default rank rule on every (3, 3) sample, by full SVD."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return ok & (s[:, 2] > 3 * np.finfo(np.float64).eps * s[:, 0])
+
+
+def _rank_samples(seed: int, kind: str, log_scale: float, log_offset: float) -> tuple:
+    """64 samples with rows ``[x, y, 1]`` and a random ``ok`` mask. Near-
+    collinear samples put the third point on the line through the first two,
+    moved by a relative offset of 10**log_offset; some rows are zeroed, as a
+    non-finite pair is before the rule sees it."""
+    rng = np.random.default_rng(seed)
+    k = 64
+    P = rng.uniform(-1.0, 1.0, (k, 3, 2)) + rng.uniform(0.0, 2.0, (k, 1, 2))
+    if kind == "collinear":
+        t = rng.uniform(-2.0, 2.0, (k, 1))
+        P[:, 2] = (P[:, 0] + t * (P[:, 1] - P[:, 0])) * (
+            1.0 + 10.0 ** log_offset * rng.standard_normal((k, 2)))
+    elif kind == "duplicate":
+        P[:, 2] = P[:, 1]
+    P *= 10.0 ** log_scale
+    P[rng.uniform(size=(k, 3)) < 0.1] = 0.0
+    A = np.concatenate([P, np.ones((k, 3, 1))], axis=2)
+    return A, rng.uniform(size=k) < 0.9
+
+
+class TestRankCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "collinear", "duplicate"]),
+           log_scale=st.one_of(st.floats(-3.0, 3.0), st.floats(3.0, 300.0)),
+           log_offset=st.floats(-16.0, -2.0))
+    def test_equals_full_svd_rule(self, seed, kind, log_scale, log_offset):
+        A, ok = _rank_samples(seed, kind, log_scale, log_offset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing ||A||_F^3 stays silent
+            got = tracking._full_rank(A, ok)
+        assert np.array_equal(got, svd_rank_rule(A, ok))
+
+    @pytest.fixture
+    def svd_sizes(self, monkeypatch):
+        sizes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: sizes.append(len(a)) or svd(a, **kw))
+        return sizes
+
+    def test_spread_samples_skip_the_svd(self, svd_sizes):
+        for seed in (0, 1, 5):
+            fit_motion_ransac(_ransac_case("outliers20", seed), seed=seed)
+        assert svd_sizes == []
+
+    def test_only_uncertified_samples_are_decomposed(self, svd_sizes):
+        rng = np.random.default_rng(3)
+        A = np.concatenate([rng.uniform(0.0, 1000.0, (20, 3, 2)), np.ones((20, 3, 1))], axis=2)
+        ok = np.ones(20, bool)
+        A[:5, 2] = A[:5, 1]  # rank 2
+        A[5:8, :, :2] *= 1e120  # ||A||_F^3 overflows; the ones column fails the rule
+        A[8:10, :, :2] = 0.0  # zeroed pairs; the first is not ok
+        ok[8] = False
+        got = tracking._full_rank(A, ok)
+        assert svd_sizes == [9]
+        assert not got[:10].any() and got[10:].all()
+        assert np.array_equal(got, svd_rank_rule(A, ok))
 
 
 class TestRansacBatchEqualsLoop:
