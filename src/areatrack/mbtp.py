@@ -15,11 +15,12 @@ The sum is not taken patch by patch. A patch's shoelace area is the sum
 of the cross products of its four edges, and an edge that two valid
 patches share enters them with opposite signs, so the total is a
 weighted sum of edge terms (``_edge_sum``). When every depth in a box is
-valid, only the box's border edges keep a weight (``_border_sum``), so a
-box costs a min, a max and four dot products along its border. A box
-whose valid patches have no positive signed total folds over, as depth
-noise far above the pixel spacing can make it do: it is skipped with
-``FoldedRegion``.
+valid, only the box's border edges keep a weight, so such a box costs a
+min and a max; ``estimate_areas`` sums the four border lines of all of a
+frame's such boxes at once, each line in its own ``reduceat`` segment. A
+box whose valid patches have no positive signed total folds over, as
+depth noise far above the pixel spacing can make it do: it is skipped
+with ``FoldedRegion``.
 
 ``box_setup`` finds every box's pixel extents and the camera's distance
 to its centre, the weight CDKF gives the estimate, in one vectorised
@@ -145,20 +146,6 @@ def box_setup(
     return extents, [errors.get(i, r) for i, r in enumerate(dist)]
 
 
-def _border_sum(z: np.ndarray, xhat: np.ndarray, yhat: np.ndarray) -> float:
-    """``_edge_sum`` of the (h, w) depth block ``z``, h, w >= 2, when every
-    depth in it is valid: the edges inside the block cancel, and only the
-    first and last rows and columns are left."""
-    dx, dy = xhat[:-1] - xhat[1:], yhat[1:] - yhat[:-1]
-
-    def along(line: np.ndarray, step: np.ndarray) -> float:
-        line = line.astype(np.float64)
-        return (line[:-1] * line[1:]) @ step
-
-    return float(yhat[0] * along(z[0], dx) - yhat[-1] * along(z[-1], dx)
-                 + xhat[-1] * along(z[:, -1], dy) - xhat[0] * along(z[:, 0], dy))
-
-
 def _edge_sum(z: np.ndarray, ok: np.ndarray, xhat: np.ndarray, yhat: np.ndarray) -> float:
     """Twice the signed area of the patches of the (h, w) depth block ``z``
     that ``ok`` (h-1, w-1) marks, on the rays ``xhat`` (w) and ``yhat`` (h).
@@ -184,30 +171,33 @@ def _edge_sum(z: np.ndarray, ok: np.ndarray, xhat: np.ndarray, yhat: np.ndarray)
     return float(yhat @ ((wh * Z[:, :-1] * Z[:, 1:]) @ dx) + (dy @ (wv * Z[:-1] * Z[1:])) @ xhat)
 
 
-def _measure(
-    z: np.ndarray, xhat: np.ndarray, yhat: np.ndarray, dist: float
-) -> AreaEstimate | FoldedRegion:
-    """The estimate of the nonempty depth block ``z`` on the rays ``xhat``
-    and ``yhat``, at centre distance ``dist``, or the ``FoldedRegion``
-    that says why it has none."""
-    h, w = z.shape
-    total = (h - 1) * (w - 1)
-    if total == 0:
-        return AreaEstimate(0.0, 0, 0, dist)
-    if z.min() > 0.0 and z.max() < np.inf:  # every depth valid; a NaN fails the first test
-        count, twice = total, _border_sum(z, xhat, yhat)
-    else:
-        valid = np.isfinite(z) & (z > 0.0)
-        ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
-        count = int(np.count_nonzero(ok))
-        if count == 0:
-            return AreaEstimate(0.0, 0, total, dist)
-        twice = _edge_sum(z, ok, xhat, yhat)
+def _area(twice: float, count: int, total: int, dist: float) -> AreaEstimate | FoldedRegion:
+    """The estimate whose ``count`` valid patches sum to ``twice`` their
+    signed area, or the ``FoldedRegion`` that says why it has none."""
     area = 0.5 * twice * ELLIPSE_FACTOR
     if area <= 0.0:
         return FoldedRegion(f"the signed area of its {count} valid patches is not positive: "
                             "the back-projected box folds over")
     return AreaEstimate(area, count, total, dist)
+
+
+def _measure(
+    z: np.ndarray, xhat: np.ndarray, yhat: np.ndarray, dist: float
+) -> AreaEstimate | FoldedRegion:
+    """The estimate of the nonempty depth block ``z`` that is one pixel
+    thin or holds an invalid depth, on the rays ``xhat`` and ``yhat``, at
+    centre distance ``dist``, or the ``FoldedRegion`` that says why it has
+    none."""
+    h, w = z.shape
+    total = (h - 1) * (w - 1)
+    if total == 0:
+        return AreaEstimate(0.0, 0, 0, dist)
+    valid = np.isfinite(z) & (z > 0.0)
+    ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
+    count = int(np.count_nonzero(ok))
+    if count == 0:
+        return AreaEstimate(0.0, 0, total, dist)
+    return _area(_edge_sum(z, ok, xhat, yhat), count, total, dist)
 
 
 def estimate_areas(
@@ -217,19 +207,43 @@ def estimate_areas(
     one depth map, in row order.
 
     Each entry is what ``estimate_area`` returns for that box, or the
-    ``EmptyRegion``, ``NoValidDepth`` or ``FoldedRegion`` it raises.
+    ``EmptyRegion``, ``NoValidDepth`` or ``FoldedRegion`` it raises, to the
+    bit: no entry depends on the other rows.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     extents, dists = box_setup(boxes, d, intr)
     xhat, yhat = _rays(intr)
+    # each step table one longer than needed, so that a line's steps line up with its values
+    dx, dy = np.append(xhat[:-1] - xhat[1:], 0.0), np.append(yhat[1:] - yhat[:-1], 0.0)
     out: list[AreaEstimate | EmptyRegion | NoValidDepth | FoldedRegion] = []
+    full, lines, steps, rays = [], [], [], []  # boxes whose depth is all valid, and their borders
     for (u0, v0, u1, v1), dist in zip(extents, dists):
+        z = d.values[v0:v1, u0:u1]
         if u0 >= u1 or v0 >= v1:
             out.append(EmptyRegion("the box covers no pixels"))
         elif isinstance(dist, NoValidDepth):
             out.append(dist)
-        else:
-            out.append(_measure(d.values[v0:v1, u0:u1], xhat[u0:u1], yhat[v0:v1], dist))
+        elif min(z.shape) < 2 or not (z.min() > 0.0 and z.max() < np.inf):  # NaN fails min > 0
+            out.append(_measure(z, xhat[u0:u1], yhat[v0:v1], dist))
+        else:  # every depth valid: the edges inside the block cancel, only its border is left
+            full.append((len(out), (v1 - v0 - 1) * (u1 - u0 - 1), dist))
+            out.append(None)
+            lines += (z[0], z[-1], z[:, -1], z[:, 0])
+            steps += (dx[u0:u1], dx[u0:u1], dy[v0:v1], dy[v0:v1])
+            rays += (yhat[v0], -yhat[v1 - 1], xhat[u1 - 1], -xhat[u0])
+    if full:
+        # reduceat segments alternate: one line's n - 1 adjacent products, then
+        # the product across its end, which is dropped. A segment holds only
+        # its own line, so a box's bits do not depend on the boxes measured with it
+        z = np.concatenate(lines, dtype=np.float64)
+        prod = z[:-1] * z[1:] * np.concatenate(steps)[:-1]
+        ends = np.cumsum([len(line) for line in lines])[:-1]
+        cuts = np.empty(2 * len(lines) - 1, np.intp)
+        cuts[0], cuts[1::2], cuts[2::2] = 0, ends - 1, ends
+        t = np.array(rays) * np.add.reduceat(prod, cuts)[0::2]
+        twice = (t[0::4] + t[1::4] + t[2::4] + t[3::4]).tolist()
+        for (i, total, dist), s in zip(full, twice):
+            out[i] = _area(s, total, total, dist)
     return out
 
 

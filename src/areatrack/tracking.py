@@ -205,8 +205,12 @@ def fit_motion_ransac(correspondences: np.ndarray, seed: int = 0) -> MotionTrans
     ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > SINGULAR_DET
     dx = coef[:, :, 0] @ S.T - D[:, 0]  # (RANSAC_ITERS, n)
     dy = coef[:, :, 1] @ S.T - D[:, 1]
-    err = np.sqrt(dx * dx + dy * dy)
-    inliers = (err < RANSAC_INLIER_PX) & finite
+    dx *= dx
+    dy *= dy
+    dx += dy  # the squared residual
+    # sqrt is correctly rounded and monotone and RANSAC_INLIER_PX**2 is exact, so this
+    # decides every pair as sqrt(dx) < RANSAC_INLIER_PX would, NaN and inf included
+    inliers = (dx < RANSAC_INLIER_PX**2) & finite
     counts = np.where(ok, inliers.sum(axis=1), 0)
     if counts.max() < 3:
         return MotionTransform.identity()

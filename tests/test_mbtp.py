@@ -10,7 +10,6 @@ from areatrack.mbtp import (
     ELLIPSE_FACTOR,
     AreaEstimate,
     ProjectedRegion,
-    _border_sum,
     _edge_sum,
     _rays,
     estimate_area,
@@ -445,18 +444,30 @@ class TestEstimateAreasEqualsOneBox:
 
 
 class TestSignedSum:
-    @given(u0=st.integers(0, 1918), v0=st.integers(0, 1078), w=st.integers(2, 300),
-           h=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    @given(blocks=st.lists(st.tuples(st.integers(0, 1918), st.integers(0, 1078),
+                                     st.integers(2, 300), st.integers(2, 300)),
+                           min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_border_sum_is_the_edge_sum_of_a_valid_block(self, u0, v0, w, h, seed):
-        w, h = min(w, 1920 - u0), min(h, 1080 - v0)
+    def test_border_sum_is_the_edge_sum_of_a_valid_block(self, blocks, seed):
+        # the border sum of each block, measured alone and with the others
         rng = np.random.default_rng(seed)
-        z = (6.0 * (1.0 + 1e-4 * rng.standard_normal((h, w)))).astype(np.float32)
-        xhat, yhat = (t[a:a + n] for t, a, n in zip(_rays(INTR), (u0, v0), (w, h)))
-        border = _border_sum(z, xhat, yhat)
-        assert border > 0.0
-        assert border == pytest.approx(_edge_sum(z, np.ones((h - 1, w - 1), bool), xhat, yhat),
-                                       rel=1e-12, abs=0.0)
+        vals = np.full((1080, 1920), 6.0, np.float32)
+        boxes = []
+        for u0, v0, w, h in blocks:
+            w, h = min(w, 1920 - u0), min(h, 1080 - v0)
+            vals[v0:v0 + h, u0:u0 + w] = 6.0 * (1.0 + 1e-4 * rng.standard_normal((h, w)))
+            boxes.append(BBox(float(u0), float(v0), float(w), float(h)))
+        d = DepthMap(1920, 1080, vals)
+        together = estimate_areas(as_xywh(boxes), d, INTR)
+        for b, est in zip(boxes, together):
+            (u0, u1, v0, v1), (w, h) = pixel_grid(b, INTR), (int(b.w), int(b.h))
+            xhat, yhat = (t[a:a + n] for t, a, n in zip(_rays(INTR), (u0, v0), (w, h)))
+            edge = _edge_sum(d.values[v0:v1, u0:u1], np.ones((h - 1, w - 1), bool), xhat, yhat)
+            for got in (est, estimate_area(b, d, INTR)):
+                assert got.valid_patch_count == got.total_patch_count == (h - 1) * (w - 1)
+                assert got.area_m2 > 0.0
+                assert got.area_m2 == pytest.approx(0.5 * edge * ELLIPSE_FACTOR, rel=1e-12, abs=0.0)
 
     def test_fold_over_is_a_named_skip(self):
         # 600 px right of the principal point, the right column at half the
@@ -483,3 +494,79 @@ class TestSignedSum:
         noisy = estimate_area(b, DepthMap(1920, 1080, vals.astype(np.float32)), INTR)
         assert noisy.valid_patch_count == 199 * 199
         assert noisy.area_m2 == pytest.approx(clean, rel=0.005)
+
+
+# a 320 x 200 frame: columns 0-199 valid everywhere, and to their right a
+# holed block, a block without depth and a column that folds 2 px boxes
+MIXED_W, MIXED_H = 320, 200
+MIXED_INTR = CameraIntrinsics(300.0, 320.0, 85.5, 100.0, MIXED_W, MIXED_H)
+
+
+@st.composite
+def mixed_boxes(draw):
+    """One box of each kind, then more of random kinds, on a frame whose
+    valid columns hold lines longer than numpy's 128-term summation block."""
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    frac = st.sampled_from([0.0, 0.25, 0.5])  # a 0.5 px side from here covers one pixel
+
+    def box(kind):
+        if kind == "valid":
+            u0, v0 = ints(0, 198), ints(0, MIXED_H - 2)
+            return BBox(u0, v0, ints(2, 200 - u0), ints(2, MIXED_H - v0))
+        if kind == "holed":
+            u0, v0 = ints(200, 240), ints(0, 40)
+            return BBox(u0, v0, ints(2, 250 - u0), ints(2, 50 - v0))
+        if kind == "thin":  # one pixel wide or tall, anywhere on the image
+            x, y = ints(0, MIXED_W - 1) + draw(frac), ints(0, MIXED_H - 1) + draw(frac)
+            return BBox(x, y, 0.5, ints(1, 60)) if draw(st.booleans()) else BBox(x, y, ints(1, 60), 0.5)
+        if kind == "folded":
+            return BBox(250.0, ints(60, 90), 2.0, ints(2, 10))
+        if kind == "empty":
+            return draw(st.sampled_from([BBox(ints(0, 300), ints(0, 190), 0.0, 5.0),
+                                         BBox(MIXED_W + 5.0, 20.0, 5.0, 5.0),
+                                         BBox(-30.0, ints(0, 190), 10.0, 4.0)]))
+        u0, v0 = ints(260, 300), ints(120, 180)  # no depth
+        return BBox(u0, v0, ints(1, 310 - u0), ints(1, 190 - v0))
+
+    kinds = ["valid", "holed", "thin", "folded", "empty", "no depth"]
+    kinds += draw(st.lists(st.sampled_from(kinds), max_size=30))
+    return [(k, box(k)) for k in kinds]
+
+
+def mixed_depth(seed: int) -> DepthMap:
+    rng = np.random.default_rng(seed)
+    vals = 6.0 * (1.0 + 1e-3 * rng.standard_normal((MIXED_H, MIXED_W)))
+    holed = vals[0:50, 200:250]
+    holes = rng.random(holed.shape) < 0.2
+    holed[holes] = rng.choice([np.nan, np.inf, -np.inf, -1.0, 0.0], size=int(holes.sum()))
+    vals[60:100, 251] = 1.0  # 165 px right of the principal point: lands left of column 250
+    vals[120:190, 260:310] = np.nan
+    return DepthMap(MIXED_W, MIXED_H, vals.astype(np.float32))
+
+
+class TestBatchInvariance:
+    """A box's entry has the same bits whether it is measured alone, with
+    its frame, or with its frame in another order."""
+
+    @given(mixed_boxes(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_alone_whole_and_shuffled(self, kinds_boxes, seed, random):
+        d = mixed_depth(seed)
+        kinds, boxes = zip(*kinds_boxes)
+        alone = [_outcome(estimate_areas(as_xywh([b]), d, MIXED_INTR)[0]) for b in boxes]
+        assert [_outcome(e) for e in estimate_areas(as_xywh(boxes), d, MIXED_INTR)] == alone
+        order = list(range(len(boxes)))
+        random.shuffle(order)
+        shuffled = estimate_areas(as_xywh([boxes[i] for i in order]), d, MIXED_INTR)
+        assert [_outcome(e) for e in shuffled] == [alone[i] for i in order]
+        # every kind is what its name says; a holed box may have any outcome
+        for kind, b, got in zip(kinds, boxes, alone):
+            if kind == "valid":
+                assert len(got) == 4 and got[1] == got[2] == (int(b.w) - 1) * (int(b.h) - 1) > 0
+            elif kind == "thin":
+                assert got[1:3] == (0, 0) or got[0] in ("EmptyRegion", "NoValidDepth")
+            elif kind != "holed":
+                want = {"folded": "FoldedRegion", "empty": "EmptyRegion", "no depth": "NoValidDepth"}
+                assert got[0] == want[kind]

@@ -1,10 +1,12 @@
 import inspect
 import itertools
+import math
 import os
 import subprocess
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +393,19 @@ class TestRansacBatchEqualsLoop:
             got = fit_motion_ransac(np.array(pairs), seed=ransac_seed)
             assert got.m.tobytes() == want.m.tobytes()
 
+
+
+class TestInlierBoundary:
+    def test_squared_threshold_decides_as_the_distance(self):
+        # scoring compares the squared residual with RANSAC_INLIER_PX**2. As
+        # sqrt is correctly rounded and monotone, that decides as
+        # sqrt(x) < RANSAC_INLIER_PX for every float64 x when the square is exact
+        c = tracking.RANSAC_INLIER_PX
+        assert Fraction(c) ** 2 == Fraction(c**2), "the inlier threshold's square is not exact"
+        below, above = math.nextafter(c**2, 0.0), math.nextafter(c**2, math.inf)
+        assert math.sqrt(below) < c == math.sqrt(c**2)
+        for x in (0.0, below, c**2, above, math.inf, math.nan):
+            assert (math.sqrt(x) < c) == (x < c**2)
 
 _NONFINITE_SCRIPT = """
 import sys
