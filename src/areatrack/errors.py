@@ -5,10 +5,6 @@ class AreatrackError(Exception):
     """Base class for all package errors."""
 
 
-class DepthIndexError(AreatrackError):
-    """Depth lookup outside the map bounds."""
-
-
 class NoValidDepth(AreatrackError):
     """Every depth pixel available for an operation was invalid."""
 

@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DepthIndexError, SingularTransform
+from .errors import SingularTransform
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class BBox:
     def area(self) -> float:
         return self.w * self.h
 
-    @classmethod
-    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
-        return cls(cx - w / 2.0, cy - h / 2.0, w, h)
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -113,18 +109,6 @@ class DepthMap:
         self.height = int(height)
         self.values = values.reshape(height, width)
         self.values.setflags(write=False)
-
-    def depth_at(self, u: int, v: int) -> Optional[float]:
-        """Nearest-integer-pixel depth; None when the stored value is invalid.
-
-        Out-of-range indices are a contract violation and raise.
-        """
-        if not (0 <= u < self.width and 0 <= v < self.height):
-            raise DepthIndexError(f"pixel ({u}, {v}) outside {self.width}x{self.height}")
-        z = float(self.values[v, u])
-        if not math.isfinite(z) or z <= 0.0:
-            return None
-        return z
 
 
 # a transform whose 2x2 linear part has |determinant| at or below this is singular

@@ -1,12 +1,12 @@
-"""Multi-object tracking: camera-motion compensation, an 8-dim
-constant-velocity Kalman filter per track, two-stage IoU association with
-Hungarian assignment, and track lifecycle management.
+"""Multi-object tracking: camera-motion compensation, a constant-velocity
+Kalman filter per track, two-stage IoU association with Hungarian
+assignment, and track lifecycle management.
 
 The live tracks are held as row-aligned arrays (``Tracks``), and each frame
 is array work on them, not a loop per track or per pair: the tracks are
 moved, predicted and updated in one batch, and each association stage
-builds its IoU cost matrix with one ``iou_matrix`` call. The batched
-filter equals the per-track matrix products bit for bit."""
+builds its IoU cost matrix with one ``iou_matrix`` call. The filter is
+elementwise arithmetic on each track's four 2x2 covariance blocks."""
 
 from __future__ import annotations
 
@@ -41,8 +41,13 @@ RANK_CERT = 128.0
 @dataclass(frozen=True)
 class Tracks:
     """The live tracks, one row each, oldest first: ids (N,), Kalman means
-    (N, 8) over (cx, cy, w, h, vx, vy, vw, vh), covariances (N, 8, 8) and
-    consecutive missed frames (N,)."""
+    (N, 8) over (cx, cy, w, h, vx, vy, vw, vh), covariances (N, 3, 4) and
+    consecutive missed frames (N,).
+
+    F, H, Q, R and the initial covariance tie each of cx, cy, w and h only
+    to its own velocity, and motion compensation moves only the mean, so an
+    8x8 covariance is four 2x2 blocks [[p, c], [c, v]], one per box entry,
+    and 0 elsewhere. Its rows here are p, c and v of the four blocks."""
 
     ids: np.ndarray
     mean: np.ndarray
@@ -59,14 +64,6 @@ def _noise_stds(w, h) -> np.ndarray:
     return np.stack([s * w, s * h, s * w, s * h, v * w, v * h, v * w, v * h], axis=-1)
 
 
-def _diag(d: np.ndarray) -> np.ndarray:
-    """(N, k) rows as (N, k, k) diagonal matrices."""
-    n, k = d.shape
-    out = np.zeros((n, k, k))
-    out.reshape(n, k * k)[:, :: k + 1] = d
-    return out
-
-
 def _measurements(xywh: np.ndarray) -> np.ndarray:
     """``[x, y, w, h]`` rows (K, 4) as ``[cx, cy, w, h]`` rows, rounded as
     ``BBox.cx`` and ``BBox.cy`` round."""
@@ -76,59 +73,53 @@ def _measurements(xywh: np.ndarray) -> np.ndarray:
 
 def initiate(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """New tracks at ``[x, y, w, h]`` rows (K, 4), at rest: means (K, 8),
-    covariances (K, 8, 8)."""
+    covariance blocks (K, 3, 4)."""
     z = _measurements(xywh)
     mean = np.hstack([z, np.zeros_like(z)])
     std = _noise_stds(np.maximum(z[:, 2], 1.0), np.maximum(z[:, 3], 1.0))
     std[:, :4] *= 2.0
     std[:, 4:] *= 10.0
-    return mean, _diag(np.square(std))
+    var = np.square(std)
+    return mean, np.stack([var[:, :4], np.zeros_like(z), var[:, 4:]], axis=1)
 
 
 def predict(mean: np.ndarray, covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One constant-velocity step for N tracks: means (N, 8), covariances
-    (N, 8, 8) to ``F m`` and ``F P F^T + Q``, symmetrised.
+    """One constant-velocity step for N tracks: means (N, 8) to ``F m`` and
+    covariance blocks (N, 3, 4) to those of ``F P F^T + Q``.
 
-    F adds each velocity to its position, so ``F P`` adds the velocity rows
-    to the position rows and ``(F P) F^T`` does the same with columns. These
-    sums equal the 8x8 matrix products bit for bit.
+    F adds each velocity to its position, so each block [[p, c], [c, v]]
+    becomes [[(p + c) + (c + v), c + v], [c + v, v]] plus the diagonal Q.
     """
     w, h = np.maximum(mean[:, 2], 1.0), np.maximum(mean[:, 3], 1.0)
-    q = _diag(np.square(_noise_stds(w, h)))
+    q = np.square(_noise_stds(w, h))
     mean = mean.copy()
     mean[:, :4] += mean[:, 4:]
-    fp = covariance.copy()
-    fp[:, :4] += covariance[:, 4:]
-    cov = fp.copy()
-    cov[:, :, :4] += fp[:, :, 4:]
-    cov += q
-    cov = 0.5 * (cov + cov.swapaxes(1, 2))
-    return mean, cov
+    p, c, v = covariance.transpose(1, 0, 2)
+    cv = c + v
+    return mean, np.stack([(p + c) + cv + q[:, :4], cv, v + q[:, 4:]], axis=1)
 
 
 def kf_update(
     mean: np.ndarray, covariance: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear Kalman measurement update of N tracks on (cx, cy, w, h) rows
-    ``z`` (N, 4); means (N, 8), covariances (N, 8, 8).
+    ``z`` (N, 4); means (N, 8), covariance blocks (N, 3, 4).
 
-    H keeps the first four state entries, so ``H m``, ``H P H^T`` and
-    ``H P^T`` are slices and ``I - K H`` is the identity minus K in its first
-    four columns. All gains come from one batched solve.
+    H keeps the positions, so each block's innovation variance is the
+    scalar p + r and its gains are p / (p + r) for the position and
+    c / (p + r) for the velocity. The new block is ``(I - K H) P``,
+    symmetrised.
     """
     w, h = np.maximum(mean[:, 2], 1.0), np.maximum(mean[:, 3], 1.0)
-    r = _diag(np.square(_noise_stds(w, h)[:, :4]))
+    r = np.square(_noise_stds(w, h)[:, :4])
+    p, c, v = covariance.transpose(1, 0, 2)
+    # gains times the reciprocal round as OpenBLAS's np.linalg.solve of diagonal p + r does
+    inv = 1.0 / (p + r)
+    kp, kv = p * inv, c * inv
     innov = z - mean[:, :4]
-    S = covariance[:, :4, :4] + r
-    K = np.linalg.solve(S.swapaxes(1, 2), covariance.swapaxes(1, 2)[:, :4]).swapaxes(1, 2)
-    # stacked (8, 4) @ (4, 1) products: the same matrix-vector product per
-    # track as K @ innov, where an einsum or (N, 4) @ K^T may sum differently
-    mean = mean + np.matmul(K, innov[:, :, None])[:, :, 0]
-    ikh = np.tile(np.eye(8), (len(mean), 1, 1))
-    ikh[:, :, :4] -= K
-    cov = ikh @ covariance
-    cov = 0.5 * (cov + cov.swapaxes(1, 2))
-    return mean, cov
+    mean = np.hstack([mean[:, :4] + kp * innov, mean[:, 4:] + kv * innov])
+    keep = 1.0 - kp
+    return mean, np.stack([keep * p, 0.5 * (keep * c + (c - kv * p)), v - kv * c], axis=1)
 
 
 def _sample_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -288,7 +279,7 @@ class Tracker:
 
     def __init__(self):
         self.tracks = Tracks(
-            np.zeros(0, np.int64), np.zeros((0, 8)), np.zeros((0, 8, 8)), np.zeros(0, np.int64)
+            np.zeros(0, np.int64), np.zeros((0, 8)), np.zeros((0, 3, 4)), np.zeros(0, np.int64)
         )
         self._next_id = 1
         self._last_frame: Optional[int] = None

@@ -46,16 +46,16 @@ class TestPfm:
         payload = struct.pack("<4f", 3.0, 4.0, 1.0, 2.0)
         data = b"Pf\n2 2\n-1.0\n" + payload
         d = parse_pfm(data)
-        assert d.depth_at(0, 0) == 1.0
-        assert d.depth_at(1, 0) == 2.0
-        assert d.depth_at(0, 1) == 3.0
-        assert d.depth_at(1, 1) == 4.0
+        assert d.values[0, 0] == 1.0
+        assert d.values[0, 1] == 2.0
+        assert d.values[1, 0] == 3.0
+        assert d.values[1, 1] == 4.0
 
     def test_big_endian_positive_scale(self):
         payload = struct.pack(">2f", 5.0, 6.0)
         d = parse_pfm(b"Pf\n2 1\n1.0\n" + payload)
-        assert d.depth_at(0, 0) == 5.0
-        assert d.depth_at(1, 0) == 6.0
+        assert d.values[0, 0] == 5.0
+        assert d.values[0, 1] == 6.0
 
     def test_decode_is_a_read_only_view_of_the_input(self):
         rng = np.random.default_rng(4)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from areatrack.errors import DepthIndexError
 from areatrack.geometry import (
     BBox,
     CameraIntrinsics,
@@ -99,33 +98,15 @@ def test_bbox_rejects_nonfinite(field, value):
 class TestDepthMap:
     def test_uniform(self):
         d = DepthMap(4, 3, np.full(12, 5.0))
-        assert d.depth_at(0, 0) == 5.0
-        assert d.depth_at(3, 2) == 5.0
-
-    def test_nan_invalid(self):
-        vals = np.full((5, 5), 2.0)
-        vals[3, 3] = np.nan
-        d = DepthMap(5, 5, vals)
-        assert d.depth_at(3, 3) is None
-        assert d.depth_at(2, 3) == 2.0
-
-    def test_nonpositive_invalid(self):
-        d = DepthMap(2, 1, np.array([0.0, -1.0]))
-        assert d.depth_at(0, 0) is None
-        assert d.depth_at(1, 0) is None
+        assert d.values.shape == (3, 4)
+        assert d.values[0, 0] == 5.0
+        assert d.values[2, 3] == 5.0
 
     def test_row_major_layout(self):
         w, h = 7, 5
         vals = np.array([u + v for v in range(h) for u in range(w)], dtype=float)
         d = DepthMap(w, h, vals)
-        assert d.depth_at(2, 3) == 5.0
-
-    def test_out_of_range_raises(self):
-        d = DepthMap(2, 2, np.ones(4))
-        with pytest.raises(DepthIndexError):
-            d.depth_at(2, 0)
-        with pytest.raises(DepthIndexError):
-            d.depth_at(0, -1)
+        assert d.values[3, 2] == 5.0
 
     @given(st.integers(1, 8), st.integers(1, 8), st.randoms(use_true_random=False))
     def test_matches_bruteforce_layout(self, w, h, rnd):
@@ -133,7 +114,7 @@ class TestDepthMap:
         d = DepthMap(w, h, np.array(vals))
         for v in range(h):
             for u in range(w):
-                assert d.depth_at(u, v) == pytest.approx(vals[v * w + u], rel=1e-6)
+                assert d.values[v, u] == pytest.approx(vals[v * w + u], rel=1e-6)
 
 
 def test_pixel_grid_floor_ceil():

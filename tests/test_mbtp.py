@@ -294,8 +294,8 @@ def reference_center_distance(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> f
     y0, y1 = (min(max(t, 0.0), intr.height - 1.0) for t in (b.y, b.bottom))
     u = min(max(int(round(x0 + max(0.0, x1 - x0) / 2.0)), 0), intr.width - 1)
     v = min(max(int(round(y0 + max(0.0, y1 - y0) / 2.0)), 0), intr.height - 1)
-    z = d.depth_at(u, v)
-    if z is None:
+    z = float(d.values[v, u])
+    if not (math.isfinite(z) and z > 0.0):
         u0, u1, v0, v1 = pixel_grid(b, intr)
         if u0 >= u1 or v0 >= v1:
             raise NoValidDepth("box does not intersect the image")

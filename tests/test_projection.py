@@ -13,19 +13,19 @@ INTR = CameraIntrinsics(f_u=1000.0, f_v=1000.0, p_u=960.0, p_v=540.0, width=1920
 class TestCenterDistance:
     def test_on_axis(self):
         d = DepthMap(1920, 1080, np.full((1080, 1920), 5.0, np.float32))
-        b = BBox.from_center(INTR.p_u, INTR.p_v, 40, 40)
+        b = BBox(INTR.p_u - 20.0, INTR.p_v - 20.0, 40, 40)
         assert center_distance(b, d, INTR) == pytest.approx(5.0)
 
     def test_off_axis_norm(self):
         d = DepthMap(1920, 1080, np.full((1080, 1920), 10.0, np.float32))
-        b = BBox.from_center(INTR.p_u + 500, INTR.p_v, 20, 20)
+        b = BBox(INTR.p_u + 490.0, INTR.p_v - 10.0, 20, 20)
         assert center_distance(b, d, INTR) == pytest.approx(math.sqrt(125), rel=1e-6)
 
     def test_median_fallback(self):
         vals = np.full((1080, 1920), 8.0, np.float32)
         vals[530:550, 950:970] = np.nan  # hole over the center
         d = DepthMap(1920, 1080, vals)
-        b = BBox.from_center(960, 540, 100, 100)
+        b = BBox(910.0, 490.0, 100, 100)
         assert center_distance(b, d, INTR) == pytest.approx(8.0, rel=1e-3)
 
     def test_all_invalid_raises(self):
@@ -42,5 +42,5 @@ class TestCenterDistance:
             u = rng.uniform(0, 1900)
             v = rng.uniform(0, 1060)
             b = BBox(u, v, 20, 20)
-            z = d.depth_at(int(round(min(b.cx, 1919))), int(round(min(b.cy, 1079))))
+            z = d.values[int(round(min(b.cy, 1079))), int(round(min(b.cx, 1919)))]
             assert center_distance(b, d, INTR) >= z - 1e-9

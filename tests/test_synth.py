@@ -191,18 +191,18 @@ class TestHeightMasked:
 class TestRenderDepth:
     def test_plane_center_pixel(self):
         d = render_depth(plane_scene(z0=5.0), 0)
-        assert d.depth_at(160, 120) == pytest.approx(5.0, abs=1e-6)
+        assert d.values[120, 160] == pytest.approx(5.0, abs=1e-6)
 
     def test_plane_off_axis_constant(self):
         # camera-frame depth of a fronto-parallel plane is z0 everywhere
         d = render_depth(plane_scene(z0=7.0), 0)
-        assert d.depth_at(10, 10) == pytest.approx(7.0, abs=1e-5)
-        assert d.depth_at(300, 200) == pytest.approx(7.0, abs=1e-5)
+        assert d.values[10, 10] == pytest.approx(7.0, abs=1e-5)
+        assert d.values[200, 300] == pytest.approx(7.0, abs=1e-5)
 
     def test_depression_visible_in_depth(self):
         p = PotholeSpec(center=(0.0, 0.0), a=0.3, b=0.2, depth=0.05)
         d = render_depth(plane_scene(z0=5.0, potholes=[p]), 0)
-        assert d.depth_at(160, 120) == pytest.approx(5.05, abs=1e-5)
+        assert d.values[120, 160] == pytest.approx(5.05, abs=1e-5)
 
     def test_tilted_plane_depth(self):
         spec = SceneSpec(
@@ -212,7 +212,7 @@ class TestRenderDepth:
         # ray through pixel v: y = yhat * z, z = z0 + tan(pitch) * y
         m = math.tan(math.radians(5.0))
         yhat = (200 - INTR.p_v) / INTR.f_v
-        assert d.depth_at(160, 200) == pytest.approx(5.0 / (1.0 - m * yhat), rel=1e-6)
+        assert d.values[200, 160] == pytest.approx(5.0 / (1.0 - m * yhat), rel=1e-6)
 
 
 def _cast_every_ray(spec, frame, rng=None):
