@@ -111,7 +111,7 @@ class DepthMap:
         self.values.setflags(write=False)
 
 
-# a transform whose 2x2 linear part has |determinant| at or below this is singular
+# a transform whose 2x2 block or whole 3x3 matrix has |determinant| at or below this is singular
 SINGULAR_DET = 1e-9
 
 
@@ -125,8 +125,15 @@ class MotionTransform:
         m = np.asarray(self.m, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError("transform must be 3x3")
-        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) <= SINGULAR_DET:
+        # Python floats, which overflow to inf and NaN without a warning
+        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+        block = a * e - b * d
+        # along the third row, so an affine map's determinant is exactly the block's
+        det = g * (b * f - c * e) - h * (a * f - c * d) + i * block
+        if abs(block) <= SINGULAR_DET:
             raise SingularTransform("upper-left 2x2 block is singular")
+        if abs(det) <= SINGULAR_DET:
+            raise SingularTransform("3x3 matrix is singular")
         object.__setattr__(self, "m", m)
 
     @classmethod

@@ -21,8 +21,8 @@ import yaml
 from scipy.spatial.transform import Rotation
 
 from . import formats
-from .errors import FormatError, PotholeNeverVisible, SingularTransform
-from .geometry import BBox, CameraIntrinsics, DepthMap, Detection, MotionTransform, pixel_grid
+from .errors import FormatError, PotholeNeverVisible
+from .geometry import BBox, CameraIntrinsics, DepthMap, Detection, pixel_grid
 
 # ---------------------------------------------------------------------------
 # surface models (world frame: x right, y down, z forward)
@@ -194,7 +194,6 @@ class GroundTruth:
     boxes: dict[int, dict[int, BBox]]  # frame -> pothole id -> box
     planar_areas: dict[int, float]  # pothole id -> pi*a*b
     surface_areas: dict[int, float]  # pothole id -> integrated opening area
-    motions: dict[int, MotionTransform]  # frame -> transform from frame-1
 
 
 # ---------------------------------------------------------------------------
@@ -312,45 +311,25 @@ def _confidence(dist: float, noise: NoiseSpec, rng: np.random.Generator) -> floa
     return float(np.clip(c, 0.05, 0.99))
 
 
-def _reproject(
-    spec: SceneSpec, prev_frame: int, frame: int, uu: np.ndarray, vv: np.ndarray
+def _correspondences(
+    spec: SceneSpec, prev_frame: int, frame: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pixels (uu, vv) of ``prev_frame`` cast onto the surface and projected
-    into ``frame``, as (k, 2, 2) ``[[x0, y0], [x1, y1]]`` rows in flattened
-    pixel order; pixels whose surface point is behind the camera are left out."""
+    """``spec.n_correspondences`` random pixels of ``prev_frame`` cast onto
+    the surface and projected into ``frame``, as (k, 2, 2) ``[[x0, y0],
+    [x1, y1]]`` rows in draw order; pixels whose surface point is behind the
+    camera are left out."""
     intr = spec.intrinsics
+    n = spec.n_correspondences
+    uu = rng.uniform(0, intr.width - 1, size=n)
+    vv = rng.uniform(0, intr.height - 1, size=n)
     prev_pose = spec.pose(prev_frame)
     xs_hat, ys_hat = intr.ray(uu, vv)
     z = _solve_depth(spec.surface, prev_pose, xs_hat, ys_hat)
     d = _ray_dirs(prev_pose.rotation(), xs_hat, ys_hat)
     world = np.asarray(prev_pose.position) + z[..., None] * d
-    curr = _project_world(world.reshape(-1, 3), spec.pose(frame), intr)
+    curr = _project_world(world, spec.pose(frame), intr)
     ok = ~np.isnan(curr).any(axis=1)
-    return np.stack([np.column_stack([uu.ravel(), vv.ravel()])[ok], curr[ok]], axis=1)
-
-
-def _true_motion(spec: SceneSpec, prev_frame: int, frame: int) -> MotionTransform:
-    """Best-fit affine pixel map from the previous frame to this one,
-    computed from exact projections of static surface points."""
-    intr = spec.intrinsics
-    us = np.linspace(0.15, 0.85, 12) * intr.width
-    vs = np.linspace(0.15, 0.85, 12) * intr.height
-    uu, vv = np.meshgrid(us, vs)
-    pairs = _reproject(spec, prev_frame, frame, uu, vv)
-    fit = MotionTransform.fit(pairs[:, 0], pairs[:, 1])
-    if fit is None:
-        raise SingularTransform(f"no affine map from frame {prev_frame} to frame {frame}")
-    return fit
-
-
-def _correspondences(
-    spec: SceneSpec, prev_frame: int, frame: int, rng: np.random.Generator
-) -> np.ndarray:
-    intr = spec.intrinsics
-    n = spec.n_correspondences
-    uu = rng.uniform(0, intr.width - 1, size=n)
-    vv = rng.uniform(0, intr.height - 1, size=n)
-    return _reproject(spec, prev_frame, frame, uu, vv)
+    return np.stack([np.column_stack([uu, vv])[ok], curr[ok]], axis=1)
 
 
 def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
@@ -359,7 +338,6 @@ def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
     streams = np.random.SeedSequence(spec.seed).spawn(spec.frames)
     frames: list[FrameData] = []
     gt_boxes: dict[int, dict[int, BBox]] = {}
-    motions: dict[int, MotionTransform] = {}
     seen = {i: False for i in range(len(spec.surface.potholes))}
 
     for k in range(spec.frames):
@@ -391,10 +369,7 @@ def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
                 Detection(det_box, _confidence(dist, spec.noise, rng), class_id=0, frame=k)
             )
         gt_boxes[k] = boxes
-        corr = None
-        if k > 0:
-            motions[k] = _true_motion(spec, k - 1, k)
-            corr = _correspondences(spec, k - 1, k, rng)
+        corr = _correspondences(spec, k - 1, k, rng) if k > 0 else None
         frames.append(FrameData(frame=k, depth=depth, detections=dets, correspondences=corr))
 
     for i, was_seen in seen.items():
@@ -403,7 +378,7 @@ def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:
 
     planar = {i: p.planar_area for i, p in enumerate(spec.surface.potholes)}
     surf = {i: pothole_surface_area(spec.surface, p) for i, p in enumerate(spec.surface.potholes)}
-    return frames, GroundTruth(boxes=gt_boxes, planar_areas=planar, surface_areas=surf, motions=motions)
+    return frames, GroundTruth(boxes=gt_boxes, planar_areas=planar, surface_areas=surf)
 
 
 def scene_spec_from_dict(doc: dict) -> SceneSpec:

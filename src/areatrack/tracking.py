@@ -4,9 +4,10 @@ assignment, and track lifecycle management.
 
 The live tracks are held as row-aligned arrays (``Tracks``), and each frame
 is array work on them, not a loop per track or per pair: the tracks are
-moved, predicted and updated in one batch, and each association stage
-builds its IoU cost matrix with one ``iou_matrix`` call. The filter is
-elementwise arithmetic on each track's four 2x2 covariance blocks."""
+moved, predicted and updated in one batch, and one ``iou_matrix`` call per
+frame gives the IoU of every track with every detection, which both
+association stages slice. The filter is elementwise arithmetic on each
+track's four 2x2 covariance blocks."""
 
 from __future__ import annotations
 
@@ -229,48 +230,43 @@ class AssociationResult:
 
 
 def _match_stage(
-    track_xywh: np.ndarray,
-    track_idx: list[int],
-    det_xywh: np.ndarray,
-    det_idx: list[int],
-    gate: float,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    if not track_idx or not det_idx:
-        return [], list(track_idx), list(det_idx)
-    cost = 1.0 - iou_matrix(track_xywh[track_idx], det_xywh[det_idx])
-    matches = []
-    matched_t, matched_d = set(), set()
-    for i, j in hungarian_solve(cost):
-        if 1.0 - cost[i, j] >= gate:
-            matches.append((track_idx[i], det_idx[j]))
-            matched_t.add(track_idx[i])
-            matched_d.add(det_idx[j])
-    rest_t = [t for t in track_idx if t not in matched_t]
-    rest_d = [d for d in det_idx if d not in matched_d]
-    return matches, rest_t, rest_d
+    ious: np.ndarray, track_idx: np.ndarray, det_idx: np.ndarray, gate: float
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Hungarian matches between the rows ``track_idx`` and the columns
+    ``det_idx`` of ``ious`` whose IoU reaches ``gate``, and the rows and
+    columns left over, in their given order."""
+    if not (len(track_idx) and len(det_idx)):
+        return [], track_idx, det_idx
+    cost = 1.0 - ious[track_idx][:, det_idx]
+    pairs = [(i, j) for i, j in hungarian_solve(cost) if 1.0 - cost[i, j] >= gate]
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    free_t, free_d = np.ones(len(track_idx), bool), np.ones(len(det_idx), bool)
+    free_t[i] = free_d[j] = False
+    return list(zip(track_idx[i].tolist(), det_idx[j].tolist())), track_idx[free_t], det_idx[free_d]
 
 
-def associate(track_xywh: np.ndarray, dets: Sequence[Detection]) -> AssociationResult:
-    """Two-stage IoU association of track boxes, ``[x, y, w, h]`` rows
-    (N, 4), with detections.
+def associate(
+    track_xywh: np.ndarray, det_xywh: np.ndarray, confidence: np.ndarray
+) -> AssociationResult:
+    """Two-stage IoU association of track boxes with detection boxes, both
+    ``[x, y, w, h]`` rows, (N, 4) and (M, 4), given the detections'
+    confidences (M,).
 
     Stage 1 matches all tracks against high-confidence detections; stage 2
     lets remaining tracks pick up low-confidence detections (those between
     the floor and the high threshold) under the second gate. Detections
-    below the floor are never matched.
+    below the floor are never matched. Both stages slice one IoU matrix.
     """
-    high = [i for i, d in enumerate(dets) if d.confidence >= HIGH_CONF_THRESHOLD]
-    low = [
-        i for i, d in enumerate(dets) if LOW_CONF_FLOOR <= d.confidence < HIGH_CONF_THRESHOLD
-    ]
-    det_xywh = as_xywh(d.bbox for d in dets)
-    all_tracks = list(range(len(track_xywh)))
-    m1, rest_t, rest_high = _match_stage(track_xywh, all_tracks, det_xywh, high, IOU_GATE_STAGE1)
-    m2, rest_t, rest_low = _match_stage(track_xywh, rest_t, det_xywh, low, IOU_GATE_STAGE2)
+    ious = iou_matrix(track_xywh, det_xywh)
+    high = np.flatnonzero(confidence >= HIGH_CONF_THRESHOLD)
+    low = np.flatnonzero((confidence >= LOW_CONF_FLOOR) & (confidence < HIGH_CONF_THRESHOLD))
+    all_tracks = np.arange(len(track_xywh))
+    m1, rest_t, rest_high = _match_stage(ious, all_tracks, high, IOU_GATE_STAGE1)
+    m2, rest_t, rest_low = _match_stage(ious, rest_t, low, IOU_GATE_STAGE2)
     return AssociationResult(
         matches=m1 + m2,
-        unmatched_tracks=rest_t,
-        unmatched_detections=rest_high + rest_low,
+        unmatched_tracks=rest_t.tolist(),
+        unmatched_detections=rest_high.tolist() + rest_low.tolist(),
     )
 
 
@@ -294,7 +290,8 @@ class Tracker:
         detection assigned to or spawning a track, by track id.
 
         Matched tracks are updated and unmatched ones age; a track missing
-        more than ``MAX_MISSES`` frames in a row is dropped. Unmatched
+        more than ``MAX_MISSES`` frames in a row is dropped, and a track whose
+        centre ``motion`` sends to infinity ends at once. Unmatched
         high-confidence detections start new tracks after the survivors.
         """
         if self._last_frame is not None and frame <= self._last_frame:
@@ -309,27 +306,27 @@ class Tracker:
             # track centers are pushed forward through it; one stacked 3x3 @ 3
             # product per track, which rounds as MotionTransform.apply_point does
             pts = np.column_stack([mean[:, :2], np.ones(len(mean))])
-            p = np.matmul(motion.m, pts[:, :, None])[:, :, 0]
-            mean = np.column_stack([p[:, :2] / p[:, 2:], mean[:, 2:]])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                p = np.matmul(motion.m, pts[:, :, None])[:, :, 0]
+                mean = np.column_stack([p[:, :2] / p[:, 2:], mean[:, 2:]])
         mean, cov = predict(mean, tracks.cov)
 
         # predicted boxes; each np.where keeps what max(0.0, size) keeps
         w = np.where(mean[:, 2] > 0.0, mean[:, 2], 0.0)
         h = np.where(mean[:, 3] > 0.0, mean[:, 3], 0.0)
         boxes = np.column_stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h])
-        result = associate(boxes, frame_dets)
-
         det_xywh = as_xywh(d.bbox for d in frame_dets)
+        confidence = np.array([d.confidence for d in frame_dets], dtype=np.float64)
+        result = associate(boxes, det_xywh, confidence)
+
         ti, dj = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
         mean[ti], cov[ti] = kf_update(mean[ti], cov[ti], _measurements(det_xywh[dj]))
         misses = tracks.misses + 1
         misses[ti] = 0
-        keep = misses <= MAX_MISSES
+        # a centre sent to infinity has IoU 0 with every box, so it never matches again
+        keep = (misses <= MAX_MISSES) & np.isfinite(mean[:, :2]).all(axis=1)
 
-        born = [
-            j for j in result.unmatched_detections
-            if frame_dets[j].confidence >= HIGH_CONF_THRESHOLD
-        ]
+        born = [j for j in result.unmatched_detections if confidence[j] >= HIGH_CONF_THRESHOLD]
         born_ids = np.arange(self._next_id, self._next_id + len(born))
         self._next_id += len(born)
         born_mean, born_cov = initiate(det_xywh[born])

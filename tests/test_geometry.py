@@ -162,6 +162,11 @@ def test_motion_transform_singular_rejected():
     m[1, 0] = 0.0
     with pytest.raises(SingularTransform):
         MotionTransform(m)
+    # an invertible 2x2 block, but the third row 0 0 0 makes the 3x3 singular
+    m = np.eye(3)
+    m[2, 2] = 0.0
+    with pytest.raises(SingularTransform, match="3x3"):
+        MotionTransform(m)
 
 
 class TestMotionFit:

@@ -648,6 +648,20 @@ class TestCli:
         assert "Traceback" not in res.output
         assert f"error: frame 1: {tmp_path / name}: line {line}:" in res.output
 
+    def test_singular_transform_is_a_data_error(self, scene_dir, tmp_path):
+        # the 2x2 block is the identity, but the third row 0 0 0 maps every
+        # track centre to infinity
+        src, _ = scene_dir
+        for f in src.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        (tmp_path / "motion_0001.txt").write_text("format_version=1\ntransform\n1 0 0\n0 1 0\n0 0 0\n")
+        res = CliRunner().invoke(main, ["estimate", "--manifest", str(tmp_path / "manifest.yaml")])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert [line for line in res.output.splitlines() if line.startswith("error:")] == [
+            "error: frame 1: 3x3 matrix is singular"]
+
     @pytest.mark.parametrize("box", ["x=100 y=100 w=0 h=20", "x=5000 y=100 w=30 h=20"],
                              ids=["zero-width", "off-image"])
     def test_box_without_pixels_costs_only_that_detection(self, scene_dir, tmp_path, caplog, box):

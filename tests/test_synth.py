@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from areatrack import synth
-from areatrack.errors import FormatError, PotholeNeverVisible, SingularTransform
+from areatrack.errors import FormatError, PotholeNeverVisible
 from areatrack.geometry import BBox, CameraIntrinsics
 from areatrack.mbtp import estimate_area
 from areatrack.synth import (
@@ -372,11 +372,15 @@ class TestRender:
             potholes=[PotholeSpec(center=(0.0, 0.0), a=0.3, b=0.2)],
             camera_path=(CameraPose(), CameraPose(position=(0.1, 0.0, 0.0))),
         )
-        _, gt = render(spec)
-        # camera shifts +0.1 m at depth 5: static pixels shift -f*0.1/5 = -6 px
-        x, y = gt.motions[1].apply_point(160.0, 120.0)
-        assert x == pytest.approx(154.0, abs=0.05)
-        assert y == pytest.approx(120.0, abs=0.05)
+        frames, gt = render(spec)
+        # camera shifts +0.1 m at depth 5: static pixels shift -f*0.1/5 = -6 px;
+        # those in the depression lie deeper and shift less, so only the rest count
+        box = gt.boxes[0][0]
+        x0, y0 = frames[1].correspondences[:, 0].T
+        plane = frames[1].correspondences[(x0 < box.x) | (x0 > box.right)
+                                          | (y0 < box.y) | (y0 > box.bottom)]
+        assert len(plane) > 150
+        assert np.abs(plane[:, 1] - plane[:, 0] - [-6.0, 0.0]).max() <= 0.05
 
     def test_correspondences_consistent_with_motion(self):
         spec = plane_scene(
@@ -385,14 +389,12 @@ class TestRender:
             camera_path=(CameraPose(), CameraPose(position=(0.05, 0.02, 0.0))),
             n_correspondences=50,
         )
-        frames, gt = render(spec)
-        t = gt.motions[1]
+        frames, _ = render(spec)
         corr = frames[1].correspondences
         assert corr.dtype == np.float64 and corr.shape == (50, 2, 2)
-        for (p0, p1) in corr[:20]:
-            x, y = t.apply_point(*p0)
-            assert x == pytest.approx(p1[0], abs=0.1)
-            assert y == pytest.approx(p1[1], abs=0.1)
+        # a (0.05, 0.02) m step at depth 5 shifts the plane by -f*t/5 = (-3, -1.2) px;
+        # the 5 cm depression moves its pixels by at most 1% less
+        assert np.abs(corr[:, 1] - corr[:, 0] - [-3.0, -1.2]).max() <= 0.1
 
     def test_next_pose_past_the_surface(self):
         # the second camera sits behind the plane: no surface point projects
@@ -403,8 +405,8 @@ class TestRender:
         )
         corr = _correspondences(spec, 0, 1, np.random.default_rng(0))
         assert corr.dtype == np.float64 and corr.shape == (0, 2, 2)
-        with pytest.raises(SingularTransform):
-            render(spec)
+        frames, _ = render(spec)
+        assert frames[1].correspondences.shape == (0, 2, 2)
 
 
 class TestAreaOracles:

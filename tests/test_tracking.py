@@ -562,18 +562,24 @@ class TestHungarian:
         assert got == pytest.approx(brute_force_assignment(cost))
 
 
+def packed(tracks, dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``associate``'s arguments for track boxes and detections: both box
+    sets as ``[x, y, w, h]`` rows and the detections' confidences."""
+    return as_xywh(tracks), as_xywh(d.bbox for d in dets), np.array([d.confidence for d in dets])
+
+
 class TestAssociate:
     def test_simple_match(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1)]
-        r = associate(as_xywh(tracks), dets)
+        r = associate(*packed(tracks, dets))
         assert r.matches == [(0, 0)]
         assert r.unmatched_tracks == [] and r.unmatched_detections == []
 
     def test_gate_blocks_weak_overlap(self):
         tracks = [BBox(0, 0, 10, 10)]
         dets = [det(9, 9, 10, 10)]  # IoU = 1/199 < 0.3
-        r = associate(as_xywh(tracks), dets)
+        r = associate(*packed(tracks, dets))
         assert r.matches == []
         assert r.unmatched_tracks == [0]
         assert r.unmatched_detections == [0]
@@ -581,32 +587,32 @@ class TestAssociate:
     def test_low_conf_second_stage(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1, conf=0.3)]  # below high threshold, above floor
-        r = associate(as_xywh(tracks), dets)
+        r = associate(*packed(tracks, dets))
         assert r.matches == [(0, 0)]
 
     def test_low_conf_needs_tighter_gate(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(8, 8, conf=0.3)]  # IoU ~ 0.22: passes stage-1 gate but not stage-2
-        r = associate(as_xywh(tracks), dets)
+        r = associate(*packed(tracks, dets))
         assert r.matches == []
 
     def test_below_floor_never_matched(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(0, 0, conf=0.05)]
-        r = associate(as_xywh(tracks), dets)
+        r = associate(*packed(tracks, dets))
         assert r.matches == []
         assert r.unmatched_detections == []
 
     def test_high_conf_priority(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(2, 2, conf=0.2), det(4, 4, conf=0.9)]
-        r = associate(as_xywh(tracks), dets)
+        r = associate(*packed(tracks, dets))
         assert r.matches == [(0, 1)]
 
     def test_two_tracks_two_dets(self):
         tracks = [BBox(0, 0, 20, 20), BBox(100, 100, 20, 20)]
         dets = [det(101, 99), det(1, 2)]
-        r = associate(as_xywh(tracks), dets)
+        r = associate(*packed(tracks, dets))
         assert sorted(r.matches) == [(0, 1), (1, 0)]
 
 
@@ -653,7 +659,7 @@ class TestAssociateEqualsLoop:
                       float(rng.uniform()), 0, 0)
             for _ in range(m)
         ]
-        assert associate(as_xywh(tracks), dets) == reference_associate(tracks, dets)
+        assert associate(*packed(tracks, dets)) == reference_associate(tracks, dets)
 
 
 @dataclass
@@ -829,3 +835,36 @@ class TestTracker:
             a += 8
             b -= 8
         assert ids == {1, 2}
+
+    def test_one_iou_matrix_per_association(self, monkeypatch):
+        # both stages slice one matrix, also in a frame with no tracks yet
+        calls = {"iou_matrix": 0, "associate": 0}
+
+        def counted(name):
+            inner = getattr(tracking, name)
+
+            def call(*args):
+                calls[name] += 1
+                return inner(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(tracking, name, counted(name))
+        tr = Tracker()
+        for k, dets, motion in _crowded_frames(0):
+            tr.step(dets, frame=k, motion=motion)
+        assert calls == {"iou_matrix": 12, "associate": 12}
+
+    def test_track_sent_to_infinity_ends(self):
+        # the third row maps x = 20 to w = 0.0625 * 20 - 1.25 = 0, exactly: the
+        # first track's centre goes to infinity, the second's to a finite point
+        motion = MotionTransform(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0625, 0.0, -1.25]]))
+        x, y = motion.apply_point(110.0, 110.0)
+        tr = Tracker()
+        tr.step([det(10, 10), det(100, 100)], frame=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = tr.step([det(x - 10, y - 10, frame=1)], frame=1, motion=motion)
+        assert [tid for tid, _ in out] == [2]
+        assert tr.tracks.ids.tolist() == [2]
+        assert np.isfinite(tr.tracks.mean).all()
