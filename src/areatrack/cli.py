@@ -15,7 +15,7 @@ from . import formats, synth
 from .bayesopt import SearchSpec, optimize
 from .cdkf import CdkfConfig, NoiseMode
 from .errors import AreatrackError
-from .metrics import evaluate_detections_per_frame
+from .metrics import MIN_TRACK_LEN, evaluate_detections_per_frame
 from .pipeline import PipelineConfig, report_from_records, run_pipeline, smooth_records
 
 
@@ -77,7 +77,7 @@ def estimate(manifest_path, no_smoothing, lam, theta, mode, seed, out_path):
 
 @main.command("eval-area")
 @click.option("--results", "results_path", required=True, type=_INPUT)
-@click.option("--min-track-len", type=click.IntRange(min=2), default=5)
+@click.option("--min-track-len", type=click.IntRange(min=2), default=MIN_TRACK_LEN)
 @click.option("--raw", is_flag=True, default=False, help="score raw instead of smoothed areas")
 def eval_area(results_path, min_track_len, raw):
     """Area-consistency report (per-track MAE/CV/AFD/NIS averages)."""
@@ -116,7 +116,7 @@ def eval_det(dets_path, gt_path, iou_thresh):
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--n-init", type=click.IntRange(min=1), default=5)
 @click.option("--n-iter", type=click.IntRange(min=0), default=30)
-@click.option("--min-track-len", type=click.IntRange(min=2), default=5)
+@click.option("--min-track-len", type=click.IntRange(min=2), default=MIN_TRACK_LEN)
 def optimize_cmd(manifest_path, mode, seed, n_init, n_iter, min_track_len):
     """Tune the noise weights (lambda, theta) by minimizing objective J."""
     manifest = formats.SequenceManifest.load(manifest_path)

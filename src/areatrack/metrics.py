@@ -13,6 +13,7 @@ from .errors import EmptySeries, TooShort, ZeroMean
 from .geometry import BBox, Detection, as_xywh, iou_matrix
 
 AP_IOU_THRESHOLDS = [0.5 + 0.05 * i for i in range(10)]  # 0.50 .. 0.95
+MIN_TRACK_LEN = 5  # the default shortest track that area consistency scores
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ class AreaConsistencyReport:
 def area_consistency_report(
     areas_by_track: dict[int, Sequence[float]],
     nis_by_track: Optional[dict[int, Sequence[float]]] = None,
-    min_track_len: int = 5,
+    min_track_len: int = MIN_TRACK_LEN,
 ) -> AreaConsistencyReport:
     """Per-track statistics of the tracks with at least ``min_track_len``
     areas, and their unweighted averages.

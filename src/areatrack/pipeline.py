@@ -10,6 +10,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .cdkf import CdkfConfig
 from . import cdkf
 from .errors import AreatrackError, DimensionMismatch
@@ -24,7 +26,7 @@ from .formats import (
 )
 from .geometry import CameraIntrinsics, DepthMap, Detection, MotionTransform, as_xywh
 from .mbtp import estimate_areas
-from .metrics import AreaConsistencyReport, area_consistency_report
+from .metrics import MIN_TRACK_LEN, AreaConsistencyReport, area_consistency_report
 from .tracking import Tracker, fit_motion_ransac
 
 log = logging.getLogger(__name__)
@@ -94,21 +96,22 @@ def _process_frame(
     except (AreatrackError, OSError) as e:
         raise FrameProcessingError(entry.frame, e) from e
 
-    # keyed by id(), so equal duplicate detections stay separate measurements
-    fits = [det for det in dets if det.bbox.w <= intr.width and det.bbox.h <= intr.height]
-    estimates = dict(zip(map(id, fits), estimate_areas(as_xywh(d.bbox for d in fits), depth, intr)))
-    measured = []
-    for det in dets:
-        est = estimates.get(id(det))
+    boxes = as_xywh(d.bbox for d in dets)
+    fits = np.flatnonzero((boxes[:, 2] <= intr.width) & (boxes[:, 3] <= intr.height)).tolist()
+    estimates = dict(zip(fits, estimate_areas(boxes[fits], depth, intr)))
+    rows = []  # the measured detections
+    for k, det in enumerate(dets):
+        est = estimates.get(k)
         if est is None:
             log.warning("frame %d: box %s is larger than the %dx%d image, skipping",
                         entry.frame, det.bbox, intr.width, intr.height)
         elif isinstance(est, AreatrackError):
             log.warning("frame %d: box %s: %s, skipping", entry.frame, det.bbox, est)
         else:
-            measured.append(det)
-    for track_id, det in tracker.step(measured, frame=entry.frame, motion=motion):
-        est = estimates[id(det)]
+            rows.append(k)
+    confidence = np.array([dets[k].confidence for k in rows], dtype=np.float64)
+    for track_id, j in tracker.step(boxes[rows], confidence, entry.frame, motion):
+        det, est = dets[rows[j]], estimates[rows[j]]
         records.append(
             FrameResultRecord(
                 frame=entry.frame,
@@ -176,7 +179,7 @@ def smooth_records(
 
 def report_from_records(
     records: list[FrameResultRecord],
-    min_track_len: int = 5,
+    min_track_len: int = MIN_TRACK_LEN,
     smoothed: bool = True,
 ) -> AreaConsistencyReport:
     """Per-track consistency metrics over result records.

@@ -241,8 +241,10 @@ def _solve_depth(
     return z
 
 
-def render_depth(spec: SceneSpec, frame: int, rng: Optional[np.random.Generator] = None) -> DepthMap:
-    """The frame's exact depth; ``rng``, if given, draws its relative depth noise.
+def _surface_depth(
+    surface: Surface, pose: CameraPose, xs_hat: np.ndarray, ys_hat: np.ndarray
+) -> np.ndarray:
+    """Camera-frame depth Z at which each ray (xhat, yhat, 1) meets the surface.
 
     A ray meets a plane or tilted road z = z0 + t*y at Z = (z0 + t*cy - cz) / (dz - t*dy),
     t = 0 for a plane, wherever that denominator is positive. Depressions only
@@ -250,28 +252,33 @@ def render_depth(spec: SceneSpec, frame: int, rng: Optional[np.random.Generator]
     front of the surface all the way to it: the hit is the ray's first root, and
     exact. Where ``_solve_depth`` converges it settles on the same root, so such
     a ray is not iterated. For a camera on the near side of the road, a ray whose
-    denominator is not positive never meets it, and its depth is +inf, which
-    ``DepthMap`` treats as invalid. Only the rays of an undulating road and the
-    rays whose base hit is inside a depression are ray-cast by ``_solve_depth``.
+    denominator is not positive never meets it, and its depth is +inf. Only the
+    rays of an undulating road and the rays whose base hit is inside a
+    depression are ray-cast by ``_solve_depth``.
     """
-    intr = spec.intrinsics
-    pose = spec.pose(frame)
-    surface = spec.surface
-    xs_hat, ys_hat = np.meshgrid(*intr.ray(np.arange(intr.width), np.arange(intr.height)))
     if surface.kind == "undulating":  # no closed form: every ray is cast
-        z = _solve_depth(surface, pose, xs_hat, ys_hat)
-    else:
-        d = _ray_dirs(pose.rotation(), xs_hat, ys_hat)
-        cx, cy, cz = pose.position
-        t = math.tan(math.radians(surface.pitch_deg)) if surface.kind == "tilted" else 0.0
-        den = d[..., 2] - t * d[..., 1]
-        hit = den > 0
-        z = np.divide(surface.z0 + t * cy - cz, den, out=np.full(den.shape, np.inf), where=hit)
-        with np.errstate(invalid="ignore"):  # inf * 0 on the rays with no hit
-            hx, hy = cx + z * d[..., 0], cy + z * d[..., 1]
-            cast = hit & (surface.height(hx, hy) != surface.base_height(hx, hy))
-        if cast.any():
-            z[cast] = _solve_depth(surface, pose, xs_hat[cast], ys_hat[cast])
+        return _solve_depth(surface, pose, xs_hat, ys_hat)
+    d = _ray_dirs(pose.rotation(), xs_hat, ys_hat)
+    cx, cy, cz = pose.position
+    t = math.tan(math.radians(surface.pitch_deg)) if surface.kind == "tilted" else 0.0
+    den = d[..., 2] - t * d[..., 1]
+    hit = den > 0
+    z = np.divide(surface.z0 + t * cy - cz, den, out=np.full(den.shape, np.inf), where=hit)
+    with np.errstate(invalid="ignore"):  # inf * 0 on the rays with no hit
+        hx, hy = cx + z * d[..., 0], cy + z * d[..., 1]
+        cast = hit & (surface.height(hx, hy) != surface.base_height(hx, hy))
+    if cast.any():
+        z[cast] = _solve_depth(surface, pose, xs_hat[cast], ys_hat[cast])
+    return z
+
+
+def render_depth(spec: SceneSpec, frame: int, rng: Optional[np.random.Generator] = None) -> DepthMap:
+    """The frame's exact depth (``_surface_depth`` of every pixel's ray); ``rng``,
+    if given, draws its relative depth noise. A pixel whose ray never meets the
+    road has depth +inf, which ``DepthMap`` treats as invalid."""
+    intr = spec.intrinsics
+    xs_hat, ys_hat = np.meshgrid(*intr.ray(np.arange(intr.width), np.arange(intr.height)))
+    z = _surface_depth(spec.surface, spec.pose(frame), xs_hat, ys_hat)
     if rng is not None:
         z = z * (1.0 + spec.noise.depth_rel_std * rng.standard_normal(z.shape))
     return DepthMap(intr.width, intr.height, z.astype(np.float32))
@@ -316,20 +323,21 @@ def _correspondences(
 ) -> np.ndarray:
     """``spec.n_correspondences`` random pixels of ``prev_frame`` cast onto
     the surface and projected into ``frame``, as (k, 2, 2) ``[[x0, y0],
-    [x1, y1]]`` rows in draw order; pixels whose surface point is behind the
-    camera are left out."""
+    [x1, y1]]`` rows in draw order; pixels whose ray never meets the road,
+    or whose surface point is behind the camera, are left out."""
     intr = spec.intrinsics
     n = spec.n_correspondences
     uu = rng.uniform(0, intr.width - 1, size=n)
     vv = rng.uniform(0, intr.height - 1, size=n)
     prev_pose = spec.pose(prev_frame)
     xs_hat, ys_hat = intr.ray(uu, vv)
-    z = _solve_depth(spec.surface, prev_pose, xs_hat, ys_hat)
-    d = _ray_dirs(prev_pose.rotation(), xs_hat, ys_hat)
-    world = np.asarray(prev_pose.position) + z[..., None] * d
+    z = _surface_depth(spec.surface, prev_pose, xs_hat, ys_hat)
+    hit = np.isfinite(z)
+    d = _ray_dirs(prev_pose.rotation(), xs_hat, ys_hat)[hit]
+    world = np.asarray(prev_pose.position) + z[hit, None] * d
     curr = _project_world(world, spec.pose(frame), intr)
     ok = ~np.isnan(curr).any(axis=1)
-    return np.stack([np.column_stack([uu, vv])[ok], curr[ok]], axis=1)
+    return np.stack([np.column_stack([uu, vv])[hit][ok], curr[ok]], axis=1)
 
 
 def render(spec: SceneSpec) -> tuple[list[FrameData], GroundTruth]:

@@ -12,13 +12,13 @@ track's four 2x2 covariance blocks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfOrderFrame, TooFewCorrespondences
-from .geometry import SINGULAR_DET, Detection, MotionTransform, as_xywh, iou_matrix
+from .geometry import SINGULAR_DET, MotionTransform, iou_matrix
 
 
 # ByteTrack's fixed association settings (Zhang et al., ECCV 2022)
@@ -281,13 +281,12 @@ class Tracker:
         self._last_frame: Optional[int] = None
 
     def step(
-        self,
-        frame_dets: Sequence[Detection],
-        frame: int,
+        self, det_xywh: np.ndarray, confidence: np.ndarray, frame: int,
         motion: Optional[MotionTransform] = None,
-    ) -> list[tuple[int, Detection]]:
-        """Process one frame; returns (track_id, detection) for every
-        detection assigned to or spawning a track, by track id.
+    ) -> list[tuple[int, int]]:
+        """Process one frame's detections, given as ``[x, y, w, h]`` rows
+        (M, 4) and confidences (M,); returns (track_id, row) for every
+        detection row assigned to or spawning a track, by track id.
 
         Matched tracks are updated and unmatched ones age; a track missing
         more than ``MAX_MISSES`` frames in a row is dropped, and a track whose
@@ -315,8 +314,6 @@ class Tracker:
         w = np.where(mean[:, 2] > 0.0, mean[:, 2], 0.0)
         h = np.where(mean[:, 3] > 0.0, mean[:, 3], 0.0)
         boxes = np.column_stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h])
-        det_xywh = as_xywh(d.bbox for d in frame_dets)
-        confidence = np.array([d.confidence for d in frame_dets], dtype=np.float64)
         result = associate(boxes, det_xywh, confidence)
 
         ti, dj = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
@@ -337,7 +334,5 @@ class Tracker:
             misses=np.concatenate([misses[keep], np.zeros(len(born), np.int64)]),
         )
 
-        out = [(int(tracks.ids[i]), frame_dets[j]) for i, j in result.matches]
-        out += [(int(k), frame_dets[j]) for k, j in zip(born_ids, born)]
-        out.sort(key=lambda pair: pair[0])
-        return out
+        matched = [(int(tracks.ids[i]), j) for i, j in result.matches]
+        return sorted(matched + list(zip(born_ids.tolist(), born)))

@@ -15,7 +15,7 @@ from areatrack import formats
 from areatrack.bayesopt import SearchSpec, optimize
 from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode, measurement_noise
 from areatrack import cdkf
-from areatrack.geometry import BBox, CameraIntrinsics, Detection, DepthMap, MotionTransform, iou
+from areatrack.geometry import BBox, CameraIntrinsics, Detection, DepthMap, MotionTransform, as_xywh, iou
 from areatrack.mbtp import ELLIPSE_FACTOR, estimate_area
 from areatrack.metrics import (
     average_precision,
@@ -250,7 +250,7 @@ def test_criterion_06_track_identity():
         tr = Tracker()
         ids = set()
         for k, d in enumerate(seq):
-            out = tr.step([d], frame=k)
+            out = tr.step(as_xywh([d.bbox]), np.array([d.confidence]), frame=k)
             ids.update(tid for tid, _ in out)
         if ids != {1}:
             switches += 1
@@ -269,7 +269,7 @@ def test_criterion_06_track_identity():
                     d.confidence, d.class_id, d.frame,
                 )
             motion = MotionTransform.translation(dx, dy) if k == jump_at else None
-            out = tr.step([d], motion=motion, frame=k)
+            out = tr.step(as_xywh([d.bbox]), np.array([d.confidence]), motion=motion, frame=k)
             ids.update(tid for tid, _ in out)
         if ids != {1}:
             jump_failures += 1

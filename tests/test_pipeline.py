@@ -17,6 +17,7 @@ from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode
 from areatrack.cli import main
 from areatrack.errors import AreatrackError, ZeroConfidence
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap
+from areatrack.mbtp import estimate_area
 from areatrack.pipeline import (
     FrameProcessingError,
     PipelineConfig,
@@ -291,6 +292,40 @@ class TestRunPipeline:
         skips = [r.getMessage() for r in caplog.records if r.getMessage().endswith(", skipping")]
         assert skips and all(m.count("BBox(") == 1 for m in skips), skips
         assert formats.write_results(records) == clean
+
+    def test_equal_detections_are_two_tracks_with_their_own_estimates(self, tmp_path):
+        manifest = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path))
+        single, _ = run_pipeline(manifest, PipelineConfig())
+        for entry in manifest.frames:
+            header, rest = entry.detections_path.read_text().split("\n", 1)
+            entry.detections_path.write_text(f"{header}\n{rest}{rest}")
+        records, _ = run_pipeline(manifest, PipelineConfig())
+        assert [(r.frame, r.track_id) for r in records] == [(s.frame, t) for s in single for t in (1, 2)]
+        for r, s in zip(records, [s for s in single for _ in (1, 2)]):
+            assert dataclasses.replace(r, track_id=1) == s
+
+    def test_each_record_is_its_own_detections(self, tmp_path, caplog):
+        # frame 0 lists a box larger than the image, a box on no depth, then
+        # the pothole and a manhole box: the records are the last two, in order
+        manifest = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path))
+        entry = manifest.frames[0]
+        depth = formats.parse_pfm(entry.depth_path.read_bytes())
+        z = np.array(depth.values)
+        z[:20, :28] = np.nan
+        depth = DepthMap(depth.width, depth.height, z)
+        entry.depth_path.write_bytes(formats.write_pfm(depth))
+        header, rest = entry.detections_path.read_text().split("\n", 1)
+        entry.detections_path.write_text(
+            f"{header}\nframe=0 class_id=0 x=0 y=100 w=1e308 h=20 confidence=0.9\n"
+            f"frame=0 class_id=0 x=4 y=4 w=20 h=12 confidence=0.9\n"
+            f"{rest}frame=0 class_id=1 x=200 y=150 w=30 h=20 confidence=0.7\n")
+        dets = formats.parse_file(entry.detections_path, formats.parse_detections)[0]
+        records, _ = run_pipeline(manifest, PipelineConfig(smoothing=False))
+        assert len([r for r in caplog.records if r.getMessage().endswith(", skipping")]) == 2
+        got = [(r.bbox, r.class_id, r.confidence, r.area_raw_m2) for r in records if r.frame == 0]
+        want = [(d.bbox, d.class_id, d.confidence, estimate_area(d.bbox, depth, INTR).area_m2)
+                for d in dets[2:]]
+        assert got == want
 
     @pytest.mark.parametrize("files", [10, 2, 1], ids=["per-frame", "interleaved", "shared"])
     def test_each_detections_file_parsed_once(self, scene_dir, tmp_path, monkeypatch, files):

@@ -408,6 +408,23 @@ class TestRender:
         frames, _ = render(spec)
         assert frames[1].correspondences.shape == (0, 2, 2)
 
+    def test_ray_that_never_meets_the_road_gives_no_pair(self):
+        # a 70 degree road: rays with 1 - tan(70 deg) * yhat <= 0 never meet it
+        intr = CameraIntrinsics(f_u=1000.0, f_v=1000.0, p_u=960.0, p_v=540.0,
+                                width=1920, height=1080)
+        spec = SceneSpec(intrinsics=intr, surface=Surface(kind="tilted", z0=6.0, pitch_deg=70.0),
+                         frames=2, camera_path=(CameraPose(), CameraPose(position=(0.0, 0.0, 0.3))),
+                         n_correspondences=400)
+        corr = _correspondences(spec, 0, 1, np.random.default_rng(0))
+        # the same draws, kept where the ray meets the road, in draw order
+        rng = np.random.default_rng(0)
+        uv = np.column_stack([rng.uniform(0, 1919, size=400), rng.uniform(0, 1079, size=400)])
+        hits = 1.0 - math.tan(math.radians(70.0)) * intr.ray(uv[:, 0], uv[:, 1])[1] > 0
+        assert 0 < hits.sum() < 400
+        assert np.isfinite(corr).all()
+        assert corr[:, 0].tobytes() == uv[hits].tobytes()
+        assert np.isposinf(render_depth(spec, 0).values).sum() == 1920 * 176
+
 
 class TestAreaOracles:
     def test_ellipse_planar_area(self):

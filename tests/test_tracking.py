@@ -562,10 +562,16 @@ class TestHungarian:
         assert got == pytest.approx(brute_force_assignment(cost))
 
 
+def rows(dets) -> tuple[np.ndarray, np.ndarray]:
+    """``Tracker.step``'s detection arguments: the boxes as ``[x, y, w, h]``
+    rows and the confidences."""
+    return as_xywh(d.bbox for d in dets), np.array([d.confidence for d in dets])
+
+
 def packed(tracks, dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``associate``'s arguments for track boxes and detections: both box
     sets as ``[x, y, w, h]`` rows and the detections' confidences."""
-    return as_xywh(tracks), as_xywh(d.bbox for d in dets), np.array([d.confidence for d in dets])
+    return (as_xywh(tracks), *rows(dets))
 
 
 class TestAssociate:
@@ -741,7 +747,8 @@ class TestTrackerBatchEqualsLoop:
         monkeypatch.setattr(tracking, "MAX_MISSES", 3)
         got, want = Tracker(), RefTracker([])
         for k, dets, motion in frames:
-            assert got.step(dets, frame=k, motion=motion) == reference_step(want, dets, motion)
+            out = got.step(*rows(dets), frame=k, motion=motion)
+            assert [(tid, dets[j]) for tid, j in out] == reference_step(want, dets, motion)
             t = got.tracks
             assert len(t) == len(want.tracks) > 0
             assert t.ids.tolist() == [r.id for r in want.tracks]
@@ -768,55 +775,55 @@ def test_confidence_band_constants():
 class TestTracker:
     def test_ids_start_at_one(self):
         tr = Tracker()
-        out = tr.step([det(0, 0, frame=0), det(100, 100, frame=0)], frame=0)
+        out = tr.step(*rows([det(0, 0, frame=0), det(100, 100, frame=0)]), frame=0)
         assert sorted(tid for tid, _ in out) == [1, 2]
 
     def test_identity_persists(self):
         tr = Tracker()
-        tr.step([det(0, 0, frame=0)], frame=0)
+        tr.step(*rows([det(0, 0, frame=0)]), frame=0)
         for k in range(1, 8):
-            out = tr.step([det(2 * k, 0, frame=k)], frame=k)
+            out = tr.step(*rows([det(2 * k, 0, frame=k)]), frame=k)
             assert [tid for tid, _ in out] == [1]
 
     def test_low_conf_never_spawns(self):
         tr = Tracker()
-        out = tr.step([det(0, 0, conf=0.3, frame=0)], frame=0)
+        out = tr.step(*rows([det(0, 0, conf=0.3, frame=0)]), frame=0)
         assert out == []
         assert len(tr.tracks) == 0
 
     def test_low_conf_continues_existing(self):
         tr = Tracker()
-        tr.step([det(0, 0, frame=0)], frame=0)
-        out = tr.step([det(1, 1, conf=0.3, frame=1)], frame=1)
+        tr.step(*rows([det(0, 0, frame=0)]), frame=0)
+        out = tr.step(*rows([det(1, 1, conf=0.3, frame=1)]), frame=1)
         assert [tid for tid, _ in out] == [1]
 
     def test_track_dies_after_max_misses(self, monkeypatch):
         monkeypatch.setattr(tracking, "MAX_MISSES", 3)
         tr = Tracker()
-        tr.step([det(0, 0, frame=0)], frame=0)
+        tr.step(*rows([det(0, 0, frame=0)]), frame=0)
         for k in range(1, 5):
-            tr.step([], frame=k)
+            tr.step(*rows([]), frame=k)
         assert len(tr.tracks) == 0
-        out = tr.step([det(0, 0, frame=10)], frame=10)
+        out = tr.step(*rows([det(0, 0, frame=10)]), frame=10)
         assert [tid for tid, _ in out] == [2]  # fresh id, not reused
 
     def test_out_of_order_frame(self):
         tr = Tracker()
-        tr.step([det(0, 0, frame=5)], frame=5)
+        tr.step(*rows([det(0, 0, frame=5)]), frame=5)
         with pytest.raises(OutOfOrderFrame):
-            tr.step([det(0, 0, frame=5)], frame=5)
+            tr.step(*rows([det(0, 0, frame=5)]), frame=5)
         with pytest.raises(OutOfOrderFrame):
-            tr.step([det(0, 0, frame=3)], frame=3)
+            tr.step(*rows([det(0, 0, frame=3)]), frame=3)
 
     def test_camera_jump_breaks_without_compensation(self):
         # a 60 px pan between frames: without motion input the id flips,
         # with the true transform supplied the track survives
         def run(with_motion: bool):
             tr = Tracker()
-            tr.step([det(100, 100, 30, 30, frame=0)], frame=0)
-            tr.step([det(100, 100, 30, 30, frame=1)], frame=1)
+            tr.step(*rows([det(100, 100, 30, 30, frame=0)]), frame=0)
+            tr.step(*rows([det(100, 100, 30, 30, frame=1)]), frame=1)
             motion = MotionTransform.translation(60.0, 0.0) if with_motion else None
-            out = tr.step([det(160, 100, 30, 30, frame=2)], motion=motion, frame=2)
+            out = tr.step(*rows([det(160, 100, 30, 30, frame=2)]), motion=motion, frame=2)
             return [tid for tid, _ in out]
 
         assert run(with_motion=True) == [1]
@@ -829,7 +836,7 @@ class TestTracker:
         ids = set()
         for k in range(10):
             out = tr.step(
-                [det(a, 0, 30, 30, frame=k), det(b, 100, 30, 30, frame=k)], frame=k
+                *rows([det(a, 0, 30, 30, frame=k), det(b, 100, 30, 30, frame=k)]), frame=k
             )
             ids.update(tid for tid, _ in out)
             a += 8
@@ -852,7 +859,7 @@ class TestTracker:
             monkeypatch.setattr(tracking, name, counted(name))
         tr = Tracker()
         for k, dets, motion in _crowded_frames(0):
-            tr.step(dets, frame=k, motion=motion)
+            tr.step(*rows(dets), frame=k, motion=motion)
         assert calls == {"iou_matrix": 12, "associate": 12}
 
     def test_track_sent_to_infinity_ends(self):
@@ -861,10 +868,10 @@ class TestTracker:
         motion = MotionTransform(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0625, 0.0, -1.25]]))
         x, y = motion.apply_point(110.0, 110.0)
         tr = Tracker()
-        tr.step([det(10, 10), det(100, 100)], frame=0)
+        tr.step(*rows([det(10, 10), det(100, 100)]), frame=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = tr.step([det(x - 10, y - 10, frame=1)], frame=1, motion=motion)
+            out = tr.step(*rows([det(x - 10, y - 10, frame=1)]), frame=1, motion=motion)
         assert [tid for tid, _ in out] == [2]
         assert tr.tracks.ids.tolist() == [2]
         assert np.isfinite(tr.tracks.mean).all()
