@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import math
 import mmap
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -143,22 +144,32 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
         yield line_no, line
 
 
-def _fields(line: str, line_no: int, keys: tuple[str, ...]) -> dict[str, str]:
-    """The key=value tokens of a record line, which must hold every key in ``keys``."""
-    fields = {}
-    for token in line.split():
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise MalformedLine(line_no, f"token {token!r} is not key=value")
-        fields[key] = value
-    for k in keys:
-        if k not in fields:
-            raise MalformedLine(line_no, f"missing field {k!r}")
-    return fields
+def _records(text: str, keys: tuple[str, ...], make) -> list:
+    """``make(*values)`` of each record line, its values in ``keys`` order (a repeated
+    key keeps its last value). A line's first fault is its ``MalformedLine``: a token
+    that is not key=value, then the first of ``keys`` it lacks, then ``make``'s error."""
+    get = operator.itemgetter(*keys)  # KeyError names the first missing key; 2+ keys give a tuple
+    out = []
+    for line_no, line in _data_lines(text):
+        fields = {}
+        for token in line.split():
+            key, eq, value = token.partition("=")
+            if not eq:
+                raise MalformedLine(line_no, f"token {token!r} is not key=value")
+            fields[key] = value
+        try:
+            values = get(fields)
+        except KeyError as e:
+            raise MalformedLine(line_no, f"missing field {e.args[0]!r}") from None
+        try:
+            out.append(make(*values))
+        except (ValueError, TypeError) as e:
+            raise MalformedLine(line_no, str(e)) from None
+    return out
 
 
-def _box(fields: dict[str, str]) -> BBox:
-    box = BBox(float(fields["x"]), float(fields["y"]), float(fields["w"]), float(fields["h"]))
+def _box(x: str, y: str, w: str, h: str) -> BBox:
+    box = BBox(float(x), float(y), float(w), float(h))
     # BBox itself allows such boxes; the estimator cannot index them
     if not (math.isfinite(box.right) and math.isfinite(box.bottom)):
         raise ValueError(f"box far edge overflows: right={box.right} bottom={box.bottom}")
@@ -174,16 +185,15 @@ def write_records(lines: Iterable[str]) -> str:
 # detections and per-frame results: key=value records
 
 
+def _detection(frame, class_id, x, y, w, h, confidence) -> Detection:
+    return Detection(frame=int(frame), class_id=int(class_id), bbox=_box(x, y, w, h),
+                     confidence=float(confidence))
+
+
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Line-delimited detections grouped by frame, input order preserved."""
     out: dict[int, list[Detection]] = {}
-    for line_no, line in _data_lines(text):
-        f = _fields(line, line_no, ("frame", "class_id", "x", "y", "w", "h", "confidence"))
-        try:
-            det = Detection(frame=int(f["frame"]), class_id=int(f["class_id"]),
-                            bbox=_box(f), confidence=float(f["confidence"]))
-        except (ValueError, TypeError) as e:
-            raise MalformedLine(line_no, str(e)) from None
+    for det in _records(text, ("frame", "class_id", "x", "y", "w", "h", "confidence"), _detection):
         out.setdefault(det.frame, []).append(det)
     return out
 
@@ -244,28 +254,14 @@ _RESULT_KEYS = (
 )
 
 
+def _result(frame, track_id, class_id, x, y, w, h, *rest) -> FrameResultRecord:
+    """A result record; ``rest`` holds the float fields from ``confidence`` on."""
+    return FrameResultRecord(int(frame), int(track_id), int(class_id), _box(x, y, w, h),
+                             *map(float, rest))
+
+
 def parse_results(text: str) -> list[FrameResultRecord]:
-    out = []
-    for line_no, line in _data_lines(text):
-        f = _fields(line, line_no, _RESULT_KEYS)
-        try:
-            out.append(
-                FrameResultRecord(
-                    frame=int(f["frame"]),
-                    track_id=int(f["track_id"]),
-                    class_id=int(f["class_id"]),
-                    bbox=_box(f),
-                    confidence=float(f["confidence"]),
-                    distance_m=float(f["distance_m"]),
-                    area_raw_m2=float(f["area_raw_m2"]),
-                    area_smoothed_m2=float(f["area_smoothed_m2"]),
-                    nis=float(f["nis"]),
-                    valid_patch_fraction=float(f["valid_patch_fraction"]),
-                )
-            )
-        except (ValueError, TypeError) as e:
-            raise MalformedLine(line_no, str(e)) from None
-    return out
+    return _records(text, _RESULT_KEYS, _result)
 
 
 def write_results(records: list[FrameResultRecord]) -> str:
@@ -407,7 +403,7 @@ class SequenceManifest:
                     frame=number("frame", int, item["frame"]),
                     depth_path=base / item["depth"],
                     detections_path=base / item["detections"],
-                    motion_path=(base / item["motion"]) if item.get("motion") else None,
+                    motion_path=None if item.get("motion") is None else base / item["motion"],
                 )
             except (KeyError, TypeError, ValueError) as e:
                 raise ManifestError(f"{path}: bad frame entry {item!r}: {e}") from None

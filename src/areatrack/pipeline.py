@@ -73,8 +73,7 @@ def run_pipeline(
         records += _process_frame(entry, manifest.intrinsics, tracker, config.seed, detections)
     if config.smoothing:
         records = smooth_records(records, config.cdkf)
-    report = report_from_records(records, smoothed=config.smoothing)
-    return records, report
+    return records, report_from_records(records)
 
 
 def _process_frame(

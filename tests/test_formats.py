@@ -15,6 +15,7 @@ from areatrack.errors import (
 )
 from areatrack.formats import (
     FORMAT_VERSION,
+    _RESULT_KEYS,
     _data_lines,
     FrameEntry,
     FrameResultRecord,
@@ -410,6 +411,184 @@ class TestMotionFileEqualsOracle:
             reference_parse_motion_file, text)
 
 
+def reference_fields(line: str, line_no: int, keys: tuple[str, ...]) -> dict[str, str]:
+    """The key=value tokens of a record line, which must hold every key in ``keys``."""
+    fields = {}
+    for token in line.split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise MalformedLine(line_no, f"token {token!r} is not key=value")
+        fields[key] = value
+    for k in keys:
+        if k not in fields:
+            raise MalformedLine(line_no, f"missing field {k!r}")
+    return fields
+
+
+def reference_box(fields: dict[str, str]) -> BBox:
+    box = BBox(float(fields["x"]), float(fields["y"]), float(fields["w"]), float(fields["h"]))
+    # BBox itself allows such boxes; the estimator cannot index them
+    if not (math.isfinite(box.right) and math.isfinite(box.bottom)):
+        raise ValueError(f"box far edge overflows: right={box.right} bottom={box.bottom}")
+    return box
+
+
+def reference_parse_detections(text: str) -> dict[int, list[Detection]]:
+    """The per-parser detections loop, kept as an oracle for ``formats._records``."""
+    out: dict[int, list[Detection]] = {}
+    for line_no, line in _data_lines(text):
+        f = reference_fields(line, line_no, ("frame", "class_id", "x", "y", "w", "h", "confidence"))
+        try:
+            det = Detection(frame=int(f["frame"]), class_id=int(f["class_id"]),
+                            bbox=reference_box(f), confidence=float(f["confidence"]))
+        except (ValueError, TypeError) as e:
+            raise MalformedLine(line_no, str(e)) from None
+        out.setdefault(det.frame, []).append(det)
+    return out
+
+
+def reference_parse_results(text: str) -> list[FrameResultRecord]:
+    """The per-parser results loop, kept as an oracle for ``formats._records``."""
+    out = []
+    for line_no, line in _data_lines(text):
+        f = reference_fields(line, line_no, _RESULT_KEYS)
+        try:
+            out.append(
+                FrameResultRecord(
+                    frame=int(f["frame"]),
+                    track_id=int(f["track_id"]),
+                    class_id=int(f["class_id"]),
+                    bbox=reference_box(f),
+                    confidence=float(f["confidence"]),
+                    distance_m=float(f["distance_m"]),
+                    area_raw_m2=float(f["area_raw_m2"]),
+                    area_smoothed_m2=float(f["area_smoothed_m2"]),
+                    nis=float(f["nis"]),
+                    valid_patch_fraction=float(f["valid_patch_fraction"]),
+                )
+            )
+        except (ValueError, TypeError) as e:
+            raise MalformedLine(line_no, str(e)) from None
+    return out
+
+
+def _record_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the records' repr, which tells NaN,
+    -0.0 and every float bit apart, or the error's type, line and message."""
+    try:
+        return "ok", repr(parse(text))
+    except MalformedLine as e:
+        return "error", type(e), e.line_no, str(e)
+
+
+COORDS = st.floats(0, 4000, allow_subnormal=False)
+BOXES = st.builds(BBox, COORDS, COORDS, COORDS, COORDS)
+UNIT = st.floats(0, 1)
+
+
+@st.composite
+def detection_rows(draw):
+    """The data lines of a ``write_detections`` file as token lists."""
+    dets = [Detection(draw(BOXES), draw(UNIT), draw(st.integers(0, 1)), draw(st.integers(-3, 50)))
+            for _ in range(draw(st.integers(0, 4)))]
+    by_frame = {}
+    for d in dets:
+        by_frame.setdefault(d.frame, []).append(d)
+    return [line.split() for line in write_detections(by_frame).splitlines()[1:]]
+
+
+@st.composite
+def result_rows(draw):
+    """The data lines of a ``write_results`` file as token lists."""
+    values = st.floats(-10, 1e3)
+    recs = [FrameResultRecord(draw(st.integers(-3, 50)), draw(st.integers(0, 99)), draw(st.integers(0, 1)),
+                              draw(BOXES), *draw(st.tuples(UNIT, values, values, values, values, UNIT)))
+            for _ in range(draw(st.integers(0, 4)))]
+    return [line.split() for line in write_results(recs).splitlines()[1:]]
+
+
+RECORD_VALUES = st.sampled_from([
+    "oops", "", "1,5", "0x10", "1__0", "=", "nan", "inf", "-inf", "-NaN", "1e400",
+    "1e308", "-1e308", "1.7", "-0.1", "-5", "3.0", "3", "-0", "1_0", "٣",
+])
+NO_EQ_TOKENS = st.sampled_from(["bogus", "x", "1.5", "frame", "#", "-"])
+
+
+@st.composite
+def corrupt_records(draw, rows):
+    """``rows`` with zero to four changes, each on a line chosen at random:
+    shuffled tokens, an extra or repeated key, one or two dropped keys, a
+    token with no ``=``, or odd values for one to three keys. Odd values are
+    drawn most often, so that one line often has two of them."""
+    rows = [list(r) for r in rows]
+    changes = st.sampled_from(["shuffle", "extra", "repeat", "drop", "drop2", "no-eq"] + ["value"] * 4)
+    for change in draw(st.lists(changes, max_size=4)) if rows else []:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        keys = [t.partition("=")[0] for t in row if "=" in t]
+        if change == "shuffle":
+            row[:] = draw(st.permutations(row))
+        elif change in ("extra", "repeat"):
+            key = (draw(st.sampled_from(["extra", "id", "X", "frame_", ""])) if change == "extra"
+                   or not keys else draw(st.sampled_from(keys)))
+            value = draw(st.one_of(RECORD_VALUES, st.sampled_from([t.partition("=")[2] for t in row])))
+            row.insert(draw(st.integers(0, len(row))), f"{key}={value}")
+        elif change in ("drop", "drop2") and keys:
+            for key in draw(st.permutations(list(dict.fromkeys(keys))))[:1 + (change == "drop2")]:
+                row[:] = [t for t in row if t.partition("=")[0] != key]
+        elif change == "no-eq":
+            row.insert(draw(st.integers(0, len(row))), draw(NO_EQ_TOKENS))
+        elif change == "value" and keys:
+            for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+                row[:] = [f"{key}={draw(RECORD_VALUES)}" if t.partition("=")[0] == key else t
+                          for t in row]
+    return rows
+
+
+RECORD_PARSERS = [
+    pytest.param(parse_detections, reference_parse_detections, detection_rows, id="detections"),
+    pytest.param(parse_results, reference_parse_results, result_rows, id="results"),
+]
+
+
+class TestRecordFileEqualsOracle:
+    @pytest.mark.parametrize("parse, reference, rows", RECORD_PARSERS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_written_files(self, parse, reference, rows, data):
+        text = data.draw(motion_text(data.draw(rows())))
+        want = _record_outcome(reference, text)
+        assert want[0] == "ok", want
+        assert _record_outcome(parse, text) == want
+
+    @pytest.mark.parametrize("parse, reference, rows", RECORD_PARSERS)
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_changed_files(self, parse, reference, rows, data):
+        text = data.draw(motion_text(data.draw(corrupt_records(data.draw(rows())))))
+        assert _record_outcome(parse, text) == _record_outcome(reference, text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("frame=0 bogus w=3", "token 'bogus' is not key=value"),
+        ("w=3 h=4 confidence=0.5 x=1", "missing field 'frame'"),
+        ("frame=0 class_id=0 confidence=0.5 y=2", "missing field 'x'"),
+        ("frame=3.0 class_id=0 x=1 y=2 w=3 h=4 confidence=9", "invalid literal for int"),
+        ("frame=0 class_id=0 x=1 y=2 w=3 h=4 confidence=9", "confidence 9.0 outside"),
+        ("frame=0 class_id=0 x=1e308 y=2 w=1e308 h=4 confidence=x", "far edge overflows"),
+        ("h=4 x=1 w=3 frame=0 confidence=0.5 class_id=0 y=9 y=2 x=oops x=1", None),
+    ], ids=["token-then-missing", "first-missing-key", "missing-then-value",
+            "frame-then-confidence", "confidence", "box-then-confidence", "repeated-key"])
+    def test_first_fault_of_a_line(self, line, message):
+        text = f"format_version=1\n# c\n{line}\n"
+        if message is None:
+            assert parse_detections(text) == {0: [Detection(BBox(1, 2, 3, 4), 0.5, 0, 0)]}
+        else:
+            with pytest.raises(MalformedLine, match=message) as exc:
+                parse_detections(text)
+            assert exc.value.line_no == 3
+        assert _record_outcome(parse_detections, text) == _record_outcome(
+            reference_parse_detections, text)
+
+
 class TestRecordLines:
     def test_write_records(self):
         assert write_records([]) == f"format_version={FORMAT_VERSION}\n"
@@ -550,6 +729,19 @@ class TestManifest:
         p.write_text(yaml.safe_dump(doc))
         m = SequenceManifest.load(p)
         assert (m.dataset, m.fps, m.frames[0].motion_path) == ("d", 10.0, tmp_path / "t0.txt")
+
+    @pytest.mark.parametrize("value", [0, False, None])
+    def test_motion_absent_only_when_null(self, tmp_path, value):
+        # only a missing or null motion means none; any other value is a path
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["frames"][1]["motion"] = value
+        p.write_text(yaml.safe_dump(doc))
+        if value is None:
+            assert SequenceManifest.load(p).frames[1].motion_path is None
+        else:
+            with pytest.raises(ManifestError, match=f"^{p}: bad frame entry"):
+                SequenceManifest.load(p)
 
     def test_dump_load_roundtrip(self, tmp_path):
         p = self.write_minimal(tmp_path)

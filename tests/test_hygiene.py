@@ -88,6 +88,12 @@ def test_centre_distance_rule_written_once():
     assert hits == ["mbtp.py"]
 
 
+def test_record_value_errors_wrapped_once():
+    """Detections and results are read through one key=value record loop,
+    which alone turns a value's error into its line's ``MalformedLine``."""
+    assert (PACKAGE / "formats.py").read_text().count("raise MalformedLine(line_no, str(e))") == 1
+
+
 def _functions_calling(source: str, attr: str) -> list[str]:
     """Names of the functions that call a method named ``attr`` of anything
     but the ``formats`` module; ``<module>`` for a call outside any function."""

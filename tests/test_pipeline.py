@@ -234,10 +234,12 @@ class TestRunPipeline:
     def test_no_smoothing_passthrough(self, scene_dir):
         _, manifest_path = scene_dir
         manifest = formats.SequenceManifest.load(manifest_path)
-        records, _ = run_pipeline(manifest, PipelineConfig(smoothing=False))
+        records, report = run_pipeline(manifest, PipelineConfig(smoothing=False))
         for r in records:
             assert r.area_smoothed_m2 == r.area_raw_m2
             assert r.nis == 0.0
+        # so the report over the smoothed columns is the raw areas' report
+        assert report == report_from_records(records, smoothed=False)
 
     def test_smooth_records_matches_inline_smoothing(self, scene_dir):
         _, manifest_path = scene_dir
@@ -365,6 +367,22 @@ class TestRunPipeline:
             got.values[0, 0] = 1.0
         # a little-endian map views the mapping; a big-endian one is a copy
         assert isinstance(_buffer_owner(got.values), mmap.mmap) == (kind != "big")
+
+    def test_empty_motion_path_names_its_frame(self, scene_dir, tmp_path):
+        """``motion: ''`` names the manifest's directory: it loads, and fails
+        at its frame like a directory given for ``depth``."""
+        src, _ = scene_dir
+        for f in src.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        manifest_path = tmp_path / "manifest.yaml"
+        doc = yaml.safe_load(manifest_path.read_text())
+        doc["frames"][1]["motion"] = ""
+        manifest_path.write_text(yaml.safe_dump(doc))
+        manifest = formats.SequenceManifest.load(manifest_path)
+        assert manifest.frames[1].motion_path == tmp_path
+        with pytest.raises(FrameProcessingError, match="^frame 1: ") as err:
+            run_pipeline(manifest, PipelineConfig())
+        assert err.value.frame == 1
 
     @pytest.mark.parametrize("kind", ["empty", "header-cut", "header-only", "nan-scale", "directory"])
     def test_unreadable_depth_file_names_its_frame(self, scene_dir, tmp_path, kind):
