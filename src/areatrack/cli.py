@@ -121,8 +121,8 @@ def optimize_cmd(manifest_path, mode, seed, n_init, n_iter, min_track_len):
     """Tune the noise weights (lambda, theta) by minimizing objective J."""
     manifest = formats.SequenceManifest.load(manifest_path)
     records, _ = run_pipeline(manifest, PipelineConfig(smoothing=False, seed=seed))
-    if not records:
-        _fail("no tracked detections in sequence; nothing to optimize")
+    if report_from_records(records, min_track_len=min_track_len).track_count == 0:
+        _fail(f"no pothole track reaches --min-track-len {min_track_len}; nothing to optimize")
 
     def objective(point) -> float:
         lam, theta = point

@@ -45,12 +45,16 @@ def parse_file(path: Union[str, Path], parse):
         raise FormatError(f"{path}: {e}") from None
 
 
-def yaml_stream(path: Union[str, Path]) -> io.StringIO:
-    """A YAML file's text as a stream named after the file, so the context
-    lines of a YAML syntax error name the file, not "<unicode string>"."""
+def read_yaml(path: Union[str, Path], error: type[FormatError]):
+    """The document in a YAML file, parsed by libyaml when PyYAML has it. The stream is
+    named after the file, so a syntax error's context lines name it, not "<unicode
+    string>"; the error is raised as ``error``, its message prefixed with the path."""
     stream = io.StringIO(read_text(path))
     stream.name = str(path)
-    return stream
+    try:
+        return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as e:
+        raise error(f"{path}: {e}") from None
 
 
 def number(name: str, t: type, v):
@@ -372,12 +376,7 @@ class SequenceManifest:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SequenceManifest":
         path = Path(path)
-        try:
-            # libyaml's parser when PyYAML was built with it; same document
-            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-            doc = yaml.load(yaml_stream(path), Loader=loader)
-        except yaml.YAMLError as e:
-            raise ManifestError(f"{path}: {e}") from None
+        doc = read_yaml(path, ManifestError)
         if not isinstance(doc, dict):
             raise ManifestError(f"{path}: manifest must be a mapping")
         _check_keys(path, doc, _MANIFEST_KEYS, "manifest")

@@ -56,10 +56,10 @@ def run_pipeline(
     Per-frame input errors abort with the frame index. Each detection is
     measured before tracking, and one that cannot be measured is skipped
     there with a log line naming its frame and box: a box wider or taller
-    than the image, or one that covers no pixels, has no valid depth or
-    folds over (``mbtp.estimate_areas``). A skipped detection starts no
-    track and leaves no record; a live track whose detection is skipped
-    coasts through that frame as if unmatched.
+    than the image, or one that covers no pixels, has no valid depth, has
+    no 2x2 patch of valid depth or folds over (``mbtp.estimate_areas``). A
+    skipped detection starts no track and leaves no record; a live track
+    whose detection is skipped coasts through that frame as if unmatched.
 
     Depth files are memory-mapped, not read: only the pages that the
     frame's boxes touch are loaded. A depth file must therefore not be
@@ -106,6 +106,9 @@ def _process_frame(
                         entry.frame, det.bbox, intr.width, intr.height)
         elif isinstance(est, AreatrackError):
             log.warning("frame %d: box %s: %s, skipping", entry.frame, det.bbox, est)
+        elif est.valid_patch_count == 0:  # an area of 0 m² would drag the track's smoothed area
+            log.warning("frame %d: box %s has no 2x2 patch of valid depth, skipping",
+                        entry.frame, det.bbox)
         else:
             rows.append(k)
     confidence = np.array([dets[k].confidence for k in rows], dtype=np.float64)

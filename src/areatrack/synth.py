@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 from scipy.spatial.transform import Rotation
 
 from . import formats
@@ -71,21 +70,15 @@ class Surface:
         if self.kind not in ("plane", "tilted", "undulating"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
 
-    def base_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == "plane":
-            return np.full_like(np.asarray(x, dtype=np.float64), self.z0)
-        if self.kind == "tilted":
-            return self.z0 + math.tan(math.radians(self.pitch_deg)) * y
-        return self.z0 + self.amplitude * np.sin(2.0 * math.pi * y / self.wavelength)
+    @property
+    def slope(self) -> float:
+        """dz/dy of a tilted road; 0.0 for the other kinds."""
+        return math.tan(math.radians(self.pitch_deg)) if self.kind == "tilted" else 0.0
 
-    def base_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        zeros = np.zeros_like(np.asarray(x, dtype=np.float64))
-        if self.kind == "plane":
-            return zeros, zeros.copy()
-        if self.kind == "tilted":
-            return zeros, zeros + math.tan(math.radians(self.pitch_deg))
-        return zeros, (self.amplitude * (2.0 * math.pi / self.wavelength)
-                       * np.cos(2.0 * math.pi * y / self.wavelength))
+    def base_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.kind == "undulating":
+            return self.z0 + self.amplitude * np.sin(2.0 * math.pi * y / self.wavelength)
+        return self.z0 + self.slope * y
 
     def height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Surface depth-coordinate z at world (x, y), depressions included."""
@@ -97,9 +90,13 @@ class Surface:
         return z
 
     def grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gx, gy = self.base_grad(x, y)
-        gx = np.array(gx, dtype=np.float64)
-        gy = np.array(gy, dtype=np.float64)
+        """Surface gradient (dz/dx, dz/dy) at world (x, y), depressions included."""
+        gx = np.zeros(np.shape(x))
+        if self.kind == "undulating":
+            gy = np.array(self.amplitude * (2.0 * math.pi / self.wavelength)
+                          * np.cos(2.0 * math.pi * y / self.wavelength), dtype=np.float64)
+        else:
+            gy = gx + self.slope
         for p in self.potholes:
             xs = (x - p.center[0]) / p.a
             ys = (y - p.center[1]) / p.b
@@ -260,7 +257,7 @@ def _surface_depth(
         return _solve_depth(surface, pose, xs_hat, ys_hat)
     d = _ray_dirs(pose.rotation(), xs_hat, ys_hat)
     cx, cy, cz = pose.position
-    t = math.tan(math.radians(surface.pitch_deg)) if surface.kind == "tilted" else 0.0
+    t = surface.slope
     den = d[..., 2] - t * d[..., 1]
     hit = den > 0
     z = np.divide(surface.z0 + t * cy - cz, den, out=np.full(den.shape, np.inf), where=hit)
@@ -406,12 +403,12 @@ def scene_spec_from_dict(doc: dict) -> SceneSpec:
 def load_scene_spec(path, seed: Optional[int] = None) -> SceneSpec:
     """The scene spec in a YAML file, its seed replaced by ``seed`` if one is given.
     An invalid spec is a ``FormatError`` naming the file."""
+    doc = formats.read_yaml(path, FormatError)
+    if seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": seed}
     try:
-        doc = yaml.safe_load(formats.yaml_stream(path))
-        if seed is not None and isinstance(doc, dict):
-            doc = {**doc, "seed": seed}
         return scene_spec_from_dict(doc)
-    except (yaml.YAMLError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: {e}") from None
 
 

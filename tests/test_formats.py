@@ -1,11 +1,15 @@
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from areatrack import synth
+from areatrack.cli import main
 from areatrack.errors import (
     BadMagic,
     DimensionMismatch,
@@ -759,24 +763,27 @@ def _loaders():
     return c + ["python"]
 
 
+@pytest.fixture(params=_loaders())
+def loader(request, monkeypatch):
+    """(the loader ``yaml.load`` should get, the loaders it got), with
+    libyaml's loader removed from PyYAML for the "python" case."""
+    if request.param == "python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    used = []
+    real_load = yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return real_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    want = yaml.SafeLoader if request.param == "python" else yaml.CSafeLoader
+    yield want, used
+
+
 class TestManifestLoaders:
     """The manifest parses with libyaml's CSafeLoader when PyYAML has it and
     with the pure-Python SafeLoader otherwise; both give the same manifest."""
-
-    @pytest.fixture(params=_loaders())
-    def loader(self, request, monkeypatch):
-        if request.param == "python":
-            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        used = []
-        real_load = yaml.load
-
-        def spy(stream, Loader):
-            used.append(Loader)
-            return real_load(stream, Loader=Loader)
-
-        monkeypatch.setattr(yaml, "load", spy)
-        want = yaml.SafeLoader if request.param == "python" else yaml.CSafeLoader
-        yield want, used
 
     def generated(self, tmp_path) -> SequenceManifest:
         frames = []
@@ -812,3 +819,38 @@ class TestManifestLoaders:
             SequenceManifest.load(p)
         assert f'in "{p}", line 2' in str(e.value)
         assert "<unicode string>" not in str(e.value)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestSpecLoaders:
+    """A scene spec is read by the manifest's loader: the same document,
+    and a syntax error worded as for a manifest."""
+
+    def test_readme_spec(self, tmp_path, loader):
+        want_loader, used = loader
+        text = README.read_text().split("with a scene spec like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "scene.yaml").write_text(text)
+        potholes = (synth.PotholeSpec(center=(0.0, 0.0), a=0.3, b=0.2, depth=0.02),)
+        assert synth.load_scene_spec(tmp_path / "scene.yaml") == synth.SceneSpec(
+            intrinsics=CameraIntrinsics(f_u=1000.0, f_v=1000.0, p_u=960.0, p_v=540.0,
+                                        width=1920, height=1080),
+            surface=synth.Surface(kind="tilted", z0=6.0, pitch_deg=4.0, potholes=potholes),
+            frames=10,
+            camera_path=(synth.CameraPose(position=(0.0, 0.0, 0.0)),
+                         synth.CameraPose(position=(0.0, 0.0, 0.15))),
+            noise=synth.NoiseSpec(box_jitter_px=0.6, depth_rel_std=0.004, conf_noise_std=0.02),
+            seed=0,
+        )
+        assert used == [want_loader]
+
+    def test_syntax_error_worded_as_for_a_manifest(self, tmp_path, loader):
+        p = tmp_path / "bad.yaml"
+        p.write_text("intrinsics: [\n")
+        runner = CliRunner()
+        synth_res = runner.invoke(main, ["synth", "--spec", str(p), "--out", str(tmp_path / "out")])
+        estimate_res = runner.invoke(main, ["estimate", "--manifest", str(p)])
+        assert synth_res.exit_code == estimate_res.exit_code == 1
+        assert synth_res.output.startswith(f"error: {p}: ")
+        assert synth_res.output == estimate_res.output

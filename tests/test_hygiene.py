@@ -118,6 +118,19 @@ def test_text_files_read_only_through_formats_read_text():
     assert {name: fns for name, fns in hits.items() if fns} == {"formats.py": ["read_text"]}
 
 
+def test_yaml_parsed_only_in_formats():
+    """Manifests and scene specs are parsed by ``formats.read_yaml``, so
+    both use one loader and word a syntax error alike."""
+    hits = sorted(p.name for p in PACKAGE.glob("*.py") if re.search(r"^import yaml$", p.read_text(), re.M))
+    assert hits == ["formats.py"]
+    assert sum(p.read_text().count("yaml.load(") for p in PACKAGE.glob("*.py")) == 1
+
+
+def test_road_slope_written_once():
+    """The renderer and both oracles read a tilted road's slope from ``Surface.slope``."""
+    assert (PACKAGE / "synth.py").read_text().count("math.tan(") == 1
+
+
 def test_cli_catches_in_one_place():
     """Data errors reach the user through the command group alone."""
     tree = ast.parse((PACKAGE / "cli.py").read_text())

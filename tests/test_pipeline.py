@@ -190,15 +190,19 @@ def _buffer_owner(a: np.ndarray):
     return a.obj if isinstance(a, memoryview) else a
 
 
-def _blank_depth_around_box(entry: formats.FrameEntry) -> BBox:
+def _blank_depth_around_box(entry: formats.FrameEntry, checkerboard: bool = False) -> BBox:
     """Set the depth of ``entry``'s frame to NaN over its one detection
-    box and a margin; returns the box."""
+    box and a margin, or, with ``checkerboard``, on every other pixel of
+    them, so that no 2x2 patch is left whole; returns the box."""
     depth = formats.parse_pfm(entry.depth_path.read_bytes())
     (det,) = formats.parse_detections(entry.detections_path.read_text())[entry.frame]
     b = det.bbox
     z = np.array(depth.values)
     u0, v0 = int(b.x) - 2, int(b.y) - 2
-    z[v0:int(b.bottom) + 3, u0:u0 + int(b.w + 5)] = np.nan
+    block = z[v0:int(b.bottom) + 3, u0:u0 + int(b.w + 5)]
+    h, w = block.shape
+    holes = np.add.outer(np.arange(h), np.arange(w)) % 2 == 0 if checkerboard else np.ones((h, w), bool)
+    block[holes] = np.nan
     entry.depth_path.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
     return b
 
@@ -274,9 +278,22 @@ class TestRunPipeline:
         assert [(r.frame, r.track_id) for r in records] == [(k, 1) for k in (0, 1, 2, 4, 5, 6, 7, 8, 9)]
         assert records == run_pipeline(missing, config)[0]
 
+    def test_track_coasts_through_a_frame_without_a_valid_patch(self, tmp_path, caplog):
+        """A box whose valid depth holds no whole 2x2 patch measures 0 m²,
+        which is no measurement of it: the box is skipped before tracking."""
+        holed = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "holes"))
+        b = _blank_depth_around_box(holed.frames[3], checkerboard=True)
+        missing = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "gone"))
+        missing.frames[3].detections_path.write_text(formats.write_records([]))
+        records, _ = run_pipeline(holed, PipelineConfig())
+        assert f"frame 3: box {b} has no 2x2 patch of valid depth, skipping" in caplog.text
+        assert records == run_pipeline(missing, PipelineConfig())[0]
+
     @pytest.mark.parametrize("box", ["x=100 y=100 w=0 h=20", "x=5000 y=100 w=30 h=20",
-                                     "x=4 y=4 w=20 h=12", "x=0 y=100 w=1e308 h=20"],
-                             ids=["zero-width", "off-image", "no-depth", "larger-than-image"])
+                                     "x=4 y=4 w=20 h=12", "x=0 y=100 w=1e308 h=20",
+                                     "x=100 y=100 w=0.5 h=20"],
+                             ids=["zero-width", "off-image", "no-depth", "larger-than-image",
+                                  "no-patch"])
     def test_unmeasurable_box_first_in_the_sequence_costs_only_itself(self, tmp_path, caplog, box):
         # listed first in frame 0, the box would take track id 1 if it were tracked
         manifest = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path))
@@ -664,6 +681,14 @@ class TestCli:
         res = runner.invoke(main, ["synth", "--spec", str(spec_path), "--out", str(out),
                                    "--seed", "0"])
         assert res.exit_code == 0, res.output
+
+    def test_optimize_without_a_long_enough_track_is_a_data_error(self, scene_dir):
+        # the scene's one pothole track is 10 frames long, so every J would read 0
+        _, manifest_path = scene_dir
+        res = CliRunner().invoke(main, ["optimize", "--manifest", str(manifest_path),
+                                        "--min-track-len", "11"])
+        assert res.exit_code == 1, res.output
+        assert res.output == "error: no pothole track reaches --min-track-len 11; nothing to optimize\n"
 
     def test_optimize_smoke(self, scene_dir):
         _, manifest_path = scene_dir
