@@ -6,11 +6,15 @@ class AreatrackError(Exception):
 
 
 class NoValidDepth(AreatrackError):
-    """Every depth pixel available for an operation was invalid."""
+    """A box has no valid depth pixel, or no 2x2 patch of valid pixels."""
 
 
 class EmptyRegion(AreatrackError):
     """A box clipped to the image covers zero pixels."""
+
+
+class OversizedBox(AreatrackError):
+    """A box is wider or taller than the image."""
 
 
 class FoldedRegion(AreatrackError):

@@ -387,8 +387,12 @@ class SequenceManifest:
             intr = build(CameraIntrinsics, doc["intrinsics"])
             raw_frames = doc["frames"]
             fps = number("fps", float, doc.get("fps", 30.0))
+            dataset = "" if doc.get("dataset") is None else doc["dataset"]
+            if not isinstance(dataset, str):
+                raise ValueError(f"dataset must be a string, got {dataset!r}")
         except (KeyError, TypeError, ValueError) as e:
-            raise ManifestError(f"{path}: {e}") from None
+            missing = "missing key " if isinstance(e, KeyError) else ""  # a KeyError's text is the key
+            raise ManifestError(f"{path}: {missing}{e}") from None
         if not isinstance(raw_frames, list):
             raise ManifestError(f"{path}: frames must be a list, got {raw_frames!r}")
         base = path.parent
@@ -405,7 +409,8 @@ class SequenceManifest:
                     motion_path=None if item.get("motion") is None else base / item["motion"],
                 )
             except (KeyError, TypeError, ValueError) as e:
-                raise ManifestError(f"{path}: bad frame entry {item!r}: {e}") from None
+                missing = "missing key " if isinstance(e, KeyError) else ""
+                raise ManifestError(f"{path}: bad frame entry {item!r}: {missing}{e}") from None
             if last is not None and entry.frame <= last:
                 raise ManifestError(f"{path}: frame indices must strictly increase")
             last = entry.frame
@@ -417,7 +422,7 @@ class SequenceManifest:
             intrinsics=intr,
             frames=frames,
             fps=fps,
-            dataset=str(doc.get("dataset", "")),
+            dataset=dataset,
         )
 
     def dump(self, path: Union[str, Path]) -> None:

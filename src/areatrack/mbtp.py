@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyRegion, FoldedRegion, NoValidDepth
+from .errors import AreatrackError, EmptyRegion, FoldedRegion, NoValidDepth, OversizedBox
 from .geometry import BBox, CameraIntrinsics, DepthMap, as_xywh, pixel_grid
 
 ELLIPSE_FACTOR = math.pi / 4.0
@@ -76,8 +76,6 @@ class AreaEstimate:
 
     @property
     def valid_patch_fraction(self) -> float:
-        if self.total_patch_count == 0:
-            return 0.0
         return self.valid_patch_count / self.total_patch_count
 
 
@@ -183,41 +181,42 @@ def _area(twice: float, count: int, total: int, dist: float) -> AreaEstimate | F
 
 def _measure(
     z: np.ndarray, xhat: np.ndarray, yhat: np.ndarray, dist: float
-) -> AreaEstimate | FoldedRegion:
+) -> AreaEstimate | NoValidDepth | FoldedRegion:
     """The estimate of the nonempty depth block ``z`` that is one pixel
     thin or holds an invalid depth, on the rays ``xhat`` and ``yhat``, at
-    centre distance ``dist``, or the ``FoldedRegion`` that says why it has
-    none."""
-    h, w = z.shape
-    total = (h - 1) * (w - 1)
-    if total == 0:
-        return AreaEstimate(0.0, 0, 0, dist)
+    centre distance ``dist``, or the ``NoValidDepth`` or ``FoldedRegion``
+    that says why it has none."""
     valid = np.isfinite(z) & (z > 0.0)
     ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
     count = int(np.count_nonzero(ok))
-    if count == 0:
-        return AreaEstimate(0.0, 0, total, dist)
-    return _area(_edge_sum(z, ok, xhat, yhat), count, total, dist)
+    if count == 0:  # a one-pixel-thin box has no patch at all
+        return NoValidDepth("the box has no 2x2 patch of valid depth")
+    return _area(_edge_sum(z, ok, xhat, yhat), count, ok.size, dist)
 
 
 def estimate_areas(
     boxes: np.ndarray, d: DepthMap, intr: CameraIntrinsics
-) -> list[AreaEstimate | EmptyRegion | NoValidDepth | FoldedRegion]:
+) -> list[AreaEstimate | AreatrackError]:
     """Area estimates for every ``[x, y, w, h]`` row of ``boxes`` (N, 4) on
     one depth map, in row order.
 
     Each entry is what ``estimate_area`` returns for that box, or the
-    ``EmptyRegion``, ``NoValidDepth`` or ``FoldedRegion`` it raises, to the
-    bit: no entry depends on the other rows.
+    ``OversizedBox``, ``EmptyRegion``, ``NoValidDepth`` or ``FoldedRegion``
+    it raises, to the bit: no entry depends on the other rows. Every
+    estimate has at least one valid patch.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     extents, dists = box_setup(boxes, d, intr)
+    oversized = ((boxes[:, 2] > intr.width) | (boxes[:, 3] > intr.height)).tolist()
     xhat, yhat = _rays(intr)
     # each step table one longer than needed, so that a line's steps line up with its values
     dx, dy = np.append(xhat[:-1] - xhat[1:], 0.0), np.append(yhat[1:] - yhat[:-1], 0.0)
-    out: list[AreaEstimate | EmptyRegion | NoValidDepth | FoldedRegion] = []
+    out: list[AreaEstimate | AreatrackError] = []
     full, lines, steps, rays = [], [], [], []  # boxes whose depth is all valid, and their borders
-    for (u0, v0, u1, v1), dist in zip(extents, dists):
+    for big, (u0, v0, u1, v1), dist in zip(oversized, extents, dists):
+        if big:
+            out.append(OversizedBox(f"the box is larger than the {intr.width}x{intr.height} image"))
+            continue
         z = d.values[v0:v1, u0:u1]
         if u0 >= u1 or v0 >= v1:
             out.append(EmptyRegion("the box covers no pixels"))
@@ -252,10 +251,10 @@ def estimate_area(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> AreaEstimate:
     entry, raised if it is a skip.
 
     Sums the signed areas of 2x2 patches whose four corners are valid,
-    then applies the pi/4 ellipse factor. Yields area 0 with zero valid
-    patches when no complete patch exists. Raises ``EmptyRegion`` when the
-    box covers no pixels, ``NoValidDepth`` when no pixel of it has depth
-    and ``FoldedRegion`` when the signed sum is not positive.
+    then applies the pi/4 ellipse factor. Raises ``OversizedBox`` when the
+    box is wider or taller than the image, ``EmptyRegion`` when it covers
+    no pixels, ``NoValidDepth`` when no 2x2 patch of it has valid depth and
+    ``FoldedRegion`` when the signed sum is not positive.
     """
     (est,) = estimate_areas(as_xywh([b]), d, intr)
     if isinstance(est, Exception):

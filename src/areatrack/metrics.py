@@ -77,15 +77,13 @@ def average_precision(flags: Sequence[bool], n_gt: int) -> float:
     if n_gt == 0:
         return 0.0
     tp = np.cumsum(np.asarray(flags, dtype=np.float64))
-    ranks = np.arange(1, len(tp) + 1)
-    precision = tp / ranks if len(tp) else np.array([])
-    recall = tp / n_gt if len(tp) else np.array([])
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r - 1e-12
-        p = float(precision[mask].max()) if mask.any() else 0.0
-        ap += p / 101.0
-    return ap
+    precision = tp / np.arange(1, len(tp) + 1)
+    recall = tp / n_gt
+    # recall never falls, so the ranks that reach a recall level are a suffix:
+    # the level's precision is that suffix's maximum, 0 when no rank reaches it
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    p = best[np.searchsorted(recall, np.linspace(0.0, 1.0, 101) - 1e-12)]
+    return float(np.cumsum(p / 101.0)[-1])  # in level order: np.sum's pairwise order moves the last bit
 
 
 def evaluate_detections(

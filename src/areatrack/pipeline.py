@@ -54,12 +54,12 @@ def run_pipeline(
     smooth each track's raw areas with ``smooth_records``.
 
     Per-frame input errors abort with the frame index. Each detection is
-    measured before tracking, and one that cannot be measured is skipped
-    there with a log line naming its frame and box: a box wider or taller
-    than the image, or one that covers no pixels, has no valid depth, has
-    no 2x2 patch of valid depth or folds over (``mbtp.estimate_areas``). A
-    skipped detection starts no track and leaves no record; a live track
-    whose detection is skipped coasts through that frame as if unmatched.
+    measured before tracking by ``mbtp.estimate_areas``, and one that it
+    cannot measure is skipped there with one log line naming its frame, its
+    box and the skip: ``OversizedBox``, ``EmptyRegion``, ``NoValidDepth`` or
+    ``FoldedRegion``. A skipped detection starts no track and leaves no
+    record; a live track whose detection is skipped coasts through that
+    frame as if unmatched.
 
     Depth files are memory-mapped, not read: only the pages that the
     frame's boxes touch are loaded. A depth file must therefore not be
@@ -96,19 +96,11 @@ def _process_frame(
         raise FrameProcessingError(entry.frame, e) from e
 
     boxes = as_xywh(d.bbox for d in dets)
-    fits = np.flatnonzero((boxes[:, 2] <= intr.width) & (boxes[:, 3] <= intr.height)).tolist()
-    estimates = dict(zip(fits, estimate_areas(boxes[fits], depth, intr)))
+    estimates = estimate_areas(boxes, depth, intr)
     rows = []  # the measured detections
-    for k, det in enumerate(dets):
-        est = estimates.get(k)
-        if est is None:
-            log.warning("frame %d: box %s is larger than the %dx%d image, skipping",
-                        entry.frame, det.bbox, intr.width, intr.height)
-        elif isinstance(est, AreatrackError):
+    for k, (det, est) in enumerate(zip(dets, estimates)):
+        if isinstance(est, AreatrackError):
             log.warning("frame %d: box %s: %s, skipping", entry.frame, det.bbox, est)
-        elif est.valid_patch_count == 0:  # an area of 0 m² would drag the track's smoothed area
-            log.warning("frame %d: box %s has no 2x2 patch of valid depth, skipping",
-                        entry.frame, det.bbox)
         else:
             rows.append(k)
     confidence = np.array([dets[k].confidence for k in rows], dtype=np.float64)

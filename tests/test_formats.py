@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -755,6 +756,47 @@ class TestManifest:
         m2 = SequenceManifest.load(out)
         assert m2.intrinsics == m.intrinsics
         assert [f.frame for f in m2.frames] == [f.frame for f in m.frames]
+
+    @pytest.mark.parametrize("key", ["intrinsics", "frames"])
+    def test_missing_top_level_key_named(self, tmp_path, key):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        del doc[key]
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=f"^{p}: missing key '{key}'$"):
+            SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("key", ["frame", "depth", "detections"])
+    def test_missing_frame_entry_key_named(self, tmp_path, key):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        del doc["frames"][1][key]
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=rf"^{p}: bad frame entry \{{.*\}}: missing key '{key}'$"):
+            SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("value", [None, "", "kitti"])
+    def test_dataset_string_or_absent(self, tmp_path, value):
+        # an omitted or null dataset is "", and dump writes it back as that
+        p = self.write_minimal(tmp_path)
+        assert SequenceManifest.load(p).dataset == ""
+        doc = yaml.safe_load(p.read_text())
+        doc["dataset"] = value
+        p.write_text(yaml.safe_dump(doc))
+        m = SequenceManifest.load(p)
+        assert m.dataset == (value or "")
+        m.dump(tmp_path / "copy.yaml")
+        assert SequenceManifest.load(tmp_path / "copy.yaml").dataset == m.dataset
+
+    @pytest.mark.parametrize("value", [5, 0, False, True, 1.5, [1, 2], {"a": 1}])
+    def test_dataset_not_a_string_rejected(self, tmp_path, value):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["dataset"] = value
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError,
+                           match=f"^{re.escape(f'{p}: dataset must be a string, got {value!r}')}$"):
+            SequenceManifest.load(p)
 
 
 def _loaders():

@@ -304,3 +304,22 @@ def test_unset_field_check_flags_missing_keywords():
 
     source = "Spec(a=1)\nOther(b=2)\nx.Spec(b=3)\n"
     assert unset_fields(source, {"Spec": Spec}) == ["Spec.b"]
+
+
+def log_calls(source: str, level: str) -> list[int]:
+    """Lines of the ``log.<level>(...)`` calls in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == level and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "log"]
+
+
+def test_pipeline_has_one_skip_warning():
+    """The estimator decides which boxes cannot be measured and says why
+    with a typed error; the frame step logs every skip in one format."""
+    assert len(log_calls((PACKAGE / "pipeline.py").read_text(), "warning")) == 1
+
+
+def test_log_call_scan_counts_only_log_calls():
+    source = "log.warning('a')\nif x:\n    log.warning('b %s', y)\nother.warning('c')\nlog.info('d')\n"
+    assert log_calls(source, "warning") == [1, 3]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from areatrack.errors import EmptyRegion, FoldedRegion, NoValidDepth
+from areatrack.errors import EmptyRegion, FoldedRegion, NoValidDepth, OversizedBox
 from areatrack.geometry import BBox, CameraIntrinsics, DepthMap, as_xywh, pixel_grid
 from areatrack.mbtp import (
     ELLIPSE_FACTOR,
@@ -211,8 +211,7 @@ class TestPatchAreasKernel:
                 for v in range(r.v0, r.v0 + h - 1) for u in range(r.u0, r.u0 + w - 1)]
         assert ok.ravel().tolist() == [a is not None for a in want]
         assert got[ok].tobytes() == np.array([a for a in want if a is not None], float).tobytes()
-        if holes == "all":
-            assert not ok.any()
+        if not ok.any():
             with pytest.raises(NoValidDepth):
                 estimate_area(b, d, INTR)
         elif got[ok].sum() <= 0.0 < ok.sum():  # 6% depth noise folds some boxes far off-axis
@@ -248,9 +247,8 @@ class TestEstimateArea:
             (BBox(100, 100, 1, 50), uniform_depth(5.0)),
             (BBox(99, 99, 4, 4), DepthMap(1920, 1080, one_valid)),
         ]:
-            est = estimate_area(b, d, INTR)
-            assert est.area_m2 == 0.0
-            assert est.valid_patch_count == 0
+            with pytest.raises(NoValidDepth, match="^the box has no 2x2 patch of valid depth$"):
+                estimate_area(b, d, INTR)
 
     def test_scale_law_random_depths(self):
         rng = np.random.default_rng(7)
@@ -313,8 +311,11 @@ def reference_estimate_area(
     b: BBox, d: DepthMap, intr: CameraIntrinsics
 ) -> tuple[AreaEstimate, float]:
     """The one-box estimator patch by patch, and its ``reference_scale``:
-    project the box, take the centre distance, sum ``patch_area`` over
-    the valid patches, and skip a box whose sum is not positive."""
+    skip a box larger than the image, project the box, take the centre
+    distance, sum ``patch_area`` over the valid patches, and skip a box
+    with no valid patch or whose sum is not positive."""
+    if b.w > intr.width or b.h > intr.height:
+        raise OversizedBox(f"the box is larger than the {intr.width}x{intr.height} image")
     region = project_region(b, d, intr)
     dist = reference_center_distance(b, d, intr)
     h, w = region.shape
@@ -322,7 +323,7 @@ def reference_estimate_area(
     areas, ok = reference_patch_areas(region)
     count = int(ok.sum())
     if count == 0:
-        return AreaEstimate(0.0, 0, total, dist), 0.0
+        raise NoValidDepth("the box has no 2x2 patch of valid depth")
     area = float(areas[ok].sum()) * ELLIPSE_FACTOR
     if area <= 0.0:
         raise FoldedRegion(f"the signed area of its {count} valid patches is not positive: "
@@ -340,7 +341,7 @@ def _outcome(est):
             est.distance_m.hex())
 
 
-SKIPS = (EmptyRegion, NoValidDepth, FoldedRegion)
+SKIPS = (OversizedBox, EmptyRegion, NoValidDepth, FoldedRegion)
 
 
 def _try(f, *args):
@@ -365,6 +366,7 @@ def assert_matches_reference(boxes: list[BBox], d: DepthMap, intr: CameraIntrins
             assert _outcome(est) == _outcome(e)
             continue
         assert _outcome(est)[1:] == _outcome(want)[1:]
+        assert est.valid_patch_count > 0
         assert abs(est.area_m2 - want.area_m2) <= 1e-12 * scale
     assert ([_try(center_distance, b, d, intr) for b in boxes]
             == [_try(reference_center_distance, b, d, intr) for b in boxes])
@@ -417,7 +419,7 @@ class TestEstimateAreasEqualsOneBox:
         boxes = [
             BBox(45.0, 45.0, 10.0, 10.0),  # invalid centre pixel: median fallback
             BBox(101.0, 11.0, 10.0, 5.0),  # no valid depth at all
-            BBox(0.0, 30.0, 1e308, 4.0),  # far edge clipped to the image width
+            BBox(0.0, 30.0, 1e308, 4.0),  # wider than the image
             BBox(-5.0, -5.0, 12.0, 9.0),  # clipped at the left and top edges
             BBox(160.0, 100.0, 30.0, 30.0),  # clipped at the right and bottom edges
             BBox(200.0, 20.0, 5.0, 5.0),  # off the image
@@ -427,14 +429,17 @@ class TestEstimateAreasEqualsOneBox:
             BBox(1.0, 1.0, 168.0, 108.0),  # nearly the whole image
             *(BBox(3.0 * k, 2.0 * k, 20.0 + k, 25.0) for k in range(30)),
             BBox(135.0, 0.0, 10.0, 10.0),  # an inf depth pixel
+            BBox(100.0, 30.0, 100.0, 4.0),  # far edge clipped to the image width
             BBox(150.0, 60.0, 2.0, 2.0),  # folds over
         ]
         got = estimate_areas(as_xywh(boxes), d, intr)
         assert got[0].valid_patch_count > 0
         assert isinstance(got[1], NoValidDepth)
-        assert got[2].total_patch_count == (SMALL_W - 1) * 3
+        assert _outcome(got[2]) == ("OversizedBox", "the box is larger than the 170x110 image")
         assert [type(e) for e in got[5:7]] == [EmptyRegion, EmptyRegion]
-        assert got[7].total_patch_count == got[8].total_patch_count == 0
+        assert [_outcome(e) for e in got[7:9]] == [
+            ("NoValidDepth", "the box has no 2x2 patch of valid depth")] * 2
+        assert got[-2].total_patch_count == (SMALL_W - 100 - 1) * 3
         assert _outcome(got[-1]) == ("FoldedRegion", "the signed area of its 1 valid patches is "
                                      "not positive: the back-projected box folds over")
         assert_matches_reference(boxes, d, intr)
@@ -566,7 +571,7 @@ class TestBatchInvariance:
             if kind == "valid":
                 assert len(got) == 4 and got[1] == got[2] == (int(b.w) - 1) * (int(b.h) - 1) > 0
             elif kind == "thin":
-                assert got[1:3] == (0, 0) or got[0] in ("EmptyRegion", "NoValidDepth")
+                assert got[0] in ("EmptyRegion", "NoValidDepth")
             elif kind != "holed":
                 want = {"folded": "FoldedRegion", "empty": "EmptyRegion", "no depth": "NoValidDepth"}
                 assert got[0] == want[kind]

@@ -119,6 +119,23 @@ def trapezoid_ap_oracle(flags, n_gt):
     return total
 
 
+def reference_average_precision(flags, n_gt):
+    """101-point interpolated AP as a loop over the recall levels: at each,
+    the best precision of any rank whose recall reaches it."""
+    if n_gt == 0:
+        return 0.0
+    tp = np.cumsum(np.asarray(flags, dtype=np.float64))
+    ranks = np.arange(1, len(tp) + 1)
+    precision = tp / ranks if len(tp) else np.array([])
+    recall = tp / n_gt if len(tp) else np.array([])
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        mask = recall >= r - 1e-12
+        p = float(precision[mask].max()) if mask.any() else 0.0
+        ap += p / 101.0
+    return ap
+
+
 class TestAveragePrecision:
     def test_all_tp(self):
         assert average_precision([True], 1) == pytest.approx(1.0)
@@ -143,6 +160,13 @@ class TestAveragePrecision:
         got = average_precision(flags, n_gt)
         assert got == pytest.approx(trapezoid_ap_oracle(flags, n_gt), abs=1e-9)
         assert 0.0 <= got <= 1.0 + 1e-9
+
+    @given(st.lists(st.booleans(), max_size=300), st.integers(0, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference_loop(self, flags, n_gt):
+        got = average_precision(flags, n_gt)
+        assert type(got) is float
+        assert got.hex() == reference_average_precision(flags, n_gt).hex()
 
 
 def reference_flags(dets, gts, thresh):

@@ -279,14 +279,14 @@ class TestRunPipeline:
         assert records == run_pipeline(missing, config)[0]
 
     def test_track_coasts_through_a_frame_without_a_valid_patch(self, tmp_path, caplog):
-        """A box whose valid depth holds no whole 2x2 patch measures 0 m²,
-        which is no measurement of it: the box is skipped before tracking."""
+        """A box whose valid depth holds no whole 2x2 patch has no
+        measurement: the box is skipped before tracking."""
         holed = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "holes"))
         b = _blank_depth_around_box(holed.frames[3], checkerboard=True)
         missing = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "gone"))
         missing.frames[3].detections_path.write_text(formats.write_records([]))
         records, _ = run_pipeline(holed, PipelineConfig())
-        assert f"frame 3: box {b} has no 2x2 patch of valid depth, skipping" in caplog.text
+        assert f"frame 3: box {b}: the box has no 2x2 patch of valid depth, skipping" in caplog.text
         assert records == run_pipeline(missing, PipelineConfig())[0]
 
     @pytest.mark.parametrize("box", ["x=100 y=100 w=0 h=20", "x=5000 y=100 w=30 h=20",
