@@ -8,19 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import blas, solve_triangular
-from scipy.optimize import minimize
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtr
 from scipy.stats import qmc
 
 from .errors import DegenerateKernel, ObjectiveNonFinite
 
 BOUNDS = ((0.0, 2.0), (0.0, 2.0))  # the (lambda, theta) search box
-REFINE_GTOL = 1e-5  # projected-gradient tolerance of the L-BFGS-B refinement of EI
+LOCAL_SIGMA = 0.02  # spread, in the unit box, of the local EI batch around the top two candidates
 
 
 @dataclass(frozen=True)
@@ -78,30 +76,6 @@ class GpPosterior:
         var = np.maximum(var, _VAR_FLOOR)
         return self._y_mean + self._y_scale * mu, (self._y_scale ** 2) * var
 
-    def mean_var_grad(self, u: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """``mean_var`` at the single point ``u``, with the gradients of the
-        mean and the variance in ``u``; the variance's is 0 where its clamp
-        applies."""
-        ls, s2 = self.length_scale, self.signal_var
-        diff = u - self.X
-        r = np.sqrt(5.0) * np.sqrt((diff * diff).sum(axis=1)) / ls
-        e = np.exp(-r)
-        k = s2 * ((1.0 + r + r * r / 3.0) * e)
-        # dk/du = -s2 * 5 / (3 ls^2) * (1 + r) * e^-r * (u - x_i), finite at r = 0
-        dk = (-s2 * 5.0 / (3.0 * ls * ls) * (1.0 + r) * e)[:, None] * diff
-        # the transposed factor is F-ordered, so BLAS takes it without a copy:
-        # w = L^-1 k solves U^T w = k, and L^-T w solves U v = w
-        upper = self._chol.T
-        w = blas.dtrsv(upper, k, lower=0, trans=1)
-        var = s2 + _JITTER - float((w * w).sum())  # mean_var's sum, so the same bits
-        if var > _VAR_FLOOR:
-            dvar = -2.0 * (blas.dtrsv(upper, w, lower=0, trans=0) @ dk)
-        else:
-            var, dvar = _VAR_FLOOR, np.zeros(len(u))
-        scale = self._y_scale
-        mu = self._y_mean + scale * float(k @ self._alpha)
-        return mu, scale * scale * var, scale * (self._alpha @ dk), scale * scale * dvar
-
 
 def gp_fit(points: Sequence[Sequence[float]], values: Sequence[float]) -> GpPosterior:
     """Fit by maximum marginal likelihood over a small length-scale grid.
@@ -129,7 +103,7 @@ def gp_fit(points: Sequence[Sequence[float]], values: Sequence[float]) -> GpPost
             L = np.linalg.cholesky(K0)
         except np.linalg.LinAlgError:
             continue
-        a = np.linalg.solve(K0, ys)
+        a = cho_solve((L, True), ys)
         s2 = float(ys @ a) / n
         s2 = max(s2, 1e-10)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -142,7 +116,7 @@ def gp_fit(points: Sequence[Sequence[float]], values: Sequence[float]) -> GpPost
     _, ls, s2 = best
     K = s2 * _matern52(dist, ls) + _JITTER * np.eye(n)
     L = np.linalg.cholesky(K)
-    alpha = np.linalg.solve(K, ys)
+    alpha = cho_solve((L, True), ys)
     return GpPosterior(X, alpha, L, ls, s2, y_mean, y_scale)
 
 
@@ -157,50 +131,6 @@ def expected_improvement(gp: GpPosterior, incumbent: float, candidate: np.ndarra
     pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
     out[ok] = (incumbent - mu[ok]) * ndtr(z) + sigma[ok] * pdf
     return np.maximum(out, 0.0)
-
-
-def neg_ei_and_grad(gp: GpPosterior, incumbent: float, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """-EI at the single point ``u`` and its gradient in closed form
-    (Jones, Schonlau & Welch, 1998): dEI = -cdf(z) dmu + pdf(z) dsigma.
-
-    The value is ``expected_improvement``'s, to rounding. Where EI is
-    clamped to 0, so is the gradient.
-    """
-    mu, var, dmu, dvar = gp.mean_var_grad(u)
-    sigma = math.sqrt(var)
-    if sigma <= 1e-12:
-        return 0.0, np.zeros(len(u))
-    gain = incumbent - mu
-    z = gain / sigma
-    cdf = float(ndtr(z))
-    pdf = math.exp(-z * z / 2.0) / math.sqrt(2 * math.pi)
-    ei = gain * cdf + sigma * pdf
-    if not ei > 0.0:
-        return 0.0, np.zeros(len(u))
-    return -ei, cdf * dmu - pdf / (2.0 * sigma) * dvar
-
-
-def _refine(gp: GpPosterior, incumbent: float, start: np.ndarray) -> tuple[np.ndarray, float]:
-    """L-BFGS-B on -EI over the unit box from ``start``: the point it ends
-    at and its -EI.
-
-    A start whose projected gradient is within ``REFINE_GTOL`` is returned
-    as it is, without the scipy call, as L-BFGS-B would stop there at
-    iteration 0. The projection is L-BFGS-B's own (``projgr``).
-    """
-    fun, grad = neg_ei_and_grad(gp, incumbent, start)
-    projected = np.where(grad < 0.0, np.maximum(start - 1.0, grad), np.minimum(start, grad))
-    if np.max(np.abs(projected)) <= REFINE_GTOL:
-        return start, fun
-    res = minimize(
-        partial(neg_ei_and_grad, gp, incumbent),
-        start,
-        jac=True,
-        bounds=[(0.0, 1.0)] * len(start),
-        method="L-BFGS-B",
-        options={"maxiter": 15, "gtol": REFINE_GTOL},
-    )
-    return res.x, float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +174,13 @@ def optimize(objective: Callable[[tuple[float, ...]], float], spec: SearchSpec) 
             continue
         cands = rng.uniform(0.0, 1.0, size=(512, dim))
         ei = expected_improvement(gp, incumbent, cands)
-        order = np.argsort(-ei)
-        best_unit = cands[order[0]]
-        best_ei = ei[order[0]]
-        # local refinement from the strongest candidates
-        for i in order[:2]:
-            x, fun = _refine(gp, incumbent, cands[i])
-            if -fun > best_ei:
-                best_ei = -fun
-                best_unit = np.clip(x, 0.0, 1.0)
+        # a second batch around the two strongest candidates
+        top = cands[np.argsort(-ei)[:2]]
+        local = np.clip(top[:, None, :] + rng.normal(0.0, LOCAL_SIGMA, size=(2, 32, dim)), 0.0, 1.0)
+        cands = np.concatenate([cands, local.reshape(-1, dim)])
+        ei = np.concatenate([ei, expected_improvement(gp, incumbent, cands[512:])])
+        best = int(np.argmax(ei))
+        best_unit, best_ei = cands[best], ei[best]
         if best_ei <= 1e-14:
             best_unit = rng.uniform(0.0, 1.0, size=dim)
         evaluate(best_unit)

@@ -8,7 +8,7 @@ import math
 import mmap
 import operator
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union, get_type_hints
@@ -67,11 +67,23 @@ def number(name: str, t: type, v):
     return int(v) if t is int else v
 
 
+def _check_keys(doc: dict, allowed, what: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise TypeError(f"unknown {what} key {key!r}, allowed: {', '.join(allowed)}")
+
+
 def build(cls, doc, **convert):
     """A ``cls`` from a YAML mapping of its field names. Each value goes through its
-    ``convert`` entry, or through ``number`` if its field is an int or a float."""
+    ``convert`` entry, or through ``number`` if its field is an int or a float. An
+    unknown key, then a missing one without a default, is a ``TypeError`` naming it,
+    as ``cls(**doc)`` would raise, but in the manifest's words."""
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} must be a mapping, got {doc!r}")
+    _check_keys(doc, [f.name for f in fields(cls)], cls.__name__)
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise TypeError(f"missing key {f.name!r}")
     casts = {k: partial(number, k, t) for k, t in get_type_hints(cls).items() if t in (int, float)}
     casts |= convert
     return cls(**{k: casts[k](v) if k in casts else v for k, v in doc.items()})
@@ -100,14 +112,15 @@ def parse_pfm(data: bytes | mmap.mmap) -> DepthMap:
     magic = data[:nl1].strip()
     if magic != b"Pf":
         raise BadMagic(f"expected grayscale 'Pf', got {magic!r}")
-    dims = data[nl1 + 1 : nl2].split()
-    if len(dims) != 2:
-        raise DimensionMismatch(f"bad dimension line {data[nl1 + 1: nl2]!r}")
+    dim_line, scale_line = data[nl1 + 1 : nl2], data[nl2 + 1 : nl3]
     try:
-        width, height = int(dims[0]), int(dims[1])
-        scale = float(data[nl2 + 1 : nl3])
-    except ValueError as e:
-        raise DimensionMismatch(str(e)) from None
+        width, height = map(int, dim_line.split())  # two tokens, or unpacking fails
+    except ValueError:
+        raise DimensionMismatch(f"bad dimension line {dim_line!r}") from None
+    try:
+        scale = float(scale_line)
+    except ValueError:
+        raise DimensionMismatch(f"bad scale line {scale_line!r}") from None
     if width <= 0 or height <= 0:
         raise DimensionMismatch(f"non-positive dimensions {width}x{height}")
     if not math.isfinite(scale) or scale == 0.0:
@@ -352,10 +365,10 @@ _MANIFEST_KEYS = ("format_version", "dataset", "fps", "intrinsics", "frames")
 _FRAME_KEYS = ("frame", "depth", "detections", "motion")
 
 
-def _check_keys(path: Path, doc: dict, allowed: tuple[str, ...], what: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ManifestError(f"{path}: unknown {what} key {key!r}, allowed: {', '.join(allowed)}")
+def _path(base: Path, item: dict, key: str) -> Path:
+    if not isinstance(item[key], str):
+        raise ValueError(f"{key} must be a path string, got {item[key]!r}")
+    return base / item[key]
 
 
 @dataclass(frozen=True)
@@ -379,8 +392,8 @@ class SequenceManifest:
         doc = read_yaml(path, ManifestError)
         if not isinstance(doc, dict):
             raise ManifestError(f"{path}: manifest must be a mapping")
-        _check_keys(path, doc, _MANIFEST_KEYS, "manifest")
         try:
+            _check_keys(doc, _MANIFEST_KEYS, "manifest")
             version = number("format_version", int, doc.get("format_version", FORMAT_VERSION))
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported format_version {version}, expected {FORMAT_VERSION}")
@@ -398,15 +411,19 @@ class SequenceManifest:
         base = path.parent
         frames = []
         last = None
-        for item in raw_frames:
-            if isinstance(item, dict):
-                _check_keys(path, item, _FRAME_KEYS, "frame entry")
+        for n, item in enumerate(raw_frames, start=1):
+            if not isinstance(item, dict):
+                raise ManifestError(f"{path}: frame entry {n} must be a mapping, got {item!r}")
+            try:
+                _check_keys(item, _FRAME_KEYS, "frame entry")
+            except TypeError as e:
+                raise ManifestError(f"{path}: {e}") from None
             try:
                 entry = FrameEntry(
                     frame=number("frame", int, item["frame"]),
-                    depth_path=base / item["depth"],
-                    detections_path=base / item["detections"],
-                    motion_path=None if item.get("motion") is None else base / item["motion"],
+                    depth_path=_path(base, item, "depth"),
+                    detections_path=_path(base, item, "detections"),
+                    motion_path=None if item.get("motion") is None else _path(base, item, "motion"),
                 )
             except (KeyError, TypeError, ValueError) as e:
                 missing = "missing key " if isinstance(e, KeyError) else ""

@@ -373,7 +373,7 @@ def test_criterion_07_detection_metrics_oracle():
 
 def test_criterion_08_optimizer_convergence():
     t0 = time.perf_counter()
-    hits = 0
+    errors = []
     master = np.random.default_rng(8008)
     for seed in range(100):
         cx, cy = master.uniform(0.2, 1.8, 2)
@@ -382,12 +382,13 @@ def test_criterion_08_optimizer_convergence():
             return (p[0] - cx) ** 2 + (p[1] - cy) ** 2
 
         res = optimize(f, SearchSpec(n_init=5, n_iter=30, seed=seed))
-        if max(abs(res.best_point[0] - cx), abs(res.best_point[1] - cy)) <= 0.05:
-            hits += 1
+        errors.append(max(abs(res.best_point[0] - cx), abs(res.best_point[1] - cy)))
     elapsed = time.perf_counter() - t0
+    hits = sum(e <= 0.05 for e in errors)
     ok = hits >= 95 and elapsed < 60.0
     _verdict(8, "optimizer convergence", ok,
-             f"{hits}/100 seeds within L-inf 0.05 (need >=95); {elapsed:.1f}s (<60s)")
+             f"{hits}/100 seeds within L-inf 0.05 (need >=95), error median "
+             f"{np.median(errors):.4f} max {max(errors):.4f}; {elapsed:.1f}s (<60s)")
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,18 @@ class TestPfm:
         with pytest.raises(DimensionMismatch):
             parse_pfm(b"Pf\n2 1\nx\n" + payload)
 
+    @pytest.mark.parametrize("dims, scale, message", [
+        (b"1e3 240", b"-1.0", "bad dimension line b'1e3 240'"),
+        (b"2 x", b"-1.0", "bad dimension line b'2 x'"),
+        (b"2.0 1", b"-1.0", "bad dimension line b'2.0 1'"),
+        (b"2 1", b"x", "bad scale line b'x'"),
+        (b"2 1", b"-1.0 2", "bad scale line b'-1.0 2'"),
+        (b"2 1", b"", "bad scale line b''"),
+    ])
+    def test_bad_header_line_named(self, dims, scale, message):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            parse_pfm(b"Pf\n" + dims + b"\n" + scale + b"\n" + b"\x00" * 8)
+
 
 class TestDetections:
     def test_roundtrip(self):
@@ -774,6 +786,50 @@ class TestManifest:
         p.write_text(yaml.safe_dump(doc))
         with pytest.raises(ManifestError, match=rf"^{p}: bad frame entry \{{.*\}}: missing key '{key}'$"):
             SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("key", ["f_u", "f_v", "p_u", "p_v", "width", "height"])
+    def test_missing_intrinsics_key_named(self, tmp_path, key):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        del doc["intrinsics"][key]
+        p.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ManifestError, match=f"^{p}: missing key '{key}'$"):
+            SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("key", ["frame", "fx", "F_U"])
+    def test_unknown_intrinsics_key_named(self, tmp_path, key):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["intrinsics"][key] = 1.0
+        p.write_text(yaml.safe_dump(doc))
+        message = f"{p}: unknown CameraIntrinsics key '{key}', allowed: f_u, f_v, p_u, p_v, width, height"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+            SequenceManifest.load(p)
+
+    @pytest.mark.parametrize("item", [1, "d1.pfm", [1, 2], None, 1.5])
+    def test_frame_entry_not_a_mapping(self, tmp_path, item):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["frames"][1] = item
+        p.write_text(yaml.safe_dump(doc))
+        message = f"{p}: frame entry 2 must be a mapping, got {item!r}"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+            SequenceManifest.load(p)
+        res = CliRunner().invoke(main, ["estimate", "--manifest", str(p)])
+        assert (res.exit_code, res.output) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("key", ["depth", "detections", "motion"])
+    @pytest.mark.parametrize("value", [5, 1.5, True, ["d1.pfm"], {"a": 1}])
+    def test_path_value_not_a_string(self, tmp_path, key, value):
+        p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc["frames"][1][key] = value
+        p.write_text(yaml.safe_dump(doc))
+        message = f"{key} must be a path string, got {value!r}"
+        with pytest.raises(ManifestError, match=rf"^{p}: bad frame entry \{{.*\}}: {re.escape(message)}$"):
+            SequenceManifest.load(p)
+        res = CliRunner().invoke(main, ["estimate", "--manifest", str(p)])
+        assert res.exit_code == 1 and res.output.endswith(f": {message}\n")
 
     @pytest.mark.parametrize("value", [None, "", "kitti"])
     def test_dataset_string_or_absent(self, tmp_path, value):
