@@ -9,7 +9,7 @@ import mmap
 import operator
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union, get_type_hints
 
@@ -67,10 +67,10 @@ def number(name: str, t: type, v):
     return int(v) if t is int else v
 
 
-def _check_keys(doc: dict, allowed, what: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise TypeError(f"unknown {what} key {key!r}, allowed: {', '.join(allowed)}")
+@cache
+def _casts(cls) -> dict:
+    """``number`` for each int or float field of ``cls``, keyed by field name."""
+    return {k: partial(number, k, t) for k, t in get_type_hints(cls).items() if t in (int, float)}
 
 
 def build(cls, doc, **convert):
@@ -80,12 +80,14 @@ def build(cls, doc, **convert):
     as ``cls(**doc)`` would raise, but in the manifest's words."""
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} must be a mapping, got {doc!r}")
-    _check_keys(doc, [f.name for f in fields(cls)], cls.__name__)
+    names = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in names:
+            raise TypeError(f"unknown {cls.__name__} key {key!r}, allowed: {', '.join(names)}")
     for f in fields(cls):
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise TypeError(f"missing key {f.name!r}")
-    casts = {k: partial(number, k, t) for k, t in get_type_hints(cls).items() if t in (int, float)}
-    casts |= convert
+    casts = _casts(cls) | convert
     return cls(**{k: casts[k](v) if k in casts else v for k, v in doc.items()})
 
 
@@ -361,22 +363,37 @@ def write_correspondences(pairs: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # sequence manifest
 
-_MANIFEST_KEYS = ("format_version", "dataset", "fps", "intrinsics", "frames")
-_FRAME_KEYS = ("frame", "depth", "detections", "motion")
-
-
-def _path(base: Path, item: dict, key: str) -> Path:
-    if not isinstance(item[key], str):
-        raise ValueError(f"{key} must be a path string, got {item[key]!r}")
-    return base / item[key]
-
-
 @dataclass(frozen=True)
 class FrameEntry:
     frame: int
-    depth_path: Path
-    detections_path: Path
-    motion_path: Optional[Path] = None
+    depth: Path
+    detections: Path
+    motion: Optional[Path] = None
+
+
+def _frames(base: Path, items) -> list[FrameEntry]:
+    """The ``frames`` list of a manifest in ``base``, each entry after the one before;
+    an entry's error names its 1-based position."""
+    if not isinstance(items, list):
+        raise TypeError(f"frames must be a list, got {items!r}")
+
+    def path(key: str, v) -> Path:
+        if not isinstance(v, str):
+            raise ValueError(f"{key} must be a path string, got {v!r}")
+        return base / v
+
+    paths = dict(depth=partial(path, "depth"), detections=partial(path, "detections"),
+                 motion=lambda v: None if v is None else path("motion", v))
+    frames = []
+    for n, item in enumerate(items, start=1):
+        try:
+            entry = build(FrameEntry, item, **paths)
+            if frames and entry.frame <= frames[-1].frame:
+                raise ValueError(f"frame {entry.frame} does not follow frame {frames[-1].frame}")
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"frame entry {n}: {e}") from None
+        frames.append(entry)
+    return frames
 
 
 @dataclass
@@ -385,79 +402,35 @@ class SequenceManifest:
     frames: list[FrameEntry]
     fps: float = 30.0
     dataset: str = ""
+    format_version: int = FORMAT_VERSION
+
+    def __post_init__(self):
+        if self.format_version != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {self.format_version}, expected {FORMAT_VERSION}")
+        if not isinstance(self.dataset, str):
+            raise ValueError(f"dataset must be a string, got {self.dataset!r}")
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SequenceManifest":
+        """The manifest at ``path``. Every key and value fault is found before a
+        referenced file is looked for."""
         path = Path(path)
-        doc = read_yaml(path, ManifestError)
-        if not isinstance(doc, dict):
-            raise ManifestError(f"{path}: manifest must be a mapping")
         try:
-            _check_keys(doc, _MANIFEST_KEYS, "manifest")
-            version = number("format_version", int, doc.get("format_version", FORMAT_VERSION))
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported format_version {version}, expected {FORMAT_VERSION}")
-            intr = build(CameraIntrinsics, doc["intrinsics"])
-            raw_frames = doc["frames"]
-            fps = number("fps", float, doc.get("fps", 30.0))
-            dataset = "" if doc.get("dataset") is None else doc["dataset"]
-            if not isinstance(dataset, str):
-                raise ValueError(f"dataset must be a string, got {dataset!r}")
-        except (KeyError, TypeError, ValueError) as e:
-            missing = "missing key " if isinstance(e, KeyError) else ""  # a KeyError's text is the key
-            raise ManifestError(f"{path}: {missing}{e}") from None
-        if not isinstance(raw_frames, list):
-            raise ManifestError(f"{path}: frames must be a list, got {raw_frames!r}")
-        base = path.parent
-        frames = []
-        last = None
-        for n, item in enumerate(raw_frames, start=1):
-            if not isinstance(item, dict):
-                raise ManifestError(f"{path}: frame entry {n} must be a mapping, got {item!r}")
-            try:
-                _check_keys(item, _FRAME_KEYS, "frame entry")
-            except TypeError as e:
-                raise ManifestError(f"{path}: {e}") from None
-            try:
-                entry = FrameEntry(
-                    frame=number("frame", int, item["frame"]),
-                    depth_path=_path(base, item, "depth"),
-                    detections_path=_path(base, item, "detections"),
-                    motion_path=None if item.get("motion") is None else _path(base, item, "motion"),
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                missing = "missing key " if isinstance(e, KeyError) else ""
-                raise ManifestError(f"{path}: bad frame entry {item!r}: {missing}{e}") from None
-            if last is not None and entry.frame <= last:
-                raise ManifestError(f"{path}: frame indices must strictly increase")
-            last = entry.frame
-            for p in (entry.depth_path, entry.detections_path, entry.motion_path):
+            manifest = build(cls, read_yaml(path, ManifestError),
+                             intrinsics=partial(build, CameraIntrinsics),
+                             frames=partial(_frames, path.parent),
+                             dataset=lambda v: "" if v is None else v)
+        except (TypeError, ValueError) as e:
+            raise ManifestError(f"{path}: {e}") from None
+        for entry in manifest.frames:
+            for p in (entry.depth, entry.detections, entry.motion):
                 if p is not None and not p.exists():
                     raise ManifestError(f"{path}: referenced file missing: {p}")
-            frames.append(entry)
-        return cls(
-            intrinsics=intr,
-            frames=frames,
-            fps=fps,
-            dataset=dataset,
-        )
+        return manifest
 
     def dump(self, path: Union[str, Path]) -> None:
+        """Write this manifest as YAML, its paths relative to ``path``'s directory."""
         path = Path(path)
-        base = path.parent
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "dataset": self.dataset,
-            "fps": self.fps,
-            "intrinsics": asdict(self.intrinsics),
-            "frames": [
-                {
-                    "frame": f.frame,
-                    "depth": str(f.depth_path.relative_to(base)),
-                    "detections": str(f.detections_path.relative_to(base)),
-                    **({"motion": str(f.motion_path.relative_to(base))} if f.motion_path else {}),
-                }
-                for f in self.frames
-            ],
-        }
+        doc = asdict(self, dict_factory=lambda items: {
+            k: str(v.relative_to(path.parent)) if isinstance(v, Path) else v for k, v in items})
         path.write_text(yaml.safe_dump(doc, sort_keys=False))

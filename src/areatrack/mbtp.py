@@ -126,7 +126,8 @@ def box_setup(
     # the centre of the box clipped to the image; rint keeps it inside the image
     c0, c1 = np.minimum(inside, size - 1.0).transpose(1, 0, 2)
     cu, cv = np.rint(c0 + np.maximum(0.0, c1 - c0) / 2.0).astype(np.intp).T
-    z = d.values[cv, cu].astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns in the cast; it is invalid depth
+        z = d.values[cv, cu].astype(np.float64)
     errors = {}
     for i in np.flatnonzero(~(np.isfinite(z) & (z > 0.0))).tolist():
         u0, v0, u1, v1 = extents[i]
@@ -157,8 +158,8 @@ def _edge_sum(z: np.ndarray, ok: np.ndarray, xhat: np.ndarray, yhat: np.ndarray)
     yhat[i]) and weight ok[i, j-1] - ok[i, j]. ``ok`` is 0 outside the
     block, and an invalid depth is read as 0, as its edges weigh 0.
     """
-    Z = z.astype(np.float64)
-    Z[~(np.isfinite(Z) & (Z > 0.0))] = 0.0
+    # zeroed before the cast, which a signalling NaN would make warn
+    Z = np.where(np.isfinite(z) & (z > 0.0), z, 0.0).astype(np.float64)
     wh = np.zeros((Z.shape[0], Z.shape[1] - 1))
     wh[:-1] += ok
     wh[1:] -= ok

@@ -84,14 +84,14 @@ def _process_frame(
     so a later frame's error does not keep the map's file mapping open."""
     records = []
     try:
-        depth = _load_depth(entry.depth_path)
+        depth = _load_depth(entry.depth)
         if depth.width != intr.width or depth.height != intr.height:
             raise DimensionMismatch(f"depth {depth.width}x{depth.height} does not match intrinsics")
-        path = entry.detections_path
+        path = entry.detections
         if path not in detections:
             detections[path] = parse_file(path, parse_detections)
         dets = detections[path].pop(entry.frame, [])
-        motion = _load_motion(entry.motion_path, seed, entry.frame)
+        motion = _load_motion(entry.motion, seed, entry.frame)
     except (AreatrackError, OSError) as e:
         raise FrameProcessingError(entry.frame, e) from e
 

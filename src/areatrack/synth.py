@@ -426,14 +426,14 @@ def write_scene(spec: SceneSpec, out_dir) -> Path:
     for f in frames:
         entry = formats.FrameEntry(
             frame=f.frame,
-            depth_path=out / f"depth_{f.frame:04d}.pfm",
-            detections_path=out / f"dets_{f.frame:04d}.txt",
-            motion_path=None if f.correspondences is None else out / f"motion_{f.frame:04d}.txt",
+            depth=out / f"depth_{f.frame:04d}.pfm",
+            detections=out / f"dets_{f.frame:04d}.txt",
+            motion=None if f.correspondences is None else out / f"motion_{f.frame:04d}.txt",
         )
-        entry.depth_path.write_bytes(formats.write_pfm(f.depth))
-        entry.detections_path.write_text(formats.write_detections({f.frame: f.detections}))
-        if entry.motion_path is not None:
-            entry.motion_path.write_text(formats.write_correspondences(f.correspondences))
+        entry.depth.write_bytes(formats.write_pfm(f.depth))
+        entry.detections.write_text(formats.write_detections({f.frame: f.detections}))
+        if entry.motion is not None:
+            entry.motion.write_text(formats.write_correspondences(f.correspondences))
         entries.append(entry)
         gt_dets[f.frame] = [Detection(box, 1.0, 0, f.frame) for box in gt.boxes[f.frame].values()]
     formats.SequenceManifest(intrinsics=spec.intrinsics, frames=entries,

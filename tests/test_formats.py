@@ -657,7 +657,7 @@ class TestManifest:
         m = SequenceManifest.load(self.write_minimal(tmp_path))
         assert m.intrinsics.width == 2
         assert [f.frame for f in m.frames] == [0, 1]
-        assert m.frames[0].motion_path is None
+        assert m.frames[0].motion is None
 
     def test_missing_file(self, tmp_path):
         p = self.write_minimal(tmp_path)
@@ -666,9 +666,14 @@ class TestManifest:
             SequenceManifest.load(p)
 
     def test_frames_must_increase(self, tmp_path):
-        p = self.write_minimal(tmp_path, frames=(1, 1))
-        with pytest.raises(ManifestError):
-            SequenceManifest.load(p)
+        for frames, message in [
+            ((1, 1), "frame entry 2: frame 1 does not follow frame 1"),
+            ((0, 2, 2), "frame entry 3: frame 2 does not follow frame 2"),
+            ((0, 5, 3), "frame entry 3: frame 3 does not follow frame 5"),
+        ]:
+            p = self.write_minimal(tmp_path, frames=frames)
+            with pytest.raises(ManifestError, match=f"^{re.escape(f'{p}: {message}')}$"):
+                SequenceManifest.load(p)
 
     def test_not_a_mapping(self, tmp_path):
         p = tmp_path / "m.yaml"
@@ -711,7 +716,9 @@ class TestManifest:
         doc = yaml.safe_load(p.read_text())
         doc[key] = 1
         p.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ManifestError, match=f"^{p}: unknown manifest key '{key}'"):
+        message = (f"{p}: unknown SequenceManifest key '{key}', "
+                   "allowed: intrinsics, frames, fps, dataset, format_version")
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             SequenceManifest.load(p)
 
     @pytest.mark.parametrize("key", ["motoin", "depth_path", "confidence"])
@@ -720,7 +727,9 @@ class TestManifest:
         doc = yaml.safe_load(p.read_text())
         doc["frames"][1][key] = "t1.txt"
         p.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ManifestError, match=f"^{p}: unknown frame entry key '{key}'"):
+        message = (f"{p}: frame entry 2: unknown FrameEntry key '{key}', "
+                   "allowed: frame, depth, detections, motion")
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             SequenceManifest.load(p)
 
     @pytest.mark.parametrize("version, message", [
@@ -745,7 +754,7 @@ class TestManifest:
         doc["frames"][0]["motion"] = "t0.txt"
         p.write_text(yaml.safe_dump(doc))
         m = SequenceManifest.load(p)
-        assert (m.dataset, m.fps, m.frames[0].motion_path) == ("d", 10.0, tmp_path / "t0.txt")
+        assert (m.dataset, m.fps, m.frames[0].motion) == ("d", 10.0, tmp_path / "t0.txt")
 
     @pytest.mark.parametrize("value", [0, False, None])
     def test_motion_absent_only_when_null(self, tmp_path, value):
@@ -755,19 +764,24 @@ class TestManifest:
         doc["frames"][1]["motion"] = value
         p.write_text(yaml.safe_dump(doc))
         if value is None:
-            assert SequenceManifest.load(p).frames[1].motion_path is None
+            assert SequenceManifest.load(p).frames[1].motion is None
         else:
-            with pytest.raises(ManifestError, match=f"^{p}: bad frame entry"):
+            message = f"{p}: frame entry 2: motion must be a path string, got {value!r}"
+            with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
                 SequenceManifest.load(p)
 
     def test_dump_load_roundtrip(self, tmp_path):
         p = self.write_minimal(tmp_path)
+        doc = yaml.safe_load(p.read_text())
+        doc |= {"format_version": FORMAT_VERSION, "dataset": "d", "fps": 12.5}
+        doc["frames"][1]["motion"] = "t0.txt"
+        p.write_text(yaml.safe_dump(doc))
         m = SequenceManifest.load(p)
+        assert (m.fps, m.dataset, m.format_version) == (12.5, "d", FORMAT_VERSION)
+        assert [f.motion for f in m.frames] == [None, tmp_path / "t0.txt"]
         out = tmp_path / "copy.yaml"
         m.dump(out)
-        m2 = SequenceManifest.load(out)
-        assert m2.intrinsics == m.intrinsics
-        assert [f.frame for f in m2.frames] == [f.frame for f in m.frames]
+        assert SequenceManifest.load(out) == m
 
     @pytest.mark.parametrize("key", ["intrinsics", "frames"])
     def test_missing_top_level_key_named(self, tmp_path, key):
@@ -784,7 +798,7 @@ class TestManifest:
         doc = yaml.safe_load(p.read_text())
         del doc["frames"][1][key]
         p.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ManifestError, match=rf"^{p}: bad frame entry \{{.*\}}: missing key '{key}'$"):
+        with pytest.raises(ManifestError, match=f"^{p}: frame entry 2: missing key '{key}'$"):
             SequenceManifest.load(p)
 
     @pytest.mark.parametrize("key", ["f_u", "f_v", "p_u", "p_v", "width", "height"])
@@ -812,7 +826,7 @@ class TestManifest:
         doc = yaml.safe_load(p.read_text())
         doc["frames"][1] = item
         p.write_text(yaml.safe_dump(doc))
-        message = f"{p}: frame entry 2 must be a mapping, got {item!r}"
+        message = f"{p}: frame entry 2: FrameEntry must be a mapping, got {item!r}"
         with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             SequenceManifest.load(p)
         res = CliRunner().invoke(main, ["estimate", "--manifest", str(p)])
@@ -826,7 +840,7 @@ class TestManifest:
         doc["frames"][1][key] = value
         p.write_text(yaml.safe_dump(doc))
         message = f"{key} must be a path string, got {value!r}"
-        with pytest.raises(ManifestError, match=rf"^{p}: bad frame entry \{{.*\}}: {re.escape(message)}$"):
+        with pytest.raises(ManifestError, match=f"^{re.escape(f'{p}: frame entry 2: {message}')}$"):
             SequenceManifest.load(p)
         res = CliRunner().invoke(main, ["estimate", "--manifest", str(p)])
         assert res.exit_code == 1 and res.output.endswith(f": {message}\n")

@@ -131,6 +131,54 @@ def test_road_slope_written_once():
     assert (PACKAGE / "synth.py").read_text().count("math.tan(") == 1
 
 
+def key_checks(source: str, keys: set[str]) -> list[str]:
+    """The functions of ``source`` that word an ``unknown … key`` error, then
+    each top-level name it binds to a tuple, list or set literal of two or
+    more of ``keys``."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in parts)
+            if re.match(r"unknown .*\bkey\b", text):
+                hits.append(owner)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    tree = ast.parse(source)
+    visit(tree, "<module>")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Tuple, ast.List, ast.Set)):
+            named = {e.value for e in node.value.elts if isinstance(e, ast.Constant)} & keys
+            hits += [t.id for t in node.targets if isinstance(t, ast.Name) and len(named) >= 2]
+    return hits
+
+
+def test_yaml_mappings_checked_only_by_build():
+    """Every YAML mapping, the manifest and its frame entries too, is checked
+    by ``formats.build`` against its dataclass's fields, not by a second
+    validator with its own key list."""
+    from areatrack.formats import FrameEntry, SequenceManifest
+
+    keys = {f.name for cls in (SequenceManifest, FrameEntry) for f in dataclasses.fields(cls)}
+    hits = {p.name: key_checks(p.read_text(), keys) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in hits.items() if found} == {"formats.py": ["build"]}
+
+
+def test_key_check_scan_finds_messages_and_key_tuples():
+    source = (
+        "_KEYS = ('fps', 'frames')\n_RESULT = ('frame', 'x')\n"
+        "def check(d, what):\n    raise TypeError(f'unknown {what} key {d!r}')\n"
+        "def other():\n    return 'unknown manifest key'\n"
+        "def fine():\n    return f'unknown value {1}', ('fps', 'frames')\n"
+    )
+    assert key_checks(source, {"fps", "frames", "frame"}) == ["check", "other", "_KEYS"]
+
+
 def test_cli_catches_in_one_place():
     """Data errors reach the user through the command group alone."""
     tree = ast.parse((PACKAGE / "cli.py").read_text())

@@ -407,6 +407,21 @@ class TestEstimateAreasEqualsOneBox:
     def test_bit_identical(self, frame):
         assert_matches_reference(*frame)
 
+    def test_signalling_nan_is_invalid_depth(self):
+        """A signalling NaN, which a byte-swapped PFM can hold, reads as any
+        NaN does, and its cast to float64 warns of nothing."""
+        quiet = np.full((SMALL_H, SMALL_W), 7.0, np.float32)
+        quiet[50, 50] = quiet[10:20, 100:120] = quiet[30, 30] = np.nan
+        signalling = quiet.copy()
+        signalling[np.isnan(quiet)] = np.array([0x7F800001], np.uint32).view(np.float32)[0]
+        intr = CameraIntrinsics(300.0, 320.0, 85.5, 54.0, SMALL_W, SMALL_H)
+        boxes = as_xywh([BBox(45.0, 45.0, 10.0, 10.0), BBox(101.0, 11.0, 10.0, 5.0),
+                         BBox(25.0, 25.0, 10.0, 10.0)])
+        got = estimate_areas(boxes, DepthMap(SMALL_W, SMALL_H, signalling), intr)
+        want = estimate_areas(boxes, DepthMap(SMALL_W, SMALL_H, quiet), intr)
+        assert [type(r) for r in got] == [AreaEstimate, NoValidDepth, AreaEstimate]
+        assert repr(got) == repr(want)
+
     def test_edge_cases(self):
         vals = np.full((SMALL_H, SMALL_W), 7.0, np.float32)
         vals[50, 50] = np.nan  # the centre pixel of the fallback box

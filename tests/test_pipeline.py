@@ -194,8 +194,8 @@ def _blank_depth_around_box(entry: formats.FrameEntry, checkerboard: bool = Fals
     """Set the depth of ``entry``'s frame to NaN over its one detection
     box and a margin, or, with ``checkerboard``, on every other pixel of
     them, so that no 2x2 patch is left whole; returns the box."""
-    depth = formats.parse_pfm(entry.depth_path.read_bytes())
-    (det,) = formats.parse_detections(entry.detections_path.read_text())[entry.frame]
+    depth = formats.parse_pfm(entry.depth.read_bytes())
+    (det,) = formats.parse_detections(entry.detections.read_text())[entry.frame]
     b = det.bbox
     z = np.array(depth.values)
     u0, v0 = int(b.x) - 2, int(b.y) - 2
@@ -203,7 +203,7 @@ def _blank_depth_around_box(entry: formats.FrameEntry, checkerboard: bool = Fals
     h, w = block.shape
     holes = np.add.outer(np.arange(h), np.arange(w)) % 2 == 0 if checkerboard else np.ones((h, w), bool)
     block[holes] = np.nan
-    entry.depth_path.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
+    entry.depth.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
     return b
 
 
@@ -273,7 +273,7 @@ class TestRunPipeline:
         blanked = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "nan"))
         _blank_depth_around_box(blanked.frames[3])
         missing = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "gone"))
-        missing.frames[3].detections_path.write_text(formats.write_records([]))
+        missing.frames[3].detections.write_text(formats.write_records([]))
         records, _ = run_pipeline(blanked, config)
         assert [(r.frame, r.track_id) for r in records] == [(k, 1) for k in (0, 1, 2, 4, 5, 6, 7, 8, 9)]
         assert records == run_pipeline(missing, config)[0]
@@ -284,7 +284,7 @@ class TestRunPipeline:
         holed = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "holes"))
         b = _blank_depth_around_box(holed.frames[3], checkerboard=True)
         missing = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path / "gone"))
-        missing.frames[3].detections_path.write_text(formats.write_records([]))
+        missing.frames[3].detections.write_text(formats.write_records([]))
         records, _ = run_pipeline(holed, PipelineConfig())
         assert f"frame 3: box {b}: the box has no 2x2 patch of valid depth, skipping" in caplog.text
         assert records == run_pipeline(missing, PipelineConfig())[0]
@@ -298,13 +298,13 @@ class TestRunPipeline:
         # listed first in frame 0, the box would take track id 1 if it were tracked
         manifest = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path))
         entry = manifest.frames[0]
-        depth = formats.parse_pfm(entry.depth_path.read_bytes())
+        depth = formats.parse_pfm(entry.depth.read_bytes())
         z = np.array(depth.values)
         z[:20, :28] = np.nan  # the no-depth box lies inside this corner, the pothole far from it
-        entry.depth_path.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
+        entry.depth.write_bytes(formats.write_pfm(DepthMap(depth.width, depth.height, z)))
         clean = formats.write_results(run_pipeline(manifest, PipelineConfig())[0])
-        header, rest = entry.detections_path.read_text().split("\n", 1)
-        entry.detections_path.write_text(f"{header}\nframe=0 class_id=0 {box} confidence=0.9\n{rest}")
+        header, rest = entry.detections.read_text().split("\n", 1)
+        entry.detections.write_text(f"{header}\nframe=0 class_id=0 {box} confidence=0.9\n{rest}")
         records, _ = run_pipeline(manifest, PipelineConfig())
         assert "frame 0: box BBox(" in caplog.text
         # each skip line names its box once, whatever the skip
@@ -316,8 +316,8 @@ class TestRunPipeline:
         manifest = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path))
         single, _ = run_pipeline(manifest, PipelineConfig())
         for entry in manifest.frames:
-            header, rest = entry.detections_path.read_text().split("\n", 1)
-            entry.detections_path.write_text(f"{header}\n{rest}{rest}")
+            header, rest = entry.detections.read_text().split("\n", 1)
+            entry.detections.write_text(f"{header}\n{rest}{rest}")
         records, _ = run_pipeline(manifest, PipelineConfig())
         assert [(r.frame, r.track_id) for r in records] == [(s.frame, t) for s in single for t in (1, 2)]
         for r, s in zip(records, [s for s in single for _ in (1, 2)]):
@@ -328,17 +328,17 @@ class TestRunPipeline:
         # the pothole and a manhole box: the records are the last two, in order
         manifest = formats.SequenceManifest.load(write_scene(approach_scene(), tmp_path))
         entry = manifest.frames[0]
-        depth = formats.parse_pfm(entry.depth_path.read_bytes())
+        depth = formats.parse_pfm(entry.depth.read_bytes())
         z = np.array(depth.values)
         z[:20, :28] = np.nan
         depth = DepthMap(depth.width, depth.height, z)
-        entry.depth_path.write_bytes(formats.write_pfm(depth))
-        header, rest = entry.detections_path.read_text().split("\n", 1)
-        entry.detections_path.write_text(
+        entry.depth.write_bytes(formats.write_pfm(depth))
+        header, rest = entry.detections.read_text().split("\n", 1)
+        entry.detections.write_text(
             f"{header}\nframe=0 class_id=0 x=0 y=100 w=1e308 h=20 confidence=0.9\n"
             f"frame=0 class_id=0 x=4 y=4 w=20 h=12 confidence=0.9\n"
             f"{rest}frame=0 class_id=1 x=200 y=150 w=30 h=20 confidence=0.7\n")
-        dets = formats.parse_file(entry.detections_path, formats.parse_detections)[0]
+        dets = formats.parse_file(entry.detections, formats.parse_detections)[0]
         records, _ = run_pipeline(manifest, PipelineConfig(smoothing=False))
         assert len([r for r in caplog.records if r.getMessage().endswith(", skipping")]) == 2
         got = [(r.bbox, r.class_id, r.confidence, r.area_raw_m2) for r in records if r.frame == 0]
@@ -354,9 +354,9 @@ class TestRunPipeline:
         # frame k reads file k % files, which holds the detections of all its frames
         paths = [tmp_path / f"dets_{i}.txt" for i in range(files)]
         for i, path in enumerate(paths):
-            path.write_text("".join(e.detections_path.read_text() for e in manifest.frames[i::files]))
+            path.write_text("".join(e.detections.read_text() for e in manifest.frames[i::files]))
         shared = dataclasses.replace(manifest, frames=[
-            dataclasses.replace(e, detections_path=paths[k % files]) for k, e in enumerate(manifest.frames)])
+            dataclasses.replace(e, detections=paths[k % files]) for k, e in enumerate(manifest.frames)])
         parsed = []
         monkeypatch.setattr(pipeline, "parse_detections",
                             lambda text: parsed.append(text) or formats.parse_detections(text))
@@ -396,7 +396,7 @@ class TestRunPipeline:
         doc["frames"][1]["motion"] = ""
         manifest_path.write_text(yaml.safe_dump(doc))
         manifest = formats.SequenceManifest.load(manifest_path)
-        assert manifest.frames[1].motion_path == tmp_path
+        assert manifest.frames[1].motion == tmp_path
         with pytest.raises(FrameProcessingError, match="^frame 1: ") as err:
             run_pipeline(manifest, PipelineConfig())
         assert err.value.frame == 1
@@ -441,7 +441,7 @@ class TestRunPipeline:
         _, manifest_path = scene_dir
         manifest = formats.SequenceManifest.load(manifest_path)
         before = _open_fds()
-        depth = pipeline._load_depth(manifest.frames[0].depth_path)
+        depth = pipeline._load_depth(manifest.frames[0].depth)
         # a live map holds its mapping, and the mapping a file descriptor
         assert _open_fds() == before + 1
         del depth
@@ -604,6 +604,11 @@ class TestReportFiltering:
         rep = report_from_records(records)
         # 6 records but only 5 innovations enter the NIS average
         assert rep.nis_mean == pytest.approx(1.0)
+
+
+# phrasings of Python's own TypeError and ValueError texts, which a data error should not show
+_PYTHON_WORDING = ("positional argument", "unexpected keyword", "object is not", "not subscriptable",
+                   "unsupported operand", "invalid literal", "could not convert")
 
 
 def assert_clean_exit(res) -> None:
@@ -809,7 +814,8 @@ class TestCli:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_corrupted_sequence_file_is_a_clean_exit(self, fuzz_dir, target, corrupt, data):
-        """A damaged manifest or depth map ends ``estimate`` cleanly."""
+        """A damaged manifest or depth map ends ``estimate`` cleanly, with an
+        error in the program's words, not Python's."""
         target = fuzz_dir / target
         original = target.read_bytes()
         target.write_bytes(data.draw(corrupt(original)))
@@ -818,6 +824,8 @@ class TestCli:
         finally:
             target.write_bytes(original)
         assert_clean_exit(res)
+        if res.exit_code == 1:
+            assert [w for w in _PYTHON_WORDING if w in res.output] == [], res.output
 
     @pytest.mark.parametrize("command, option, bad, valid", [
         ("estimate", "--lam", "-1", "0"),
