@@ -83,6 +83,8 @@ def eval_area(results_path, min_track_len, raw):
     """Area-consistency report (per-track MAE/CV/AFD/NIS averages)."""
     records = formats.parse_file(results_path, formats.parse_results)
     report = report_from_records(records, min_track_len=min_track_len, smoothed=not raw)
+    if not math.isfinite(report.objective):
+        _fail(f"{results_path}: the area statistics overflow: objective_j={report.objective}")
     click.echo(f"# per-track averages over {report.track_count} tracks "
                f"(min length {report.min_track_len}, potholes only)")
     click.echo(f"mae={report.mae:.6f} cv={report.cv:.6f} afd={report.afd:.6f} "

@@ -163,10 +163,19 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
         yield line_no, line
 
 
-def _records(text: str, keys: tuple[str, ...], make) -> list:
-    """``make(*values)`` of each record line, its values in ``keys`` order (a repeated
-    key keeps its last value). A line's first fault is its ``MalformedLine``: a token
-    that is not key=value, then the first of ``keys`` it lacks, then ``make``'s error."""
+def _value(key: str, t: type, token: str):
+    """``token`` as a ``t`` under ``number``'s rule; the error names ``key`` and ``token``."""
+    try:
+        return number(key, t, t(token))
+    except ValueError:
+        return number(key, t, token)  # raises: a string is not a number
+
+
+def _records(text: str, table, make) -> list:
+    """``make(*values)`` of each record line, its values converted by ``table``'s types in
+    key order (a repeated key keeps its last value). A line's first fault is its error: a
+    token not key=value, then the first missing key, the first bad value, ``make``'s error."""
+    keys, types, _ = zip(*table)
     get = operator.itemgetter(*keys)  # KeyError names the first missing key; 2+ keys give a tuple
     out = []
     for line_no, line in _data_lines(text):
@@ -177,18 +186,23 @@ def _records(text: str, keys: tuple[str, ...], make) -> list:
                 raise MalformedLine(line_no, f"token {token!r} is not key=value")
             fields[key] = value
         try:
-            values = get(fields)
+            tokens = get(fields)
         except KeyError as e:
             raise MalformedLine(line_no, f"missing field {e.args[0]!r}") from None
-        try:
-            out.append(make(*values))
+        try:  # fsum is finite only if every value is finite and every int fits a float
+            values = [t(v) for t, v in zip(types, tokens)]
+            ok = math.isfinite(math.fsum(values))
+        except (ValueError, OverflowError):
+            ok = False
+        try:  # a line that fails is converted key by key, to name its first bad key
+            out.append(make(*(values if ok else map(_value, keys, types, tokens))))
         except (ValueError, TypeError) as e:
             raise MalformedLine(line_no, str(e)) from None
     return out
 
 
-def _box(x: str, y: str, w: str, h: str) -> BBox:
-    box = BBox(float(x), float(y), float(w), float(h))
+def _box(x: float, y: float, w: float, h: float) -> BBox:
+    box = BBox(x, y, w, h)
     # BBox itself allows such boxes; the estimator cannot index them
     if not (math.isfinite(box.right) and math.isfinite(box.bottom)):
         raise ValueError(f"box far edge overflows: right={box.right} bottom={box.bottom}")
@@ -201,30 +215,38 @@ def write_records(lines: Iterable[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# detections and per-frame results: key=value records
+# detections and per-frame results: key=value records, each kind one table of
+# (key, type, write format) rows in the order the writer puts them
+
+_DETECTION = (("frame", int, "d"), ("class_id", int, "d"), ("x", float, ".6f"), ("y", float, ".6f"),
+              ("w", float, ".6f"), ("h", float, ".6f"), ("confidence", float, ".6f"))
+_RESULT = _DETECTION[:1] + (("track_id", int, "d"),) + _DETECTION[1:] + (
+    ("distance_m", float, ".6f"), ("area_raw_m2", float, ".8f"), ("area_smoothed_m2", float, ".8f"),
+    ("nis", float, ".8f"), ("valid_patch_fraction", float, ".6f"))
+
+
+def _write(table, records: Iterable) -> str:
+    """A record file with one ``table`` line per record; a box key reads the record's ``bbox``."""
+    box = {f.name for f in fields(BBox)}
+    line = " ".join(f"{key}=%{fmt}" for key, _, fmt in table)
+    get = operator.attrgetter(*(f"bbox.{key}" if key in box else key for key, _, _ in table))
+    return write_records(line % get(r) for r in records)
 
 
 def _detection(frame, class_id, x, y, w, h, confidence) -> Detection:
-    return Detection(frame=int(frame), class_id=int(class_id), bbox=_box(x, y, w, h),
-                     confidence=float(confidence))
+    return Detection(_box(x, y, w, h), confidence, class_id, frame)
 
 
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Line-delimited detections grouped by frame, input order preserved."""
     out: dict[int, list[Detection]] = {}
-    for det in _records(text, ("frame", "class_id", "x", "y", "w", "h", "confidence"), _detection):
+    for det in _records(text, _DETECTION, _detection):
         out.setdefault(det.frame, []).append(det)
     return out
 
 
 def write_detections(dets_by_frame: dict[int, list[Detection]]) -> str:
-    return write_records(
-        f"frame={d.frame} class_id={d.class_id} "
-        f"x={d.bbox.x:.6f} y={d.bbox.y:.6f} w={d.bbox.w:.6f} h={d.bbox.h:.6f} "
-        f"confidence={d.confidence:.6f}"
-        for frame in sorted(dets_by_frame)
-        for d in dets_by_frame[frame]
-    )
+    return _write(_DETECTION, (d for frame in sorted(dets_by_frame) for d in dets_by_frame[frame]))
 
 
 @dataclass(frozen=True)
@@ -256,35 +278,17 @@ class FrameResultRecord:
         fields["nis"] = nis
         return new
 
-    def to_line(self) -> str:
-        b = self.bbox
-        return (
-            f"frame={self.frame} track_id={self.track_id} class_id={self.class_id} "
-            f"x={b.x:.6f} y={b.y:.6f} w={b.w:.6f} h={b.h:.6f} "
-            f"confidence={self.confidence:.6f} distance_m={self.distance_m:.6f} "
-            f"area_raw_m2={self.area_raw_m2:.8f} area_smoothed_m2={self.area_smoothed_m2:.8f} "
-            f"nis={self.nis:.8f} valid_patch_fraction={self.valid_patch_fraction:.6f}"
-        )
-
-
-_RESULT_KEYS = (
-    "frame", "track_id", "class_id", "x", "y", "w", "h", "confidence",
-    "distance_m", "area_raw_m2", "area_smoothed_m2", "nis", "valid_patch_fraction",
-)
-
 
 def _result(frame, track_id, class_id, x, y, w, h, *rest) -> FrameResultRecord:
-    """A result record; ``rest`` holds the float fields from ``confidence`` on."""
-    return FrameResultRecord(int(frame), int(track_id), int(class_id), _box(x, y, w, h),
-                             *map(float, rest))
+    return FrameResultRecord(frame, track_id, class_id, _box(x, y, w, h), *rest)
 
 
 def parse_results(text: str) -> list[FrameResultRecord]:
-    return _records(text, _RESULT_KEYS, _result)
+    return _records(text, _RESULT, _result)
 
 
 def write_results(records: list[FrameResultRecord]) -> str:
-    return write_records(r.to_line() for r in records)
+    return _write(_RESULT, records)
 
 
 # ---------------------------------------------------------------------------

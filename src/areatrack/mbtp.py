@@ -84,13 +84,11 @@ def project_region(b: BBox, d: DepthMap, intr: CameraIntrinsics) -> ProjectedReg
     u0, u1, v0, v1 = pixel_grid(b, intr)
     if u0 >= u1 or v0 >= v1:
         raise EmptyRegion("the box covers no pixels")
-    Z = np.asarray(d.values[v0:v1, u0:u1], dtype=np.float64)
-    valid = np.isfinite(Z) & (Z > 0.0)
+    z = d.values[v0:v1, u0:u1]
+    valid = np.isfinite(z) & (z > 0.0)
+    Z = np.where(valid, z, np.nan).astype(np.float64)  # a signalling NaN would warn in the cast
     xhat, yhat = intr.ray(np.arange(u0, u1, dtype=np.float64), np.arange(v0, v1, dtype=np.float64))
     X, Y = xhat[None, :] * Z, yhat[:, None] * Z
-    if not valid.all():
-        X[~valid] = np.nan
-        Y[~valid] = np.nan
     return ProjectedRegion(u0=u0, v0=v0, X=X, Y=Y, valid=valid)
 
 

@@ -189,4 +189,5 @@ def report_from_records(
     areas = {t: [value(r) for r in rs] for t, rs in by_track.items()}
     # the first update of a track has no meaningful innovation
     nis = {t: [r.nis for r in rs[1:]] for t, rs in by_track.items() if len(rs) > 1}
-    return area_consistency_report(areas, nis, min_track_len=min_track_len)
+    with np.errstate(over="ignore", invalid="ignore"):  # a file's huge areas overflow to inf or NaN
+        return area_consistency_report(areas, nis, min_track_len=min_track_len)

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import re
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,6 @@ from areatrack.errors import (
 )
 from areatrack.formats import (
     FORMAT_VERSION,
-    _RESULT_KEYS,
     _data_lines,
     FrameEntry,
     FrameResultRecord,
@@ -215,15 +216,34 @@ class TestResults:
         assert write_results(recs) == write_results(recs)
 
     def test_malformed_value(self):
-        line = self.rec().to_line().replace("nis=0.73000000", "nis=oops")
-        with pytest.raises(MalformedLine):
-            parse_results(line + "\n")
+        text = write_results([self.rec()]).replace("nis=0.73000000", "nis=oops")
+        with pytest.raises(MalformedLine, match="^line 2: nis must be a finite number, got 'oops'$"):
+            parse_results(text)
 
     def test_far_edge_overflow(self):
-        line = self.rec().to_line().replace("x=10.000000", "x=1e308").replace("w=30.000000", "w=1e308")
+        text = write_results([self.rec()]).replace("x=10.000000", "x=1e308").replace("w=30.000000", "w=1e308")
         with pytest.raises(MalformedLine, match="far edge overflows") as exc:
-            parse_results(f"format_version=1\n{line}\n")
+            parse_results(text)
         assert exc.value.line_no == 2
+
+    def test_values_whose_sum_overflows_are_read(self):
+        """Each value is finite, though their sum is not."""
+        rec = dataclasses.replace(self.rec(), distance_m=1e308, area_raw_m2=1e308)
+        assert parse_results(write_results([rec])) == [rec]
+
+    @pytest.mark.parametrize("key, value", [
+        ("confidence", "nan"), ("distance_m", "inf"), ("area_raw_m2", "-inf"), ("area_smoothed_m2", "nan"),
+        ("nis", "1e400"), ("valid_patch_fraction", "-inf"), ("x", "abc"), ("h", "1,5"),
+        ("frame", "x"), ("track_id", "3.0"), ("class_id", ""), ("frame", "1" + "0" * 400),
+    ], ids=lambda v: v[:24])
+    def test_bad_value_names_its_key(self, key, value):
+        """A value that is not a finite number, or not a whole one for an int key, is
+        its line's error, which names the key and the token."""
+        line = re.sub(rf"\b{key}=\S+", f"{key}={value}", write_results([self.rec()]).splitlines()[1])
+        with pytest.raises(MalformedLine) as exc:
+            parse_results(f"format_version=1\n# c\n{line}\n")
+        whole = " whole" if key in ("frame", "track_id", "class_id") else ""
+        assert str(exc.value) == f"line 3: {key} must be a finite{whole} number, got {value!r}"
 
 
 class TestMotionFiles:
@@ -442,8 +462,34 @@ def reference_fields(line: str, line_no: int, keys: tuple[str, ...]) -> dict[str
     return fields
 
 
-def reference_box(fields: dict[str, str]) -> BBox:
-    box = BBox(float(fields["x"]), float(fields["y"]), float(fields["w"]), float(fields["h"]))
+# each record kind's keys and types in the writer's order, spelled out as the oracle's own copy
+REFERENCE_DETECTION_KEYS = (("frame", int), ("class_id", int), ("x", float), ("y", float), ("w", float),
+                            ("h", float), ("confidence", float))
+REFERENCE_RESULT_KEYS = (("frame", int), ("track_id", int), ("class_id", int), ("x", float), ("y", float),
+                         ("w", float), ("h", float), ("confidence", float), ("distance_m", float),
+                         ("area_raw_m2", float), ("area_smoothed_m2", float), ("nis", float),
+                         ("valid_patch_fraction", float))
+
+
+def reference_values(fields: dict[str, str], keys) -> dict:
+    """Each of ``keys``'s tokens as its type, checked in key order: a finite number
+    in the float range, and for an int key one written as a whole number."""
+    values = {}
+    for key, t in keys:
+        try:
+            v = t(fields[key])
+            ok = abs(v) <= sys.float_info.max
+        except ValueError:
+            ok = False
+        if not ok:
+            whole = " whole" if t is int else ""
+            raise ValueError(f"{key} must be a finite{whole} number, got {fields[key]!r}")
+        values[key] = v
+    return values
+
+
+def reference_box(v: dict) -> BBox:
+    box = BBox(v["x"], v["y"], v["w"], v["h"])
     # BBox itself allows such boxes; the estimator cannot index them
     if not (math.isfinite(box.right) and math.isfinite(box.bottom)):
         raise ValueError(f"box far edge overflows: right={box.right} bottom={box.bottom}")
@@ -451,13 +497,15 @@ def reference_box(fields: dict[str, str]) -> BBox:
 
 
 def reference_parse_detections(text: str) -> dict[int, list[Detection]]:
-    """The per-parser detections loop, kept as an oracle for ``formats._records``."""
+    """The per-parser detections loop, kept as an oracle for ``formats._records``:
+    every value converts, in key order, before the box and confidence checks."""
     out: dict[int, list[Detection]] = {}
     for line_no, line in _data_lines(text):
-        f = reference_fields(line, line_no, ("frame", "class_id", "x", "y", "w", "h", "confidence"))
+        f = reference_fields(line, line_no, [k for k, _ in REFERENCE_DETECTION_KEYS])
         try:
-            det = Detection(frame=int(f["frame"]), class_id=int(f["class_id"]),
-                            bbox=reference_box(f), confidence=float(f["confidence"]))
+            v = reference_values(f, REFERENCE_DETECTION_KEYS)
+            det = Detection(frame=v["frame"], class_id=v["class_id"], bbox=reference_box(v),
+                            confidence=v["confidence"])
         except (ValueError, TypeError) as e:
             raise MalformedLine(line_no, str(e)) from None
         out.setdefault(det.frame, []).append(det)
@@ -468,20 +516,21 @@ def reference_parse_results(text: str) -> list[FrameResultRecord]:
     """The per-parser results loop, kept as an oracle for ``formats._records``."""
     out = []
     for line_no, line in _data_lines(text):
-        f = reference_fields(line, line_no, _RESULT_KEYS)
+        f = reference_fields(line, line_no, [k for k, _ in REFERENCE_RESULT_KEYS])
         try:
+            v = reference_values(f, REFERENCE_RESULT_KEYS)
             out.append(
                 FrameResultRecord(
-                    frame=int(f["frame"]),
-                    track_id=int(f["track_id"]),
-                    class_id=int(f["class_id"]),
-                    bbox=reference_box(f),
-                    confidence=float(f["confidence"]),
-                    distance_m=float(f["distance_m"]),
-                    area_raw_m2=float(f["area_raw_m2"]),
-                    area_smoothed_m2=float(f["area_smoothed_m2"]),
-                    nis=float(f["nis"]),
-                    valid_patch_fraction=float(f["valid_patch_fraction"]),
+                    frame=v["frame"],
+                    track_id=v["track_id"],
+                    class_id=v["class_id"],
+                    bbox=reference_box(v),
+                    confidence=v["confidence"],
+                    distance_m=v["distance_m"],
+                    area_raw_m2=v["area_raw_m2"],
+                    area_smoothed_m2=v["area_smoothed_m2"],
+                    nis=v["nis"],
+                    valid_patch_fraction=v["valid_patch_fraction"],
                 )
             )
         except (ValueError, TypeError) as e:
@@ -527,6 +576,7 @@ def result_rows(draw):
 RECORD_VALUES = st.sampled_from([
     "oops", "", "1,5", "0x10", "1__0", "=", "nan", "inf", "-inf", "-NaN", "1e400",
     "1e308", "-1e308", "1.7", "-0.1", "-5", "3.0", "3", "-0", "1_0", "٣",
+    "1" + "0" * 400, "-1" + "0" * 400,
 ])
 NO_EQ_TOKENS = st.sampled_from(["bogus", "x", "1.5", "frame", "#", "-"])
 
@@ -588,12 +638,16 @@ class TestRecordFileEqualsOracle:
         ("frame=0 bogus w=3", "token 'bogus' is not key=value"),
         ("w=3 h=4 confidence=0.5 x=1", "missing field 'frame'"),
         ("frame=0 class_id=0 confidence=0.5 y=2", "missing field 'x'"),
-        ("frame=3.0 class_id=0 x=1 y=2 w=3 h=4 confidence=9", "invalid literal for int"),
+        ("frame=3.0 class_id=0 x=1 y=2 w=3 h=4 confidence=9", "frame must be a finite whole number, got '3.0'"),
         ("frame=0 class_id=0 x=1 y=2 w=3 h=4 confidence=9", "confidence 9.0 outside"),
-        ("frame=0 class_id=0 x=1e308 y=2 w=1e308 h=4 confidence=x", "far edge overflows"),
+        ("frame=0 class_id=0 x=1e308 y=2 w=1e308 h=4 confidence=x", "confidence must be a finite number, got 'x'"),
+        ("frame=0 class_id=0 x=1e308 y=2 w=1e308 h=4 confidence=9", "far edge overflows"),
+        (f"frame=1{'0' * 400} class_id=-1{'0' * 400} x=1 y=2 w=3 h=4 confidence=0.5",
+         "frame must be a finite whole number"),
         ("h=4 x=1 w=3 frame=0 confidence=0.5 class_id=0 y=9 y=2 x=oops x=1", None),
     ], ids=["token-then-missing", "first-missing-key", "missing-then-value",
-            "frame-then-confidence", "confidence", "box-then-confidence", "repeated-key"])
+            "frame-then-confidence", "confidence", "box-then-confidence", "box-then-range", "ints-beyond-floats",
+            "repeated-key"])
     def test_first_fault_of_a_line(self, line, message):
         text = f"format_version=1\n# c\n{line}\n"
         if message is None:

@@ -179,6 +179,73 @@ def test_key_check_scan_finds_messages_and_key_tuples():
     assert key_checks(source, {"fps", "frames", "frame"}) == ["check", "other", "_KEYS"]
 
 
+def record_key_spellings(source: str, keys: set[str], phrase: str) -> list[str]:
+    """What ``source`` spells beyond one declaration of its record keys and one
+    error wording: each literal or call that lists two or more of ``keys`` as
+    strings, each string or f-string whose text holds ``<key>=``, the function
+    of each string holding ``phrase`` (docstrings aside), and each key that no
+    string spells."""
+    tree = ast.parse(source)
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)}
+    hits, spelled = [], set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Call)):
+            listed = [e.value for e in (node.args if isinstance(node, ast.Call) else node.elts)
+                      if isinstance(e, ast.Constant) and e.value in keys]
+            if len(listed) >= 2:
+                hits.append(f"line {node.lineno}: lists {', '.join(listed)}")
+        if isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docs:
+                parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in parts)
+                spelled.add(text)
+                hits.extend(f"line {node.lineno}: {k}=" for k in sorted(keys) if re.search(rf"\b{k}=", text))
+                if phrase in text:
+                    hits.append(owner)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return hits + [f"{k} never spelled" for k in sorted(keys - spelled)]
+
+
+NUMBER_RULE = "must be a finite"
+
+
+def test_record_keys_and_number_rule_spelled_once():
+    """Each detection and result key is spelled once in ``formats.py``, in the
+    one (key, type, write format) table that reads, checks and writes its
+    record kind, and only ``formats.number`` words the number rule."""
+    from areatrack.formats import FrameResultRecord
+    from areatrack.geometry import BBox
+
+    keys = {f.name for cls in (FrameResultRecord, BBox) for f in dataclasses.fields(cls)} - {"bbox"}
+    assert record_key_spellings((PACKAGE / "formats.py").read_text(), keys, NUMBER_RULE) == ["number"]
+    others = {p.name: record_key_spellings(p.read_text(), set(), NUMBER_RULE)
+              for p in sorted(PACKAGE.glob("*.py")) if p.name != "formats.py"}
+    assert {name: found for name, found in others.items() if found} == {}
+
+
+def test_key_spelling_scan_finds_lists_fstrings_and_wording():
+    source = (
+        '"""v must be a finite number."""\n'
+        "_KEYS = ('frame', 'x')\n"
+        "get = itemgetter('frame', 'h')\n"
+        "def write(d):\n    return f'frame={d.frame} w={d.w:.6f} {d.y}'\n"
+        "def check(v):\n    '''v must be a finite number'''\n    raise ValueError(f'{v} must be a finite number')\n"
+        "ROWS = (('frame', int), ('y', float))\n"
+    )
+    assert record_key_spellings(source, {"frame", "x", "y", "w", "h", "nis"}, NUMBER_RULE) == [
+        "line 2: lists frame, x", "line 3: lists frame, h", "line 5: frame=", "line 5: w=", "check",
+        "nis never spelled", "w never spelled"]
+
+
 def test_cli_catches_in_one_place():
     """Data errors reach the user through the command group alone."""
     tree = ast.parse((PACKAGE / "cli.py").read_text())

@@ -360,8 +360,7 @@ def assert_matches_reference(boxes: list[BBox], d: DepthMap, intr: CameraIntrins
     assert [_try(estimate_area, b, d, intr) for b in boxes] == [_outcome(e) for e in got]
     for b, est in zip(boxes, got):
         try:
-            with np.errstate(invalid="ignore"):  # project_region warns on 0 * inf
-                want, scale = reference_estimate_area(b, d, intr)
+            want, scale = reference_estimate_area(b, d, intr)
         except SKIPS as e:
             assert _outcome(est) == _outcome(e)
             continue
@@ -421,6 +420,10 @@ class TestEstimateAreasEqualsOneBox:
         want = estimate_areas(boxes, DepthMap(SMALL_W, SMALL_H, quiet), intr)
         assert [type(r) for r in got] == [AreaEstimate, NoValidDepth, AreaEstimate]
         assert repr(got) == repr(want)
+        for b in boxes:  # and project_region's back-projection
+            box = BBox(*b.tolist())
+            np.testing.assert_equal(vars(project_region(box, DepthMap(SMALL_W, SMALL_H, signalling), intr)),
+                                    vars(project_region(box, DepthMap(SMALL_W, SMALL_H, quiet), intr)))
 
     def test_edge_cases(self):
         vals = np.full((SMALL_H, SMALL_W), 7.0, np.float32)

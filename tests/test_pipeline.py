@@ -3,6 +3,7 @@ import gc
 import math
 import mmap
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from areatrack import cdkf, formats, pipeline
 from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode
@@ -612,10 +613,13 @@ _PYTHON_WORDING = ("positional argument", "unexpected keyword", "object is not",
 
 
 def assert_clean_exit(res) -> None:
-    """Exit code 0, or 1 through ``sys.exit``; never a traceback."""
+    """Exit code 0, or 1 through ``sys.exit`` with an error in the program's
+    words, not Python's; never a traceback."""
     assert res.exit_code in (0, 1), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
     assert "Traceback" not in res.output
+    if res.exit_code == 1:
+        assert [w for w in _PYTHON_WORDING if w in res.output] == [], res.output
 
 
 class TestCli:
@@ -790,10 +794,12 @@ class TestCli:
         ("transform.txt", "motion_0001.txt"),
         ("results.txt", "results.txt"),
     ])
+    @seed(14)
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_corrupted_record_file_is_a_clean_exit(self, fuzz_dir, base, target, data):
-        """A damaged detection, motion or results file ends the command cleanly."""
+        """A damaged detection, motion or results file ends the command cleanly,
+        with an error in the program's words, not Python's."""
         target = fuzz_dir / target
         original = target.read_bytes()
         target.write_text(data.draw(corrupted((fuzz_dir / base).read_text())))
@@ -811,6 +817,7 @@ class TestCli:
         ("manifest.yaml", corrupted_manifest),
         ("depth_0001.pfm", corrupted_pfm),
     ], ids=["manifest", "depth"])
+    @seed(14)
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_corrupted_sequence_file_is_a_clean_exit(self, fuzz_dir, target, corrupt, data):
@@ -824,8 +831,6 @@ class TestCli:
         finally:
             target.write_bytes(original)
         assert_clean_exit(res)
-        if res.exit_code == 1:
-            assert [w for w in _PYTHON_WORDING if w in res.output] == [], res.output
 
     @pytest.mark.parametrize("command, option, bad, valid", [
         ("estimate", "--lam", "-1", "0"),
@@ -991,6 +996,32 @@ class TestCli:
         runner = CliRunner()
         res = runner.invoke(main, ["estimate", "--manifest", "/nonexistent.yaml"])
         assert res.exit_code == 2  # usage error from click's path check
+
+    @pytest.mark.parametrize("key, value", [("area_smoothed_m2", "nan"), ("nis", "inf")])
+    def test_nonfinite_result_value_is_a_data_error(self, fuzz_dir, tmp_path, key, value):
+        results = tmp_path / "results.txt"
+        text = (fuzz_dir / "results.txt").read_text()
+        results.write_text(re.sub(rf"\b{key}=\S+", f"{key}={value}", text, count=1))
+        assert results.read_text() != text
+        res = CliRunner().invoke(main, ["eval-area", "--results", str(results)])
+        assert isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code == 1, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: {results}: line 2: {key} must be a finite number, got '{value}'"]
+
+    def test_overflowing_area_statistics_are_a_data_error(self, fuzz_dir, tmp_path):
+        """Finite areas so large that the statistics overflow end ``eval-area`` with
+        one error line, not a NaN objective or a floating-point warning."""
+        results = tmp_path / "results.txt"
+        results.write_text(re.sub(r"\barea_smoothed_m2=\S+", "area_smoothed_m2=1e308",
+                                  (fuzz_dir / "results.txt").read_text()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = CliRunner().invoke(main, ["eval-area", "--results", str(results)])
+        assert isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code == 1, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: {results}: the area statistics overflow: objective_j=nan"]
 
     def test_bad_results_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
