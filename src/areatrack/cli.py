@@ -78,11 +78,13 @@ def estimate(manifest_path, no_smoothing, lam, theta, mode, seed, out_path):
 @main.command("eval-area")
 @click.option("--results", "results_path", required=True, type=_INPUT)
 @click.option("--min-track-len", type=click.IntRange(min=2), default=MIN_TRACK_LEN)
-@click.option("--raw", is_flag=True, default=False, help="score raw instead of smoothed areas")
+@click.option("--raw", is_flag=True, default=False, help="score records as --no-smoothing writes them")
 def eval_area(results_path, min_track_len, raw):
     """Area-consistency report (per-track MAE/CV/AFD/NIS averages)."""
     records = formats.parse_file(results_path, formats.parse_results)
-    report = report_from_records(records, min_track_len=min_track_len, smoothed=not raw)
+    if raw:
+        records = [r.smoothed(r.area_raw_m2, 0.0) for r in records]
+    report = report_from_records(records, min_track_len=min_track_len)
     if not math.isfinite(report.objective):
         _fail(f"{results_path}: the area statistics overflow: objective_j={report.objective}")
     click.echo(f"# per-track averages over {report.track_count} tracks "

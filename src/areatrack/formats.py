@@ -279,8 +279,13 @@ class FrameResultRecord:
         return new
 
 
-def _result(frame, track_id, class_id, x, y, w, h, *rest) -> FrameResultRecord:
-    return FrameResultRecord(frame, track_id, class_id, _box(x, y, w, h), *rest)
+def _result(frame, track_id, class_id, x, y, w, h, confidence, *measured) -> FrameResultRecord:
+    """A result record: a detection's checks, then each measurement >= 0, the fraction <= 1."""
+    det = _detection(frame, class_id, x, y, w, h, confidence)
+    for (key, _, _), v, top in zip(_RESULT[-5:], measured, (math.inf,) * 4 + (1.0,)):
+        if not 0.0 <= v <= top:
+            raise ValueError(f"{key} {v} outside [0, {top:g}]")
+    return FrameResultRecord(frame, track_id, class_id, det.bbox, confidence, *measured)
 
 
 def parse_results(text: str) -> list[FrameResultRecord]:

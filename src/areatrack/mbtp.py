@@ -154,10 +154,9 @@ def _edge_sum(z: np.ndarray, ok: np.ndarray, xhat: np.ndarray, yhat: np.ndarray)
     forwards and patch (i-1, j) backwards: weight ok[i, j] - ok[i-1, j].
     Vertical edge (i, j)->(i+1, j) has xhat[j]*Z[i,j]*Z[i+1,j]*(yhat[i+1] -
     yhat[i]) and weight ok[i, j-1] - ok[i, j]. ``ok`` is 0 outside the
-    block, and an invalid depth is read as 0, as its edges weigh 0.
+    block, and ``z`` holds 0 at each invalid depth, as its edges weigh 0.
     """
-    # zeroed before the cast, which a signalling NaN would make warn
-    Z = np.where(np.isfinite(z) & (z > 0.0), z, 0.0).astype(np.float64)
+    Z = z.astype(np.float64)
     wh = np.zeros((Z.shape[0], Z.shape[1] - 1))
     wh[:-1] += ok
     wh[1:] -= ok
@@ -190,7 +189,8 @@ def _measure(
     count = int(np.count_nonzero(ok))
     if count == 0:  # a one-pixel-thin box has no patch at all
         return NoValidDepth("the box has no 2x2 patch of valid depth")
-    return _area(_edge_sum(z, ok, xhat, yhat), count, ok.size, dist)
+    # zeroed before _edge_sum's cast, which a signalling NaN would make warn
+    return _area(_edge_sum(np.where(valid, z, 0.0), ok, xhat, yhat), count, ok.size, dist)
 
 
 def estimate_areas(

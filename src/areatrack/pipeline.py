@@ -172,9 +172,7 @@ def smooth_records(
 
 
 def report_from_records(
-    records: list[FrameResultRecord],
-    min_track_len: int = MIN_TRACK_LEN,
-    smoothed: bool = True,
+    records: list[FrameResultRecord], min_track_len: int = MIN_TRACK_LEN
 ) -> AreaConsistencyReport:
     """Per-track consistency metrics over result records.
 
@@ -185,8 +183,7 @@ def report_from_records(
     for r in records:
         if r.class_id == 0:
             by_track.setdefault(r.track_id, []).append(r)
-    value = operator.attrgetter("area_smoothed_m2" if smoothed else "area_raw_m2")
-    areas = {t: [value(r) for r in rs] for t, rs in by_track.items()}
+    areas = {t: [r.area_smoothed_m2 for r in rs] for t, rs in by_track.items()}
     # the first update of a track has no meaningful innovation
     nis = {t: [r.nis for r in rs[1:]] for t, rs in by_track.items() if len(rs) > 1}
     with np.errstate(over="ignore", invalid="ignore"):  # a file's huge areas overflow to inf or NaN

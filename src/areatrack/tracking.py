@@ -11,8 +11,8 @@ track's four 2x2 covariance blocks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -194,12 +194,13 @@ def fit_motion_ransac(correspondences: np.ndarray, seed: int = 0) -> MotionTrans
     ok = _full_rank(A, finite[idx].all(axis=1))
     A[~ok] = np.eye(3)  # skipped hypotheses solve a placeholder system
     coef = np.linalg.solve(A, D[idx])  # (RANSAC_ITERS, 3, 2): rows a_x, a_y, t
-    ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > SINGULAR_DET
-    dx = coef[:, :, 0] @ S.T - D[:, 0]  # (RANSAC_ITERS, n)
-    dy = coef[:, :, 1] @ S.T - D[:, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy  # the squared residual
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual is no inlier
+        ok &= np.abs(coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]) > SINGULAR_DET
+        dx = coef[:, :, 0] @ S.T - D[:, 0]  # (RANSAC_ITERS, n)
+        dy = coef[:, :, 1] @ S.T - D[:, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy  # the squared residual
     # sqrt is correctly rounded and monotone and RANSAC_INLIER_PX**2 is exact, so this
     # decides every pair as sqrt(dx) < RANSAC_INLIER_PX would, NaN and inf included
     inliers = (dx < RANSAC_INLIER_PX**2) & finite
@@ -211,38 +212,35 @@ def fit_motion_ransac(correspondences: np.ndarray, seed: int = 0) -> MotionTrans
     return MotionTransform.identity() if fit is None else fit
 
 
-def hungarian_solve(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Min-cost one-to-one assignment of min(N, M) pairs."""
+def hungarian_solve(cost: np.ndarray) -> np.ndarray:
+    """Min-cost one-to-one assignment of min(N, M) pairs, as (K, 2) (row, column) rows."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
-        return []
+        return np.empty((0, 2), np.intp)
     if not np.isfinite(cost).all():
         raise ValueError("costs must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    return list(zip(rows.tolist(), cols.tolist()))
+    return np.column_stack(linear_sum_assignment(cost))
 
 
-@dataclass
-class AssociationResult:
-    matches: list[tuple[int, int]] = field(default_factory=list)
-    unmatched_tracks: list[int] = field(default_factory=list)
-    unmatched_detections: list[int] = field(default_factory=list)
+class AssociationResult(NamedTuple):
+    matches: np.ndarray  # (K, 2) rows (track row, detection row), stage 1 first
+    born: np.ndarray  # the high-confidence detection rows stage 1 leaves, ascending
 
 
 def _match_stage(
     ious: np.ndarray, track_idx: np.ndarray, det_idx: np.ndarray, gate: float
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """Hungarian matches between the rows ``track_idx`` and the columns
-    ``det_idx`` of ``ious`` whose IoU reaches ``gate``, and the rows and
-    columns left over, in their given order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hungarian (track row, detection row) matches between the rows ``track_idx``
+    and the columns ``det_idx`` of ``ious`` whose IoU reaches ``gate``, and the
+    rows and columns left over, in their given order."""
     if not (len(track_idx) and len(det_idx)):
-        return [], track_idx, det_idx
+        return np.empty((0, 2), np.intp), track_idx, det_idx
     cost = 1.0 - ious[track_idx][:, det_idx]
-    pairs = [(i, j) for i, j in hungarian_solve(cost) if 1.0 - cost[i, j] >= gate]
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    pairs = hungarian_solve(cost)
+    i, j = pairs[1.0 - cost[pairs[:, 0], pairs[:, 1]] >= gate].T
     free_t, free_d = np.ones(len(track_idx), bool), np.ones(len(det_idx), bool)
     free_t[i] = free_d[j] = False
-    return list(zip(track_idx[i].tolist(), det_idx[j].tolist())), track_idx[free_t], det_idx[free_d]
+    return np.column_stack([track_idx[i], det_idx[j]]), track_idx[free_t], det_idx[free_d]
 
 
 def associate(
@@ -255,19 +253,15 @@ def associate(
     Stage 1 matches all tracks against high-confidence detections; stage 2
     lets remaining tracks pick up low-confidence detections (those between
     the floor and the high threshold) under the second gate. Detections
-    below the floor are never matched. Both stages slice one IoU matrix.
+    below the floor are never matched. The high-confidence detections that
+    stage 1 leaves are the births. Both stages slice one IoU matrix.
     """
     ious = iou_matrix(track_xywh, det_xywh)
     high = np.flatnonzero(confidence >= HIGH_CONF_THRESHOLD)
     low = np.flatnonzero((confidence >= LOW_CONF_FLOOR) & (confidence < HIGH_CONF_THRESHOLD))
-    all_tracks = np.arange(len(track_xywh))
-    m1, rest_t, rest_high = _match_stage(ious, all_tracks, high, IOU_GATE_STAGE1)
-    m2, rest_t, rest_low = _match_stage(ious, rest_t, low, IOU_GATE_STAGE2)
-    return AssociationResult(
-        matches=m1 + m2,
-        unmatched_tracks=rest_t.tolist(),
-        unmatched_detections=rest_high.tolist() + rest_low.tolist(),
-    )
+    m1, rest_t, born = _match_stage(ious, np.arange(len(track_xywh)), high, IOU_GATE_STAGE1)
+    m2 = _match_stage(ious, rest_t, low, IOU_GATE_STAGE2)[0]
+    return AssociationResult(np.concatenate([m1, m2]), born)
 
 
 class Tracker:
@@ -314,16 +308,15 @@ class Tracker:
         w = np.where(mean[:, 2] > 0.0, mean[:, 2], 0.0)
         h = np.where(mean[:, 3] > 0.0, mean[:, 3], 0.0)
         boxes = np.column_stack([mean[:, 0] - w / 2.0, mean[:, 1] - h / 2.0, w, h])
-        result = associate(boxes, det_xywh, confidence)
+        matches, born = associate(boxes, det_xywh, confidence)
 
-        ti, dj = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
+        ti, dj = matches.T
         mean[ti], cov[ti] = kf_update(mean[ti], cov[ti], _measurements(det_xywh[dj]))
         misses = tracks.misses + 1
         misses[ti] = 0
         # a centre sent to infinity has IoU 0 with every box, so it never matches again
         keep = (misses <= MAX_MISSES) & np.isfinite(mean[:, :2]).all(axis=1)
 
-        born = [j for j in result.unmatched_detections if confidence[j] >= HIGH_CONF_THRESHOLD]
         born_ids = np.arange(self._next_id, self._next_id + len(born))
         self._next_id += len(born)
         born_mean, born_cov = initiate(det_xywh[born])
@@ -334,5 +327,5 @@ class Tracker:
             misses=np.concatenate([misses[keep], np.zeros(len(born), np.int64)]),
         )
 
-        matched = [(int(tracks.ids[i]), j) for i, j in result.matches]
-        return sorted(matched + list(zip(born_ids.tolist(), born)))
+        ids = np.concatenate([tracks.ids[ti], born_ids])
+        return sorted(zip(ids.tolist(), np.concatenate([dj, born]).tolist()))

@@ -245,6 +245,24 @@ class TestResults:
         whole = " whole" if key in ("frame", "track_id", "class_id") else ""
         assert str(exc.value) == f"line 3: {key} must be a finite{whole} number, got {value!r}"
 
+    @pytest.mark.parametrize("key, value, bound", [
+        ("confidence", "2.5", "1"), ("confidence", "-0.5", "1"), ("distance_m", "-5", "inf"),
+        ("area_raw_m2", "-1", "inf"), ("area_smoothed_m2", "-2", "inf"), ("nis", "-3", "inf"),
+        ("valid_patch_fraction", "7", "1"), ("valid_patch_fraction", "-1e-9", "1"),
+    ])
+    def test_out_of_range_value_names_its_key(self, key, value, bound):
+        line = re.sub(rf"\b{key}=\S+", f"{key}={value}", write_results([self.rec()]).splitlines()[1])
+        with pytest.raises(MalformedLine) as exc:
+            parse_results(f"format_version=1\n# c\n{line}\n")
+        assert str(exc.value) == f"line 3: {key} {float(value)} outside [0, {bound}]"
+
+    def test_zero_measurements_are_read(self):
+        """The writer prints a tiny positive value as 0 and a tiny negative one as -0."""
+        rec = dataclasses.replace(self.rec(), distance_m=1e-9, area_raw_m2=-1e-12, area_smoothed_m2=0.0,
+                                  nis=0.0, valid_patch_fraction=1.0)
+        (got,) = parse_results(write_results([rec]))
+        assert (got.distance_m, got.area_raw_m2, got.area_smoothed_m2, got.nis) == (0.0, 0.0, 0.0, 0.0)
+
 
 class TestMotionFiles:
     def test_transform_roundtrip(self):
@@ -513,18 +531,29 @@ def reference_parse_detections(text: str) -> dict[int, list[Detection]]:
 
 
 def reference_parse_results(text: str) -> list[FrameResultRecord]:
-    """The per-parser results loop, kept as an oracle for ``formats._records``."""
+    """The per-parser results loop, kept as an oracle for ``formats._records``:
+    every value converts, in key order, before the box, the confidence and then
+    each measurement is checked; a measurement must be >= 0, and the valid
+    patch fraction also <= 1."""
     out = []
     for line_no, line in _data_lines(text):
         f = reference_fields(line, line_no, [k for k, _ in REFERENCE_RESULT_KEYS])
         try:
             v = reference_values(f, REFERENCE_RESULT_KEYS)
+            box = reference_box(v)
+            if not 0.0 <= v["confidence"] <= 1.0:
+                raise ValueError(f"confidence {v['confidence']} outside [0, 1]")
+            for key in ("distance_m", "area_raw_m2", "area_smoothed_m2", "nis"):
+                if v[key] < 0.0:
+                    raise ValueError(f"{key} {v[key]} outside [0, inf]")
+            if not 0.0 <= v["valid_patch_fraction"] <= 1.0:
+                raise ValueError(f"valid_patch_fraction {v['valid_patch_fraction']} outside [0, 1]")
             out.append(
                 FrameResultRecord(
                     frame=v["frame"],
                     track_id=v["track_id"],
                     class_id=v["class_id"],
-                    bbox=reference_box(v),
+                    bbox=box,
                     confidence=v["confidence"],
                     distance_m=v["distance_m"],
                     area_raw_m2=v["area_raw_m2"],
@@ -565,8 +594,8 @@ def detection_rows(draw):
 
 @st.composite
 def result_rows(draw):
-    """The data lines of a ``write_results`` file as token lists."""
-    values = st.floats(-10, 1e3)
+    """The data lines of a ``write_results`` file as token lists; every value in its range."""
+    values = st.floats(0, 1e3)
     recs = [FrameResultRecord(draw(st.integers(-3, 50)), draw(st.integers(0, 99)), draw(st.integers(0, 1)),
                               draw(BOXES), *draw(st.tuples(UNIT, values, values, values, values, UNIT)))
             for _ in range(draw(st.integers(0, 4)))]

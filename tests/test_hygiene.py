@@ -246,6 +246,43 @@ def test_key_spelling_scan_finds_lists_fstrings_and_wording():
         "nis never spelled", "w never spelled"]
 
 
+def comparison_owners(source: str, name: str) -> list[str]:
+    """The enclosing function of each comparison in ``source`` that has the
+    name ``name``, bare or as an attribute, on either side."""
+    hits = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+                for n in [node.left, *node.comparators]):
+            hits.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return hits
+
+
+def test_births_decided_only_in_associate():
+    """``associate`` alone compares confidences with ``HIGH_CONF_THRESHOLD``:
+    the stage-1 pool and the births are one rule, which ``Tracker.step`` reads."""
+    owners = comparison_owners((PACKAGE / "tracking.py").read_text(), "HIGH_CONF_THRESHOLD")
+    assert owners and set(owners) == {"associate"}, owners
+
+
+def test_comparison_scan_finds_bare_and_attribute_names():
+    source = (
+        "T = 0.5\n"
+        "def a(c):\n    return c >= T, max(c, T)\n"
+        "class K:\n    def step(self, c):\n        return [j for j in c if m.T <= j], T\n"
+        "def b(c):\n    return 0 < c < T\n"
+        "def d(c):\n    return c >= U\n"
+    )
+    assert comparison_owners(source, "T") == ["a", "step", "b"]
+
+
 def test_cli_catches_in_one_place():
     """Data errors reach the user through the command group alone."""
     tree = ast.parse((PACKAGE / "cli.py").read_text())

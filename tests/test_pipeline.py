@@ -233,7 +233,7 @@ class TestRunPipeline:
         _, manifest_path = scene_dir
         manifest = formats.SequenceManifest.load(manifest_path)
         records, smoothed_rep = run_pipeline(manifest, PipelineConfig())
-        raw_rep = report_from_records(records, smoothed=False)
+        raw_rep = report_from_records([r.smoothed(r.area_raw_m2, 0.0) for r in records])
         assert smoothed_rep.afd < raw_rep.afd
 
     def test_no_smoothing_passthrough(self, scene_dir):
@@ -243,8 +243,8 @@ class TestRunPipeline:
         for r in records:
             assert r.area_smoothed_m2 == r.area_raw_m2
             assert r.nis == 0.0
-        # so the report over the smoothed columns is the raw areas' report
-        assert report == report_from_records(records, smoothed=False)
+        # so the report over the smoothed columns is what eval-area --raw scores
+        assert report == report_from_records([r.smoothed(r.area_raw_m2, 0.0) for r in records])
 
     def test_smooth_records_matches_inline_smoothing(self, scene_dir):
         _, manifest_path = scene_dir
@@ -490,13 +490,13 @@ def reference_smooth_records(records, cfg):
     return out
 
 
-def reference_report_from_records(records, min_track_len=5, smoothed=True):
+def reference_report_from_records(records, min_track_len=5):
     areas: dict[int, list[float]] = {}
     nis: dict[int, list[float]] = {}
     for r in records:
         if r.class_id != 0:
             continue
-        areas.setdefault(r.track_id, []).append(r.area_smoothed_m2 if smoothed else r.area_raw_m2)
+        areas.setdefault(r.track_id, []).append(r.area_smoothed_m2)
         if len(areas[r.track_id]) > 1:
             nis.setdefault(r.track_id, []).append(r.nis)
     return reference_consistency_report(areas, nis, min_track_len=min_track_len)
@@ -550,9 +550,8 @@ class TestSmoothRecords:
         assert [r.nis.hex() for r in got] == [r.nis.hex() for r in want]
         assert repr(got) == repr(want)
         for min_track_len in (1, 2, 5, 12):
-            for smoothed in (True, False):
-                assert outcome(report_from_records, got, min_track_len, smoothed) == outcome(
-                    reference_report_from_records, want, min_track_len, smoothed)
+            assert outcome(report_from_records, got, min_track_len) == outcome(
+                reference_report_from_records, want, min_track_len)
 
     def test_zero_confidence_names_first_record_in_frame_order(self):
         records = [record(2, 1, 0.2, confidence=-0.5), record(0, 1, 0.2), record(0, 2, 0.3),
@@ -1008,6 +1007,28 @@ class TestCli:
         assert res.exit_code == 1, res.output
         errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
         assert errors == [f"error: {results}: line 2: {key} must be a finite number, got '{value}'"]
+
+    def test_out_of_range_result_value_is_a_data_error(self, fuzz_dir, tmp_path):
+        """A NIS below 0 would print a J below the least J can be."""
+        results = tmp_path / "results.txt"
+        results.write_text(re.sub(r"\bnis=\S+", "nis=-3", (fuzz_dir / "results.txt").read_text(), count=1))
+        res = CliRunner().invoke(main, ["eval-area", "--results", str(results)])
+        assert isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code == 1, res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: {results}: line 2: nis -3.0 outside [0, inf]"]
+
+    def test_raw_scores_the_unsmoothed_records(self, fuzz_dir, tmp_path):
+        """``--raw`` scores each record as an unsmoothed run writes it: the raw
+        area, and a zero NIS whatever the file holds."""
+        results = tmp_path / "results.txt"
+        results.write_text(re.sub(r"\bnis=\S+", "nis=2.0", (fuzz_dir / "results.txt").read_text()))
+        res = CliRunner().invoke(main, ["eval-area", "--results", str(results)])
+        assert res.exit_code == 0, res.output
+        assert "nis_mean=2.000000" in res.output
+        res = CliRunner().invoke(main, ["eval-area", "--results", str(results), "--raw"])
+        assert res.exit_code == 0, res.output
+        assert "nis_mean=0.000000" in res.output
 
     def test_overflowing_area_statistics_are_a_data_error(self, fuzz_dir, tmp_path):
         """Finite areas so large that the statistics overflow end ``eval-area`` with

@@ -18,7 +18,6 @@ from areatrack import tracking
 from areatrack.errors import OutOfOrderFrame, TooFewCorrespondences
 from areatrack.geometry import BBox, Detection, MotionTransform, as_xywh, iou
 from areatrack.tracking import (
-    AssociationResult,
     Tracker,
     associate,
     fit_motion_ransac,
@@ -496,14 +495,16 @@ class TestRansacNonFinite:
     # in a subprocess with a timeout: LAPACK's least squares never returned
     # on an infinite sample, and a hang must fail the test, not the run
     def test_nan_and_inf_skip_the_pair(self):
+        # a huge finite coordinate overflows the scoring without a warning, and
+        # its pair is never an inlier either
         got = {}
-        for value in ("nan", "inf"):
+        for value in ("nan", "inf", "1e308", "-1e308"):
             p = _run_nonfinite(value, "batched")
             assert p.returncode == 0, p.stderr
             # LAPACK complains on stdout, warnings go to stderr: neither may appear
             assert p.stderr == "" and len(p.stdout.splitlines()) == 1, p.stdout
             got[value] = p.stdout
-        assert got["nan"] == got["inf"]
+        assert got["nan"] == got["inf"] == got["1e308"] == got["-1e308"]
         m = np.frombuffer(bytes.fromhex(got["nan"].strip()))
         assert m.reshape(3, 3)[:2, 2] == pytest.approx([1.0, -0.5], abs=1e-6)
 
@@ -535,7 +536,7 @@ def brute_force_assignment(cost: np.ndarray) -> float:
 
 class TestHungarian:
     def test_empty(self):
-        assert hungarian_solve(np.zeros((0, 3))) == []
+        assert hungarian_solve(np.zeros((0, 3))).shape == (0, 2)
 
     def test_hand_example(self):
         cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
@@ -579,52 +580,72 @@ class TestAssociate:
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1)]
         r = associate(*packed(tracks, dets))
-        assert r.matches == [(0, 0)]
-        assert r.unmatched_tracks == [] and r.unmatched_detections == []
+        assert r.matches.tolist() == [[0, 0]]
+        assert r.born.tolist() == []
 
     def test_gate_blocks_weak_overlap(self):
         tracks = [BBox(0, 0, 10, 10)]
         dets = [det(9, 9, 10, 10)]  # IoU = 1/199 < 0.3
         r = associate(*packed(tracks, dets))
-        assert r.matches == []
-        assert r.unmatched_tracks == [0]
-        assert r.unmatched_detections == [0]
+        assert r.matches.tolist() == []
+        assert r.born.tolist() == [0]
 
     def test_low_conf_second_stage(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(1, 1, conf=0.3)]  # below high threshold, above floor
         r = associate(*packed(tracks, dets))
-        assert r.matches == [(0, 0)]
+        assert r.matches.tolist() == [[0, 0]]
+        assert r.born.tolist() == []
 
     def test_low_conf_needs_tighter_gate(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(8, 8, conf=0.3)]  # IoU ~ 0.22: passes stage-1 gate but not stage-2
         r = associate(*packed(tracks, dets))
-        assert r.matches == []
+        assert r.matches.tolist() == []
+        assert r.born.tolist() == []  # a low-confidence detection is never born
 
     def test_below_floor_never_matched(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(0, 0, conf=0.05)]
         r = associate(*packed(tracks, dets))
-        assert r.matches == []
-        assert r.unmatched_detections == []
+        assert r.matches.tolist() == []
+        assert r.born.tolist() == []
 
     def test_high_conf_priority(self):
         tracks = [BBox(0, 0, 20, 20)]
         dets = [det(2, 2, conf=0.2), det(4, 4, conf=0.9)]
         r = associate(*packed(tracks, dets))
-        assert r.matches == [(0, 1)]
+        assert r.matches.tolist() == [[0, 1]]
+        assert r.born.tolist() == []
 
     def test_two_tracks_two_dets(self):
         tracks = [BBox(0, 0, 20, 20), BBox(100, 100, 20, 20)]
         dets = [det(101, 99), det(1, 2)]
         r = associate(*packed(tracks, dets))
-        assert sorted(r.matches) == [(0, 1), (1, 0)]
+        assert r.matches.tolist() == [[0, 1], [1, 0]]
+        assert r.born.tolist() == []
+
+    def test_only_high_confidence_leftovers_are_born(self):
+        # the track takes the high-confidence box in stage 1; of the two boxes
+        # far from it, only the high-confidence one starts a track
+        tracks = [BBox(0, 0, 20, 20)]
+        dets = [det(200, 200, conf=0.3), det(1, 1), det(100, 100, conf=0.6)]
+        r = associate(*packed(tracks, dets))
+        assert r.matches.tolist() == [[0, 1]]
+        assert r.born.tolist() == [2]
 
 
-def reference_associate(track_boxes, dets):
+@dataclass
+class RefAssociation:
+    matches: list
+    unmatched_tracks: list
+    unmatched_detections: list
+
+
+def reference_associate(track_boxes, dets) -> RefAssociation:
     """The per-pair association loop the IoU cost matrix replaced, kept as an
-    oracle: one scalar ``iou`` call per track and detection."""
+    oracle: one scalar ``iou`` call per track and detection, and every
+    detection row left unmatched, high-confidence ones first."""
 
     def stage(track_idx, det_idx, gate):
         if not track_idx or not det_idx:
@@ -649,7 +670,7 @@ def reference_associate(track_boxes, dets):
            if tracking.LOW_CONF_FLOOR <= d.confidence < tracking.HIGH_CONF_THRESHOLD]
     m1, rest_t, rest_high = stage(list(range(len(track_boxes))), high, tracking.IOU_GATE_STAGE1)
     m2, rest_t, rest_low = stage(rest_t, low, tracking.IOU_GATE_STAGE2)
-    return AssociationResult(m1 + m2, rest_t, rest_high + rest_low)
+    return RefAssociation(m1 + m2, rest_t, rest_high + rest_low)
 
 
 class TestAssociateEqualsLoop:
@@ -665,7 +686,11 @@ class TestAssociateEqualsLoop:
                       float(rng.uniform()), 0, 0)
             for _ in range(m)
         ]
-        assert associate(*packed(tracks, dets)) == reference_associate(tracks, dets)
+        got, want = associate(*packed(tracks, dets)), reference_associate(tracks, dets)
+        assert got.matches.shape == (len(want.matches), 2)
+        assert got.matches.tolist() == [list(p) for p in want.matches]
+        assert got.born.tolist() == [j for j in want.unmatched_detections
+                                     if dets[j].confidence >= tracking.HIGH_CONF_THRESHOLD]
 
 
 @dataclass
