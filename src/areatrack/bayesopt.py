@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 from scipy.stats import qmc
 
@@ -52,6 +53,23 @@ def _matern52(dist: np.ndarray, ls: float) -> np.ndarray:
     return (1.0 + r + r * r / 3.0) * np.exp(-r)
 
 
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The Euclidean distance between each row of A and each row of B.
+
+    Below 8 coordinates this is ``np.linalg.norm(A[:, None] - B[None],
+    axis=2)`` bit for bit, as both sum the squares in coordinate order,
+    but it builds no (len(A), len(B), d) difference array, which made the
+    norm about 4x slower on the tuner's 512 candidates.
+    """
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"points have {A.shape[1]} coordinates, expected {B.shape[1]}")
+    total = np.zeros((len(A), len(B)))
+    for a, b in zip(A.T, B.T):
+        d = a[:, None] - b
+        total += d * d
+    return np.sqrt(total)
+
+
 class GpPosterior:
     """Zero-mean GP fitted on (possibly standardized) observations."""
 
@@ -67,7 +85,7 @@ class GpPosterior:
 
     def mean_var(self, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        dist = np.linalg.norm(Xq[:, None, :] - self.X[None, :, :], axis=2)
+        dist = _distances(Xq, self.X)
         k = self.signal_var * _matern52(dist, self.length_scale)
         mu = k @ self._alpha
         # both operands are finite by construction; the check costs ~8% of the tuner
@@ -82,11 +100,14 @@ def gp_fit(points: Sequence[Sequence[float]], values: Sequence[float]) -> GpPost
 
     Signal variance has a closed-form ML solution per length scale.
     Observations are standardized internally; callers should pass inputs
-    already scaled to roughly the unit box.
+    already scaled to roughly the unit box. Raises ``ValueError`` for a
+    point or value that is not finite.
     """
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.asarray(values, dtype=np.float64)
     n = len(y)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("gp_fit needs finite points and values")
     if n > 1 and np.allclose(X, X[0], atol=1e-12):
         raise DegenerateKernel("all training points identical")
     y_mean = float(y.mean())
@@ -94,29 +115,30 @@ def gp_fit(points: Sequence[Sequence[float]], values: Sequence[float]) -> GpPost
     if y_scale < 1e-12:
         y_scale = 1.0
     ys = (y - y_mean) / y_scale
-    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    dist = _distances(X, X)
+    jitter = _JITTER * np.eye(n)
 
     best = None
     for ls in _LENGTH_SCALES:
-        K0 = _matern52(dist, ls) + _JITTER * np.eye(n)
+        M = _matern52(dist, ls)
         try:
-            L = np.linalg.cholesky(K0)
+            L = np.linalg.cholesky(M + jitter)
         except np.linalg.LinAlgError:
             continue
-        a = cho_solve((L, True), ys)
+        # cho_solve's own LAPACK call, without its finiteness checks
+        a, _ = dpotrs(L, ys, lower=True)
         s2 = float(ys @ a) / n
         s2 = max(s2, 1e-10)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         # log marginal likelihood up to constants, profiled over signal var
         nll = 0.5 * n * math.log(s2) + 0.5 * logdet
         if best is None or nll < best[0]:
-            best = (nll, ls, s2)
+            best = (nll, ls, s2, M)
     if best is None:
         raise DegenerateKernel("no valid kernel on the length-scale grid")
-    _, ls, s2 = best
-    K = s2 * _matern52(dist, ls) + _JITTER * np.eye(n)
-    L = np.linalg.cholesky(K)
-    alpha = cho_solve((L, True), ys)
+    _, ls, s2, M = best
+    L = np.linalg.cholesky(s2 * M + jitter)
+    alpha, _ = dpotrs(L, ys, lower=True)
     return GpPosterior(X, alpha, L, ls, s2, y_mean, y_scale)
 
 

@@ -109,15 +109,24 @@ def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig) -> tuple[list[float], lis
     ``z``, ``c``, ``d`` and ``track_ids`` hold one entry per measurement;
     a track's first measurement sets A = z and P = R. ``measurement_noise``
     runs over all of them first, so a bad confidence stops the pass
-    before any step.
+    before any step. The measurements are grouped by track once, and each
+    track runs ``_gain_step``'s float operations, in its order, as one
+    loop over locals.
     """
     r = measurement_noise(c, d, cfg).tolist()
-    states: dict = {}  # track id -> (A, P)
-    areas, nis = [], []
-    for zi, ri, t in zip(np.asarray(z, dtype=np.float64).tolist(), r, track_ids):
-        prior = states.get(t)
-        a, p, ni = (zi, ri, 0.0) if prior is None else _gain_step(prior[0], prior[1] + Q, zi, ri)
-        states[t] = a, p
-        areas.append(a)
-        nis.append(ni)
+    z = np.asarray(z, dtype=np.float64).tolist()
+    rows_by_track: dict = {}
+    for i, t in enumerate(track_ids):
+        rows_by_track.setdefault(t, []).append(i)
+    areas, nis = z[:], [0.0] * len(z)
+    for rows in rows_by_track.values():
+        a, p = z[rows[0]], r[rows[0]]
+        for i in rows[1:]:
+            p += Q
+            s = p + r[i]
+            k = p / s
+            innov = z[i] - a
+            nis[i] = innov * innov / s
+            areas[i] = a = a + k * innov
+            p = (1.0 - k) * p
     return areas, nis

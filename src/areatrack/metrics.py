@@ -212,10 +212,12 @@ def area_consistency_report(
     areas = [areas_by_track[t] for t in tids]
     mean, mae, cv, afd = np.zeros((4, len(tids)))
     for rows, block in _blocks(areas):
-        mean[rows] = block.mean(axis=1)
-        mae[rows] = area_mae(block)
-        positive = mean[rows] > 0.0  # CV is 0 where the mean is not positive or is NaN
-        cv[rows[positive]] = area_cv(block[positive])
+        # area_mae and area_cv, from one mean and one deviation per block
+        mean[rows] = m = block.mean(axis=1)
+        dev = block - m[:, None]
+        mae[rows] = np.mean(np.abs(dev), axis=1)
+        positive = m > 0.0  # CV is 0 where the mean is not positive or is NaN
+        cv[rows[positive]] = np.sqrt(np.mean(dev[positive] ** 2, axis=1)) / m[positive]
         afd[rows] = area_afd(block)
     nis_series = [(nis_by_track or {}).get(t, ()) for t in tids]
     nis = np.zeros(len(tids))

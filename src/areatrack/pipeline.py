@@ -156,9 +156,10 @@ def smooth_records(
 
     The pipeline's smoothing step; the tuner calls it directly to try
     candidate noise weights without repeating tracking and area estimation.
-    The records are sorted by (frame, track_id) and filtered in one pass
-    by ``cdkf.filter_tracks``; a repeated (frame, track_id) record counts
-    as the track's next measurement.
+    The records are sorted by (frame, track_id) and filtered by
+    ``cdkf.filter_tracks``, one loop per track; a repeated (frame,
+    track_id) record counts as the track's next measurement. Each result
+    is a ``FrameResultRecord.smoothed`` copy.
     """
     ordered = sorted(records, key=operator.attrgetter("frame", "track_id"))
     areas, nis = cdkf.filter_tracks(
@@ -176,15 +177,21 @@ def report_from_records(
 ) -> AreaConsistencyReport:
     """Per-track consistency metrics over result records.
 
-    Manholes (class 1) flow through tracking and estimation but are
-    excluded from the pothole report.
+    One pass appends each pothole record's smoothed area, and each NIS
+    after a track's first, to its track's series. Manholes (class 1) flow
+    through tracking and estimation but are excluded from the pothole
+    report.
     """
-    by_track: dict[int, list[FrameResultRecord]] = {}
+    areas: dict[int, list[float]] = {}
+    nis: dict[int, list[float]] = {}
     for r in records:
         if r.class_id == 0:
-            by_track.setdefault(r.track_id, []).append(r)
-    areas = {t: [r.area_smoothed_m2 for r in rs] for t, rs in by_track.items()}
-    # the first update of a track has no meaningful innovation
-    nis = {t: [r.nis for r in rs[1:]] for t, rs in by_track.items() if len(rs) > 1}
+            t = r.track_id
+            if t in areas:
+                areas[t].append(r.area_smoothed_m2)
+                nis[t].append(r.nis)
+            else:  # the first update of a track has no meaningful innovation
+                areas[t] = [r.area_smoothed_m2]
+                nis[t] = []
     with np.errstate(over="ignore", invalid="ignore"):  # a file's huge areas overflow to inf or NaN
         return area_consistency_report(areas, nis, min_track_len=min_track_len)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from areatrack import bayesopt
 from areatrack.bayesopt import (
@@ -63,6 +64,90 @@ class TestGp:
         ys = (y - y.mean()) / y.std()
         residual = np.linalg.norm(K @ gp._alpha - ys)
         assert residual <= 1e-13 * np.linalg.norm(K, 2) * np.linalg.norm(gp._alpha)
+
+
+def reference_gp_fit(points, values):
+    """``gp_fit`` as first written: each kernel rebuilt with its own jitter
+    matrix, the chosen one recomputed, and ``cho_solve`` with its checks."""
+    X = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    y = np.asarray(values, dtype=np.float64)
+    n = len(y)
+    y_mean, y_scale = float(y.mean()), float(y.std())
+    if y_scale < 1e-12:
+        y_scale = 1.0
+    ys = (y - y_mean) / y_scale
+    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    best = None
+    for ls in bayesopt._LENGTH_SCALES:
+        L = np.linalg.cholesky(bayesopt._matern52(dist, ls) + bayesopt._JITTER * np.eye(n))
+        a = cho_solve((L, True), ys)
+        s2 = max(float(ys @ a) / n, 1e-10)
+        nll = 0.5 * n * math.log(s2) + 0.5 * 2.0 * float(np.sum(np.log(np.diag(L))))
+        if best is None or nll < best[0]:
+            best = (nll, ls, s2)
+    _, ls, s2 = best
+    L = np.linalg.cholesky(s2 * bayesopt._matern52(dist, ls) + bayesopt._JITTER * np.eye(n))
+    return bayesopt.GpPosterior(X, cho_solve((L, True), ys), L, ls, s2, y_mean, y_scale)
+
+
+def _smooth(X):
+    return np.sin(3 * X[:, 0]) + X[:, 1] ** 2
+
+
+def _oracle_sets():
+    """(points, values) sets of 5, 20 and 34 points and the plane on which
+    the grid picks its longest scale, 1.6."""
+    rng = np.random.default_rng(7)
+    X5, X20, X34 = (rng.uniform(0, 1, (n, 2)) for n in (5, 20, 34))
+    plane = np.random.default_rng(1).uniform(0, 1, (12, 2))
+    return {
+        "n5": (X5, _smooth(X5)),
+        "n20": (X20, rng.normal(size=20)),
+        "n34": (X34, _smooth(X34)),
+        "plane": (plane, plane[:, 0] + 0.5 * plane[:, 1]),
+    }
+
+
+class TestGpFitOracle:
+    @pytest.mark.parametrize("name", sorted(_oracle_sets()))
+    def test_same_bits_as_reference(self, name):
+        X, y = _oracle_sets()[name]
+        got, want = gp_fit(X, y), reference_gp_fit(X, y)
+        assert got._alpha.tobytes() == want._alpha.tobytes()
+        assert got._chol.tobytes() == want._chol.tobytes()
+        assert np.float64(got.length_scale).tobytes() == np.float64(want.length_scale).tobytes()
+        assert (got.signal_var, got._y_mean, got._y_scale) == (
+            want.signal_var, want._y_mean, want._y_scale)
+
+    def test_sets_span_the_grid(self):
+        picked = {gp_fit(X, y).length_scale for X, y in _oracle_sets().values()}
+        assert bayesopt._LENGTH_SCALES[-1] in picked and len(picked) >= 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_value_or_point_rejected(self, bad):
+        X = np.random.default_rng(0).uniform(0, 1, (6, 2))
+        y = _smooth(X)
+        y_bad, X_bad = y.copy(), X.copy()
+        y_bad[3] = bad
+        X_bad[2, 1] = bad
+        for points, values in ((X, y_bad), (X_bad, y)):
+            with pytest.raises(ValueError, match="^gp_fit needs finite points and values$"):
+                gp_fit(points, values)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_same_bits_as_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        for m, n, scale in ((1, 1, 1.0), (512, 20, 1.0), (64, 34, 1e-4), (7, 3, 1e150)):
+            A = scale * rng.uniform(-1, 1, (m, dim))
+            B = rng.uniform(-1, 1, (n, dim))
+            want = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
+            assert bayesopt._distances(A, B).tobytes() == want.tobytes()
+
+    def test_coordinate_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^points have 1 coordinates, expected 2$"):
+            bayesopt._distances(np.zeros((3, 1)), np.zeros((4, 2)))
 
 
 class TestExpectedImprovement:

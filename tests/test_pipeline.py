@@ -543,6 +543,7 @@ class TestSmoothRecords:
     @given(records=raw_records(), lam=_WEIGHTS, theta=_WEIGHTS, mode=st.sampled_from(NoiseMode))
     def test_matches_per_record_reference(self, records, lam, theta, mode):
         cfg = CdkfConfig(lam=lam, theta=theta, mode=mode)
+        before = repr(records)
         with np.errstate(all="ignore"):
             got = smooth_records(records, cfg)
             want = reference_smooth_records(records, cfg)
@@ -552,6 +553,16 @@ class TestSmoothRecords:
         for min_track_len in (1, 2, 5, 12):
             assert outcome(report_from_records, got, min_track_len) == outcome(
                 reference_report_from_records, want, min_track_len)
+        # the copies skip __init__: each must still be a whole frozen record
+        for r in got:
+            assert type(r) is formats.FrameResultRecord
+            twin = dataclasses.replace(r)
+            assert r == twin and hash(r) == hash(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.nis = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.area_smoothed_m2 = 1.0
+        assert repr(records) == before  # the copies share no state with the input
 
     def test_zero_confidence_names_first_record_in_frame_order(self):
         records = [record(2, 1, 0.2, confidence=-0.5), record(0, 1, 0.2), record(0, 2, 0.3),
