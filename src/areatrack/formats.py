@@ -249,6 +249,9 @@ def write_detections(dets_by_frame: dict[int, list[Detection]]) -> str:
     return _write(_DETECTION, (d for frame in sorted(dets_by_frame) for d in dets_by_frame[frame]))
 
 
+_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per record copy
+
+
 @dataclass(frozen=True)
 class FrameResultRecord:
     frame: int
@@ -277,9 +280,6 @@ class FrameResultRecord:
         new = _new(FrameResultRecord)
         _setattr(new, "__dict__", fields)
         return new
-
-
-_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per copy
 
 
 def _result(frame, track_id, class_id, x, y, w, h, confidence, *measured) -> FrameResultRecord:
