@@ -82,7 +82,8 @@ def reference_gp_fit(points, values):
         L = np.linalg.cholesky(bayesopt._matern52(dist, ls) + bayesopt._JITTER * np.eye(n))
         a = cho_solve((L, True), ys)
         s2 = max(float(ys @ a) / n, 1e-10)
-        nll = 0.5 * n * math.log(s2) + 0.5 * 2.0 * float(np.sum(np.log(np.diag(L))))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        nll = 0.5 * n * math.log(s2) + 0.5 * logdet
         if best is None or nll < best[0]:
             best = (nll, ls, s2)
     _, ls, s2 = best
