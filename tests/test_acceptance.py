@@ -371,9 +371,8 @@ def test_criterion_07_detection_metrics_oracle():
 # 8. optimizer convergence
 
 
-def test_criterion_08_optimizer_convergence():
-    t0 = time.perf_counter()
-    errors = []
+def criterion_08_searches():
+    """The 100 seeded searches of criterion 08, each as (its target, its ``OptResult``)."""
     master = np.random.default_rng(8008)
     for seed in range(100):
         cx, cy = master.uniform(0.2, 1.8, 2)
@@ -381,8 +380,13 @@ def test_criterion_08_optimizer_convergence():
         def f(p, cx=cx, cy=cy):
             return (p[0] - cx) ** 2 + (p[1] - cy) ** 2
 
-        res = optimize(f, SearchSpec(n_init=5, n_iter=30, seed=seed))
-        errors.append(max(abs(res.best_point[0] - cx), abs(res.best_point[1] - cy)))
+        yield (cx, cy), optimize(f, SearchSpec(n_init=5, n_iter=30, seed=seed))
+
+
+def test_criterion_08_optimizer_convergence():
+    t0 = time.perf_counter()
+    errors = [max(abs(res.best_point[0] - cx), abs(res.best_point[1] - cy))
+              for (cx, cy), res in criterion_08_searches()]
     elapsed = time.perf_counter() - t0
     hits = sum(e <= 0.05 for e in errors)
     ok = hits >= 95 and elapsed < 60.0
@@ -437,19 +441,22 @@ def test_criterion_10_objective_arithmetic():
 # 11. end-to-end determinism
 
 
+CRITERION_11_SCENE = SceneSpec(
+    intrinsics=INTR,
+    surface=Surface(
+        kind="plane", z0=6.0,
+        potholes=(PotholeSpec(center=(0.0, 0.0), a=0.3, b=0.2, depth=0.015),),
+    ),
+    frames=8,
+    camera_path=tuple(CameraPose(position=(0.0, 0.0, 0.15 * k)) for k in range(8)),
+    noise=NoiseSpec(box_jitter_px=0.6, depth_rel_std=0.004, conf_noise_std=0.02),
+    n_correspondences=60,
+    seed=11,
+)
+
+
 def test_criterion_11_determinism(tmp_path):
-    spec = SceneSpec(
-        intrinsics=INTR,
-        surface=Surface(
-            kind="plane", z0=6.0,
-            potholes=(PotholeSpec(center=(0.0, 0.0), a=0.3, b=0.2, depth=0.015),),
-        ),
-        frames=8,
-        camera_path=tuple(CameraPose(position=(0.0, 0.0, 0.15 * k)) for k in range(8)),
-        noise=NoiseSpec(box_jitter_px=0.6, depth_rel_std=0.004, conf_noise_std=0.02),
-        n_correspondences=60,
-        seed=11,
-    )
+    spec = CRITERION_11_SCENE
     # identical renders...
     m1 = write_scene(spec, tmp_path / "a")
     m2 = write_scene(spec, tmp_path / "b")
