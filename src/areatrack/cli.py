@@ -11,8 +11,7 @@ from pathlib import Path
 
 import click
 
-from . import formats, synth
-from .bayesopt import SearchSpec, optimize
+from . import formats
 from .cdkf import CdkfConfig, NoiseMode
 from .errors import AreatrackError
 from .metrics import MIN_TRACK_LEN, evaluate_detections_per_frame
@@ -123,6 +122,8 @@ def eval_det(dets_path, gt_path, iou_thresh):
 @click.option("--min-track-len", type=click.IntRange(min=2), default=MIN_TRACK_LEN)
 def optimize_cmd(manifest_path, mode, seed, n_init, n_iter, min_track_len):
     """Tune the noise weights (lambda, theta) by minimizing objective J."""
+    from .bayesopt import SearchSpec, optimize  # here, as scipy.stats would slow every command's start
+
     manifest = formats.SequenceManifest.load(manifest_path)
     records, _ = run_pipeline(manifest, PipelineConfig(smoothing=False, seed=seed))
     if report_from_records(records, min_track_len=min_track_len).track_count == 0:
@@ -148,6 +149,8 @@ def optimize_cmd(manifest_path, mode, seed, n_init, n_iter, min_track_len):
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override the spec's seed")
 def synth_cmd(spec_path, out_dir, seed):
     """Render a synthetic scene into pipeline-consumable files."""
+    from . import synth  # here, as only this command renders
+
     click.echo(str(synth.write_scene(synth.load_scene_spec(spec_path, seed), out_dir)))
 
 

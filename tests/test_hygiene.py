@@ -3,7 +3,10 @@
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import areatrack
@@ -281,6 +284,19 @@ def test_comparison_scan_finds_bare_and_attribute_names():
         "def d(c):\n    return c >= U\n"
     )
     assert comparison_owners(source, "T") == ["a", "step", "b"]
+
+
+def test_cli_import_loads_neither_tuner_nor_renderer():
+    """``optimize`` and ``synth`` import the tuner and the renderer themselves, so
+    every other command starts without them and without ``scipy.stats``.
+    (``scipy.spatial`` is not checked: ``scipy.optimize``, which the tracker
+    needs, loads it.)"""
+    heavy = ("scipy.stats", "areatrack.bayesopt", "areatrack.synth")
+    code = f"import sys, areatrack.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_cli_catches_in_one_place():
