@@ -108,7 +108,8 @@ def gp_fit(points: Sequence[Sequence[float]], values: Sequence[float]) -> GpPost
     n = len(y)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("gp_fit needs finite points and values")
-    if n > 1 and np.allclose(X, X[0], atol=1e-12):
+    # an absolute tolerance: allclose's relative one would tell points apart by where they lie
+    if n > 1 and (np.abs(X - X[0]) <= 1e-12).all():
         raise DegenerateKernel("all training points identical")
     y_mean = float(y.mean())
     y_scale = float(y.std())

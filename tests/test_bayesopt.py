@@ -44,6 +44,15 @@ class TestGp:
         with pytest.raises(DegenerateKernel):
             gp_fit([[0.5, 0.5], [0.5, 0.5]], [1.0, 2.0])
 
+    @pytest.mark.parametrize("origin", [0.0, 1.0, 1e4])
+    def test_identical_points_judged_apart_from_where_they_lie(self, origin):
+        """Whether points are identical does not depend on where they lie: 9e-6 apart
+        they fit, near 0 and near 1 alike, and one point twice is rejected anywhere."""
+        gp = gp_fit([[origin, origin], [origin + 9e-6, origin]], [1.0, 2.0])
+        assert np.isfinite(gp._alpha).all()
+        with pytest.raises(DegenerateKernel, match="all training points identical"):
+            gp_fit([[origin, origin], [origin, origin]], [1.0, 2.0])
+
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (20, 2))
