@@ -169,6 +169,15 @@ def test_motion_transform_singular_rejected():
         MotionTransform(m)
 
 
+def test_singular_homography_rejected():
+    """A homography with an identity 2x2 block whose third-row terms, -1 and
+    +1 times the block, cancel: an affine matrix cannot show that sign."""
+    from areatrack.errors import SingularTransform
+
+    with pytest.raises(SingularTransform, match="^3x3 matrix is singular$"):
+        MotionTransform(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+
+
 class TestMotionFit:
     def test_recovers_exact_affine(self):
         src = np.random.default_rng(0).uniform(0, 640, (30, 2))

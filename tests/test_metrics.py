@@ -403,6 +403,12 @@ class TestConsistencyReport:
         with pytest.raises(TooShort, match="AFD needs at least two elements"):
             area_consistency_report({1: [0.2] * 5, 2: [0.3]}, min_track_len=1)
 
+    def test_small_positive_mean_has_its_cv(self):
+        """A track under 10 cm^2 has a CV like any other: only a mean <= 0 scores 0."""
+        rep = area_consistency_report({1: [4e-4, 5e-4, 6e-4, 5e-4, 5e-4]}, min_track_len=5)
+        assert rep.per_track[0].cv == pytest.approx(math.sqrt(0.4) / 5, rel=1e-12)
+        assert rep.cv == pytest.approx(0.1265, abs=1e-4)
+
     def test_nonpositive_or_nan_mean_has_zero_cv(self):
         rep = area_consistency_report(
             {1: [0.0, 0.0], 2: [-1.0, -2.0], 3: [np.nan, 1.0], 4: [1.0, 3.0]}, min_track_len=2)
