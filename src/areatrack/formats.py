@@ -7,6 +7,7 @@ import io
 import math
 import mmap
 import operator
+import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache, partial
@@ -171,10 +172,11 @@ def _value(key: str, t: type, token: str):
         return number(key, t, token)  # raises: a string is not a number
 
 
-def _records(text: str, table, make) -> list:
-    """``make(*values)`` of each record line, its values converted by ``table``'s types in
-    key order (a repeated key keeps its last value). A line's first fault is its error: a
-    token not key=value, then the first missing key, the first bad value, ``make``'s error."""
+def _records(text: str, table, check) -> list[list]:
+    """The values of each record line, converted by ``table``'s types in key order (a
+    repeated key keeps its last value) and passed by ``check(*values)``. A line's first
+    fault is its error: a token not key=value, then the first missing key, the first bad
+    value, ``check``'s error."""
     keys, types, _ = zip(*table)
     get = operator.itemgetter(*keys)  # KeyError names the first missing key; 2+ keys give a tuple
     out = []
@@ -195,10 +197,50 @@ def _records(text: str, table, make) -> list:
         except (ValueError, OverflowError):
             ok = False
         try:  # a line that fails is converted key by key, to name its first bad key
-            out.append(make(*(values if ok else map(_value, keys, types, tokens))))
+            values = values if ok else [*map(_value, keys, types, tokens)]
+            check(*values)
         except (ValueError, TypeError) as e:
             raise MalformedLine(line_no, str(e)) from None
+        out.append(values)
     return out
+
+
+@cache
+def _canonical(table) -> tuple[re.Pattern, list[int], list[int]]:
+    """A regex that matches each canonical line of a ``table`` file, capturing its
+    values, and the positions of ``table``'s int keys and of its float keys."""
+    line = " ".join(f"{key}=(\\S+)" for key, _, _ in table)
+    ints, floats = ([i for i, (_, t, _) in enumerate(table) if t is kind] for kind in (int, float))
+    return re.compile(f"^{line}$", re.MULTILINE), ints, floats
+
+
+def _columns(text: str, table, check) -> tuple[list[list[int]], np.ndarray]:
+    """A record file's values as columns in ``table``'s key order: a list of ints per int
+    key, and one (k, N) float64 array of the k float keys' values.
+
+    A canonical file, the format a writer writes, is read in one pass: the header line,
+    then one line per record with each key once, in table order, single-spaced. One
+    regex ``findall`` splits it, one ``np.array`` call converts its float tokens (under
+    ``float()``'s rules), ``int()`` its int tokens, and ``_valid`` checks the float
+    columns at once for what ``check`` checks line by line. Any other file, or one that
+    a check fails, is read by ``_records``, which names the first bad line.
+    """
+    pattern, int_at, float_at = _canonical(table)
+    if text.startswith(f"format_version={FORMAT_VERSION}\n") and text.endswith("\n"):
+        found = pattern.findall(text)
+        if len(found) == text.count("\n") - 1:  # every line after the header is a record
+            tokens = list(zip(*found)) or [()] * len(table)
+            try:
+                ints = [list(map(int, tokens[i])) for i in int_at]
+                floats = np.array([tokens[i] for i in float_at], dtype=np.float64)
+            except ValueError:
+                pass
+            else:
+                big = sys.float_info.max  # number's rule for an int
+                if all(-big <= min(c) and max(c) <= big for c in ints if c) and _valid(floats):
+                    return ints, floats
+    values = list(zip(*_records(text, table, check))) or [()] * len(table)
+    return [list(values[i]) for i in int_at], np.array([values[i] for i in float_at], dtype=np.float64)
 
 
 def _box(x: float, y: float, w: float, h: float) -> BBox:
@@ -237,19 +279,44 @@ def _detection(frame, class_id, x, y, w, h, confidence) -> Detection:
     return Detection(_box(x, y, w, h), confidence, class_id, frame)
 
 
+def _valid(floats: np.ndarray) -> bool:
+    """Whether the float columns of a detection or result table (x, y, w, h, confidence,
+    then a result's measurements, the valid patch fraction last) pass ``number``'s rule
+    and the checks of ``_detection`` and ``_result`` in every row."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a far edge beyond the float range fails
+        right_bottom = floats[:2] + floats[2:4]
+    return bool(np.isfinite(floats).all() and np.isfinite(right_bottom).all()
+                and (floats[2:] >= 0.0).all() and (floats[4] <= 1.0).all() and (floats[-1] <= 1.0).all())
+
+
+FrameDetections = tuple[np.ndarray, np.ndarray, list[int]]  # [x, y, w, h] rows, confidences, class ids
+
+
+def detection_columns(text: str) -> dict[int, FrameDetections]:
+    """Line-delimited detections grouped by frame, frames in their first line's order:
+    each frame's ``[x, y, w, h]`` rows (M, 4), confidences (M,) and class ids, in
+    input order."""
+    (frame, class_id), floats = _columns(text, _DETECTION, _detection)
+    xywh, confidence = floats[:4].T, floats[4]
+    if len(set(frame)) == 1:  # a file per frame
+        return {frame[0]: (xywh, confidence, class_id)}
+    rows: dict[int, list[int]] = {}
+    for k, n in enumerate(frame):
+        rows.setdefault(n, []).append(k)
+    return {n: (xywh[r], confidence[r], [class_id[k] for k in r]) for n, r in rows.items()}
+
+
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Line-delimited detections grouped by frame, input order preserved."""
-    out: dict[int, list[Detection]] = {}
-    for det in _records(text, _DETECTION, _detection):
-        out.setdefault(det.frame, []).append(det)
-    return out
+    return {n: [_detection(n, k, *box, c) for box, c, k in zip(xywh.tolist(), confidence.tolist(), class_id)]
+            for n, (xywh, confidence, class_id) in detection_columns(text).items()}
 
 
 def write_detections(dets_by_frame: dict[int, list[Detection]]) -> str:
     return _write(_DETECTION, (d for frame in sorted(dets_by_frame) for d in dets_by_frame[frame]))
 
 
-_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per record copy
+_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per record
 
 
 @dataclass(frozen=True)
@@ -282,17 +349,33 @@ class FrameResultRecord:
         return new
 
 
-def _result(frame, track_id, class_id, x, y, w, h, confidence, *measured) -> FrameResultRecord:
-    """A result record: a detection's checks, then each measurement >= 0, the fraction <= 1."""
-    det = _detection(frame, class_id, x, y, w, h, confidence)
+_RECORD_FIELDS = tuple(f.name for f in fields(FrameResultRecord))
+
+
+def result_records(frame, track_id, class_id, x, y, w, h, *measured) -> list[FrameResultRecord]:
+    """The result records whose columns these are, one sequence of Python numbers per
+    ``_RESULT`` key, in its order. Nothing is checked: the columns are a checked file's
+    or the pipeline's own. Like ``smoothed``, each record is a bare instance with its
+    field dict installed, not one made by ``__init__``."""
+    records = []
+    for values in zip(frame, track_id, class_id, map(BBox, x, y, w, h), *measured):
+        new = _new(FrameResultRecord)
+        _setattr(new, "__dict__", dict(zip(_RECORD_FIELDS, values)))
+        records.append(new)
+    return records
+
+
+def _result(frame, track_id, class_id, x, y, w, h, confidence, *measured) -> None:
+    """A result record's checks: a detection's, then each measurement >= 0, the fraction <= 1."""
+    _detection(frame, class_id, x, y, w, h, confidence)
     for (key, _, _), v, top in zip(_RESULT[-5:], measured, (math.inf,) * 4 + (1.0,)):
         if not 0.0 <= v <= top:
             raise ValueError(f"{key} {v} outside [0, {top:g}]")
-    return FrameResultRecord(frame, track_id, class_id, det.bbox, confidence, *measured)
 
 
 def parse_results(text: str) -> list[FrameResultRecord]:
-    return _records(text, _RESULT, _result)
+    ints, floats = _columns(text, _RESULT, _result)
+    return result_records(*ints, *floats.tolist())
 
 
 def write_results(records: list[FrameResultRecord]) -> str:

@@ -16,15 +16,17 @@ from .cdkf import CdkfConfig
 from . import cdkf
 from .errors import AreatrackError, DimensionMismatch
 from .formats import (
+    FrameDetections,
     FrameEntry,
     FrameResultRecord,
     SequenceManifest,
-    parse_detections,
+    detection_columns,
     parse_file,
     parse_motion_file,
     parse_pfm,
+    result_records,
 )
-from .geometry import CameraIntrinsics, DepthMap, Detection, MotionTransform, as_xywh
+from .geometry import BBox, CameraIntrinsics, DepthMap, MotionTransform
 from .mbtp import estimate_areas
 from .metrics import MIN_TRACK_LEN, AreaConsistencyReport, area_consistency_report
 from .tracking import Tracker, fit_motion_ransac
@@ -51,7 +53,7 @@ def run_pipeline(
     manifest: SequenceManifest, config: PipelineConfig = PipelineConfig()
 ) -> tuple[list[FrameResultRecord], AreaConsistencyReport]:
     """Process frames in order through tracking and area estimation, then
-    smooth each track's raw areas with ``smooth_records``.
+    smooth each track's raw areas with ``cdkf.filter_tracks``.
 
     Per-frame input errors abort with the frame index. Each detection is
     measured before tracking by ``mbtp.estimate_areas``, and one that it
@@ -65,62 +67,66 @@ def run_pipeline(
     frame's boxes touch are loaded. A depth file must therefore not be
     truncated or rewritten while its frame is processed. A detections file
     that several frames share is parsed once, by the first of them.
+
+    The frames' rows come out in (frame, track_id) order, the order that
+    ``smooth_records`` sorts records into, so they are filtered as they
+    are and each record is made once, with its smoothed area.
     """
     tracker = Tracker()
-    detections: dict[Path, dict[int, list[Detection]]] = {}  # each file's detections not yet taken
-    records: list[FrameResultRecord] = []
+    detections: dict[Path, dict[int, FrameDetections]] = {}  # each file's detections not yet taken
+    rows: list[tuple] = []
     for entry in manifest.frames:
-        records += _process_frame(entry, manifest.intrinsics, tracker, config.seed, detections)
+        rows += _process_frame(entry, manifest.intrinsics, tracker, config.seed, detections)
+    frame, track_id, class_id, x, y, w, h, confidence, distance, area, fraction = (
+        list(zip(*rows)) or [()] * 11)
     if config.smoothing:
-        records = smooth_records(records, config.cdkf)
+        smoothed, nis = cdkf.filter_tracks(area, confidence, distance, track_id, config.cdkf)
+    else:
+        smoothed, nis = area, [0.0] * len(area)
+    records = result_records(frame, track_id, class_id, x, y, w, h, confidence, distance, area,
+                             smoothed, nis, fraction)
     return records, report_from_records(records)
+
+
+_NO_DETECTIONS: FrameDetections = (np.zeros((0, 4)), np.zeros(0), [])
 
 
 def _process_frame(
     entry: FrameEntry, intr: CameraIntrinsics, tracker: Tracker, seed: int,
-    detections: dict[Path, dict[int, list[Detection]]],
-) -> list[FrameResultRecord]:
-    """The raw records of one frame. Its depth map lives only in this call,
-    so a later frame's error does not keep the map's file mapping open."""
-    records = []
+    detections: dict[Path, dict[int, FrameDetections]],
+) -> list[tuple]:
+    """The raw result rows of one frame, by track id: frame, track id, class
+    id, x, y, w, h, confidence, distance, raw area and valid patch fraction.
+    Its depth map lives only in this call, so a later frame's error does
+    not keep the map's file mapping open."""
     try:
         depth = _load_depth(entry.depth)
         if depth.width != intr.width or depth.height != intr.height:
             raise DimensionMismatch(f"depth {depth.width}x{depth.height} does not match intrinsics")
         path = entry.detections
         if path not in detections:
-            detections[path] = parse_file(path, parse_detections)
-        dets = detections[path].pop(entry.frame, [])
+            detections[path] = parse_file(path, detection_columns)
+        xywh, confidence, class_id = detections[path].pop(entry.frame, _NO_DETECTIONS)
         motion = _load_motion(entry.motion, seed, entry.frame)
     except (AreatrackError, OSError) as e:
         raise FrameProcessingError(entry.frame, e) from e
 
-    boxes = as_xywh(d.bbox for d in dets)
-    estimates = estimate_areas(boxes, depth, intr)
-    rows = []  # the measured detections
-    for k, (det, est) in enumerate(zip(dets, estimates)):
+    estimates = estimate_areas(xywh, depth, intr)
+    boxes = xywh.tolist()
+    measured = []  # the rows of the measured detections
+    for k, est in enumerate(estimates):
         if isinstance(est, AreatrackError):
-            log.warning("frame %d: box %s: %s, skipping", entry.frame, det.bbox, est)
+            log.warning("frame %d: box %s: %s, skipping", entry.frame, BBox(*boxes[k]), est)
         else:
-            rows.append(k)
-    confidence = np.array([dets[k].confidence for k in rows], dtype=np.float64)
-    for track_id, j in tracker.step(boxes[rows], confidence, entry.frame, motion):
-        det, est = dets[rows[j]], estimates[rows[j]]
-        records.append(
-            FrameResultRecord(
-                frame=entry.frame,
-                track_id=track_id,
-                class_id=det.class_id,
-                bbox=det.bbox,
-                confidence=det.confidence,
-                distance_m=est.distance_m,
-                area_raw_m2=est.area_m2,
-                area_smoothed_m2=est.area_m2,
-                nis=0.0,
-                valid_patch_fraction=est.valid_patch_fraction,
-            )
-        )
-    return records
+            measured.append(k)
+    conf = confidence.tolist()
+    rows = []
+    for track_id, j in tracker.step(xywh[measured], confidence[measured], entry.frame, motion):
+        k = measured[j]
+        est = estimates[k]
+        rows.append((entry.frame, track_id, class_id[k], *boxes[k], conf[k],
+                     est.distance_m, est.area_m2, est.valid_patch_fraction))
+    return rows
 
 
 def _load_depth(path: Path) -> DepthMap:
@@ -154,9 +160,9 @@ def smooth_records(
 ) -> list[FrameResultRecord]:
     """Per-track smoothing over raw area measurements, in frame order.
 
-    The pipeline's smoothing step; the tuner calls it directly to try
-    candidate noise weights without repeating tracking and area estimation.
-    The records are sorted by (frame, track_id) and filtered by
+    The tuner calls it to try candidate noise weights without repeating
+    tracking and area estimation; ``run_pipeline`` filters its rows, which
+    are in this order already, the same way. The records are sorted by (frame, track_id) and filtered by
     ``cdkf.filter_tracks``, one loop per track; a repeated (frame,
     track_id) record counts as the track's next measurement. Each result
     is a ``FrameResultRecord.smoothed`` copy.

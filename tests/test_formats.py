@@ -11,7 +11,7 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from areatrack import synth
+from areatrack import formats, synth
 from areatrack.cli import main
 from areatrack.errors import (
     BadMagic,
@@ -26,6 +26,7 @@ from areatrack.formats import (
     FrameEntry,
     FrameResultRecord,
     SequenceManifest,
+    detection_columns,
     parse_detections,
     parse_motion_file,
     parse_pfm,
@@ -640,6 +641,32 @@ def corrupt_records(draw, rows):
     return rows
 
 
+@st.composite
+def canonical_text(draw, rows):
+    """``rows``, in a drawn order, as the writers write them: the header, then one
+    single-spaced line per record."""
+    return write_records(" ".join(row) for row in draw(st.permutations(rows)))
+
+
+EDIT_CHARS = st.sampled_from(list("09-.e=x_#n ") + ["\t", "\n", "\r", "\x0c", "\xa0", "\u2028", "٣"])
+
+
+@st.composite
+def canonical_text_changed_once(draw, rows):
+    """A canonical file of ``rows`` with one change: one key's value swapped for an
+    odd one, or one character of the file replaced, inserted or deleted."""
+    if rows and draw(st.booleans()):
+        rows = [list(r) for r in rows]
+        row = draw(st.sampled_from(rows))
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = f"{row[k].partition('=')[0]}={draw(RECORD_VALUES)}"
+        return draw(canonical_text(rows))
+    text = draw(canonical_text(rows))
+    i = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    return text[:i] + ("" if edit == "delete" else draw(EDIT_CHARS)) + text[i + (edit != "insert"):]
+
+
 RECORD_PARSERS = [
     pytest.param(parse_detections, reference_parse_detections, detection_rows, id="detections"),
     pytest.param(parse_results, reference_parse_results, result_rows, id="results"),
@@ -687,6 +714,79 @@ class TestRecordFileEqualsOracle:
             assert exc.value.line_no == 3
         assert _record_outcome(parse_detections, text) == _record_outcome(
             reference_parse_detections, text)
+
+    @pytest.mark.parametrize("parse, reference, rows", RECORD_PARSERS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_canonical_files(self, parse, reference, rows, data):
+        text = data.draw(canonical_text(data.draw(rows())))
+        want = _record_outcome(reference, text)
+        assert want[0] == "ok", want
+        assert _record_outcome(parse, text) == want
+
+    @pytest.mark.parametrize("parse, reference, rows", RECORD_PARSERS)
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_canonical_files_changed_once(self, parse, reference, rows, data):
+        text = data.draw(canonical_text_changed_once(data.draw(rows())))
+        assert _record_outcome(parse, text) == _record_outcome(reference, text)
+
+
+CANONICAL_DETECTIONS = write_detections({
+    0: [Detection(BBox(1.5, 2.0, 30.0, 20.0), 0.9, 0, 0), Detection(BBox(5.0, 5.0, 10.0, 10.0), 0.4, 1, 0)],
+    2: [Detection(BBox(50.0, 5.0, 12.0, 9.0), 0.7, 0, 2)],
+})
+
+
+class TestCanonicalRecords:
+    """A file as the writers write it is read in one vectorised pass; any other
+    file, and one whose values fail a check, is read line by line."""
+
+    def test_written_files_skip_the_line_loop(self, monkeypatch):
+        results = write_results([TestResults().rec()] * 2)
+        want = parse_detections(CANONICAL_DETECTIONS), parse_results(results)
+        monkeypatch.setattr(formats, "_records", lambda *args: pytest.fail("read line by line"))
+        assert (parse_detections(CANONICAL_DETECTIONS), parse_results(results)) == want
+        assert parse_detections(write_detections({})) == {}
+
+    @pytest.mark.parametrize("change", [
+        lambda t: t.replace("\n", "\n# c\n", 1), lambda t: t + "\n", lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" ", "  ", 1), lambda t: t.replace(" ", "\t", 1), lambda t: t[:-1],
+        lambda t: t.replace("\n", "\nbogus\n", 1)[:-1],
+        lambda t: t.replace("\nframe", "\n frame", 1), lambda t: t.replace("format_version=1\n", ""),
+        lambda t: t.replace("x=1.500000 y=2.000000", "y=2.000000 x=1.500000"),
+        lambda t: t.replace("confidence=0.900000", "confidence=0.900000 extra=1"),
+        lambda t: t.replace("confidence=0.9", "confidence=1.9"), lambda t: t.replace("w=12", "w=-12"),
+        lambda t: t.replace("x=50.000000", "x=1e308").replace("w=12.000000", "w=1e308"),
+        lambda t: t.replace("h=9.000000", "h=nan"), lambda t: t.replace("frame=2", "frame=2.0"),
+        lambda t: t.replace("frame=2", "frame=1" + "0" * 400),
+    ], ids=["comment", "blank-line", "crlf", "double-space", "tab", "no-final-newline",
+            "bad-line-and-no-final-newline", "indent",
+            "no-header", "key-order", "extra-key", "confidence", "negative-size", "far-edge", "nan",
+            "float-frame", "frame-beyond-floats"])
+    def test_other_files_read_line_by_line(self, monkeypatch, change):
+        text = change(CANONICAL_DETECTIONS)
+        assert text != CANONICAL_DETECTIONS
+        calls, line_by_line = [], formats._records
+        monkeypatch.setattr(formats, "_records", lambda *args: calls.append(1) or line_by_line(*args))
+        got = _record_outcome(parse_detections, text)
+        assert calls == [1]
+        assert got == _record_outcome(reference_parse_detections, text)
+
+    def test_detection_columns_group_frames_in_first_line_order(self):
+        text = write_records([
+            "frame=2 class_id=0 x=1 y=2 w=3 h=4 confidence=0.5",
+            "frame=0 class_id=1 x=5 y=6 w=7 h=8 confidence=0.25",
+            "frame=2 class_id=1 x=9 y=10 w=11 h=12 confidence=1",
+        ])
+        got = detection_columns(text)
+        assert list(got) == [2, 0]
+        xywh, confidence, class_id = got[2]
+        assert xywh.tolist() == [[1, 2, 3, 4], [9, 10, 11, 12]] and xywh.dtype == np.float64
+        assert confidence.tolist() == [0.5, 1.0] and class_id == [0, 1]
+        xywh, confidence, class_id = got[0]
+        assert (xywh.tolist(), confidence.tolist(), class_id) == ([[5, 6, 7, 8]], [0.25], [1])
+        assert detection_columns(write_records([])) == {}
 
 
 class TestRecordLines:

@@ -359,8 +359,8 @@ class TestRunPipeline:
         shared = dataclasses.replace(manifest, frames=[
             dataclasses.replace(e, detections=paths[k % files]) for k, e in enumerate(manifest.frames)])
         parsed = []
-        monkeypatch.setattr(pipeline, "parse_detections",
-                            lambda text: parsed.append(text) or formats.parse_detections(text))
+        monkeypatch.setattr(pipeline, "detection_columns",
+                            lambda text: parsed.append(text) or formats.detection_columns(text))
         records, _ = run_pipeline(shared, PipelineConfig())
         assert sorted(parsed) == sorted(path.read_text() for path in paths)
         assert formats.write_results(records) == want
