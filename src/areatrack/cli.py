@@ -82,7 +82,7 @@ def eval_area(results_path, min_track_len, raw):
     """Area-consistency report (per-track MAE/CV/AFD/NIS averages)."""
     records = formats.parse_file(results_path, formats.parse_results)
     if raw:
-        records = [r.smoothed(r.area_raw_m2, 0.0) for r in records]
+        records = records.smoothed(records.columns.area_raw_m2, [0.0] * len(records))
     report = report_from_records(records, min_track_len=min_track_len)
     if not math.isfinite(report.objective):
         _fail(f"{results_path}: the area statistics overflow: objective_j={report.objective}")

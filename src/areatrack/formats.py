@@ -9,6 +9,8 @@ import mmap
 import operator
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache, partial
 from pathlib import Path
@@ -267,12 +269,16 @@ _RESULT = _DETECTION[:1] + (("track_id", int, "d"),) + _DETECTION[1:] + (
     ("nis", float, ".8f"), ("valid_patch_fraction", float, ".6f"))
 
 
-def _write(table, records: Iterable) -> str:
-    """A record file with one ``table`` line per record; a box key reads the record's ``bbox``."""
+def _getter(table) -> operator.attrgetter:
+    """The values of a record's ``table`` keys, in key order; a box key reads the record's ``bbox``."""
     box = {f.name for f in fields(BBox)}
+    return operator.attrgetter(*(f"bbox.{key}" if key in box else key for key, _, _ in table))
+
+
+def _write(table, rows: Iterable[tuple]) -> str:
+    """A record file with one ``table`` line per row of values in key order."""
     line = " ".join(f"{key}=%{fmt}" for key, _, fmt in table)
-    get = operator.attrgetter(*(f"bbox.{key}" if key in box else key for key, _, _ in table))
-    return write_records(line % get(r) for r in records)
+    return write_records(map(line.__mod__, rows))
 
 
 def _detection(frame, class_id, x, y, w, h, confidence) -> Detection:
@@ -313,14 +319,14 @@ def parse_detections(text: str) -> dict[int, list[Detection]]:
 
 
 def write_detections(dets_by_frame: dict[int, list[Detection]]) -> str:
-    return _write(_DETECTION, (d for frame in sorted(dets_by_frame) for d in dets_by_frame[frame]))
-
-
-_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per record
+    return _write(_DETECTION, map(_getter(_DETECTION),
+                                  (d for frame in sorted(dets_by_frame) for d in dets_by_frame[frame])))
 
 
 @dataclass(frozen=True)
 class FrameResultRecord:
+    """One row of a result table."""
+
     frame: int
     track_id: int
     class_id: int
@@ -332,37 +338,59 @@ class FrameResultRecord:
     nis: float
     valid_patch_fraction: float
 
-    def smoothed(self, area_m2: float, nis: float) -> "FrameResultRecord":
-        """This record with its smoothed area and NIS replaced.
 
-        The copy installs a copy of this record's ``__dict__`` in a bare
-        instance instead of calling ``__init__``, whose one frozen
-        ``__setattr__`` per field made it about three times as slow; the
-        tuner copies every record once per candidate. Skipping ``__init__``
-        skips no check, as the record has no ``__post_init__``.
-        """
-        fields = self.__dict__.copy()
-        fields["area_smoothed_m2"] = area_m2
-        fields["nis"] = nis
-        new = _new(FrameResultRecord)
-        _setattr(new, "__dict__", fields)
-        return new
+def _record(frame, track_id, class_id, x, y, w, h, *values) -> FrameResultRecord:
+    return FrameResultRecord(frame, track_id, class_id, BBox(x, y, w, h), *values)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(FrameResultRecord))
+ResultColumns = namedtuple("ResultColumns", [key for key, _, _ in _RESULT])
 
 
-def result_records(frame, track_id, class_id, x, y, w, h, *measured) -> list[FrameResultRecord]:
-    """The result records whose columns these are, one sequence of Python numbers per
-    ``_RESULT`` key, in its order. Nothing is checked: the columns are a checked file's
-    or the pipeline's own. Like ``smoothed``, each record is a bare instance with its
-    field dict installed, not one made by ``__init__``."""
-    records = []
-    for values in zip(frame, track_id, class_id, map(BBox, x, y, w, h), *measured):
-        new = _new(FrameResultRecord)
-        _setattr(new, "__dict__", dict(zip(_RECORD_FIELDS, values)))
-        records.append(new)
-    return records
+class ResultTable(Sequence[FrameResultRecord]):
+    """Result records held as one immutable table of columns: ``columns`` is a
+    ``ResultColumns`` of one sequence of Python numbers per ``_RESULT`` key, in
+    its order, each as long as the table. Indexing and iteration build each
+    ``FrameResultRecord`` on demand, a slice is a table, and ``==`` compares
+    record by record with any sequence of records. Tables share columns, and
+    no code changes a column in place. Nothing is checked: the columns are a
+    checked file's, the pipeline's own, or taken from records."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: ResultColumns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ResultTable(self.columns._make(c[i] for c in self.columns))
+        return _record(*(c[i] for c in self.columns))
+
+    def __iter__(self) -> Iterator[FrameResultRecord]:
+        return map(_record, *self.columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"ResultTable({list(self)!r})"
+
+    def smoothed(self, area_m2: Sequence[float], nis: Sequence[float]) -> "ResultTable":
+        """This table with its smoothed area and NIS columns replaced; it shares
+        every other column."""
+        return ResultTable(self.columns._replace(area_smoothed_m2=area_m2, nis=nis))
+
+
+def result_table(records: Sequence[FrameResultRecord]) -> ResultTable:
+    """``records`` as a table: the table itself, or the columns of a sequence of records."""
+    if isinstance(records, ResultTable):
+        return records
+    columns = list(zip(*map(_getter(_RESULT), records))) or [()] * len(_RESULT)
+    return ResultTable(ResultColumns._make(columns))
 
 
 def _result(frame, track_id, class_id, x, y, w, h, confidence, *measured) -> None:
@@ -373,13 +401,14 @@ def _result(frame, track_id, class_id, x, y, w, h, confidence, *measured) -> Non
             raise ValueError(f"{key} {v} outside [0, {top:g}]")
 
 
-def parse_results(text: str) -> list[FrameResultRecord]:
+def parse_results(text: str) -> ResultTable:
     ints, floats = _columns(text, _RESULT, _result)
-    return result_records(*ints, *floats.tolist())
+    return ResultTable(ResultColumns(*ints, *floats.tolist()))
 
 
-def write_results(records: list[FrameResultRecord]) -> str:
-    return _write(_RESULT, records)
+def write_results(records: Sequence[FrameResultRecord]) -> str:
+    """A result file of ``records``, each line formatted from the table's columns."""
+    return _write(_RESULT, zip(*result_table(records).columns))
 
 
 # ---------------------------------------------------------------------------

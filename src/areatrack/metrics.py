@@ -5,7 +5,7 @@ tuning objective J."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -165,8 +165,10 @@ def objective_j(mae: float, cv: float, afd: float, nis: float) -> float:
     return 10.0 * mae + cv + afd + nis
 
 
-@dataclass(frozen=True)
-class TrackAreaStats:
+class TrackAreaStats(NamedTuple):
+    """One scored track's statistics; a tuple, which the report builds per
+    track at the cost of one call, not of one frozen ``__setattr__`` per field."""
+
     track_id: int
     n: int
     mean_area: float
@@ -225,13 +227,9 @@ def area_consistency_report(
         if block.shape[1]:
             nis[rows] = block.mean(axis=1)
     has_nis = np.array([len(s) > 0 for s in nis_series])
-    per_track = [
-        TrackAreaStats(track_id=t, n=len(s), mean_area=m, mae=e, cv=v, afd=f,
-                       nis_mean=x if h else None)
-        for t, s, m, e, v, f, x, h in zip(
-            tids, areas, mean.tolist(), mae.tolist(), cv.tolist(), afd.tolist(),
-            nis.tolist(), has_nis.tolist())
-    ]
+    nis_mean = [x if h else None for x, h in zip(nis.tolist(), has_nis.tolist())]
+    per_track = list(map(TrackAreaStats, tids, map(len, areas), mean.tolist(), mae.tolist(),
+                         cv.tolist(), afd.tolist(), nis_mean))
     return AreaConsistencyReport(
         mae=float(np.mean(mae)),
         cv=float(np.mean(cv)),

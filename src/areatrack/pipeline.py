@@ -7,6 +7,7 @@ import logging
 import mmap
 import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,12 +20,14 @@ from .formats import (
     FrameDetections,
     FrameEntry,
     FrameResultRecord,
+    ResultColumns,
+    ResultTable,
     SequenceManifest,
     detection_columns,
     parse_file,
     parse_motion_file,
     parse_pfm,
-    result_records,
+    result_table,
 )
 from .geometry import BBox, CameraIntrinsics, DepthMap, MotionTransform
 from .mbtp import estimate_areas
@@ -51,7 +54,7 @@ class FrameProcessingError(AreatrackError):
 
 def run_pipeline(
     manifest: SequenceManifest, config: PipelineConfig = PipelineConfig()
-) -> tuple[list[FrameResultRecord], AreaConsistencyReport]:
+) -> tuple[ResultTable, AreaConsistencyReport]:
     """Process frames in order through tracking and area estimation, then
     smooth each track's raw areas with ``cdkf.filter_tracks``.
 
@@ -70,7 +73,7 @@ def run_pipeline(
 
     The frames' rows come out in (frame, track_id) order, the order that
     ``smooth_records`` sorts records into, so they are filtered as they
-    are and each record is made once, with its smoothed area.
+    are, and their columns, with the smoothed area's, make the result table.
     """
     tracker = Tracker()
     detections: dict[Path, dict[int, FrameDetections]] = {}  # each file's detections not yet taken
@@ -83,8 +86,8 @@ def run_pipeline(
         smoothed, nis = cdkf.filter_tracks(area, confidence, distance, track_id, config.cdkf)
     else:
         smoothed, nis = area, [0.0] * len(area)
-    records = result_records(frame, track_id, class_id, x, y, w, h, confidence, distance, area,
-                             smoothed, nis, fraction)
+    records = ResultTable(ResultColumns(frame, track_id, class_id, x, y, w, h, confidence, distance,
+                                        area, smoothed, nis, fraction))
     return records, report_from_records(records)
 
 
@@ -155,49 +158,47 @@ def _load_motion(path, seed: int, frame: int) -> MotionTransform | None:
     return fit_motion_ransac(payload, seed=seed * 100003 + frame)
 
 
-def smooth_records(
-    records: list[FrameResultRecord], cfg: CdkfConfig
-) -> list[FrameResultRecord]:
+def smooth_records(records: Sequence[FrameResultRecord], cfg: CdkfConfig) -> ResultTable:
     """Per-track smoothing over raw area measurements, in frame order.
 
     The tuner calls it to try candidate noise weights without repeating
     tracking and area estimation; ``run_pipeline`` filters its rows, which
-    are in this order already, the same way. The records are sorted by (frame, track_id) and filtered by
-    ``cdkf.filter_tracks``, one loop per track; a repeated (frame,
-    track_id) record counts as the track's next measurement. Each result
-    is a ``FrameResultRecord.smoothed`` copy.
+    are in this order already, the same way. The records, as a table, are
+    put in (frame, track_id) order by a stable sort, skipped when they are
+    in it already, and their columns filtered by ``cdkf.filter_tracks``,
+    one loop per track; a repeated (frame, track_id) record counts as the
+    track's next measurement. The result shares every column of the
+    ordered table but the smoothed area and the NIS.
     """
-    ordered = sorted(records, key=operator.attrgetter("frame", "track_id"))
-    areas, nis = cdkf.filter_tracks(
-        [r.area_raw_m2 for r in ordered],
-        [r.confidence for r in ordered],
-        [r.distance_m for r in ordered],
-        [r.track_id for r in ordered],
-        cfg,
-    )
-    return [r.smoothed(a, n) for r, a, n in zip(ordered, areas, nis)]
+    table = result_table(records)
+    keys = list(zip(table.columns.frame, table.columns.track_id))
+    if not all(map(operator.le, keys, keys[1:])):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        table = ResultTable(table.columns._make([c[i] for i in order] for c in table.columns))
+    c = table.columns
+    return table.smoothed(*cdkf.filter_tracks(c.area_raw_m2, c.confidence, c.distance_m, c.track_id, cfg))
 
 
 def report_from_records(
-    records: list[FrameResultRecord], min_track_len: int = MIN_TRACK_LEN
+    records: Sequence[FrameResultRecord], min_track_len: int = MIN_TRACK_LEN
 ) -> AreaConsistencyReport:
     """Per-track consistency metrics over result records.
 
-    One pass appends each pothole record's smoothed area, and each NIS
-    after a track's first, to its track's series. Manholes (class 1) flow
-    through tracking and estimation but are excluded from the pothole
-    report.
+    One pass over the table's columns appends each pothole record's
+    smoothed area, and each NIS after a track's first, to its track's
+    series. Manholes (class 1) flow through tracking and estimation but
+    are excluded from the pothole report.
     """
+    c = result_table(records).columns
     areas: dict[int, list[float]] = {}
     nis: dict[int, list[float]] = {}
-    for r in records:
-        if r.class_id == 0:
-            t = r.track_id
+    for class_id, t, a, n in zip(c.class_id, c.track_id, c.area_smoothed_m2, c.nis):
+        if class_id == 0:
             if t in areas:
-                areas[t].append(r.area_smoothed_m2)
-                nis[t].append(r.nis)
+                areas[t].append(a)
+                nis[t].append(n)
             else:  # the first update of a track has no meaningful innovation
-                areas[t] = [r.area_smoothed_m2]
+                areas[t] = [a]
                 nis[t] = []
     with np.errstate(over="ignore", invalid="ignore"):  # a file's huge areas overflow to inf or NaN
         return area_consistency_report(areas, nis, min_track_len=min_track_len)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import re
 import struct
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from areatrack import formats, synth
 from areatrack.cli import main
@@ -25,6 +26,8 @@ from areatrack.formats import (
     _data_lines,
     FrameEntry,
     FrameResultRecord,
+    ResultColumns,
+    ResultTable,
     SequenceManifest,
     detection_columns,
     parse_detections,
@@ -263,6 +266,62 @@ class TestResults:
                                   nis=0.0, valid_patch_fraction=1.0)
         (got,) = parse_results(write_results([rec]))
         assert (got.distance_m, got.area_raw_m2, got.area_smoothed_m2, got.nis) == (0.0, 0.0, 0.0, 0.0)
+
+
+def reference_write_results(records) -> str:
+    """The per-record writer that formatting from columns replaced, kept as the
+    oracle: one line per record, its values read attribute by attribute."""
+    box = {f.name for f in dataclasses.fields(BBox)}
+    line = " ".join(f"{key}=%{fmt}" for key, _, fmt in formats._RESULT)
+    get = operator.attrgetter(*(f"bbox.{key}" if key in box else key for key, _, _ in formats._RESULT))
+    return write_records(line % get(r) for r in records)
+
+
+def decimals(places: int, top: float):
+    """Numbers in [0, top] with ``places`` decimals, which a file written to that many
+    places holds exactly."""
+    return st.integers(0, int(top * 10**places)).map(lambda k: k / 10**places)
+
+
+@st.composite
+def result_tables(draw):
+    """Tables of 0-6 rows whose values the writer's formats hold exactly."""
+    six, eight = decimals(6, 4000.0), decimals(8, 10.0)
+    keys = (st.integers(-3, 50), st.integers(0, 99), st.integers(0, 1), six, six, six, six,
+            decimals(6, 1.0), six, eight, eight, eight, decimals(6, 1.0))
+    rows = draw(st.lists(st.tuples(*keys), max_size=6))
+    return ResultTable(ResultColumns._make(map(list, zip(*rows))) if rows else
+                       ResultColumns._make([] for _ in keys))
+
+
+ONE_ROW = ResultTable(ResultColumns([3], [2], [0], [10.0], [20.0], [30.0], [15.0], [0.85], [6.25], [0.1931],
+                                    [0.1897], [0.73], [0.98]))
+
+
+class TestResultTable:
+    @settings(max_examples=150, deadline=None)
+    @given(table=result_tables())
+    @example(table=ResultTable(ResultColumns._make([()] * 13)))
+    @example(table=ONE_ROW)
+    def test_table_equals_its_records(self, table):
+        records = list(table)
+        assert write_results(table) == reference_write_results(records)
+        assert write_results(records) == write_results(table)
+        assert parse_results(write_results(table)) == table
+        assert table == records and records == table
+        assert [table[i] for i in range(-len(records), len(records))] == records + records
+        for i, j, k in ((None, None, None), (1, None, None), (None, -1, None), (None, None, 2), (-2, 0, -1)):
+            part = table[i:j:k]
+            assert type(part) is ResultTable and list(part) == records[i:j:k]
+        with pytest.raises(IndexError):
+            table[len(records)]
+
+    def test_records_compare_by_value(self):
+        (record,) = ONE_ROW
+        assert ONE_ROW == [record] and ONE_ROW != [dataclasses.replace(record, nis=0.5)]
+        assert ONE_ROW != [] and ONE_ROW != [record, record] and ONE_ROW != "x"
+        assert formats.result_table([record]) == ONE_ROW
+        assert ONE_ROW.smoothed([0.2], [0.0]) == [dataclasses.replace(record, area_smoothed_m2=0.2, nis=0.0)]
 
 
 class TestMotionFiles:
@@ -667,9 +726,14 @@ def canonical_text_changed_once(draw, rows):
     return text[:i] + ("" if edit == "delete" else draw(EDIT_CHARS)) + text[i + (edit != "insert"):]
 
 
+def parse_result_list(text: str) -> list[FrameResultRecord]:
+    """``parse_results``' table as a list of records, to compare with the oracle's list."""
+    return list(parse_results(text))
+
+
 RECORD_PARSERS = [
     pytest.param(parse_detections, reference_parse_detections, detection_rows, id="detections"),
-    pytest.param(parse_results, reference_parse_results, result_rows, id="results"),
+    pytest.param(parse_result_list, reference_parse_results, result_rows, id="results"),
 ]
 
 

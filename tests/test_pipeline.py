@@ -233,7 +233,8 @@ class TestRunPipeline:
         _, manifest_path = scene_dir
         manifest = formats.SequenceManifest.load(manifest_path)
         records, smoothed_rep = run_pipeline(manifest, PipelineConfig())
-        raw_rep = report_from_records([r.smoothed(r.area_raw_m2, 0.0) for r in records])
+        raw_rep = report_from_records(
+            [dataclasses.replace(r, area_smoothed_m2=r.area_raw_m2, nis=0.0) for r in records])
         assert smoothed_rep.afd < raw_rep.afd
 
     def test_no_smoothing_passthrough(self, scene_dir):
@@ -244,7 +245,8 @@ class TestRunPipeline:
             assert r.area_smoothed_m2 == r.area_raw_m2
             assert r.nis == 0.0
         # so the report over the smoothed columns is what eval-area --raw scores
-        assert report == report_from_records([r.smoothed(r.area_raw_m2, 0.0) for r in records])
+        assert report == report_from_records(
+            [dataclasses.replace(r, area_smoothed_m2=r.area_raw_m2, nis=0.0) for r in records])
 
     def test_smooth_records_matches_inline_smoothing(self, scene_dir):
         _, manifest_path = scene_dir
@@ -549,11 +551,11 @@ class TestSmoothRecords:
             want = reference_smooth_records(records, cfg)
         assert [r.area_smoothed_m2.hex() for r in got] == [r.area_smoothed_m2.hex() for r in want]
         assert [r.nis.hex() for r in got] == [r.nis.hex() for r in want]
-        assert repr(got) == repr(want)
+        assert repr(list(got)) == repr(want)
         for min_track_len in (1, 2, 5, 12):
             assert outcome(report_from_records, got, min_track_len) == outcome(
                 reference_report_from_records, want, min_track_len)
-        # the copies skip __init__: each must still be a whole frozen record
+        # each record the table builds on demand is a whole frozen record
         for r in got:
             assert type(r) is formats.FrameResultRecord
             twin = dataclasses.replace(r)
@@ -562,7 +564,7 @@ class TestSmoothRecords:
                 r.nis = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 r.area_smoothed_m2 = 1.0
-        assert repr(records) == before  # the copies share no state with the input
+        assert repr(records) == before  # the table shares no state with the input records
 
     def test_zero_confidence_names_first_record_in_frame_order(self):
         records = [record(2, 1, 0.2, confidence=-0.5), record(0, 1, 0.2), record(0, 2, 0.3),
@@ -593,13 +595,37 @@ class TestSmoothRecords:
             want = reference_smooth_records(records, cfg)
             assert [r.area_smoothed_m2.hex() for r in got] == [r.area_smoothed_m2.hex() for r in want]
             assert [r.nis.hex() for r in got] == [r.nis.hex() for r in want]
-            assert repr(got) == repr(want)
+            assert repr(list(got)) == repr(want)
 
     def test_repeated_row_is_the_next_update(self):
         records = [record(0, 1, 0.2), record(1, 1, 0.4), record(1, 1, 0.3)]
         got = smooth_records(records, CdkfConfig())
         assert got == reference_smooth_records(records, CdkfConfig())
         assert got[2].area_smoothed_m2 != got[1].area_smoothed_m2
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_gc_tracked_objects_grow_with_tracks_not_records(self, in_order):
+        """The tuner's objective on an 800-record, 40-track table leaves
+        objects for the cyclic GC to count per track, not per record: each
+        record copy it once made left two, and drove a collection every few
+        candidates. A first call fills the interpreter's free lists, as the
+        tuner's first candidate does; the count is taken over the second.
+        Measured at 47 (in order) and 59 (reversed) with CPython 3.11."""
+        records = [record(f, t, 0.1 + 0.001 * (f * t % 7), confidence=0.5 + 0.01 * t, distance=4.0 + 0.1 * f)
+                   for f in range(20) for t in range(1, 41)]
+        table = formats.result_table(records if in_order else records[::-1])
+        cfg = CdkfConfig(lam=0.7, theta=0.4)
+        gc.disable()
+        try:
+            report_from_records(smooth_records(table, cfg))
+            before = gc.get_count()[0]
+            smoothed = smooth_records(table, cfg)
+            report = report_from_records(smoothed)
+            grown = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert (len(smoothed), report.track_count) == (800, 40)
+        assert grown <= 3 * report.track_count
 
 
 class TestReportFiltering:
