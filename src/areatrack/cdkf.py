@@ -102,24 +102,29 @@ def update(s: CdkfState, z: float, c: float, d: float, cfg: CdkfConfig) -> CdkfS
     return CdkfState(A=A, P=P, last_nis=nis, updates=s.updates + 1)
 
 
-def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig) -> tuple[list[float], list[float]]:
+def track_rows(track_ids) -> list[list[int]]:
+    """Each track's row indices in row order, tracks in order of their first row."""
+    rows_by_track: dict = {}
+    for i, t in enumerate(track_ids):
+        rows_by_track.setdefault(t, []).append(i)
+    return list(rows_by_track.values())
+
+
+def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig, tracks=None) -> tuple[list[float], list[float]]:
     """The smoothed area and NIS after every measurement, each track
     filtered on its own in input order, as ``predict`` then ``update`` do.
 
     ``z``, ``c``, ``d`` and ``track_ids`` hold one entry per measurement;
     a track's first measurement sets A = z and P = R. ``measurement_noise``
     runs over all of them first, so a bad confidence stops the pass
-    before any step. The measurements are grouped by track once, and each
-    track runs ``_gain_step``'s float operations, in its order, as one
-    loop over locals.
+    before any step. Each track's rows, ``tracks`` if given, else
+    ``track_rows(track_ids)``, run ``_gain_step``'s float operations in
+    order, as one loop over locals.
     """
     r = measurement_noise(c, d, cfg).tolist()
     z = np.asarray(z, dtype=np.float64).tolist()
-    rows_by_track: dict = {}
-    for i, t in enumerate(track_ids):
-        rows_by_track.setdefault(t, []).append(i)
     areas, nis = z[:], [0.0] * len(z)
-    for rows in rows_by_track.values():
+    for rows in track_rows(track_ids) if tracks is None else tracks:
         a, p = z[rows[0]], r[rows[0]]
         for i in rows[1:]:
             p += Q

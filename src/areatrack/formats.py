@@ -353,12 +353,14 @@ class ResultTable(Sequence[FrameResultRecord]):
     ``FrameResultRecord`` on demand, a slice is a table, and ``==`` compares
     record by record with any sequence of records. Tables share columns, and
     no code changes a column in place. Nothing is checked: the columns are a
-    checked file's, the pipeline's own, or taken from records."""
+    checked file's, the pipeline's own, or taken from records. ``layout`` caches
+    ``pipeline.TrackLayout``: ``smoothed`` passes it on, a slice starts without it."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "layout")
 
-    def __init__(self, columns: ResultColumns):
+    def __init__(self, columns: ResultColumns, layout=None):
         self.columns = columns
+        self.layout = layout
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -381,8 +383,8 @@ class ResultTable(Sequence[FrameResultRecord]):
 
     def smoothed(self, area_m2: Sequence[float], nis: Sequence[float]) -> "ResultTable":
         """This table with its smoothed area and NIS columns replaced; it shares
-        every other column."""
-        return ResultTable(self.columns._replace(area_smoothed_m2=area_m2, nis=nis))
+        every other column, and so its layout."""
+        return ResultTable(self.columns._replace(area_smoothed_m2=area_m2, nis=nis), self.layout)
 
 
 def result_table(records: Sequence[FrameResultRecord]) -> ResultTable:

@@ -202,18 +202,23 @@ def area_consistency_report(
     min_track_len: int = MIN_TRACK_LEN,
 ) -> AreaConsistencyReport:
     """Per-track statistics of the tracks with at least ``min_track_len``
-    areas, and their unweighted averages.
-
-    The series of one length are stacked as the rows of one C-contiguous
-    block and reduced along its rows, which sums each row in the same order
-    as a 1-D ``np.mean`` of that series.
-    """
+    areas, and their unweighted averages (``block_report``)."""
     tids = sorted(t for t, s in areas_by_track.items() if len(s) >= min_track_len)
+    nis_by_track = nis_by_track or {}
+    return block_report(tids, length_blocks([areas_by_track[t] for t in tids]),
+                        length_blocks([nis_by_track.get(t, ()) for t in tids]), min_track_len)
+
+
+def block_report(tids: list[int], area_blocks, nis_blocks, min_track_len: int) -> AreaConsistencyReport:
+    """The report of tracks ``tids`` from their area and NIS series as
+    ``length_blocks``. Each block is reduced along its rows, which sums each
+    row in the same order as a 1-D ``np.mean`` of that series."""
     if not tids:
         return AreaConsistencyReport(0.0, 0.0, 0.0, 0.0, 0, min_track_len, [])
-    areas = [areas_by_track[t] for t in tids]
-    mean, mae, cv, afd = np.zeros((4, len(tids)))
-    for rows, block in _blocks(areas):
+    n = np.zeros(len(tids), dtype=int)
+    mean, mae, cv, afd, nis = np.zeros((5, len(tids)))
+    for rows, block in area_blocks:
+        n[rows] = block.shape[1]
         # area_mae and area_cv, from one mean and one deviation per block
         mean[rows] = m = block.mean(axis=1)
         dev = block - m[:, None]
@@ -221,14 +226,13 @@ def area_consistency_report(
         positive = m > 0.0  # CV is 0 where the mean is not positive or is NaN
         cv[rows[positive]] = np.sqrt(np.mean(dev[positive] ** 2, axis=1)) / m[positive]
         afd[rows] = area_afd(block)
-    nis_series = [(nis_by_track or {}).get(t, ()) for t in tids]
-    nis = np.zeros(len(tids))
-    for rows, block in _blocks(nis_series):
+    has_nis = np.zeros(len(tids), dtype=bool)
+    for rows, block in nis_blocks:
         if block.shape[1]:
             nis[rows] = block.mean(axis=1)
-    has_nis = np.array([len(s) > 0 for s in nis_series])
+            has_nis[rows] = True
     nis_mean = [x if h else None for x, h in zip(nis.tolist(), has_nis.tolist())]
-    per_track = list(map(TrackAreaStats, tids, map(len, areas), mean.tolist(), mae.tolist(),
+    per_track = list(map(TrackAreaStats, tids, n.tolist(), mean.tolist(), mae.tolist(),
                          cv.tolist(), afd.tolist(), nis_mean))
     return AreaConsistencyReport(
         mae=float(np.mean(mae)),
@@ -241,11 +245,11 @@ def area_consistency_report(
     )
 
 
-def _blocks(series: list[Sequence[float]]):
+def length_blocks(series: list[Sequence], dtype=np.float64):
     """(row indices, 2-D block) for each length in ``series``, shortest
     first: the series of that length, in order, as the rows of one
-    C-contiguous float64 array."""
+    C-contiguous array of ``dtype``."""
     lengths = np.array([len(s) for s in series])
     for k in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == k)
-        yield rows, np.array([series[i] for i in rows.tolist()], dtype=np.float64)
+        yield rows, np.array([series[i] for i in rows.tolist()], dtype=dtype)

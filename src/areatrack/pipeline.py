@@ -31,7 +31,7 @@ from .formats import (
 )
 from .geometry import BBox, CameraIntrinsics, DepthMap, MotionTransform
 from .mbtp import estimate_areas
-from .metrics import MIN_TRACK_LEN, AreaConsistencyReport, area_consistency_report
+from .metrics import MIN_TRACK_LEN, AreaConsistencyReport, block_report, length_blocks
 from .tracking import Tracker, fit_motion_ransac
 
 log = logging.getLogger(__name__)
@@ -72,8 +72,9 @@ def run_pipeline(
     that several frames share is parsed once, by the first of them.
 
     The frames' rows come out in (frame, track_id) order, the order that
-    ``smooth_records`` sorts records into, so they are filtered as they
-    are, and their columns, with the smoothed area's, make the result table.
+    ``smooth_records`` sorts records into, so their columns make the raw
+    table as they are, and ``smooth_records`` and the report read the one
+    layout it builds.
     """
     tracker = Tracker()
     detections: dict[Path, dict[int, FrameDetections]] = {}  # each file's detections not yet taken
@@ -82,12 +83,10 @@ def run_pipeline(
         rows += _process_frame(entry, manifest.intrinsics, tracker, config.seed, detections)
     frame, track_id, class_id, x, y, w, h, confidence, distance, area, fraction = (
         list(zip(*rows)) or [()] * 11)
-    if config.smoothing:
-        smoothed, nis = cdkf.filter_tracks(area, confidence, distance, track_id, config.cdkf)
-    else:
-        smoothed, nis = area, [0.0] * len(area)
     records = ResultTable(ResultColumns(frame, track_id, class_id, x, y, w, h, confidence, distance,
-                                        area, smoothed, nis, fraction))
+                                        area, area, [0.0] * len(area), fraction))
+    if config.smoothing:
+        records = smooth_records(records, config.cdkf)
     return records, report_from_records(records)
 
 
@@ -158,25 +157,67 @@ def _load_motion(path, seed: int, frame: int) -> MotionTransform | None:
     return fit_motion_ransac(payload, seed=seed * 100003 + frame)
 
 
+class TrackLayout:
+    """What smoothing and scoring read of a result table, derived once from
+    the columns that ``ResultTable.smoothed`` shares and kept in the table's
+    ``layout`` slot, where every candidate of the tuner finds it: the table
+    in (frame, track_id) order by a stable sort (``ordered``, None when it is
+    in that order), each track's rows (``cdkf.track_rows``), the raw area,
+    confidence and distance columns as float64 arrays, and the pothole rows
+    that ``blocks`` groups by length."""
+
+    __slots__ = ("ordered", "tracks", "area_raw", "confidence", "distance", "_potholes", "_blocks")
+
+    def __init__(self, table: ResultTable):
+        c = table.columns
+        keys = list(zip(c.frame, c.track_id))
+        self.ordered = None
+        if not all(map(operator.le, keys, keys[1:])):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self.ordered = ResultTable(c._make([col[i] for i in order] for col in c))
+        self.tracks = cdkf.track_rows(c.track_id)
+        self.area_raw, self.confidence, self.distance = (
+            np.asarray(col, dtype=np.float64) for col in (c.area_raw_m2, c.confidence, c.distance_m))
+        # each pothole track's rows: manholes (class 1) are tracked but not scored
+        self._potholes = {c.track_id[rows[0]]: potholes for rows in self.tracks
+                          if (potholes := [i for i in rows if c.class_id[i] == 0])}
+        self._blocks: dict[int, tuple] = {}
+
+    def blocks(self, min_track_len: int) -> tuple[list[int], list[tuple[np.ndarray, np.ndarray]]]:
+        """The ids, in order, of the pothole tracks with at least ``min_track_len``
+        rows, and their rows as ``metrics.length_blocks`` of row indices."""
+        if min_track_len not in self._blocks:
+            tids = sorted(t for t, rows in self._potholes.items() if len(rows) >= min_track_len)
+            self._blocks[min_track_len] = tids, list(length_blocks([self._potholes[t] for t in tids], np.intp))
+        return self._blocks[min_track_len]
+
+
+def _layout(table: ResultTable) -> TrackLayout:
+    if table.layout is None:
+        table.layout = TrackLayout(table)
+    return table.layout
+
+
 def smooth_records(records: Sequence[FrameResultRecord], cfg: CdkfConfig) -> ResultTable:
     """Per-track smoothing over raw area measurements, in frame order.
 
     The tuner calls it to try candidate noise weights without repeating
-    tracking and area estimation; ``run_pipeline`` filters its rows, which
-    are in this order already, the same way. The records, as a table, are
-    put in (frame, track_id) order by a stable sort, skipped when they are
-    in it already, and their columns filtered by ``cdkf.filter_tracks``,
-    one loop per track; a repeated (frame, track_id) record counts as the
-    track's next measurement. The result shares every column of the
-    ordered table but the smoothed area and the NIS.
+    tracking and area estimation, and ``run_pipeline`` to smooth its rows.
+    The records, as a table, are put in (frame, track_id) order by a stable
+    sort, skipped when they are in it already, and their columns filtered
+    by ``cdkf.filter_tracks``, one loop per track; a repeated (frame,
+    track_id) record counts as the track's next measurement. The sort and
+    the grouping are the table's layout's, made by its first call. The
+    result shares every column of the ordered table but the smoothed area
+    and the NIS, and so its layout.
     """
     table = result_table(records)
-    keys = list(zip(table.columns.frame, table.columns.track_id))
-    if not all(map(operator.le, keys, keys[1:])):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        table = ResultTable(table.columns._make([c[i] for i in order] for c in table.columns))
-    c = table.columns
-    return table.smoothed(*cdkf.filter_tracks(c.area_raw_m2, c.confidence, c.distance_m, c.track_id, cfg))
+    layout = _layout(table)
+    if layout.ordered is not None:
+        table = layout.ordered
+        layout = _layout(table)
+    return table.smoothed(*cdkf.filter_tracks(layout.area_raw, layout.confidence, layout.distance,
+                                              table.columns.track_id, cfg, layout.tracks))
 
 
 def report_from_records(
@@ -184,21 +225,15 @@ def report_from_records(
 ) -> AreaConsistencyReport:
     """Per-track consistency metrics over result records.
 
-    One pass over the table's columns appends each pothole record's
-    smoothed area, and each NIS after a track's first, to its track's
-    series. Manholes (class 1) flow through tracking and estimation but
-    are excluded from the pothole report.
+    Each pothole track's smoothed areas, and its NIS after the first, are
+    gathered from the table's columns by the row blocks of its layout and
+    reduced by ``metrics.block_report``. Manholes (class 1) flow through
+    tracking and estimation but are excluded from the pothole report.
     """
-    c = result_table(records).columns
-    areas: dict[int, list[float]] = {}
-    nis: dict[int, list[float]] = {}
-    for class_id, t, a, n in zip(c.class_id, c.track_id, c.area_smoothed_m2, c.nis):
-        if class_id == 0:
-            if t in areas:
-                areas[t].append(a)
-                nis[t].append(n)
-            else:  # the first update of a track has no meaningful innovation
-                areas[t] = [a]
-                nis[t] = []
+    table = result_table(records)
+    tids, blocks = _layout(table).blocks(min_track_len)
+    area = np.asarray(table.columns.area_smoothed_m2, dtype=np.float64)
+    nis = np.asarray(table.columns.nis, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # a file's huge areas overflow to inf or NaN
-        return area_consistency_report(areas, nis, min_track_len=min_track_len)
+        return block_report(tids, [(at, area[rows]) for at, rows in blocks],
+                            [(at, nis[rows[:, 1:]]) for at, rows in blocks], min_track_len)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
-from areatrack import cdkf, formats, pipeline
+from areatrack import bayesopt, cdkf, formats, pipeline
 from areatrack.cdkf import CdkfConfig, CdkfState, NoiseMode
 from areatrack.cli import main
 from areatrack.errors import AreatrackError, ZeroConfidence
@@ -626,6 +626,88 @@ class TestSmoothRecords:
             gc.enable()
         assert (len(smoothed), report.track_count) == (800, 40)
         assert grown <= 3 * report.track_count
+
+
+# a shuffled table with a repeated (frame, track_id) row and a 6-row manhole track, which a
+# report at min_track_len 2 or 5 leaves out
+_MANHOLE_TABLE = [record(f, t, 0.05 * t + 0.01 * (f % 3), class_id=int(t == 2))
+                  for f in (3, 0, 2, 1, 5, 4) for t in (2, 1, 3)] + [record(2, 1, 0.2)]
+
+# successive noise models for one table, so that a layout reused across them shows
+_LAYOUT_CONFIGS = (CdkfConfig(), CdkfConfig(0.3, 2.5, NoiseMode.CONFIDENCE_ONLY),
+                   CdkfConfig(1e-6, 0.0, NoiseMode.DISTANCE_ONLY), CdkfConfig(2.5, 0.3))
+
+
+@pytest.fixture
+def layout_builds(monkeypatch):
+    """The tables whose ``pipeline.TrackLayout`` is built, in build order."""
+    tables = []
+
+    class Counted(pipeline.TrackLayout):
+        def __init__(self, table):
+            tables.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr(pipeline, "TrackLayout", Counted)
+    return tables
+
+
+class TestTrackLayout:
+    """A table keeps the layout that smoothing and scoring derive from it,
+    so every table checked here must read as the per-record references read
+    its records, bit for bit, however its layout came to it."""
+
+    @staticmethod
+    def assert_as_reference(records, cfg) -> formats.ResultTable:
+        got = smooth_records(records, cfg)
+        want = reference_smooth_records(list(records), cfg)
+        assert [(r.area_smoothed_m2.hex(), r.nis.hex()) for r in got] == [
+            (r.area_smoothed_m2.hex(), r.nis.hex()) for r in want]
+        assert repr(list(got)) == repr(want)
+        for scored, reference in ((records, list(records)), (got, want)):
+            for min_track_len in (2, 5, 12):
+                assert outcome(report_from_records, scored, min_track_len) == outcome(
+                    reference_report_from_records, reference, min_track_len)
+        return got
+
+    @settings(max_examples=30, deadline=None)
+    @given(records=raw_records())
+    @example(records=_MANHOLE_TABLE)
+    def test_layout_is_never_stale(self, records):
+        table = formats.result_table(records)
+        with np.errstate(all="ignore"):
+            for cfg in _LAYOUT_CONFIGS:  # the same table object each time
+                got = self.assert_as_reference(table, cfg)
+            n = len(got)
+            self.assert_as_reference(got[n // 3:n - n // 4], cfg)  # a slice of a smoothed table
+            c = table.columns  # a smoothed() table shares its parent's rows and their order
+            self.assert_as_reference(table.smoothed(c.confidence, c.area_raw_m2), cfg)
+            self.assert_as_reference(records, cfg)
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_tuner_builds_one_layout_per_table(self, layout_builds, in_order):
+        rng = np.random.default_rng(5)
+        records = [record(f, t, 0.1 * t + a, confidence=c, distance=d)
+                   for f in range(12) for t in range(1, 7)
+                   for a, c, d in [rng.uniform([0.0, 0.2, 2.0], [0.05, 1.0, 15.0]).tolist()]]
+        table = formats.result_table(records if in_order else records[::-1])
+
+        def objective(point) -> float:
+            cfg = CdkfConfig(lam=max(point[0], 1e-6), theta=max(point[1], 1e-6))
+            return report_from_records(smooth_records(table, cfg)).objective
+
+        result = bayesopt.optimize(objective, bayesopt.SearchSpec(n_init=5, n_iter=30, seed=0))
+        assert len(result.history) == 35
+        # the table's own layout, then, out of order, its ordered copy's
+        assert len(layout_builds) == (1 if in_order else 2)
+        assert layout_builds[0] is table
+
+    def test_cli_optimize_builds_one_layout(self, layout_builds, scene_dir):
+        _, manifest_path = scene_dir
+        res = CliRunner().invoke(
+            main, ["optimize", "--manifest", str(manifest_path), "--n-init", "3", "--n-iter", "2"])
+        assert res.exit_code == 0, res.output
+        assert len(layout_builds) == 1
 
 
 class TestReportFiltering:
