@@ -110,21 +110,21 @@ def track_rows(track_ids) -> list[list[int]]:
     return list(rows_by_track.values())
 
 
-def filter_tracks(z, c, d, track_ids, cfg: CdkfConfig, tracks=None) -> tuple[list[float], list[float]]:
+def filter_tracks(z, c, d, tracks, cfg: CdkfConfig) -> tuple[list[float], list[float]]:
     """The smoothed area and NIS after every measurement, each track
     filtered on its own in input order, as ``predict`` then ``update`` do.
 
-    ``z``, ``c``, ``d`` and ``track_ids`` hold one entry per measurement;
+    ``z``, ``c`` and ``d`` hold one entry per measurement, and ``tracks``
+    each track's row indices in row order, as ``track_rows`` gives them;
     a track's first measurement sets A = z and P = R. ``measurement_noise``
     runs over all of them first, so a bad confidence stops the pass
-    before any step. Each track's rows, ``tracks`` if given, else
-    ``track_rows(track_ids)``, run ``_gain_step``'s float operations in
-    order, as one loop over locals.
+    before any step. Each track's rows run ``_gain_step``'s float
+    operations in order, as one loop over locals.
     """
     r = measurement_noise(c, d, cfg).tolist()
     z = np.asarray(z, dtype=np.float64).tolist()
     areas, nis = z[:], [0.0] * len(z)
-    for rows in track_rows(track_ids) if tracks is None else tracks:
+    for rows in tracks:
         a, p = z[rows[0]], r[rows[0]]
         for i in rows[1:]:
             p += Q

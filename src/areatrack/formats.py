@@ -175,10 +175,10 @@ def _value(key: str, t: type, token: str):
 
 
 def _records(text: str, table, check) -> list[list]:
-    """The values of each record line, converted by ``table``'s types in key order (a
-    repeated key keeps its last value) and passed by ``check(*values)``. A line's first
-    fault is its error: a token not key=value, then the first missing key, the first bad
-    value, ``check``'s error."""
+    """Each line's values in a key=value file not in writer form, or that a check fails:
+    converted by ``table``'s types in key order (a repeated key keeps its last value) and
+    passed by ``check(*values)``. A line's first fault is its error: a token not
+    key=value, then the first missing key, the first bad value, ``check``'s error."""
     keys, types, _ = zip(*table)
     get = operator.itemgetter(*keys)  # KeyError names the first missing key; 2+ keys give a tuple
     out = []
@@ -193,13 +193,8 @@ def _records(text: str, table, check) -> list[list]:
             tokens = get(fields)
         except KeyError as e:
             raise MalformedLine(line_no, f"missing field {e.args[0]!r}") from None
-        try:  # fsum is finite only if every value is finite and every int fits a float
-            values = [t(v) for t, v in zip(types, tokens)]
-            ok = math.isfinite(math.fsum(values))
-        except (ValueError, OverflowError):
-            ok = False
-        try:  # a line that fails is converted key by key, to name its first bad key
-            values = values if ok else [*map(_value, keys, types, tokens)]
+        try:
+            values = [*map(_value, keys, types, tokens)]
             check(*values)
         except (ValueError, TypeError) as e:
             raise MalformedLine(line_no, str(e)) from None
@@ -207,9 +202,20 @@ def _records(text: str, table, check) -> list[list]:
     return out
 
 
+def _writer_form(text: str, pattern: re.Pattern) -> Optional[list]:
+    """What ``pattern``, a multi-line regex of one whole line, captures on each line of a
+    file in writer form: the ``format_version`` header, then one ``pattern`` line per
+    record, the last ending in a newline. None for any other file."""
+    if text.startswith(f"format_version={FORMAT_VERSION}\n") and text.endswith("\n"):
+        found = pattern.findall(text)
+        if len(found) == text.count("\n") - 1:  # every line after the header is a record
+            return found
+    return None
+
+
 @cache
 def _canonical(table) -> tuple[re.Pattern, list[int], list[int]]:
-    """A regex that matches each canonical line of a ``table`` file, capturing its
+    """A regex that matches each writer-form line of a ``table`` file, capturing its
     values, and the positions of ``table``'s int keys and of its float keys."""
     line = " ".join(f"{key}=(\\S+)" for key, _, _ in table)
     ints, floats = ([i for i, (_, t, _) in enumerate(table) if t is kind] for kind in (int, float))
@@ -220,27 +226,26 @@ def _columns(text: str, table, check) -> tuple[list[list[int]], np.ndarray]:
     """A record file's values as columns in ``table``'s key order: a list of ints per int
     key, and one (k, N) float64 array of the k float keys' values.
 
-    A canonical file, the format a writer writes, is read in one pass: the header line,
-    then one line per record with each key once, in table order, single-spaced. One
-    regex ``findall`` splits it, one ``np.array`` call converts its float tokens (under
-    ``float()``'s rules), ``int()`` its int tokens, and ``_valid`` checks the float
-    columns at once for what ``check`` checks line by line. Any other file, or one that
-    a check fails, is read by ``_records``, which names the first bad line.
+    A file in writer form (``_writer_form``: each record line holds each key once, in
+    table order, single-spaced) is read in one pass: one regex ``findall`` splits it,
+    one ``np.array`` call converts its float tokens (under ``float()``'s rules),
+    ``int()`` its int tokens, and ``_valid`` checks the float columns at once for what
+    ``check`` checks line by line. Any other file, or one that a check fails, is read
+    by ``_records``, which names the first bad line.
     """
     pattern, int_at, float_at = _canonical(table)
-    if text.startswith(f"format_version={FORMAT_VERSION}\n") and text.endswith("\n"):
-        found = pattern.findall(text)
-        if len(found) == text.count("\n") - 1:  # every line after the header is a record
-            tokens = list(zip(*found)) or [()] * len(table)
-            try:
-                ints = [list(map(int, tokens[i])) for i in int_at]
-                floats = np.array([tokens[i] for i in float_at], dtype=np.float64)
-            except ValueError:
-                pass
-            else:
-                big = sys.float_info.max  # number's rule for an int
-                if all(-big <= min(c) and max(c) <= big for c in ints if c) and _valid(floats):
-                    return ints, floats
+    found = _writer_form(text, pattern)
+    if found is not None:
+        tokens = list(zip(*found)) or [()] * len(table)
+        try:
+            ints = [list(map(int, tokens[i])) for i in int_at]
+            floats = np.array([tokens[i] for i in float_at], dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            big = sys.float_info.max  # number's rule for an int
+            if all(-big <= min(c) and max(c) <= big for c in ints if c) and _valid(floats):
+                return ints, floats
     values = list(zip(*_records(text, table, check))) or [()] * len(table)
     return [list(values[i]) for i in int_at], np.array([values[i] for i in float_at], dtype=np.float64)
 
@@ -417,68 +422,55 @@ def write_results(records: Sequence[FrameResultRecord]) -> str:
 # motion files: bare numbers, either a 3x3 transform or raw correspondences
 
 
-def _motion_numbers(line_no: int, line: str, transform: bool) -> list[float]:
-    """One number line of a motion file, checked on its own: its numbers, or
-    the error of its first fault (non-numeric, then count, then non-finite)."""
-    try:
-        nums = [float(p) for p in line.split()]
-    except ValueError:
-        raise MalformedLine(line_no, f"non-numeric motion line {line!r}") from None
-    if transform:
-        if len(nums) != 3:
-            raise MalformedLine(line_no, "transform rows need 3 numbers")
-        if not all(map(math.isfinite, nums)):
-            raise MalformedLine(line_no, f"non-finite transform row {line!r}")
-    elif len(nums) != 4:
-        raise MalformedLine(line_no, "correspondence lines need 4 numbers")
-    return nums
+_PAIR = re.compile(r"^(\S+) (\S+) (\S+) (\S+)$", re.MULTILINE)  # a correspondence line in writer form
 
 
 def parse_motion_file(text: str):
-    """Returns ('transform', 3x3 array) or ('correspondences', (n, 2, 2)
-    float64 array of ``[[x0, y0], [x1, y1]]`` rows); a file with no data
-    lines gives ``("correspondences", array of shape (0, 2, 2))``.
+    """Returns ('transform', 3x3 array) or ('correspondences', (n, 2, 2) float64
+    array of ``[[x0, y0], [x1, y1]]`` rows, shape (0, 2, 2) for no data lines).
 
-    One pass checks each line's structure and collects the number tokens,
-    which one ``np.array`` call converts under ``float()``'s rules. Only on a
-    fault are the lines before it converted one by one, so that the first
-    bad line is named.
+    A correspondence file in writer form (``_writer_form``, four numbers a
+    line) is read in one pass by one ``np.array`` call, under ``float()``'s
+    rules. Any other file, or one with a token that is not a number, is read
+    line by line, each line converted and checked as it is read; the first
+    fault raises.
     """
-    lines = []  # (line_no, line) of the number lines before the first structural fault
-    tokens = []
-    transform_line = fault = None
-    try:
-        for line_no, line in _data_lines(text):
-            parts = line.split()
-            if parts[0] == "transform":
-                if len(parts) > 1:
-                    raise MalformedLine(line_no, f"tokens after the transform keyword in {line!r}")
-                if transform_line is not None:
-                    raise MalformedLine(line_no, "second transform keyword")
-                if lines:
-                    raise MalformedLine(line_no, "transform keyword after correspondence lines")
-                transform_line = line_no
-                continue
-            if len(parts) != (4 if transform_line is None else 3):
-                _motion_numbers(line_no, line, transform_line is not None)  # raises
-            lines.append((line_no, line))
-            tokens += parts
-    except MalformedLine as e:
-        fault = e
-    transform = transform_line is not None
-    try:
-        values = np.array(tokens, dtype=np.float64)
-    except ValueError:
-        values = None
-    if values is None or (transform and not np.isfinite(values).all()):
-        values = np.array([_motion_numbers(n, line, transform) for n, line in lines])
-    if fault is not None:
-        raise fault
-    if transform:
-        if len(lines) != 3:
-            raise MalformedLine(transform_line, f"transform needs 3 rows, got {len(lines)}")
-        return "transform", values.reshape(3, 3)
-    return "correspondences", values.reshape(-1, 2, 2)
+    found = _writer_form(text, _PAIR)
+    if found is not None:
+        try:
+            return "correspondences", np.array(found, dtype=np.float64).reshape(-1, 2, 2)
+        except ValueError:
+            pass  # the line loop names the line
+    rows = []  # the transform's rows or the correspondence lines: never both
+    transform_line = None
+    for line_no, line in _data_lines(text):
+        parts = line.split()
+        if parts[0] == "transform":
+            if len(parts) > 1:
+                raise MalformedLine(line_no, f"tokens after the transform keyword in {line!r}")
+            if transform_line is not None:
+                raise MalformedLine(line_no, "second transform keyword")
+            if rows:
+                raise MalformedLine(line_no, "transform keyword after correspondence lines")
+            transform_line = line_no
+            continue
+        try:
+            nums = [float(p) for p in parts]
+        except ValueError:
+            raise MalformedLine(line_no, f"non-numeric motion line {line!r}") from None
+        if transform_line is not None:
+            if len(nums) != 3:
+                raise MalformedLine(line_no, "transform rows need 3 numbers")
+            if not all(map(math.isfinite, nums)):
+                raise MalformedLine(line_no, f"non-finite transform row {line!r}")
+        elif len(nums) != 4:
+            raise MalformedLine(line_no, "correspondence lines need 4 numbers")
+        rows.append(nums)
+    if transform_line is not None:
+        if len(rows) != 3:
+            raise MalformedLine(transform_line, f"transform needs 3 rows, got {len(rows)}")
+        return "transform", np.array(rows)
+    return "correspondences", np.array(rows, dtype=np.float64).reshape(-1, 2, 2)
 
 
 def write_correspondences(pairs: np.ndarray) -> str:

@@ -217,7 +217,7 @@ def smooth_records(records: Sequence[FrameResultRecord], cfg: CdkfConfig) -> Res
         table = layout.ordered
         layout = _layout(table)
     return table.smoothed(*cdkf.filter_tracks(layout.area_raw, layout.confidence, layout.distance,
-                                              table.columns.track_id, cfg, layout.tracks))
+                                              layout.tracks, cfg))
 
 
 def report_from_records(

@@ -184,15 +184,17 @@ class TestFilterTracks:
     def test_matches_scalar_chain(self, data, lam, theta, mode):
         cfg = CdkfConfig(lam=lam, theta=theta, mode=mode)
         with np.errstate(all="ignore"):
-            got = cdkf.filter_tracks(*data, cfg)
+            z, c, d, ids = data
+            got = cdkf.filter_tracks(z, c, d, cdkf.track_rows(ids), cfg)
             want = chain_reference(*data, cfg)
         for got_seq, want_seq in zip(got, want):
             assert all(type(v) is float for v in got_seq)
             assert [v.hex() for v in got_seq] == [float(v).hex() for v in want_seq]
 
     def test_empty(self):
-        assert cdkf.filter_tracks([], [], [], [], CdkfConfig()) == ([], [])
+        assert cdkf.filter_tracks([], [], [], cdkf.track_rows([]), CdkfConfig()) == ([], [])
 
     def test_first_bad_confidence_named_before_any_step(self):
         with pytest.raises(ZeroConfidence, match=r"^confidence must be > 0, got -1\.0$"):
-            cdkf.filter_tracks([0.1, 0.2, 0.3], [0.9, -1.0, 0.0], [5.0] * 3, [2, 1, 2], CdkfConfig())
+            cdkf.filter_tracks([0.1, 0.2, 0.3], [0.9, -1.0, 0.0], [5.0] * 3, cdkf.track_rows([2, 1, 2]),
+                               CdkfConfig())

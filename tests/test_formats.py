@@ -381,8 +381,9 @@ class TestMotionFiles:
 
 
 def reference_parse_motion_file(text: str):
-    """The line-at-a-time motion parser, kept as an oracle for the one-pass
-    parse: each line is split and converted with ``float()`` as it is read."""
+    """The line-at-a-time motion parser, kept as an oracle for the writer-form
+    correspondence read and the line loop behind it: each line is split and
+    converted with ``float()`` as it is read."""
     rows = []  # the transform's rows or the correspondence lines: never both
     transform_line = None
     for line_no, line in _data_lines(text):
@@ -524,6 +525,15 @@ class TestMotionFileEqualsOracle:
         assert exc.value.line_no == line
         assert _motion_outcome(parse_motion_file, text) == _motion_outcome(
             reference_parse_motion_file, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.lists(NUMBER_TOKENS, min_size=4, max_size=4),
+                              st.lists(st.one_of(NUMBER_TOKENS, BAD_TOKENS), min_size=3, max_size=5)),
+                    max_size=8))
+    def test_writer_form_files(self, rows):
+        # single-spaced under the header with a final newline: the form write_correspondences writes
+        text = write_records(" ".join(row) for row in rows)
+        assert _motion_outcome(parse_motion_file, text) == _motion_outcome(reference_parse_motion_file, text)
 
 
 def reference_fields(line: str, line_no: int, keys: tuple[str, ...]) -> dict[str, str]:
@@ -851,6 +861,46 @@ class TestCanonicalRecords:
         xywh, confidence, class_id = got[0]
         assert (xywh.tolist(), confidence.tolist(), class_id) == ([[5, 6, 7, 8]], [0.25], [1])
         assert detection_columns(write_records([])) == {}
+
+
+def written_pairs(n: int) -> str:
+    """``write_correspondences`` of ``n`` seeded pairs, the first an inf and the last a nan."""
+    pairs = np.random.default_rng(n).uniform(-2000.0, 2000.0, (n, 2, 2))
+    pairs.flat[:1], pairs.flat[-1:] = math.inf, math.nan
+    return write_correspondences(pairs)
+
+
+class TestWriterFormCorrespondences:
+    """A correspondence file as ``write_correspondences`` writes it is read in one
+    pass; any other motion file, and one with a token that is not a number, is read
+    by the line loop."""
+
+    @pytest.mark.parametrize("n", [0, 1, 200])
+    def test_written_files_skip_the_line_loop(self, monkeypatch, n):
+        text = written_pairs(n)
+        want = _motion_outcome(reference_parse_motion_file, text)
+        assert want[0] == "correspondences" and want[2] == (n, 2, 2)
+        monkeypatch.setattr(formats, "_data_lines", lambda text: pytest.fail("read line by line"))
+        assert _motion_outcome(parse_motion_file, text) == want
+
+    @pytest.mark.parametrize("change", [
+        lambda t: t.replace("\n", "\n# c\n", 1), lambda t: t + "\n", lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" ", "  ", 1), lambda t: t.replace(" ", "\t", 1), lambda t: t[:-1],
+        lambda t: t + "1 2 3", lambda t: t.replace("\n", "\n ", 1),
+        lambda t: t.replace("format_version=1\n", ""), lambda t: t.replace("format_version=1", "format_version=2"),
+        lambda t: t.replace("\n", "\n1 2 3\n", 1), lambda t: t.replace("\n", "\n1 2 3 4 5\n", 1),
+        lambda t: t.replace(" ", " x", 1),
+        lambda t: write_records(["transform", "1 0 5", "0 1 -2", "0 0 1"]),
+    ], ids=["comment", "blank-line", "crlf", "double-space", "tab", "no-final-newline",
+            "bad-line-and-no-final-newline", "indent", "no-header", "other-header",
+            "three-numbers", "five-numbers", "non-numeric", "transform"])
+    def test_other_files_read_line_by_line(self, monkeypatch, change):
+        text = change(written_pairs(3))
+        calls, line_by_line = [], formats._data_lines
+        monkeypatch.setattr(formats, "_data_lines", lambda text: calls.append(1) or line_by_line(text))
+        got = _motion_outcome(parse_motion_file, text)
+        assert calls == [1]
+        assert got == _motion_outcome(reference_parse_motion_file, text)
 
 
 class TestRecordLines:
